@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .contracts import AmmPool, MakerBook, Pricebet
 from .metrics import MinerModel, Valuation, ValueSpread, ev, k_mev, value_spread, wmev
-from .ordering import EvReport, OrderingSpace, SearchBudget, count_sequences, iter_sequences, partition, search
+from .ordering import EvReport, OrderingSpace, SearchBudget, count_sequences, iter_sequences, search
 from .state import (
     AddLiquidity,
     Bet,
@@ -58,7 +58,6 @@ __all__ = [
     "ev",
     "iter_sequences",
     "k_mev",
-    "partition",
     "search",
     "total_supply",
     "value_spread",

@@ -4,11 +4,22 @@ Every subcommand reads scenario/log files, runs the corresponding analysis,
 and prints one machine-readable JSON report (amounts as decimal strings, keys
 sorted) so identical inputs, seed and worker count produce byte-identical
 output.  ``--out DIR`` additionally writes the report and any CSV plot data.
+
+Exit codes:
+
+- 0: success.
+- 1: ``replay`` found a field diff beyond its tolerance, or a subcommand
+  rejected its arguments (``Error: ...`` on stderr).
+- 2: ``compose-check`` found a violation witness, or the command line is
+  malformed (click's usage error).
+- 3: a scenario, event log or snapshot is invalid, or the search cannot run
+  on it (``error: ...``, one line on stderr).
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,9 +31,10 @@ from .corpus import gen_corpus
 from .eventlog import load_expected, read_event_log, replay_validate
 from .insertion import has_unresolved_amount, profit_curve, search_with_insertion, InsertionProblem
 from .metrics import MinerModel, PlayerDelta, Valuation, ev, k_mev, value_spread, wmev
-from .ordering import SearchBudget
-from .scenario import Scenario, dumps_canonical, load_scenario, save_scenario
+from .scenario import ParseError, Scenario, dumps_canonical, load_scenario, save_scenario
 from .state import ScenarioError
+
+EXIT_BAD_INPUT = 3  # see the module docstring for every exit code
 
 
 def _fraction_arg(text: str, name: str) -> Fraction:
@@ -45,19 +57,9 @@ def _on_off(value: str | None) -> bool | None:
 
 def _apply_overrides(scenario: Scenario, seed, budget, k, censor, insert, valuation) -> Scenario:
     if seed is not None:
-        scenario.budget = SearchBudget(
-            mode=scenario.budget.mode,
-            max_paths=scenario.budget.max_paths,
-            seed=seed,
-            tractability_threshold=scenario.budget.tractability_threshold,
-        )
+        scenario.budget = replace(scenario.budget, seed=seed)
     if budget is not None:
-        scenario.budget = SearchBudget(
-            mode=scenario.budget.mode,
-            max_paths=budget,
-            seed=scenario.budget.seed,
-            tractability_threshold=scenario.budget.tractability_threshold,
-        )
+        scenario.budget = replace(scenario.budget, max_paths=budget)
     if k is not None:
         scenario.k = k
     if censor is not None:
@@ -114,7 +116,18 @@ valuation_option = click.option(
 out_option = click.option("--out", type=click.Path(), default=None, help="Directory for report/CSV output.")
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports invalid input as one line on stderr, never as a traceback."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ParseError, ScenarioError) as e:
+            click.echo(f"error: {e}", err=True)
+            ctx.exit(EXIT_BAD_INPUT)
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__)
 def main() -> None:
     """Deterministic DeFi ordering-search toolkit."""
@@ -388,14 +401,6 @@ def gen_corpus_cmd(seed, count, txs, out):
     for i, scenario in enumerate(gen_corpus(seed, count, txs)):
         save_scenario(scenario, out_dir / f"scenario_{i:03d}.json")
     click.echo(dumps_canonical({"count": count, "seed": seed, "txs": txs, "out": str(out_dir)}), nl=False)
-
-
-def run() -> None:
-    try:
-        main(standalone_mode=True)
-    except ScenarioError as e:  # pragma: no cover - click wraps most errors
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -241,6 +241,8 @@ def search_with_insertion(
     (value, ordering) wins with the usual smallest-key tie-break."""
     if alpha_min < 1 or alpha_min > alpha_max:
         raise ScenarioError("need 1 <= alpha_min <= alpha_max")
+    if space.k != 1:
+        raise ScenarioError("insertion sizing searches single-block spaces (k = 1)")
     space = space.labeled()
     items = tuple(tx for tx in space.mempool if tx.arrival_block == 0) + space.templates
     fee_policy = space.fee_policy()

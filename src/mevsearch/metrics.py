@@ -279,11 +279,13 @@ def value_spread(
     with, over reorder/censor orderings (insertions excluded by default)."""
     if space.allow_insert and not allow_insertions:
         raise ScenarioError("value_spread expects a reorder/censor-only space")
+    if space.k > 1 and budget.mode != "exhaustive":
+        # the greedy multi-block search tracks no worst ordering
+        raise ScenarioError("value_spread over k > 1 blocks needs an exhaustive budget")
     objective = AccountBalanceValue(beneficiary, valuation)
     report = search(
         space, budget, objective, state, pruning=pruning, want_worst=True, workers=workers
     )
-    assert report.worst_value is not None and report.worst_ordering is not None
     return ValueSpread(
         beneficiary=beneficiary,
         b_high=report.best_value,

@@ -2,13 +2,18 @@
 
 The miner action model: starting from the pending mempool, a miner may
 reorder transactions, censor them (drop any subset), and insert its own
-template transactions at arbitrary positions, per the space's flags.  The
-engine enumerates every feasible sequence exactly once (depth-first, sharing
-state prefixes), evaluates an objective in skip-invalid mode (a user
-transaction that fails under some ordering is censored-by-failure, not a dead
-branch), and reduces to the best/worst value with a deterministic tie-break:
-among equal values the lexicographically smallest item-index sequence wins,
-so reports are identical for any worker count or partition shape.
+template transactions at arbitrary positions, per the space's flags, over
+``k`` consecutive blocks.  One walker enumerates every feasible construction
+exactly once, depth-first: each step either closes the block (``BLOCK_BREAK``;
+the next block admits its arrival wave and re-offers the templates) or appends
+a transaction.  Given a state, it applies each step in skip-invalid mode,
+sharing state prefixes (a user transaction that fails under some ordering is
+censored-by-failure, not a dead branch); without one it yields index
+sequences only.  Searches reduce the objective's values to the best/worst
+with a deterministic tie-break: among equal values the lexicographically
+smallest item-index sequence wins, so reports are identical for any worker
+count.  With ``workers > 1``, exhaustive searches (any ``k``) run the
+subtrees under the walker's depth-2 prefixes in a process pool.
 
 Pruning collapses permutations within maximal runs of same-direction
 exact-input swaps on the same pool into one representative ordered by mempool
@@ -24,7 +29,8 @@ objective.  The stateless enumeration API applies the syntactic rule only.
 Instances too large to enumerate fall back to seeded uniform sampling of
 orderings (Fisher-Yates shuffles, deduplicated) ; the original mempool order
 is always evaluated first, so the reported best is never below the untouched
-ordering's value.
+ordering's value.  Multi-block spaces under a randomized budget are searched
+greedily, one block at a time.
 """
 
 from __future__ import annotations
@@ -49,6 +55,8 @@ from .state import (
 
 BLOCK_BREAK = -1  # sequence-key marker between blocks of a k-block construction
 BLOCK_BREAK_LABEL = "|"
+# The sampler gives up after this many draws in a row that it had seen before.
+MAX_DUPLICATE_RUN = 1000
 
 
 @dataclass(frozen=True, slots=True)
@@ -118,22 +126,9 @@ class EvReport:
     paths_total: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class Partition:
-    """One slice of the candidate stream: sequences whose first item index is
-    in ``first_items`` (plus the empty sequence when ``own_root`` is set)."""
-
-    first_items: tuple[int, ...]
-    own_root: bool
-
-
 # ---------------------------------------------------------------------------
 # Item bookkeeping
 # ---------------------------------------------------------------------------
-
-def _items(space: OrderingSpace) -> tuple[Tx, ...]:
-    return space.mempool + space.templates
-
 
 def _run_key(tx: Tx, tracked: frozenset[str]):
     """Equivalence key for prunable swaps; None acts as a barrier."""
@@ -177,60 +172,112 @@ def _commutes(state: State, tx_p: Tx, tx_c: Tx) -> bool:
     return step(step(pool0, tx_p), tx_c) == step(step(pool0, tx_c), tx_p)
 
 
-def canonicalize(seq: tuple[int, ...], keys: list) -> tuple[int, ...]:
-    """Sort each maximal run of equal non-None run keys by item index."""
-    out: list[int] = []
-    i, n = 0, len(seq)
-    while i < n:
-        j = i + 1
-        k = keys[seq[i]] if seq[i] >= 0 else None
-        if k is not None:
-            while j < n and seq[j] >= 0 and keys[seq[j]] == k:
-                j += 1
-        run = sorted(seq[i:j])
-        out.extend(run)
-        i = j
-    return tuple(out)
-
-
-def _first_candidates(space: OrderingSpace, n_mempool: int, n_items: int) -> list[int]:
-    """Feasible first item indices (the partitioning prefixes)."""
-    first: list[int] = []
-    if n_mempool:
-        if space.allow_reorder or space.allow_censor:
-            first.extend(range(n_mempool))
-        else:
-            first.append(0)
-    if space.allow_insert:
-        first.extend(range(n_mempool, n_items))
-    return first
-
-
-def partition(space: OrderingSpace, workers: int) -> list[Partition]:
-    """Split the candidate stream into ``workers`` disjoint sub-spaces by
-    first-position prefix (round-robin for balance); the union re-creates the
-    full stream with no duplicates."""
-    if workers < 1:
-        raise ScenarioError("workers must be >= 1")
-    space = space.labeled()
-    n_mempool = sum(1 for tx in space.mempool if tx.arrival_block == 0)
-    n_items = n_mempool + len(space.templates)
-    first = _first_candidates(space, n_mempool, n_items)
-    parts = []
-    for w in range(workers):
-        parts.append(Partition(tuple(first[w::workers]), own_root=(w == 0)))
-    return parts
+def _labels_for(items: tuple[Tx, ...], key: tuple[int, ...]) -> tuple[str, ...]:
+    return tuple(BLOCK_BREAK_LABEL if i == BLOCK_BREAK else items[i].label for i in key)
 
 
 # ---------------------------------------------------------------------------
-# Enumeration (single block)
+# Enumeration
 # ---------------------------------------------------------------------------
+
+class _Tree:
+    """The feasible constructions of a space, as a tree of item choices.
+
+    Items are the mempool transactions that arrive within the ``k`` blocks,
+    in mempool order, followed by the templates; a construction's key is its
+    tuple of item indices, with ``BLOCK_BREAK`` between blocks.
+    """
+
+    __slots__ = ("space", "items", "keys", "waves", "templates")
+
+    def __init__(self, space: OrderingSpace, pruning: bool, tracked: frozenset[str]):
+        if space.k < 1:
+            raise ScenarioError("k must be >= 1")
+        space = space.labeled()
+        mempool = tuple(tx for tx in space.mempool if 0 <= tx.arrival_block < space.k)
+        self.space = space
+        self.items = mempool + space.templates
+        self.waves = tuple(
+            tuple(i for i, tx in enumerate(mempool) if tx.arrival_block == block)
+            for block in range(space.k)
+        )
+        self.templates = tuple(range(len(mempool), len(self.items)))
+        tracked = _guarded_tracked(self.items, tracked | {space.miner})
+        self.keys = [_run_key(tx, tracked) if pruning else None for tx in self.items]
+
+    def walk(self, state: State | None, prefix: tuple[int, ...] = (), max_len: int | None = None):
+        """Yield ``(key, state)`` once for every feasible construction whose
+        key extends ``prefix``.
+
+        With a state, each step is applied in skip-invalid mode and a pruning
+        collapse is taken only when ``_commutes`` verifies it; without one,
+        the yielded states are ``None`` and only the syntactic rule applies.
+        With ``max_len`` the walk stops at that depth and also yields every
+        node there, complete or not: those nodes are work-unit prefixes.
+        """
+        items, keys, waves, templates = self.items, self.keys, self.waves, self.templates
+        space = self.space
+        reorder, censor, insert = space.allow_reorder, space.allow_censor, space.allow_insert
+        free = reorder or censor
+        last = space.k - 1
+        fee_policy = None if state is None else space.fee_policy()
+        n_prefix = len(prefix)
+        seq: list[int] = []
+
+        def node(st, block, mem_rem, tpl_rem, prev_key, prev_idx, prev_state):
+            depth = len(seq)
+            if depth == max_len:
+                yield tuple(seq), st
+                return
+            want = prefix[depth] if depth < n_prefix else None
+            if block == last:
+                # Without censoring, every admitted transaction is placed.
+                if want is None and (censor or not mem_rem):
+                    yield tuple(seq), st
+            elif want is None or want == BLOCK_BREAK:
+                seq.append(BLOCK_BREAK)
+                yield from node(
+                    None if st is None else st.with_block(st.block_number + 1),
+                    block + 1, mem_rem + waves[block + 1], templates, None, -1, None,
+                )
+                seq.pop()
+            mem_choices = mem_rem if free else mem_rem[:1]
+            n_mem_choices = len(mem_choices)
+            for pos, idx in enumerate(mem_choices + tpl_rem if insert else mem_choices):
+                if want is not None and idx != want:
+                    continue
+                key = keys[idx]
+                if (
+                    key is not None
+                    and key == prev_key
+                    and idx < prev_idx
+                    and (st is None or _commutes(prev_state, items[prev_idx], items[idx]))
+                ):
+                    continue
+                if pos < n_mem_choices:
+                    # Without reordering, the skipped transactions are censored for good.
+                    nxt_mem = mem_rem[:pos] + mem_rem[pos + 1:] if reorder else mem_rem[pos + 1:]
+                    nxt_tpl = tpl_rem
+                else:
+                    pos -= n_mem_choices
+                    nxt_mem, nxt_tpl = mem_rem, tpl_rem[:pos] + tpl_rem[pos + 1:]
+                nxt = st
+                if st is not None:
+                    try:
+                        applied = apply_tx(st, items[idx], fee_policy)
+                    except UnknownVenueError:
+                        applied = None
+                    if applied is not None:
+                        nxt = applied
+                seq.append(idx)
+                yield from node(nxt, block, nxt_mem, nxt_tpl, key, idx, st)
+                seq.pop()
+
+        return node(state, 0, waves[0], templates, None, -1, None)
+
 
 def iter_sequences(
-    space: OrderingSpace,
-    pruning: bool = True,
-    tracked: frozenset[str] = frozenset(),
-    part: Partition | None = None,
+    space: OrderingSpace, pruning: bool = True, tracked: frozenset[str] = frozenset()
 ):
     """Yield every feasible single-block sequence exactly once, as tuples of
     item indices (mempool 0..n-1 in original order, then templates).
@@ -239,61 +286,10 @@ def iter_sequences(
     untracked same-direction swaps); the stateful search additionally
     verifies each collapse against the integer pool arithmetic.
     """
-    space = space.labeled()
     if space.k != 1:
         raise ScenarioError("iter_sequences enumerates single-block spaces")
-    mempool = [tx for tx in space.mempool if tx.arrival_block == 0]
-    items = tuple(mempool) + space.templates
-    n_mem = len(mempool)
-    tracked = _guarded_tracked(items, tracked | {space.miner})
-    keys = [_run_key(tx, tracked) if pruning else None for tx in items]
-    reorder, censor, insert = space.allow_reorder, space.allow_censor, space.allow_insert
-    first_filter = set(part.first_items) if part is not None else None
-
-    seq: list[int] = []
-
-    def walk(mem_rem: tuple[int, ...], tpl_rem: tuple[int, ...], prev_key, prev_idx: int):
-        if censor or not mem_rem:
-            yield tuple(seq)
-        at_root = not seq
-        if mem_rem:
-            choices = range(len(mem_rem)) if (reorder or censor) else range(1)
-            for j in choices:
-                idx = mem_rem[j]
-                if at_root and first_filter is not None and idx not in first_filter:
-                    continue
-                key = keys[idx]
-                if key is not None and key == prev_key and idx < prev_idx:
-                    continue
-                if reorder:
-                    nxt = mem_rem[:j] + mem_rem[j + 1:]
-                else:
-                    nxt = mem_rem[j + 1:]  # earlier ones censored for good
-                seq.append(idx)
-                yield from walk(nxt, tpl_rem, key, idx)
-                seq.pop()
-        if insert:
-            for j in range(len(tpl_rem)):
-                idx = tpl_rem[j]
-                if at_root and first_filter is not None and idx not in first_filter:
-                    continue
-                key = keys[idx]
-                if key is not None and key == prev_key and idx < prev_idx:
-                    continue
-                seq.append(idx)
-                yield from walk(mem_rem, tpl_rem[:j] + tpl_rem[j + 1:], key, idx)
-                seq.pop()
-
-    root = walk(tuple(range(n_mem)), tuple(range(n_mem, len(items))), None, -1)
-    if part is not None and not part.own_root:
-        skipped_root = False
-        for s in root:
-            if not s and not skipped_root:
-                skipped_root = True
-                continue
-            yield s
-    else:
-        yield from root
+    for key, _ in _Tree(space, pruning, tracked).walk(None):
+        yield key
 
 
 def count_sequences(
@@ -317,197 +313,52 @@ class _Reducer:
     __slots__ = ("best", "worst", "paths", "want_worst", "cap")
 
     def __init__(self, want_worst: bool, cap: int | None = None):
-        self.best = None  # (value, key, labels)
+        self.best = None  # (value, key)
         self.worst = None
         self.paths = 0
         self.want_worst = want_worst
         self.cap = cap
 
-    def offer(self, value: int, key: tuple[int, ...], labels: tuple[str, ...]) -> None:
+    def offer(self, value: int, key: tuple[int, ...]) -> None:
         self.paths += 1
         if self.cap is not None and self.paths > self.cap:
             raise _OverBudget
         b = self.best
         if b is None or value > b[0] or (value == b[0] and key < b[1]):
-            self.best = (value, key, labels)
+            self.best = (value, key)
         if self.want_worst:
             w = self.worst
             if w is None or value < w[0] or (value == w[0] and key < w[1]):
-                self.worst = (value, key, labels)
+                self.worst = (value, key)
 
     def merge(self, other: "_Reducer") -> None:
-        self.paths += other.paths
-        for cand in (other.best,):
+        """Fold in another (uncapped) reducer's extremes and path count."""
+        paths = self.paths + other.paths
+        for cand in (other.best, other.worst):
             if cand is not None:
-                b = self.best
-                if b is None or cand[0] > b[0] or (cand[0] == b[0] and cand[1] < b[1]):
-                    self.best = cand
-        if self.want_worst and other.worst is not None:
-            w = self.worst
-            cand = other.worst
-            if w is None or cand[0] < w[0] or (cand[0] == w[0] and cand[1] < w[1]):
-                self.worst = cand
+                self.offer(*cand)
+        self.paths = paths
+
+    def report(self, items: tuple[Tx, ...], exhaustive: bool) -> EvReport:
+        """The report, with witness labels built for the final keys only."""
+        (best_value, best_key), worst = self.best, self.worst
+        return EvReport(
+            best_value=best_value,
+            best_ordering=_labels_for(items, best_key),
+            paths_explored=self.paths,
+            exhaustive=exhaustive,
+            worst_value=None if worst is None else worst[0],
+            worst_ordering=None if worst is None else _labels_for(items, worst[1]),
+            paths_total=self.paths if exhaustive else None,
+        )
 
 
-def _labels_for(items: tuple[Tx, ...], key: tuple[int, ...]) -> tuple[str, ...]:
-    return tuple(BLOCK_BREAK_LABEL if i == BLOCK_BREAK else items[i].label for i in key)
-
-
-def _dfs_block(
-    state: State,
-    items: tuple[Tx, ...],
-    n_mem: int,
-    keys: list,
-    space: OrderingSpace,
-    objective,
-    reducer: _Reducer,
-    fee_policy: FeePolicy | None,
-    part: Partition | None = None,
-    prefix: tuple[int, ...] = (),
-    max_len: int | None = None,
-) -> None:
-    """Exhaustive skip-invalid DFS over one block, prefix-sharing states.
-
-    ``part`` restricts first choices (the public partition contract);
-    ``prefix`` forces an initial choice sequence and ``max_len`` caps the
-    sequence length (the executor's internal work units).
-    """
-    reorder, censor, insert = space.allow_reorder, space.allow_censor, space.allow_insert
+def _fold_walk(walk, objective, reducer: _Reducer) -> _Reducer:
     value_of = objective.value
-    seq: list[int] = []
-    first_filter = set(part.first_items) if part is not None else None
-    eval_root = part.own_root if part is not None else not prefix
-
-    def walk(
-        st: State,
-        mem_rem: tuple[int, ...],
-        tpl_rem: tuple[int, ...],
-        prev_key,
-        prev_idx: int,
-        prev_state: State | None,
-    ):
-        if censor or not mem_rem:
-            if seq or eval_root:
-                reducer.offer(value_of(st), tuple(seq), _labels_for(items, tuple(seq)))
-        if max_len is not None and len(seq) >= max_len:
-            return
-        at_root = not seq
-        if mem_rem:
-            choices = range(len(mem_rem)) if (reorder or censor) else range(1)
-            for j in choices:
-                idx = mem_rem[j]
-                if at_root and first_filter is not None and idx not in first_filter:
-                    continue
-                key = keys[idx]
-                if (
-                    key is not None
-                    and key == prev_key
-                    and idx < prev_idx
-                    and _commutes(prev_state, items[prev_idx], items[idx])
-                ):
-                    continue
-                nxt_rem = mem_rem[:j] + mem_rem[j + 1:] if reorder else mem_rem[j + 1:]
-                try:
-                    nxt_state = apply_tx(st, items[idx], fee_policy)
-                except UnknownVenueError:
-                    nxt_state = None
-                seq.append(idx)
-                walk(nxt_state if nxt_state is not None else st, nxt_rem, tpl_rem, key, idx, st)
-                seq.pop()
-        if insert:
-            for j in range(len(tpl_rem)):
-                idx = tpl_rem[j]
-                if at_root and first_filter is not None and idx not in first_filter:
-                    continue
-                key = keys[idx]
-                if (
-                    key is not None
-                    and key == prev_key
-                    and idx < prev_idx
-                    and _commutes(prev_state, items[prev_idx], items[idx])
-                ):
-                    continue
-                try:
-                    nxt_state = apply_tx(st, items[idx], fee_policy)
-                except UnknownVenueError:
-                    nxt_state = None
-                seq.append(idx)
-                walk(
-                    nxt_state if nxt_state is not None else st,
-                    mem_rem,
-                    tpl_rem[:j] + tpl_rem[j + 1:],
-                    key,
-                    idx,
-                    st,
-                )
-                seq.pop()
-
-    mem_rem = tuple(range(n_mem))
-    tpl_rem = tuple(range(n_mem, len(items)))
-    st = state
-    prev_key, prev_idx = None, -1
-    prev_state: State | None = None
-    for idx in prefix:
-        if idx < n_mem:
-            if reorder:
-                pos = mem_rem.index(idx)
-                mem_rem = mem_rem[:pos] + mem_rem[pos + 1:]
-            else:
-                pos = mem_rem.index(idx)
-                mem_rem = mem_rem[pos + 1:]
-        else:
-            pos = tpl_rem.index(idx)
-            tpl_rem = tpl_rem[:pos] + tpl_rem[pos + 1:]
-        prev_state = st
-        try:
-            nxt = apply_tx(st, items[idx], fee_policy)
-        except UnknownVenueError:
-            nxt = None
-        if nxt is not None:
-            st = nxt
-        seq.append(idx)
-        prev_key, prev_idx = keys[idx], idx
-    walk(st, mem_rem, tpl_rem, prev_key, prev_idx, prev_state)
-
-
-def _second_choices_for(
-    space: OrderingSpace,
-    items: tuple[Tx, ...],
-    n_mem: int,
-    keys: list,
-    first: int,
-    state: State,
-) -> list[int]:
-    """Feasible second items after ``first``, honoring flags and the
-    verified pruning rule (the root state is the verification context)."""
-    n_items = len(items)
-    out: list[int] = []
-    reorder, censor, insert = space.allow_reorder, space.allow_censor, space.allow_insert
-    if first < n_mem:
-        if reorder:
-            mem_candidates = [i for i in range(n_mem) if i != first]
-        elif censor:
-            mem_candidates = list(range(first + 1, n_mem))
-        else:
-            mem_candidates = [first + 1] if first + 1 < n_mem else []
-    else:
-        if reorder or censor:
-            mem_candidates = list(range(n_mem))
-        else:
-            mem_candidates = [0] if n_mem else []
-    if insert:
-        mem_candidates += [i for i in range(n_mem, n_items) if i != first]
-    for idx in mem_candidates:
-        key = keys[idx]
-        if (
-            key is not None
-            and key == keys[first]
-            and idx < first
-            and _commutes(state, items[first], items[idx])
-        ):
-            continue
-        out.append(idx)
-    return out
+    offer = reducer.offer
+    for key, st in walk:
+        offer(value_of(st), key)
+    return reducer
 
 
 _WORKER_SHARED = None
@@ -518,84 +369,38 @@ def _init_worker(shared) -> None:
     _WORKER_SHARED = shared
 
 
-def _unit_task(unit) -> tuple:
-    prefix, max_len = unit
-    state, space, objective, pruning, want_worst = _WORKER_SHARED
-    return _search_part((state, space, objective, pruning, None, prefix, max_len, want_worst, None))
+def _unit_task(prefix: tuple[int, ...]) -> _Reducer:
+    tree, state, objective, want_worst = _WORKER_SHARED
+    return _fold_walk(tree.walk(state, prefix), objective, _Reducer(want_worst))
 
 
-def _search_part(args) -> tuple | None:
-    """Worker entry: exhaustive DFS over one slice (picklable args).
-
-    Returns ``None`` when a path cap is given and the slice exceeds it.
-    """
-    state, space, objective, pruning, part, prefix, max_len, want_worst, cap = args
-    space = space.labeled()
-    mempool = tuple(tx for tx in space.mempool if tx.arrival_block == 0)
-    items = mempool + space.templates
-    tracked = _guarded_tracked(items, objective.tracked | {space.miner})
-    keys = [_run_key(tx, tracked) if pruning else None for tx in items]
-    reducer = _Reducer(want_worst, cap=cap)
-    try:
-        _dfs_block(
-            state,
-            items,
-            len(mempool),
-            keys,
-            space,
-            objective,
-            reducer,
-            space.fee_policy(),
-            part=part,
-            prefix=prefix,
-            max_len=max_len,
-        )
-    except _OverBudget:
-        return None
-    return reducer.best, reducer.worst, reducer.paths
-
-
-def _exhaustive_single(
-    state: State,
-    space: OrderingSpace,
-    objective,
-    pruning: bool,
-    want_worst: bool,
-    workers: int,
+def _exhaustive(
+    tree: _Tree, state: State, objective, want_worst: bool, workers: int, cap: int | None = None
 ) -> _Reducer:
-    reducer = _Reducer(want_worst)
+    """Fold every construction of the tree.  ``cap`` (single worker only)
+    raises ``_OverBudget`` once more than that many have been seen."""
+    reducer = _Reducer(want_worst, cap)
     if workers <= 1:
-        best, worst, paths = _search_part(
-            (state, space, objective, pruning, None, (), None, want_worst, None)
-        )
-        reducer.best, reducer.worst, reducer.paths = best, worst, paths
-        return reducer
+        return _fold_walk(tree.walk(state), objective, reducer)
 
-    # Work units at depth-2 prefixes load-balance far better than root-level
-    # partitions; one extra unit covers the sequences shorter than 2 items.
-    mempool = tuple(tx for tx in space.mempool if tx.arrival_block == 0)
-    items = mempool + space.templates
-    n_mem = len(mempool)
-    tracked = _guarded_tracked(items, objective.tracked | {space.miner})
-    keys = [_run_key(tx, tracked) if pruning else None for tx in items]
-    # Sequences of length <= 1 belong to the first unit; every longer
-    # sequence belongs to exactly one depth-2 prefix.
-    units: list[tuple] = [((), 1)]
-    for first in _first_candidates(space, n_mem, len(items)):
-        for second in _second_choices_for(space, items, n_mem, keys, first, state):
-            units.append(((first, second), None))
-
-    shared = (state, space, objective, pruning, want_worst)
+    # Depth-2 prefixes load-balance far better than first items.  Sequences
+    # shorter than 2 are folded here; every longer one extends exactly one
+    # depth-2 prefix, whose subtree is one work unit.
+    units: list[tuple[int, ...]] = []
+    for key, st in tree.walk(state, max_len=2):
+        if len(key) < 2:
+            reducer.offer(objective.value(st), key)
+        else:
+            units.append(key)
     pool_size = max(1, min(workers, len(units), os.cpu_count() or 1))
-    ctx = get_context("fork")
     with ProcessPoolExecutor(
-        max_workers=pool_size, mp_context=ctx, initializer=_init_worker, initargs=(shared,)
+        max_workers=pool_size,
+        mp_context=get_context("fork"),
+        initializer=_init_worker,
+        initargs=((tree, state, objective, want_worst),),
     ) as pool:
-        results = list(pool.map(_unit_task, units, chunksize=1))
-    for best, worst, paths in results:
-        other = _Reducer(want_worst)
-        other.best, other.worst, other.paths = best, worst, paths
-        reducer.merge(other)
+        for other in pool.map(_unit_task, units, chunksize=1):
+            reducer.merge(other)
     return reducer
 
 
@@ -603,23 +408,25 @@ def _exhaustive_single(
 # Randomized sampling
 # ---------------------------------------------------------------------------
 
-def _sample_sequences(
-    space: OrderingSpace,
-    items: tuple[Tx, ...],
-    n_mem: int,
-    budget: SearchBudget,
-) -> list[tuple[int, ...]]:
-    """Distinct orderings sampled uniformly: identity first, then seeded
-    Fisher-Yates shuffles, without replacement."""
+def _sample_sequences(tree: _Tree, budget: SearchBudget) -> list[tuple[int, ...]]:
+    """Distinct single-block orderings sampled uniformly: identity first, then
+    seeded Fisher-Yates shuffles, without replacement.
+
+    Stops at ``max_paths`` orderings, after 50 x ``max_paths`` draws, or after
+    ``MAX_DUPLICATE_RUN`` draws in a row that were all seen before (the space
+    is then all but exhausted).
+    """
+    space = tree.space
     rng = random.Random(budget.seed)
-    identity = tuple(range(n_mem))
+    idx_mem = list(tree.waves[0])
+    idx_tpl = list(tree.templates)
+    n_mem = len(idx_mem)
+    identity = tuple(idx_mem)
     seen = {identity}
     out = [identity]
-    attempts = 0
+    attempts = duplicates = 0
     max_attempts = max(50 * budget.max_paths, 1000)
-    idx_mem = list(range(n_mem))
-    idx_tpl = list(range(n_mem, len(items)))
-    while len(out) < budget.max_paths and attempts < max_attempts:
+    while len(out) < budget.max_paths and attempts < max_attempts and duplicates < MAX_DUPLICATE_RUN:
         attempts += 1
         chosen = list(idx_mem) if not space.allow_censor else [
             i for i in idx_mem if rng.getrandbits(1)
@@ -632,118 +439,30 @@ def _sample_sequences(
             mem_sorted = iter(sorted(i for i in chosen if i < n_mem))
             chosen = [next(mem_sorted) if i < n_mem else i for i in chosen]
         seq = tuple(chosen)
-        if seq not in seen:
+        if seq in seen:
+            duplicates += 1
+        else:
+            duplicates = 0
             seen.add(seq)
             out.append(seq)
     return out
 
 
 def _evaluate_sequences(
-    state: State,
-    space: OrderingSpace,
-    items: tuple[Tx, ...],
-    seqs: list[tuple[int, ...]],
-    objective,
-    want_worst: bool,
+    tree: _Tree, state: State, seqs: list[tuple[int, ...]], objective, want_worst: bool
 ) -> _Reducer:
     reducer = _Reducer(want_worst)
-    fee_policy = space.fee_policy()
+    items = tree.items
+    fee_policy = tree.space.fee_policy()
     for seq in seqs:
-        txs = [items[i] for i in seq]
-        res = apply_sequence(state, txs, "skip_invalid", fee_policy)
-        reducer.offer(objective.value(res.state), seq, _labels_for(items, seq))
+        res = apply_sequence(state, [items[i] for i in seq], "skip_invalid", fee_policy)
+        reducer.offer(objective.value(res.state), seq)
     return reducer
 
 
 # ---------------------------------------------------------------------------
-# Multi-block construction
+# Multi-block construction (greedy)
 # ---------------------------------------------------------------------------
-
-def _dfs_k_blocks(
-    state: State,
-    space: OrderingSpace,
-    objective,
-    pruning: bool,
-    reducer: _Reducer,
-) -> None:
-    """Exact joint search over k blocks with arrival waves.
-
-    Transactions become schedulable in their arrival block; closing a block
-    advances the block number, re-offers the miner templates, and admits the
-    next wave.  Without censoring, every admitted transaction must be placed
-    by the final block's close.
-    """
-    space = space.labeled()
-    k = space.k
-    waves: dict[int, list[int]] = {}
-    mempool = space.mempool
-    for i, tx in enumerate(mempool):
-        if tx.arrival_block < k:
-            waves.setdefault(tx.arrival_block, []).append(i)
-    items = mempool + space.templates
-    n_mem = len(mempool)
-    tracked = _guarded_tracked(items, objective.tracked | {space.miner})
-    keys = [_run_key(tx, tracked) if pruning else None for tx in items]
-    reorder, censor, insert = space.allow_reorder, space.allow_censor, space.allow_insert
-    fee_policy = space.fee_policy()
-    tpl_all = tuple(range(n_mem, len(items)))
-    value_of = objective.value
-    seq: list[int] = []
-
-    def walk(st, block, mem_rem, tpl_rem, prev_key, prev_idx, prev_state):
-        # close current block
-        if censor or not mem_rem or block + 1 < k:
-            if block + 1 == k:
-                if censor or not mem_rem:
-                    reducer.offer(value_of(st), tuple(seq), _labels_for(items, tuple(seq)))
-            else:
-                nxt_state = st.with_block(st.block_number + 1)
-                nxt_rem = mem_rem + tuple(waves.get(block + 1, ()))
-                seq.append(BLOCK_BREAK)
-                walk(nxt_state, block + 1, nxt_rem, tpl_all, None, -1, None)
-                seq.pop()
-        if mem_rem:
-            choices = range(len(mem_rem)) if (reorder or censor) else range(1)
-            for j in choices:
-                idx = mem_rem[j]
-                key = keys[idx]
-                if (
-                    key is not None
-                    and key == prev_key
-                    and idx < prev_idx
-                    and _commutes(prev_state, items[prev_idx], items[idx])
-                ):
-                    continue
-                nxt_rem = mem_rem[:j] + mem_rem[j + 1:] if reorder else mem_rem[j + 1:]
-                try:
-                    nxt = apply_tx(st, items[idx], fee_policy)
-                except UnknownVenueError:
-                    nxt = None
-                seq.append(idx)
-                walk(nxt if nxt is not None else st, block, nxt_rem, tpl_rem, key, idx, st)
-                seq.pop()
-        if insert:
-            for j in range(len(tpl_rem)):
-                idx = tpl_rem[j]
-                key = keys[idx]
-                if (
-                    key is not None
-                    and key == prev_key
-                    and idx < prev_idx
-                    and _commutes(prev_state, items[prev_idx], items[idx])
-                ):
-                    continue
-                try:
-                    nxt = apply_tx(st, items[idx], fee_policy)
-                except UnknownVenueError:
-                    nxt = None
-                seq.append(idx)
-                walk(nxt if nxt is not None else st, block, mem_rem,
-                     tpl_rem[:j] + tpl_rem[j + 1:], key, idx, st)
-                seq.pop()
-
-    walk(state, 0, tuple(waves.get(0, ())), tpl_all, None, -1, None)
-
 
 def _greedy_k_blocks(
     state: State,
@@ -766,13 +485,13 @@ def _greedy_k_blocks(
         sub = replace(space, mempool=tuple(pending), k=1)
         rep = search(sub, budget, objective, state=current, pruning=pruning, workers=workers)
         paths += rep.paths_explored
-        chosen = [lbl for lbl in rep.best_ordering]
-        by_label = {tx.label: tx for tx in sub.labeled().mempool + sub.labeled().templates}
+        chosen = list(rep.best_ordering)
+        by_label = {tx.label: tx for tx in sub.mempool + sub.templates}
         txs = [by_label[lbl] for lbl in chosen]
         res = apply_sequence(current, txs, "skip_invalid", space.fee_policy())
         current = res.state.with_block(res.state.block_number + 1)
         chosen_set = set(chosen)
-        pending = [tx for tx in sub.labeled().mempool if tx.label not in chosen_set]
+        pending = [tx for tx in sub.mempool if tx.label not in chosen_set]
         if b:
             labels.append(BLOCK_BREAK_LABEL)
         labels.extend(chosen)
@@ -802,73 +521,29 @@ def search(
     """Best (and optionally worst) objective value over the feasible space.
 
     Exhaustive whenever ``budget`` allows full coverage of the pruned space;
-    otherwise seeded uniform sampling without replacement.  Reports are
-    bit-identical for any ``workers`` value.
+    otherwise seeded uniform sampling without replacement (greedy per-block
+    search for ``k > 1``).  Reports are bit-identical for any ``workers``
+    value.
     """
-    space = space.labeled()
     if budget.mode not in ("exhaustive", "randomized"):
         raise ScenarioError(f"unknown budget mode: {budget.mode!r}")
-
-    if space.k > 1:
-        if budget.mode == "exhaustive":
-            reducer = _Reducer(want_worst)
-            _dfs_k_blocks(state, space, objective, pruning, reducer)
-            best, worst = reducer.best, reducer.worst
-            return EvReport(
-                best_value=best[0],
-                best_ordering=best[2],
-                paths_explored=reducer.paths,
-                exhaustive=True,
-                worst_value=worst[0] if worst else None,
-                worst_ordering=worst[2] if worst else None,
-                paths_total=reducer.paths,
-            )
+    if space.k > 1 and budget.mode == "randomized":
         report, _ = _greedy_k_blocks(state, space, objective, budget, pruning, workers)
         return report
 
-    mempool = tuple(tx for tx in space.mempool if tx.arrival_block == 0)
-    items = mempool + space.templates
-
+    tree = _Tree(space, pruning, objective.tracked)
     if budget.mode == "exhaustive":
-        reducer = _exhaustive_single(state, space, objective, pruning, want_worst, workers)
-        best, worst = reducer.best, reducer.worst
-        return EvReport(
-            best_value=best[0],
-            best_ordering=best[2],
-            paths_explored=reducer.paths,
-            exhaustive=True,
-            worst_value=worst[0] if worst else None,
-            worst_ordering=worst[2] if worst else None,
-            paths_total=reducer.paths,
-        )
+        return _exhaustive(tree, state, objective, want_worst, workers).report(tree.items, True)
 
     # Randomized budget: tractable instances get one capped exhaustive
     # attempt; if the pruned space fits in max_paths the result is exact.
-    if len(items) <= budget.tractability_threshold:
-        attempt = _search_part(
-            (state, space, objective, pruning, None, (), None, want_worst, budget.max_paths)
-        )
-        if attempt is not None:
-            best, worst, paths = attempt
-            return EvReport(
-                best_value=best[0],
-                best_ordering=best[2],
-                paths_explored=paths,
-                exhaustive=True,
-                worst_value=worst[0] if worst else None,
-                worst_ordering=worst[2] if worst else None,
-                paths_total=paths,
-            )
+    if len(tree.items) <= budget.tractability_threshold:
+        try:
+            reducer = _exhaustive(tree, state, objective, want_worst, 1, cap=budget.max_paths)
+        except _OverBudget:
+            pass
+        else:
+            return reducer.report(tree.items, True)
 
-    seqs = _sample_sequences(space, items, len(mempool), budget)
-    reducer = _evaluate_sequences(state, space, items, seqs, objective, want_worst)
-    best, worst = reducer.best, reducer.worst
-    return EvReport(
-        best_value=best[0],
-        best_ordering=best[2],
-        paths_explored=reducer.paths,
-        exhaustive=False,
-        worst_value=worst[0] if worst else None,
-        worst_ordering=worst[2] if worst else None,
-        paths_total=None,
-    )
+    seqs = _sample_sequences(tree, budget)
+    return _evaluate_sequences(tree, state, seqs, objective, want_worst).report(tree.items, False)

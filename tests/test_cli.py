@@ -169,3 +169,58 @@ def test_wmev_reports_cost_separately(runner):
     assert doc["mining_cost"] == "1"
     num, den = map(int, doc["net_of_cost"].split("/"))
     assert abs(num / den - 1.0) < 1e-9  # 2 - 1
+
+
+def test_invalid_scenario_is_a_one_line_error(tmp_path):
+    from mevsearch.cli import EXIT_BAD_INPUT
+
+    doc = json.loads((DATA / "liquidation.json").read_text())
+    doc["schema_version"] = 2
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = subprocess.run(
+        [sys.executable, "-m", "mevsearch.cli", "mev", "--scenario", str(path)],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == EXIT_BAD_INPUT
+    assert result.stdout == ""
+    assert result.stderr == "error: $.schema_version: unsupported version 2\n"
+
+
+def test_spread_on_randomized_multiblock_scenario_is_a_one_line_error(runner, tmp_path):
+    from mevsearch.cli import EXIT_BAD_INPUT
+    from mevsearch.corpus import make_spread_instance
+    from mevsearch.scenario import save_scenario
+
+    path = tmp_path / "scn.json"
+    save_scenario(make_spread_instance(11, 0, 4), path)
+    doc = json.loads(path.read_text())
+    doc["miner"]["k"] = 2
+    doc["budget"]["mode"] = "randomized"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["spread", "--scenario", str(path)])
+    assert result.exit_code == EXIT_BAD_INPUT
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: value_spread over k > 1 blocks")
+    assert result.stderr.count("\n") == 1
+
+
+def test_open_size_templates_over_k_blocks_is_a_one_line_error(runner):
+    from mevsearch.cli import EXIT_BAD_INPUT
+
+    args = ["mev", "--scenario", str(DATA / "two_amm_counterexample.json"), "--k", "2"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == EXIT_BAD_INPUT
+    assert result.stderr == "error: insertion sizing searches single-block spaces (k = 1)\n"
+
+
+def test_seed_and_budget_overrides_keep_the_rest_of_the_budget():
+    from mevsearch.cli import _apply_overrides
+    from mevsearch.corpus import make_spread_instance
+    from mevsearch.ordering import SearchBudget
+
+    scenario = make_spread_instance(11, 0, 4)
+    scenario.budget = SearchBudget(mode="randomized", max_paths=50, seed=1, tractability_threshold=3)
+    out = _apply_overrides(scenario, 5, 7, None, None, None, None)
+    assert out.budget == SearchBudget(mode="randomized", max_paths=7, seed=5, tractability_threshold=3)

@@ -154,3 +154,30 @@ def test_joint_search_orders_insertion_after_user_dump():
     skeleton = tuple(items[lbl] for lbl in out.report.best_ordering)
     problem = InsertionProblem(state, skeleton, 1, 9_999, objective)
     assert evaluate_alpha(problem, out.alpha) == out.report.best_value
+
+
+def test_skeleton_cap_stops_the_enumeration(monkeypatch):
+    from mevsearch import ordering
+    from mevsearch.insertion import MAX_SKELETONS
+    from mevsearch.state import ScenarioError
+
+    walked = []
+    walk = ordering._Tree.walk
+
+    def counting_walk(self, *args, **kwargs):
+        for item in walk(self, *args, **kwargs):
+            walked.append(item[0])
+            yield item
+
+    monkeypatch.setattr(ordering._Tree, "walk", counting_walk)
+    # 8! = 40,320 orderings with pruning off; every swap hits an unknown
+    # venue, so each skeleton is cheap to evaluate
+    mempool = tuple(Tx(f"u{i}", "nowhere", Swap("BBT", "ETH", 1 + i)) for i in range(8))
+    state = State({}, {}, 0)
+    objective = PlayerDelta.from_state(frozenset({"miner"}), Valuation(primary="ETH"), state)
+    with pytest.raises(ScenarioError, match="small ordering space"):
+        search_with_insertion(
+            OrderingSpace(mempool=mempool), SearchBudget(mode="exhaustive"), objective, state, 1, 10
+        )
+    # the enumeration is lazy: it stops at the first skeleton over the cap
+    assert len(walked) == MAX_SKELETONS + 1

@@ -286,3 +286,16 @@ def test_spread_invariant_under_disjoint_venue_permutation():
         result = value_spread("A", space, state, Valuation(primary="ETH"), EXH)
         spreads.add((result.b_high, result.b_low))
     assert len(spreads) == 1
+
+
+def test_spread_rejects_randomized_multiblock_budget():
+    import pytest
+    from mevsearch.state import ScenarioError
+
+    state = State({("u", "BBT"): 10}, {"amm": AmmPool("BBT", "ETH", 1_000, 1_000, 0)}, 0)
+    space = OrderingSpace(mempool=(Tx("u", "amm", Swap("BBT", "ETH", 10)),), k=2)
+    # the greedy multi-block search has no worst ordering to report
+    with pytest.raises(ScenarioError, match="exhaustive budget"):
+        value_spread("u", space, state, Valuation(primary="ETH"), SearchBudget(mode="randomized"))
+    exact = value_spread("u", space, state, Valuation(primary="ETH"), EXH)
+    assert exact.exhaustive and exact.b_high >= exact.b_low

@@ -1,6 +1,7 @@
-"""Enumeration, pruning, partitioning, and search determinism."""
+"""Enumeration, pruning, work-unit splitting, and search determinism."""
 
 import itertools
+from dataclasses import replace
 
 from mevsearch.contracts import AmmPool
 from mevsearch.metrics import AccountBalanceValue, PlayerDelta, Valuation
@@ -8,11 +9,10 @@ from mevsearch.ordering import (
     EvReport,
     OrderingSpace,
     SearchBudget,
-    canonicalize,
     count_sequences,
     iter_sequences,
-    partition,
     search,
+    _Tree,
 )
 from mevsearch.state import State, Swap, Tx, apply_sequence
 
@@ -87,22 +87,62 @@ def test_tracked_actor_blocks_pruning():
     assert count_sequences(sp, pruning=True, tracked=frozenset({"u1"})) == 4
 
 
-def test_canonicalize_sorts_runs():
-    mempool = swaps(4)
-    sp = OrderingSpace(mempool=mempool).labeled()
-    keys = [("amm", "BBT", "ETH")] * 4
-    assert canonicalize((2, 0, 3, 1), keys) == (0, 1, 2, 3)
-    keys2 = [("amm", "BBT", "ETH"), None, ("amm", "BBT", "ETH"), ("amm", "BBT", "ETH")]
-    assert canonicalize((3, 2, 1, 0), keys2) == (2, 3, 1, 0)
+def _split_covers_stream(sp, state=None):
+    # The work units of a parallel search: the sequences shorter than 2 items
+    # from the walk cut at depth 2, plus the whole subtree under every
+    # depth-2 node.  Together they must be the full stream, each sequence once.
+    tree = _Tree(sp, True, frozenset())
+    full = [key for key, _ in tree.walk(state)]
+    units = []
+    for key, _ in tree.walk(state, max_len=2):
+        if len(key) < 2:
+            units.append(key)
+        else:
+            sub = [k for k, _ in tree.walk(state, prefix=key)]
+            assert all(k[:2] == key for k in sub)
+            units.extend(sub)
+    assert len(full) == len(set(full)) > 1
+    assert sorted(units) == sorted(full)
 
 
-def test_partition_union_is_full_stream():
-    sp = OrderingSpace(mempool=swaps(4), allow_censor=True)
-    full = sorted(iter_sequences(sp, pruning=False))
-    for workers in (1, 2, 3, 5, 9):
-        parts = partition(sp, workers)
-        union = sorted(s for p in parts for s in iter_sequences(sp, pruning=False, part=p))
-        assert union == full
+def test_work_units_cover_stream_exactly_once():
+    tpl = (
+        Tx("miner", "amm", Swap("ETH", "BBT", 5), origin="miner"),
+        Tx("miner", "amm", Swap("BBT", "ETH", 5), origin="miner"),
+    )
+    mixed = swaps(2) + swaps(2, token_in="ETH", actor="w")
+    _split_covers_stream(OrderingSpace(mempool=swaps(4), allow_censor=True))
+    _split_covers_stream(OrderingSpace(mempool=mixed, allow_reorder=False, allow_censor=True))
+    _split_covers_stream(OrderingSpace(mempool=mixed, templates=tpl, allow_insert=True))
+    _split_covers_stream(
+        OrderingSpace(mempool=mixed, templates=tpl, allow_reorder=False, allow_insert=True)
+    )
+    # k = 2 with an arrival wave: every other transaction arrives in block 1
+    wave = tuple(replace(tx, arrival_block=i % 2) for i, tx in enumerate(mixed))
+    _split_covers_stream(OrderingSpace(mempool=wave, templates=tpl[:1], allow_insert=True, k=2))
+    _split_covers_stream(OrderingSpace(mempool=wave, allow_censor=True, k=2), mixed_state())
+
+
+def test_exact_k_block_search_same_at_any_worker_count():
+    from mevsearch.metrics import MinerModel, k_mev
+
+    state = mixed_state()
+    mempool = (
+        Tx("whale", "amm", Swap("BBT", "ETH", 5_000)),
+        Tx("u0", "amm", Swap("ETH", "BBT", 900), arrival_block=1),
+        Tx("u1", "amm", Swap("BBT", "ETH", 700)),
+        Tx("u2", "amm", Swap("ETH", "BBT", 1_500), arrival_block=1),
+    )
+    templates = (Tx("whale", "amm", Swap("ETH", "BBT", 2_000), origin="miner"),)
+    sp = OrderingSpace(mempool=mempool, templates=templates, allow_insert=True, miner="whale")
+    player = MinerModel(accounts=frozenset({"whale"}))
+    budget = SearchBudget(mode="exhaustive")
+    reports = [
+        k_mev(player, state, sp, 2, Valuation(primary="ETH"), budget, workers=w) for w in (1, 2)
+    ]
+    assert reports[0].exhaustive and reports[0].paths_explored > 100
+    assert "|" in reports[0].best_ordering
+    assert reports[0] == reports[1]
 
 
 def test_exhaustive_search_matches_brute_force():
@@ -245,3 +285,26 @@ def test_pruning_equivalence_small_instances():
         assert pruned.best_value == full.best_value
         assert pruned.worst_value == full.worst_value
         assert pruned.paths_explored <= full.paths_explored
+
+
+def test_sampler_stops_after_a_run_of_duplicate_draws(monkeypatch):
+    import random
+    from types import SimpleNamespace
+
+    from mevsearch import ordering
+
+    draws = []
+
+    class CountingRandom(random.Random):
+        def shuffle(self, x):
+            draws.append(len(x))
+            super().shuffle(x)
+
+    monkeypatch.setattr(ordering, "random", SimpleNamespace(Random=CountingRandom))
+    # reorder off, censor off: the identity is the only ordering
+    sp = OrderingSpace(mempool=swaps(10), allow_reorder=False)
+    objective = AccountBalanceValue("u0", Valuation(primary="ETH"))
+    budget = SearchBudget(mode="randomized", max_paths=10_000, tractability_threshold=0)
+    rep = search(sp, budget, objective, mixed_state(10))
+    assert not rep.exhaustive and rep.paths_explored == 1
+    assert len(draws) == ordering.MAX_DUPLICATE_RUN
