@@ -57,9 +57,7 @@ print(f"\nBest ordering: {result.report.best_ordering}")
 print(f"Optimal insertion size: {result.alpha / WAD:.3f} COMP")
 print(f"Miner profit: {result.report.best_value / WAD:.4f} ETH  (historical arb made ~76 ETH)")
 
-items = {tx.label: tx for tx in space.mempool + space.templates}
-skeleton = tuple(items[lbl] for lbl in result.report.best_ordering)
-problem = InsertionProblem(state, skeleton, *scenario.insertion_bounds, objective)
+problem = InsertionProblem(state, result.skeleton, *scenario.insertion_bounds, objective)
 rows = ["alpha,profit"]
 for alpha, profit in profit_curve(problem, samples=96):
     rows.append(f"{alpha},{'' if profit is None else profit}")

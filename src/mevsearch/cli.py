@@ -10,10 +10,10 @@ Exit codes:
 - 0: success.
 - 1: ``replay`` found a field diff beyond its tolerance, or a subcommand
   rejected its arguments (``Error: ...`` on stderr).
-- 2: ``compose-check`` found a violation witness, or the command line is
-  malformed (click's usage error).
+- 2: the command line is malformed (click's usage error).
 - 3: a scenario, event log or snapshot is invalid, or the search cannot run
   on it (``error: ...``, one line on stderr).
+- 4: ``compose-check`` found a violation witness.
 """
 
 from __future__ import annotations
@@ -30,11 +30,13 @@ from .compose import check_composability
 from .corpus import gen_corpus
 from .eventlog import load_expected, read_event_log, replay_validate
 from .insertion import has_unresolved_amount, profit_curve, search_with_insertion, InsertionProblem
-from .metrics import MinerModel, PlayerDelta, Valuation, ev, k_mev, value_spread, wmev
+from .metrics import MinerModel, PlayerDelta, Valuation, ev, value_spread, wmev
 from .scenario import ParseError, Scenario, dumps_canonical, load_scenario, save_scenario
 from .state import ScenarioError
 
-EXIT_BAD_INPUT = 3  # see the module docstring for every exit code
+# See the module docstring for every exit code.
+EXIT_BAD_INPUT = 3
+EXIT_NOT_COMPOSABLE = 4
 
 
 def _fraction_arg(text: str, name: str) -> Fraction:
@@ -202,9 +204,6 @@ def mev(scenario_path, seed, workers, budget, k, censor, insert, valuation, out)
         )
         doc = _ev_report_json(result.report)
         doc["alpha"] = None if result.alpha is None else _report_int(result.alpha)
-    elif scenario.k > 1:
-        report = k_mev(player, state, space, scenario.k, val, scenario.budget, workers=workers)
-        doc = _ev_report_json(report)
     else:
         report = ev(player, space, state, val, scenario.budget, workers=workers)
         doc = _ev_report_json(report)
@@ -292,7 +291,7 @@ def compose_check(scenario_path, epsilon, seed, workers, budget, censor, insert,
     }
     _emit(doc, out)
     if not verdict.composable:
-        sys.exit(2)
+        sys.exit(EXIT_NOT_COMPOSABLE)
 
 
 @main.command("optimize-insert")
@@ -320,10 +319,8 @@ def optimize_insert(scenario_path, seed, samples, valuation, out):
 
     csvs = None
     if result.alpha is not None:
-        items = {tx.label: tx for tx in space.mempool + space.templates}
-        skeleton = tuple(items[lbl] for lbl in result.report.best_ordering)
         problem = InsertionProblem(
-            state, skeleton, *scenario.insertion_bounds, objective, space.fee_policy()
+            state, result.skeleton, *scenario.insertion_bounds, objective, space.fee_policy()
         )
         rows = ["alpha,profit"]
         rows += [

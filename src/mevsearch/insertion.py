@@ -11,9 +11,8 @@ Ranges small enough to scan outright are scanned outright.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
-from .ordering import EvReport, OrderingSpace, SearchBudget, _labels_for, iter_sequences
+from .ordering import EvReport, OrderingSpace, SearchBudget, _Tree, _labels_for
 from .state import FeePolicy, ScenarioError, State, Swap, Tx, UnknownVenueError, apply_tx
 
 LOCAL_SPAN = 2048
@@ -43,8 +42,10 @@ class InsertionProblem:
 
     ``alpha_min``/``alpha_max`` are the inclusive integer bounds (a strict
     budget clause like 0 < a < 10^22 becomes [1, 10^22 - 1]).  The objective
-    is evaluated on the final state; a sequence where any transaction fails
-    is worth minus infinity.
+    is evaluated on the final state with the search's semantics: a user
+    transaction that fails is censored-by-failure (a no-op), while a miner
+    template that fails makes the size infeasible, since the same ordering
+    without that template is a skeleton of its own.
     """
 
     state: State
@@ -64,25 +65,31 @@ class InsertionProblem:
                 raise ScenarioError("only miner templates may be unresolved")
 
 
-def evaluate_alpha(problem: InsertionProblem, alpha: int) -> int | None:
-    """Objective at one trade size; ``None`` when the sequence is invalid."""
-    state = problem.state
-    for tx in bind_alpha(problem.skeleton, alpha):
+def _evaluate(state: State, txs: tuple[Tx, ...], objective, fee_policy) -> int | None:
+    """Objective after a concrete skeleton; ``None`` when a template fails."""
+    for tx in txs:
         try:
-            nxt = apply_tx(state, tx, problem.fee_policy)
+            nxt = apply_tx(state, tx, fee_policy)
         except UnknownVenueError:
+            nxt = None
+        if nxt is not None:
+            state = nxt
+        elif tx.origin != "mempool":
             return None
-        if nxt is None:
-            return None
-        state = nxt
-    return problem.objective.value(state)
+    return objective.value(state)
+
+
+def evaluate_alpha(problem: InsertionProblem, alpha: int) -> int | None:
+    """Objective at one trade size; ``None`` when the size is infeasible."""
+    return _evaluate(
+        problem.state, bind_alpha(problem.skeleton, alpha), problem.objective, problem.fee_policy
+    )
 
 
 @dataclass(frozen=True)
 class AlphaResult:
     alpha: int
     profit: int
-    evaluations: int
 
 
 def _geometric_grid(lo: int, hi: int, points: int) -> list[int]:
@@ -96,19 +103,21 @@ def _geometric_grid(lo: int, hi: int, points: int) -> list[int]:
     return sorted(grid)
 
 
-def _optimize(
-    f_raw: Callable[[int], int | None],
-    lo: int,
-    hi: int,
-    grid_points: int,
-    local_span: int,
-    exhaustive_range: int,
-) -> AlphaResult:
+def optimize_alpha(problem: InsertionProblem) -> AlphaResult:
+    """Best integer trade size and its exact profit.
+
+    Ranges of at most ``EXHAUSTIVE_RANGE`` sizes are scanned exhaustively.
+    Larger ranges combine a ``GRID_POINTS`` geometric grid sweep, an integer
+    ternary search (unimodality assumption), and an exhaustive scan of
+    +-``LOCAL_SPAN`` around the best candidate; ties break toward the
+    smallest size.
+    """
+    lo, hi = problem.alpha_min, problem.alpha_max
     cache: dict[int, int | None] = {}
 
     def f(x: int) -> int | None:
         if x not in cache:
-            cache[x] = f_raw(x)
+            cache[x] = evaluate_alpha(problem, x)
         return cache[x]
 
     def better(x: int, best: tuple[int, int] | None) -> tuple[int, int] | None:
@@ -121,14 +130,14 @@ def _optimize(
 
     best: tuple[int, int] | None = None
 
-    if hi - lo + 1 <= exhaustive_range:
+    if hi - lo + 1 <= EXHAUSTIVE_RANGE:
         for x in range(lo, hi + 1):
             best = better(x, best)
         if best is None:
             raise EmptyFeasibleError("no feasible trade size in bounds")
-        return AlphaResult(best[0], best[1], len(cache))
+        return AlphaResult(*best)
 
-    for x in _geometric_grid(lo, hi, grid_points):
+    for x in _geometric_grid(lo, hi, GRID_POINTS):
         best = better(x, best)
 
     # Integer ternary search; invalid sizes count as minus infinity.
@@ -155,35 +164,12 @@ def _optimize(
 
     if best is not None:
         center = best[0]
-        for x in range(max(lo, center - local_span), min(hi, center + local_span) + 1):
+        for x in range(max(lo, center - LOCAL_SPAN), min(hi, center + LOCAL_SPAN) + 1):
             best = better(x, best)
 
     if best is None:
         raise EmptyFeasibleError("no feasible trade size in bounds")
-    return AlphaResult(best[0], best[1], len(cache))
-
-
-def optimize_alpha(
-    problem: InsertionProblem,
-    grid_points: int = GRID_POINTS,
-    local_span: int = LOCAL_SPAN,
-    exhaustive_range: int = EXHAUSTIVE_RANGE,
-) -> AlphaResult:
-    """Best integer trade size and its exact profit.
-
-    Small ranges are scanned exhaustively.  Large ranges combine a geometric
-    grid sweep, an integer ternary search (unimodality assumption), and an
-    exhaustive scan of +-``local_span`` around the best candidate; ties break
-    toward the smallest size.
-    """
-    return _optimize(
-        lambda x: evaluate_alpha(problem, x),
-        problem.alpha_min,
-        problem.alpha_max,
-        grid_points,
-        local_span,
-        exhaustive_range,
-    )
+    return AlphaResult(*best)
 
 
 def profit_curve(problem: InsertionProblem, samples: int) -> list[tuple[int, int | None]]:
@@ -207,24 +193,7 @@ MAX_SKELETONS = 20_000
 class InsertionSearchResult:
     report: EvReport
     alpha: int | None
-
-
-def _evaluate_skeleton(state: State, txs: tuple[Tx, ...], objective, fee_policy) -> int | None:
-    """Search semantics inside a skeleton: a failing mempool transaction is
-    censored-by-failure; a failing miner template invalidates the size (the
-    same ordering without it is enumerated separately)."""
-    current = state
-    for tx in txs:
-        try:
-            nxt = apply_tx(current, tx, fee_policy)
-        except UnknownVenueError:
-            nxt = None
-        if nxt is None:
-            if tx.origin != "mempool":
-                return None
-            continue
-        current = nxt
-    return objective.value(current)
+    skeleton: tuple[Tx, ...]  # the best ordering's transactions, templates unresolved
 
 
 def search_with_insertion(
@@ -238,50 +207,46 @@ def search_with_insertion(
 ) -> InsertionSearchResult:
     """Best value over orderings whose miner templates share one unresolved
     trade size: every candidate skeleton is size-optimized and the best
-    (value, ordering) wins with the usual smallest-key tie-break."""
+    (value, ordering) wins with the usual smallest-key tie-break.
+
+    The skeletons are enumerated exhaustively (at most ``MAX_SKELETONS``).
+    ``budget`` is accepted but unused; callers pass it positionally, as they
+    do to ``search``.
+    """
     if alpha_min < 1 or alpha_min > alpha_max:
         raise ScenarioError("need 1 <= alpha_min <= alpha_max")
     if space.k != 1:
         raise ScenarioError("insertion sizing searches single-block spaces (k = 1)")
-    space = space.labeled()
-    items = tuple(tx for tx in space.mempool if tx.arrival_block == 0) + space.templates
-    fee_policy = space.fee_policy()
-    best: tuple[int, tuple[int, ...], tuple[str, ...], int | None] | None = None
+    tree = _Tree(space, pruning, objective.tracked)
+    fee_policy = tree.space.fee_policy()
+    best: tuple[int, tuple[int, ...], int | None] | None = None  # (value, key, alpha)
     paths = 0
-    for seq in iter_sequences(space, pruning=pruning, tracked=objective.tracked):
+    for key, _ in tree.walk(None):
         paths += 1
         if paths > MAX_SKELETONS:
             raise ScenarioError("insertion search needs a small ordering space")
-        txs = tuple(items[i] for i in seq)
+        txs = tuple(tree.items[i] for i in key)
         alpha: int | None = None
         if any(has_unresolved_amount(tx) for tx in txs):
+            problem = InsertionProblem(state, txs, alpha_min, alpha_max, objective, fee_policy)
             try:
-                res = _optimize(
-                    lambda x, txs=txs: _evaluate_skeleton(
-                        state, bind_alpha(txs, x), objective, fee_policy
-                    ),
-                    alpha_min,
-                    alpha_max,
-                    GRID_POINTS,
-                    LOCAL_SPAN,
-                    EXHAUSTIVE_RANGE,
-                )
+                res = optimize_alpha(problem)
             except EmptyFeasibleError:
                 continue
             value, alpha = res.profit, res.alpha
         else:
-            v = _evaluate_skeleton(state, txs, objective, fee_policy)
-            if v is None:
+            value = _evaluate(state, txs, objective, fee_policy)
+            if value is None:
                 continue
-            value = v
-        if best is None or value > best[0] or (value == best[0] and seq < best[1]):
-            best = (value, seq, _labels_for(items, seq), alpha)
+        if best is None or value > best[0] or (value == best[0] and key < best[1]):
+            best = (value, key, alpha)
     if best is None:
         raise EmptyFeasibleError("no feasible sequence in the insertion space")
+    value, key, alpha = best
     report = EvReport(
-        best_value=best[0],
-        best_ordering=best[2],
+        best_value=value,
+        best_ordering=_labels_for(tree.items, key),
         paths_explored=paths,
         exhaustive=True,
     )
-    return InsertionSearchResult(report=report, alpha=best[3])
+    return InsertionSearchResult(report, alpha, tuple(tree.items[i] for i in key))

@@ -460,6 +460,26 @@ def _evaluate_sequences(
     return reducer
 
 
+def _search_tree(
+    tree: _Tree, state: State, objective, budget: SearchBudget, want_worst: bool, workers: int
+) -> tuple[_Reducer, bool]:
+    """Fold the tree under the budget; also says whether the fold was
+    exhaustive.  A randomized budget gives tractable trees one capped
+    exhaustive attempt (exact when the pruned space fits in ``max_paths``)
+    and samples single-block orderings otherwise."""
+    if budget.mode == "exhaustive":
+        return _exhaustive(tree, state, objective, want_worst, workers), True
+    if budget.mode != "randomized":
+        raise ScenarioError(f"unknown budget mode: {budget.mode!r}")
+    if len(tree.items) <= budget.tractability_threshold:
+        try:
+            return _exhaustive(tree, state, objective, want_worst, 1, cap=budget.max_paths), True
+        except _OverBudget:
+            pass
+    seqs = _sample_sequences(tree, budget)
+    return _evaluate_sequences(tree, state, seqs, objective, want_worst), False
+
+
 # ---------------------------------------------------------------------------
 # Multi-block construction (greedy)
 # ---------------------------------------------------------------------------
@@ -473,32 +493,37 @@ def _greedy_k_blocks(
     workers: int,
 ) -> tuple[EvReport, list[int]]:
     """Greedy per-block concatenation; returns the report and the cumulative
-    objective value after each block (used by the weighted-MEV series)."""
+    objective value after each block (used by the weighted-MEV series).
+
+    Each block is a one-block search over the transactions pending so far,
+    including that block's arrivals; whatever its best construction leaves
+    out stays pending for the next block."""
     space = space.labeled()
-    pending: list[Tx] = []
-    labels: list[str] = []
+    fee_policy = space.fee_policy()
+    pending: tuple[Tx, ...] = ()
+    chosen: list[Tx | None] = []  # None marks a block break
     paths = 0
     per_block: list[int] = []
     current = state
     for b in range(space.k):
-        pending += [tx for tx in space.mempool if tx.arrival_block == b]
-        sub = replace(space, mempool=tuple(pending), k=1)
-        rep = search(sub, budget, objective, state=current, pruning=pruning, workers=workers)
-        paths += rep.paths_explored
-        chosen = list(rep.best_ordering)
-        by_label = {tx.label: tx for tx in sub.mempool + sub.templates}
-        txs = [by_label[lbl] for lbl in chosen]
-        res = apply_sequence(current, txs, "skip_invalid", space.fee_policy())
+        pending += tuple(replace(tx, arrival_block=0) for tx in space.mempool if tx.arrival_block == b)
+        tree = _Tree(replace(space, mempool=pending, k=1), pruning, objective.tracked)
+        reducer, _ = _search_tree(tree, current, objective, budget, False, workers)
+        paths += reducer.paths
+        key = reducer.best[1]
+        txs = [tree.items[i] for i in key]
+        res = apply_sequence(current, txs, "skip_invalid", fee_policy)
         current = res.state.with_block(res.state.block_number + 1)
-        chosen_set = set(chosen)
-        pending = [tx for tx in sub.mempool if tx.label not in chosen_set]
+        taken = set(key)
+        # The first len(pending) items are the pending transactions, in order.
+        pending = tuple(tx for i, tx in enumerate(tree.items[:len(pending)]) if i not in taken)
         if b:
-            labels.append(BLOCK_BREAK_LABEL)
-        labels.extend(chosen)
+            chosen.append(None)
+        chosen += txs
         per_block.append(objective.value(current))
     report = EvReport(
         best_value=per_block[-1] if per_block else objective.value(current),
-        best_ordering=tuple(labels),
+        best_ordering=tuple(BLOCK_BREAK_LABEL if tx is None else tx.label for tx in chosen),
         paths_explored=paths,
         exhaustive=False,
     )
@@ -525,25 +550,10 @@ def search(
     search for ``k > 1``).  Reports are bit-identical for any ``workers``
     value.
     """
-    if budget.mode not in ("exhaustive", "randomized"):
-        raise ScenarioError(f"unknown budget mode: {budget.mode!r}")
     if space.k > 1 and budget.mode == "randomized":
         report, _ = _greedy_k_blocks(state, space, objective, budget, pruning, workers)
         return report
 
     tree = _Tree(space, pruning, objective.tracked)
-    if budget.mode == "exhaustive":
-        return _exhaustive(tree, state, objective, want_worst, workers).report(tree.items, True)
-
-    # Randomized budget: tractable instances get one capped exhaustive
-    # attempt; if the pruned space fits in max_paths the result is exact.
-    if len(tree.items) <= budget.tractability_threshold:
-        try:
-            reducer = _exhaustive(tree, state, objective, want_worst, 1, cap=budget.max_paths)
-        except _OverBudget:
-            pass
-        else:
-            return reducer.report(tree.items, True)
-
-    seqs = _sample_sequences(tree, budget)
-    return _evaluate_sequences(tree, state, seqs, objective, want_worst).report(tree.items, False)
+    reducer, exhaustive = _search_tree(tree, state, objective, budget, want_worst, workers)
+    return reducer.report(tree.items, exhaustive)

@@ -56,11 +56,45 @@ def test_optimize_insert_emits_curve(runner, tmp_path):
 
 
 def test_compose_check_exit_code(runner):
+    from mevsearch.cli import EXIT_NOT_COMPOSABLE
+
     result = runner.invoke(main, ["compose-check", "--scenario", str(DATA / "pricebet_compose.json")])
-    assert result.exit_code == 2
+    # distinct from click's usage-error code 2
+    assert result.exit_code == EXIT_NOT_COMPOSABLE == 4
     doc = json.loads(result.output)
     assert doc["status"] == "not composable (witness found)"
     assert int(doc["mev_after"]) - int(doc["mev_before"]) >= 100
+
+
+def test_optimize_insert_curve_matches_search_when_user_tx_fails(runner, tmp_path):
+    # With 1 wei of COMP the user's sell fails and is censored-by-failure;
+    # the curve and the sizing step must agree on that.
+    from mevsearch.insertion import InsertionProblem, evaluate_alpha
+    from mevsearch.metrics import PlayerDelta
+    from mevsearch.scenario import load_scenario
+
+    doc = json.loads((DATA / "two_amm_counterexample.json").read_text())
+    (user,) = (acct for acct in doc["accounts"] if acct != "miner")
+    doc["accounts"][user]["COMP"] = "1"
+    path = tmp_path / "one_wei.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(runner, ["optimize-insert", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    rows = (tmp_path / "out" / "profit_curve.csv").read_text().splitlines()[1:]
+    assert len(rows) == 64
+    assert any(not row.endswith(",") for row in rows)
+
+    scenario = load_scenario(path)
+    state = scenario.initial_state()
+    space = scenario.space()
+    objective = PlayerDelta.from_state(frozenset(("miner",)), scenario.get_valuation(), state)
+    items = {tx.label: tx for tx in space.mempool + space.templates}
+    skeleton = tuple(items[label] for label in report["best_ordering"])
+    problem = InsertionProblem(
+        state, skeleton, *scenario.insertion_bounds, objective, space.fee_policy()
+    )
+    assert evaluate_alpha(problem, int(report["alpha"])) == int(report["best_value"])
 
 
 def test_spread_deterministic_across_workers(runner, tmp_path):
@@ -204,6 +238,15 @@ def test_spread_on_randomized_multiblock_scenario_is_a_one_line_error(runner, tm
     assert result.stdout == ""
     assert result.stderr.startswith("error: value_spread over k > 1 blocks")
     assert result.stderr.count("\n") == 1
+
+
+def test_mev_k0_is_a_one_line_error(runner):
+    from mevsearch.cli import EXIT_BAD_INPUT
+
+    result = runner.invoke(main, ["mev", "--scenario", str(DATA / "liquidation.json"), "--k", "0"])
+    assert result.exit_code == EXIT_BAD_INPUT
+    assert result.stdout == ""
+    assert result.stderr == "error: k must be >= 1\n"
 
 
 def test_open_size_templates_over_k_blocks_is_a_one_line_error(runner):

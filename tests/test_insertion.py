@@ -2,6 +2,7 @@
 
 import pytest
 
+from mevsearch import insertion
 from mevsearch.contracts import AmmPool
 from mevsearch.insertion import (
     EmptyFeasibleError,
@@ -56,12 +57,13 @@ def test_optimize_equals_exhaustive_scan_small_range():
     assert result.profit > 0
 
 
-def test_optimize_large_range_matches_small_exhaustive():
+def test_optimize_large_range_matches_small_exhaustive(monkeypatch):
     # the guarded ternary/grid path must find the same optimum that a forced
     # exhaustive scan finds on the same instance
     problem = two_pool_problem(30_000, 30_000, 30_000, 36_000, fee=30, hi=20_000)
-    guarded = optimize_alpha(problem, exhaustive_range=1)  # force grid+ternary
     exact = optimize_alpha(problem)  # 20k candidates: exhaustive
+    monkeypatch.setattr(insertion, "EXHAUSTIVE_RANGE", 1)  # force grid+ternary
+    guarded = optimize_alpha(problem)
     assert guarded.profit == exact.profit
     assert guarded.alpha == exact.alpha
 
@@ -117,9 +119,9 @@ def test_infeasible_bounds_raise():
         optimize_alpha(problem)
 
 
-def test_strict_evaluation_rejects_failing_concrete_tx():
+def test_evaluation_skips_failing_user_tx_and_rejects_failing_template():
     state = State(
-        {("miner", "ETH"): 10**12},
+        {("miner", "ETH"): 50},
         {"a": AmmPool("BBT", "ETH", 10_000, 10_000, fee_bps=0)},
         0,
     )
@@ -127,7 +129,11 @@ def test_strict_evaluation_rejects_failing_concrete_tx():
     template = Tx("miner", "a", Swap("ETH", "BBT", None), origin="miner")
     objective = PlayerDelta.from_state(frozenset({"miner"}), Valuation(primary="ETH"), state)
     problem = InsertionProblem(state, (broke_user, template), 1, 100, objective)
-    assert evaluate_alpha(problem, 10) is None
+    alone = InsertionProblem(state, (template,), 1, 100, objective)
+    # the user's failing swap is censored-by-failure: a no-op
+    assert evaluate_alpha(problem, 10) == evaluate_alpha(alone, 10) == -10
+    # a template the miner cannot pay for makes the size infeasible
+    assert evaluate_alpha(problem, 51) is None
 
 
 def test_joint_search_orders_insertion_after_user_dump():
@@ -149,10 +155,10 @@ def test_joint_search_orders_insertion_after_user_dump():
     assert out.report.best_value > 0
     assert out.report.best_ordering[0] == "m0"
     assert out.alpha is not None
-    # resolving the winning skeleton at the reported size reproduces the value
-    items = {tx.label: tx for tx in space.labeled().mempool + space.labeled().templates}
-    skeleton = tuple(items[lbl] for lbl in out.report.best_ordering)
-    problem = InsertionProblem(state, skeleton, 1, 9_999, objective)
+    # the result carries the winning skeleton; resolving it at the reported
+    # size reproduces the value
+    assert tuple(tx.label for tx in out.skeleton) == out.report.best_ordering
+    problem = InsertionProblem(state, out.skeleton, 1, 9_999, objective)
     assert evaluate_alpha(problem, out.alpha) == out.report.best_value
 
 

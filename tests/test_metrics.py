@@ -3,6 +3,8 @@
 import itertools
 from fractions import Fraction
 
+import pytest
+
 from mevsearch.contracts import AmmPool, Pricebet
 from mevsearch.metrics import (
     MinerModel,
@@ -160,12 +162,66 @@ def test_k_mev_monotone_in_k():
     assert values[0] <= values[1] <= values[2]
 
 
-def test_greedy_multiblock_is_lower_bound():
-    state, space = _two_block_bet_scenario()
+GREEDY = SearchBudget(mode="randomized", max_paths=1000)
+
+
+def _duplicate_label_scenario():
+    # Two users push ETH into the pool under one label; the miner then sells
+    # BBT into the richer pool.  Replaying either user twice would overstate
+    # the value.
+    state = State(
+        {("u0", "ETH"): 100_000, ("u1", "ETH"): 400_000, ("miner", "BBT"): 300_000},
+        {"p": AmmPool("BBT", "ETH", 1_000_000, 1_000_000, fee_bps=0)},
+        0,
+    )
+    mempool = (
+        Tx("u0", "p", Swap("ETH", "BBT", 100_000), label="dup"),
+        Tx("u1", "p", Swap("ETH", "BBT", 200_000), label="dup"),
+    )
+    templates = (Tx("miner", "p", Swap("BBT", "ETH", 300_000), origin="miner", label="sell"),)
+    return state, OrderingSpace(mempool=mempool, templates=templates, allow_insert=True)
+
+
+@pytest.mark.parametrize(
+    "make", [_two_block_bet_scenario, _duplicate_label_scenario], ids=["two_block_bet", "duplicate_label"]
+)
+def test_greedy_multiblock_is_lower_bound(make):
+    state, space = make()
     val = Valuation(primary="ETH")
     exact = k_mev(miner(), state, space, 2, val, EXH)
-    greedy = k_mev(miner(), state, space, 2, val, SearchBudget(mode="randomized", max_paths=1000))
+    greedy = k_mev(miner(), state, space, 2, val, GREEDY)
     assert greedy.best_value <= exact.best_value
+
+
+def test_greedy_multiblock_schedules_late_arrivals():
+    # The miner's sell pays most after the user's block-1 buy.
+    state = State(
+        {("late", "ETH"): 200_000, ("miner", "BBT"): 300_000},
+        {"p": AmmPool("BBT", "ETH", 1_000_000, 1_000_000, fee_bps=0)},
+        0,
+    )
+    mempool = (Tx("late", "p", Swap("ETH", "BBT", 200_000), label="late", arrival_block=1),)
+    templates = (Tx("miner", "p", Swap("BBT", "ETH", 300_000), origin="miner", label="sell"),)
+    space = OrderingSpace(mempool=mempool, templates=templates, allow_insert=True)
+    val = Valuation(primary="ETH")
+    exact = k_mev(miner(), state, space, 2, val, EXH)
+    greedy = k_mev(miner(), state, space, 2, val, GREEDY)
+    assert exact.best_ordering == ("|", "late", "sell")
+    # greedy sells in block 0, then must place the block-1 arrival
+    assert greedy.best_ordering == ("sell", "|", "late")
+    assert greedy.best_value < exact.best_value
+
+
+def test_unknown_budget_mode_is_rejected():
+    from mevsearch.state import ScenarioError
+
+    state, space = _two_block_bet_scenario()
+    player = miner(block_probs=(Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(ScenarioError, match="unknown budget mode"):
+        k_mev(player, state, space, 2, Valuation(primary="ETH"), SearchBudget(mode="greedy"))
+    # the weighted-MEV series runs the greedy search without going through search()
+    with pytest.raises(ScenarioError, match="unknown budget mode"):
+        wmev(player, state, space, 2, Valuation(primary="ETH"), SearchBudget(mode="greedy"))
 
 
 # -- weighted MEV ------------------------------------------------------------
