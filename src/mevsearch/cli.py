@@ -334,8 +334,8 @@ def optimize_insert(scenario_path, seed, samples, valuation, out):
 @scenario_option
 @click.option("--horizon", type=int, default=64, show_default=True)
 @click.option("--hash-fraction", "hash_fraction", type=str, default=None, metavar="N/D")
-@click.option("--increment", type=str, default=None, help="Constant per-block value (closed-form model).")
-@click.option("--mining-cost", "mining_cost", type=str, default="0",
+@click.option("--increment", type=int, default=None, help="Constant per-block value (closed-form model).")
+@click.option("--mining-cost", "mining_cost", type=int, default=0,
               help="Operating cost to report alongside the value (base units).")
 @seed_option
 @budget_option
@@ -356,7 +356,7 @@ def wmev_cmd(scenario_path, horizon, hash_fraction, increment, mining_cost, seed
     player = MinerModel(
         accounts=frozenset((scenario.miner_account,)),
         hash_fraction=f,
-        per_block_increment=None if increment is None else int(increment),
+        per_block_increment=increment,
     )
     result = wmev(
         player,
@@ -365,7 +365,7 @@ def wmev_cmd(scenario_path, horizon, hash_fraction, increment, mining_cost, seed
         horizon,
         scenario.get_valuation(),
         scenario.budget,
-        mining_cost=int(mining_cost),
+        mining_cost=mining_cost,
     )
     doc = {
         "horizon": horizon,

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .contracts import AmmPool, MakerBook, amm_swap_exact_in
+from .contracts import AmmPool, MakerBook, Pricebet, amm_swap_exact_in
 from .metrics import MinerModel, Valuation, ValueSpread, ev, value_spread
 from .ordering import EvReport, OrderingSpace, SearchBudget
 from .state import Bet, GetReward, Liquidate, MINER, ScenarioError, State, Swap, Tx
@@ -332,8 +332,6 @@ def build_pricebet_scenario(
 
     Each inflow amount becomes one swap by a distinct user funded exactly.
     """
-    from .contracts import Pricebet
-
     if pool_other <= pool_eth:
         raise ScenarioError("builder expects the pool to hold more of the paired token")
     pool = AmmPool(other, primary, pool_other, pool_eth, fee_bps=0)

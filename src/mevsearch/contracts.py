@@ -4,6 +4,12 @@ All arithmetic is exact integer arithmetic.  Price comparisons are
 cross-multiplied (no division anywhere in a guard), swap outputs use the
 deployed-AMM rounding (floor on exact-input output, floor+1 on exact-output
 input), and every operation either returns a full successor state or ``None``.
+
+Each contract model is a frozen dataclass plus one transition rule per action
+it accepts.  A rule takes ``(state, tx, contract)``, checks its guards and
+returns ``state.settle(moves, venue, new_contract)``; ``_EXECUTORS`` maps
+contract type and action type to the rule.  Adding a contract model means one
+dataclass, its rules, one ``_EXECUTORS`` row and its codec in ``scenario``.
 """
 
 from __future__ import annotations
@@ -268,51 +274,12 @@ def maker_safe(price: tuple[int, int], book: MakerBook, collateral: int, debt: i
     return num * collateral * book.ratio_den >= book.ratio_num * debt * den
 
 
-def maker_underwater(state: State, book: MakerBook, account: str) -> bool:
-    price = maker_price(state, book)
-    return not maker_safe(price, book, book.collateral.get(account, 0), book.debt.get(account, 0))
-
-
 # ---------------------------------------------------------------------------
-# Dispatch
+# Transition rules: each checks its guards, then settles its moves
 # ---------------------------------------------------------------------------
 
-def _set_balance(balances: dict, account: str, token: str, amount: int) -> None:
-    balances[(account, token)] = amount
-
-
-def _credit(balances: dict, account: str, token: str, amount: int) -> None:
-    key = (account, token)
-    balances[key] = balances.get(key, 0) + amount
-
-
-def execute(state: State, tx: Tx, contract: object) -> State | None:
-    """Run ``tx`` against ``contract``; returns the new state or ``None``."""
+def _exec_swap(state: State, tx: Tx, pool: AmmPool) -> State | None:
     action = tx.action
-    if isinstance(contract, AmmPool):
-        if isinstance(action, Swap):
-            return _exec_swap(state, tx, contract, action)
-        if isinstance(action, AddLiquidity):
-            return _exec_add_liquidity(state, tx, contract, action)
-        if isinstance(action, RemoveLiquidity):
-            return _exec_remove_liquidity(state, tx, contract, action)
-        return None
-    if isinstance(contract, MakerBook):
-        if isinstance(action, CdpManipulate):
-            return _exec_cdp(state, tx, contract, action)
-        if isinstance(action, Liquidate):
-            return _exec_liquidate(state, tx, contract, action)
-        return None
-    if isinstance(contract, Pricebet):
-        if isinstance(action, Bet):
-            return _exec_bet(state, tx, contract)
-        if isinstance(action, GetReward):
-            return _exec_getreward(state, tx, contract)
-        return None
-    raise ScenarioError(f"unknown contract type at venue {tx.venue!r}")
-
-
-def _exec_swap(state: State, tx: Tx, pool: AmmPool, action: Swap) -> State | None:
     if action.amount is None:
         raise ScenarioError("swap has an unbound insertion-size parameter")
     if not (pool.has_token(action.token_in) and pool.has_token(action.token_out)):
@@ -332,48 +299,37 @@ def _exec_swap(state: State, tx: Tx, pool: AmmPool, action: Swap) -> State | Non
         new_pool, amount_out = res
         amount_in = action.amount
 
-    have = state.balances.get((tx.actor, action.token_in), 0)
-    if have < amount_in:
+    if state.balances.get((tx.actor, action.token_in), 0) < amount_in:
         return None
-    balances = dict(state.balances)
-    _set_balance(balances, tx.actor, action.token_in, have - amount_in)
-    _credit(balances, tx.actor, action.token_out, amount_out)
-    contracts = dict(state.contracts)
-    contracts[tx.venue] = new_pool
-    return State(balances, contracts, state.block_number)
+    moves = ((tx.actor, action.token_in, -amount_in), (tx.actor, action.token_out, amount_out))
+    return state.settle(moves, tx.venue, new_pool)
 
 
-def _exec_add_liquidity(state: State, tx: Tx, pool: AmmPool, action: AddLiquidity) -> State | None:
-    have_x = state.balances.get((tx.actor, pool.token_x), 0)
-    have_y = state.balances.get((tx.actor, pool.token_y), 0)
-    if have_x < action.amount_x or have_y < action.amount_y:
+def _exec_add_liquidity(state: State, tx: Tx, pool: AmmPool) -> State | None:
+    action = tx.action
+    if (
+        state.balances.get((tx.actor, pool.token_x), 0) < action.amount_x
+        or state.balances.get((tx.actor, pool.token_y), 0) < action.amount_y
+    ):
         return None
     res = amm_add_liquidity(pool, tx.actor, action.amount_x, action.amount_y)
     if res is None:
         return None
-    new_pool, _ = res
-    balances = dict(state.balances)
-    _set_balance(balances, tx.actor, pool.token_x, have_x - action.amount_x)
-    _set_balance(balances, tx.actor, pool.token_y, have_y - action.amount_y)
-    contracts = dict(state.contracts)
-    contracts[tx.venue] = new_pool
-    return State(balances, contracts, state.block_number)
+    moves = ((tx.actor, pool.token_x, -action.amount_x), (tx.actor, pool.token_y, -action.amount_y))
+    return state.settle(moves, tx.venue, res[0])
 
 
-def _exec_remove_liquidity(state: State, tx: Tx, pool: AmmPool, action: RemoveLiquidity) -> State | None:
-    res = amm_remove_liquidity(pool, tx.actor, action.shares)
+def _exec_remove_liquidity(state: State, tx: Tx, pool: AmmPool) -> State | None:
+    res = amm_remove_liquidity(pool, tx.actor, tx.action.shares)
     if res is None:
         return None
     new_pool, out_x, out_y = res
-    balances = dict(state.balances)
-    _credit(balances, tx.actor, pool.token_x, out_x)
-    _credit(balances, tx.actor, pool.token_y, out_y)
-    contracts = dict(state.contracts)
-    contracts[tx.venue] = new_pool
-    return State(balances, contracts, state.block_number)
+    moves = ((tx.actor, pool.token_x, out_x), (tx.actor, pool.token_y, out_y))
+    return state.settle(moves, tx.venue, new_pool)
 
 
-def _exec_cdp(state: State, tx: Tx, book: MakerBook, action: CdpManipulate) -> State | None:
+def _exec_cdp(state: State, tx: Tx, book: MakerBook) -> State | None:
+    action = tx.action
     if action.kind not in CDP_KINDS:
         raise ScenarioError(f"unknown CDP action: {action.kind!r}")
     if action.qty < 0:
@@ -384,61 +340,41 @@ def _exec_cdp(state: State, tx: Tx, book: MakerBook, action: CdpManipulate) -> S
     debt = book.debt.get(actor, 0)
 
     if action.kind == "deposit_collateral":
-        have = state.balances.get((actor, book.collateral_token), 0)
-        if have < qty:
+        if state.balances.get((actor, book.collateral_token), 0) < qty:
             return None
-        balances = dict(state.balances)
-        _set_balance(balances, actor, book.collateral_token, have - qty)
-        new_coll = dict(book.collateral)
-        new_coll[actor] = coll + qty
-        new_book = replace(book, collateral=new_coll)
+        move = (actor, book.collateral_token, -qty)
+        new_book = replace(book, collateral={**book.collateral, actor: coll + qty})
 
     elif action.kind == "pay_loan":
-        have = state.balances.get((actor, book.loan_token), 0)
-        if have < qty or debt < qty:
+        if state.balances.get((actor, book.loan_token), 0) < qty or debt < qty:
             return None
-        balances = dict(state.balances)
-        _set_balance(balances, actor, book.loan_token, have - qty)
-        new_debt = dict(book.debt)
-        new_debt[actor] = debt - qty
-        new_book = replace(book, debt=new_debt)
+        move = (actor, book.loan_token, -qty)
+        new_book = replace(book, debt={**book.debt, actor: debt - qty})
 
     elif action.kind == "withdraw_collateral":
         price = maker_price(state, book)
         if coll < qty or not maker_safe(price, book, coll - qty, debt):
             return None
-        balances = dict(state.balances)
-        _credit(balances, actor, book.collateral_token, qty)
-        new_coll = dict(book.collateral)
-        new_coll[actor] = coll - qty
-        new_book = replace(book, collateral=new_coll)
+        move = (actor, book.collateral_token, qty)
+        new_book = replace(book, collateral={**book.collateral, actor: coll - qty})
 
     else:  # withdraw_loan
         price = maker_price(state, book)
         if not maker_safe(price, book, coll, debt + qty):
             return None
-        balances = dict(state.balances)
-        _credit(balances, actor, book.loan_token, qty)
-        new_debt = dict(book.debt)
-        new_debt[actor] = debt + qty
-        new_book = replace(book, debt=new_debt)
+        move = (actor, book.loan_token, qty)
+        new_book = replace(book, debt={**book.debt, actor: debt + qty})
 
-    contracts = dict(state.contracts)
-    contracts[tx.venue] = new_book
-    return State(balances, contracts, state.block_number)
+    return state.settle((move,), tx.venue, new_book)
 
 
-def _exec_liquidate(state: State, tx: Tx, book: MakerBook, action: Liquidate) -> State | None:
-    victim = action.victim
+def _exec_liquidate(state: State, tx: Tx, book: MakerBook) -> State | None:
+    victim = tx.action.victim
     coll = book.collateral.get(victim, 0)
     debt = book.debt.get(victim, 0)
     price = maker_price(state, book)
     if maker_safe(price, book, coll, debt):
         return None
-
-    balances = dict(state.balances)
-    new_coll = dict(book.collateral)
-    new_debt = dict(book.debt)
 
     if book.efficient_auction:
         # Perfectly efficient two-phase auction: the liquidator repays the
@@ -446,38 +382,28 @@ def _exec_liquidate(state: State, tx: Tx, book: MakerBook, action: Liquidate) ->
         num, den = price
         if num <= 0:
             return None
-        seized = debt * den // num
-        if seized > coll:
-            seized = coll
-        have = state.balances.get((tx.actor, book.loan_token), 0)
-        if have < debt:
+        seized = min(debt * den // num, coll)
+        if state.balances.get((tx.actor, book.loan_token), 0) < debt:
             return None
-        _set_balance(balances, tx.actor, book.loan_token, have - debt)
-        _credit(balances, tx.actor, book.collateral_token, seized)
-        new_coll[victim] = coll - seized
-        new_debt[victim] = 0
+        moves = ((tx.actor, book.loan_token, -debt), (tx.actor, book.collateral_token, seized))
     else:
         # Miner-optimal outcome: the entire collateral for nothing.
-        _credit(balances, tx.actor, book.collateral_token, coll)
-        new_coll[victim] = 0
-        new_debt[victim] = 0
+        seized = coll
+        moves = ((tx.actor, book.collateral_token, coll),)
 
-    contracts = dict(state.contracts)
-    contracts[tx.venue] = replace(book, collateral=new_coll, debt=new_debt)
-    return State(balances, contracts, state.block_number)
+    new_book = replace(
+        book, collateral={**book.collateral, victim: coll - seized}, debt={**book.debt, victim: 0}
+    )
+    return state.settle(moves, tx.venue, new_book)
 
 
 def _exec_bet(state: State, tx: Tx, bet: Pricebet) -> State | None:
     if bet.has_bet:
         return None
-    have = state.balances.get((tx.actor, bet.token), 0)
-    if have < bet.stake:
+    if state.balances.get((tx.actor, bet.token), 0) < bet.stake:
         return None
-    balances = dict(state.balances)
-    _set_balance(balances, tx.actor, bet.token, have - bet.stake)
-    contracts = dict(state.contracts)
-    contracts[tx.venue] = replace(bet, pot=bet.pot + bet.stake, has_bet=True, player=tx.actor)
-    return State(balances, contracts, state.block_number)
+    new_bet = replace(bet, pot=bet.pot + bet.stake, has_bet=True, player=tx.actor)
+    return state.settle(((tx.actor, bet.token, -bet.stake),), tx.venue, new_bet)
 
 
 def _exec_getreward(state: State, tx: Tx, bet: Pricebet) -> State | None:
@@ -495,8 +421,33 @@ def _exec_getreward(state: State, tx: Tx, bet: Pricebet) -> State | None:
     other_reserve = oracle.reserve(other_token)
     if primary_reserve <= other_reserve:
         return None
-    balances = dict(state.balances)
-    _credit(balances, tx.actor, bet.token, bet.reward)
-    contracts = dict(state.contracts)
-    contracts[tx.venue] = replace(bet, pot=bet.pot - bet.reward, settled=True)
-    return State(balances, contracts, state.block_number)
+    new_bet = replace(bet, pot=bet.pot - bet.reward, settled=True)
+    return state.settle(((tx.actor, bet.token, bet.reward),), tx.venue, new_bet)
+
+
+# ---------------------------------------------------------------------------
+# Dispatch
+# ---------------------------------------------------------------------------
+
+# Contract type -> action type -> transition rule.
+_EXECUTORS = {
+    AmmPool: {
+        Swap: _exec_swap,
+        AddLiquidity: _exec_add_liquidity,
+        RemoveLiquidity: _exec_remove_liquidity,
+    },
+    MakerBook: {CdpManipulate: _exec_cdp, Liquidate: _exec_liquidate},
+    Pricebet: {Bet: _exec_bet, GetReward: _exec_getreward},
+}
+
+
+def execute(state: State, tx: Tx, contract: object) -> State | None:
+    """Run ``tx`` against ``contract``; returns the new state or ``None``.
+
+    An action the contract has no rule for is the bottom outcome.
+    """
+    rules = _EXECUTORS.get(type(contract))
+    if rules is None:
+        raise ScenarioError(f"unknown contract type at venue {tx.venue!r}")
+    rule = rules.get(type(tx.action))
+    return None if rule is None else rule(state, tx, contract)

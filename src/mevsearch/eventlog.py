@@ -20,6 +20,7 @@ carry wallet balances).
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -184,11 +185,11 @@ class ReplayFailure:
     reason: str
 
 
-def replay(state: State, records: list[Record], autofund: bool = True) -> tuple[State, list[ReplayFailure], dict[str, int]]:
+def replay(state: State, records: list[Record]) -> tuple[State, list[ReplayFailure], dict[str, int]]:
     """Apply a log in order; returns (final state, failures, swaps per venue).
 
-    ``autofund`` tops up an actor's input balance before each transfer-in,
-    since chain exports carry no wallet balances.
+    An actor's input balance is topped up before each transfer-in, since
+    chain exports carry no wallet balances.
     """
     failures: list[ReplayFailure] = []
     swap_counts: dict[str, int] = {}
@@ -204,26 +205,20 @@ def replay(state: State, records: list[Record], autofund: bool = True) -> tuple[
             if not isinstance(contract, MakerBook):
                 failures.append(ReplayFailure(i, record, "price_update on a non-book venue"))
                 continue
-            contracts = dict(state.contracts)
-            contracts[record.venue] = replace(contract, oracle_price=(record.price_num, record.price_den))
-            state = State(state.balances, contracts, record.block_number)
+            book = replace(contract, oracle_price=(record.price_num, record.price_den))
+            state = state.with_block(record.block_number).settle((), record.venue, book)
             continue
         if record.kind == "fee_update":
             if not isinstance(contract, MakerBook):
                 failures.append(ReplayFailure(i, record, "fee_update on a non-book venue"))
                 continue
-            debt = dict(contract.debt)
-            debt[record.actor] = record.debt_value
-            contracts = dict(state.contracts)
-            contracts[record.venue] = replace(contract, debt=debt)
-            state = State(state.balances, contracts, record.block_number)
+            book = replace(contract, debt={**contract.debt, record.actor: record.debt_value})
+            state = state.with_block(record.block_number).settle((), record.venue, book)
             continue
 
         tx = record_to_tx(record)
         assert tx is not None
-        if autofund:
-            state = _fund_for(state, record, contract)
-        state = state.with_block(record.block_number)
+        state = _fund_for(state, record, contract).with_block(record.block_number)
         nxt = apply_tx(state, tx)
         if nxt is None:
             failures.append(ReplayFailure(i, record, "transaction invalid at replay state"))
@@ -245,14 +240,11 @@ def _fund_for(state: State, record: Record, contract) -> State:
         needs.append((contract.collateral_token, record.qty))
     elif record.kind == "cdp" and record.sub_kind == "pay_loan" and isinstance(contract, MakerBook):
         needs.append((contract.loan_token, record.qty))
-    if not needs:
-        return state
-    balances = dict(state.balances)
-    for token, amount in needs:
-        key = (record.actor, token)
-        if balances.get(key, 0) < amount:
-            balances[key] = amount
-    return State(balances, state.contracts, state.block_number)
+    return state.settle(
+        (record.actor, token, amount - state.balance(record.actor, token))
+        for token, amount in needs
+        if state.balance(record.actor, token) < amount
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +307,12 @@ def replay_validate(
     records: list[Record],
     expected: dict[str, dict[str, int]],
     amm_tolerance_per_swap: int = 1,
-    autofund: bool = True,
 ) -> ReplayReport:
     """Replay a log and diff the final contract fields against an expected
     snapshot.  AMM reserves tolerate the accumulated rounding (one base unit
     per applied swap); book fields must match exactly.
     """
-    final, failures, swap_counts = replay(state, records, autofund=autofund)
+    final, failures, swap_counts = replay(state, records)
     diffs: list[FieldDiff] = []
     for venue in sorted(expected):
         contract = final.contracts.get(venue)
@@ -349,8 +340,6 @@ def replay_validate(
 
 
 def load_expected(path: str | Path) -> dict[str, dict[str, int]]:
-    import json
-
     doc = json.loads(Path(path).read_text())
     out: dict[str, dict[str, int]] = {}
     for venue, fields in doc.items():

@@ -41,6 +41,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
+from . import contracts
 from .state import (
     FeePolicy,
     MINER,
@@ -154,19 +155,18 @@ def _commutes(state: State, tx_p: Tx, tx_c: Tx) -> bool:
 
     Both actors are single-shot and untracked, so only the pool's final
     reserves can influence anything downstream; validity of either swap is
-    order-independent (neither touches the other's balance).
+    order-independent (neither touches the other's balance).  The swap math
+    is looked up on the module at call time, so tracing can wrap it.
     """
-    from .contracts import AmmPool, amm_swap_exact_in
-
     pool0 = state.contracts.get(tx_p.venue)
-    if not isinstance(pool0, AmmPool):
+    if not isinstance(pool0, contracts.AmmPool):
         return True  # both orders are no-ops on a non-pool venue
 
     def step(pool, tx):
         a = tx.action
         if state.balances.get((tx.actor, a.token_in), 0) < a.amount:
             return pool
-        res = amm_swap_exact_in(pool, a.token_in, a.amount)
+        res = contracts.amm_swap_exact_in(pool, a.token_in, a.amount)
         return pool if res is None else res[0]
 
     return step(step(pool0, tx_p), tx_c) == step(step(pool0, tx_c), tx_p)

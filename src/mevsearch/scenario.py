@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .contracts import AmmPool, MakerBook, Pricebet
+from .contracts import FEE_DENOM, AmmPool, MakerBook, Pricebet
 from .metrics import MinerModel, Valuation
 from .ordering import OrderingSpace, SearchBudget
 from .state import (
@@ -53,7 +53,7 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _amount(value, path: str, minimum: int = 0) -> int:
+def _amount(value, path: str, minimum: int = 0, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ParseError(path, f"expected a decimal string, got {value!r}")
     try:
@@ -62,6 +62,8 @@ def _amount(value, path: str, minimum: int = 0) -> int:
         raise ParseError(path, f"not a decimal integer: {value!r}") from None
     if out < minimum:
         raise ParseError(path, f"value {out} below minimum {minimum}")
+    if maximum is not None and out > maximum:
+        raise ParseError(path, f"value {out} above maximum {maximum}")
     return out
 
 
@@ -235,12 +237,17 @@ def contract_from_json(obj: dict, path: str, primary: str) -> tuple[str, object]
     cid = _require(obj, "id", path)
     kind = _require(obj, "type", path)
     if kind == "amm":
+        token_x = _require(obj, "token_x", path)
+        token_y = _require(obj, "token_y", path)
+        if token_x == token_y:
+            raise ParseError(path, f"pool pairs token {token_x!r} with itself")
         contract: object = AmmPool(
-            token_x=_require(obj, "token_x", path),
-            token_y=_require(obj, "token_y", path),
+            token_x=token_x,
+            token_y=token_y,
             reserve_x=_amount(_require(obj, "reserve_x", path), f"{path}.reserve_x"),
             reserve_y=_amount(_require(obj, "reserve_y", path), f"{path}.reserve_y"),
-            fee_bps=_amount(obj.get("fee_bps", 30), f"{path}.fee_bps"),
+            # A fee of the whole input would leave nothing to trade.
+            fee_bps=_amount(obj.get("fee_bps", 30), f"{path}.fee_bps", maximum=FEE_DENOM - 1),
             lp_total=_amount(obj.get("lp_total", 0), f"{path}.lp_total"),
             lp_shares={
                 acct: _amount(v, f"{path}.lp_shares.{acct}")

@@ -6,9 +6,9 @@ Amounts are plain Python ints (arbitrary precision, so 256-bit reserves are
 exact); they must never go negative -- every operation guards its debits and
 returns ``None`` (the bottom outcome) instead of leaving partial effects.
 
-States are treated as immutable snapshots: apply functions build a new
-``State`` from copied dicts and never mutate their input, so snapshots can be
-shared freely across worker processes.
+States are treated as immutable snapshots, so they can be shared freely
+across worker processes.  ``State.settle`` is the one copy-on-write step:
+every transition builds its successor through it and never mutates its input.
 """
 
 from __future__ import annotations
@@ -127,15 +127,28 @@ class State:
         return self.balances.get((account, token), 0)
 
     def with_block(self, block_number: int) -> "State":
-        # Dicts are shared: apply functions copy-on-write, never mutate.
+        # Dicts are shared: transitions copy-on-write through settle.
         return State(self.balances, self.contracts, block_number)
+
+    def settle(self, moves, venue: str | None = None, contract: object = None) -> "State":
+        """The successor state: each ``(account, token, delta)`` of ``moves``
+        added to the balances and, when ``venue`` is given, ``contract``
+        deployed there.  The balances, and the contracts when ``venue`` is
+        given, are copied; ``self`` is left as it was."""
+        balances = dict(self.balances)
+        for account, token, delta in moves:
+            key = (account, token)
+            balances[key] = balances.get(key, 0) + delta
+        contracts = self.contracts
+        if venue is not None:
+            contracts = dict(contracts)
+            contracts[venue] = contract
+        return State(balances, contracts, self.block_number)
 
     def deploy(self, venue: str, contract: object) -> "State":
         if venue in self.contracts:
             raise ScenarioError(f"contract id already in use: {venue}")
-        contracts = dict(self.contracts)
-        contracts[venue] = contract
-        return State(self.balances, contracts, self.block_number)
+        return self.settle((), venue, contract)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, State):
@@ -174,6 +187,10 @@ class SequenceResult:
         return self.failed_index is None
 
 
+# Bound after the names above: contracts imports them from this module.
+from . import contracts  # noqa: E402
+
+
 def apply_tx(state: State, tx: Tx, fee_policy: FeePolicy | None = None) -> State | None:
     """Apply one transaction atomically.
 
@@ -183,24 +200,17 @@ def apply_tx(state: State, tx: Tx, fee_policy: FeePolicy | None = None) -> State
     venue and :class:`ScenarioError` for structurally bad transactions
     (unbound insertion amount, unknown action kind).
     """
-    from . import contracts as _contracts
-
     contract = state.contracts.get(tx.venue)
     if contract is None:
         raise UnknownVenueError(tx.venue)
 
     if fee_policy is not None and tx.fee > 0:
-        key = (tx.actor, fee_policy.token)
-        have = state.balances.get(key, 0)
-        if have < tx.fee:
+        token = fee_policy.token
+        if state.balances.get((tx.actor, token), 0) < tx.fee:
             return None
-        balances = dict(state.balances)
-        balances[key] = have - tx.fee
-        ckey = (fee_policy.collector, fee_policy.token)
-        balances[ckey] = balances.get(ckey, 0) + tx.fee
-        state = State(balances, state.contracts, state.block_number)
+        state = state.settle(((tx.actor, token, -tx.fee), (fee_policy.collector, token, tx.fee)))
 
-    return _contracts.execute(state, tx, contract)
+    return contracts.execute(state, tx, contract)
 
 
 def apply_sequence(
@@ -250,12 +260,10 @@ def total_supply(state: State, token: str) -> int:
     CDP loan issuance mints (and repayment burns) the loan token, mirroring
     the modeled contract; every other operation conserves this sum exactly.
     """
-    from . import contracts as _contracts
-
     total = 0
     for (_, tok), amount in state.balances.items():
         if tok == token:
             total += amount
     for contract in state.contracts.values():
-        total += _contracts.holding(contract, token)
+        total += contracts.holding(contract, token)
     return total

@@ -366,6 +366,7 @@ def test_criterion_9_invariant_suites():
                 assert state == snapshot, "failed transaction must leave no trace"
                 cases["atomicity"] += 1
                 continue
+            assert state == snapshot, "a transaction must not modify its input state"
             cases["atomicity"] += 1
 
             expected = _expected_supply_delta(state, tx)

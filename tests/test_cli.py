@@ -258,6 +258,28 @@ def test_open_size_templates_over_k_blocks_is_a_one_line_error(runner):
     assert result.stderr == "error: insertion sizing searches single-block spaces (k = 1)\n"
 
 
+def test_pool_fee_of_the_whole_input_is_a_one_line_error(runner, tmp_path):
+    from mevsearch.cli import EXIT_BAD_INPUT
+
+    doc = json.loads((DATA / "two_amm_counterexample.json").read_text())
+    doc["contracts"][1]["fee_bps"] = 10_000
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["mev", "--scenario", str(path)])
+    assert result.exit_code == EXIT_BAD_INPUT
+    assert result.stdout == ""
+    assert result.stderr == "error: $.contracts[1].fee_bps: value 10000 above maximum 9999\n"
+
+
+@pytest.mark.parametrize("option, value", [("--increment", "abc"), ("--mining-cost", "1.5")])
+def test_wmev_integer_options_are_usage_errors(runner, option, value):
+    args = ["wmev", "--scenario", str(DATA / "wmev_scenario.json"), "--hash-fraction", "1/2", option, value]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert f"Invalid value for '{option}'" in result.stderr
+
+
 def test_seed_and_budget_overrides_keep_the_rest_of_the_budget():
     from mevsearch.cli import _apply_overrides
     from mevsearch.corpus import make_spread_instance

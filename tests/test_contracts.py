@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mevsearch.contracts import (
+    _EXECUTORS,
     AmmPool,
     MakerBook,
     Pricebet,
@@ -17,7 +18,19 @@ from mevsearch.contracts import (
     amm_swap_exact_in,
     amm_swap_exact_out,
 )
-from mevsearch.state import Bet, CdpManipulate, GetReward, Liquidate, Swap, Tx, apply_tx
+from mevsearch.state import (
+    AddLiquidity,
+    Bet,
+    CdpManipulate,
+    GetReward,
+    Liquidate,
+    RemoveLiquidity,
+    ScenarioError,
+    State,
+    Swap,
+    Tx,
+    apply_tx,
+)
 
 from conftest import WAD, maker_state, pool_state, pricebet_state, simple_pool
 
@@ -294,3 +307,35 @@ def test_pricebet_single_settlement_and_wrong_player():
     assert apply_tx(st2, Tx("alice", "bet", GetReward())) is None
     # second bet on a settled record is also rejected
     assert apply_tx(st2, Tx("alice", "bet", Bet())) is None
+
+
+
+def test_actions_without_a_rule_are_bottom_and_unknown_contracts_raise():
+    actions = (
+        Swap("ETH", "DAI", 10),
+        AddLiquidity(10, 10),
+        RemoveLiquidity(1),
+        CdpManipulate("deposit_collateral", 1),
+        Liquidate("alice"),
+        Bet(),
+        GetReward(),
+    )
+    pool = simple_pool(token_x="DAI", token_y="ETH")
+    book = MakerBook(loan_token="DAI", collateral_token="ETH", price_source="pool")
+    bet = Pricebet(oracle="pool", token="ETH", deadline=5)
+    state = State({("alice", "ETH"): 10**6, ("alice", "DAI"): 10**6}, {"pool": pool, "book": book, "bet": bet})
+    snapshot = State(dict(state.balances), dict(state.contracts), state.block_number)
+    assert set(_EXECUTORS) == {AmmPool, MakerBook, Pricebet}
+    assert {type(a) for a in actions} == {t for rules in _EXECUTORS.values() for t in rules}
+    missing = 0
+    for venue in ("pool", "book", "bet"):
+        for action in actions:
+            if type(action) not in _EXECUTORS[type(state.contracts[venue])]:
+                assert apply_tx(state, Tx("alice", venue, action)) is None, (venue, action)
+                missing += 1
+    assert missing == 3 * len(actions) - sum(len(rules) for rules in _EXECUTORS.values())
+    assert state == snapshot
+
+    odd = state.deploy("odd", object())
+    with pytest.raises(ScenarioError, match="unknown contract type at venue 'odd'"):
+        apply_tx(odd, Tx("alice", "odd", Bet()))

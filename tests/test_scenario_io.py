@@ -113,6 +113,38 @@ def test_unknown_venue_rejected():
     assert "ghost" in str(err.value)
 
 
+@pytest.mark.parametrize("fee_bps", [10_000, 20_000])
+def test_pool_fee_of_the_whole_input_rejected(fee_bps):
+    doc = {
+        "schema_version": 1,
+        "tokens": [{"id": "ETH", "primary": True}, {"id": "BBT"}],
+        "contracts": [
+            {"id": "amm", "type": "amm", "token_x": "BBT", "token_y": "ETH",
+             "reserve_x": "1000", "reserve_y": "1000", "fee_bps": fee_bps},
+        ],
+    }
+    with pytest.raises(ParseError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == f"$.contracts[0].fee_bps: value {fee_bps} above maximum 9999"
+    doc["contracts"][0]["fee_bps"] = 9_999
+    assert scenario_from_dict(doc).contracts["amm"].fee_bps == 9_999
+
+
+def test_pool_of_one_token_rejected():
+    # Adding liquidity to such a pool would debit one balance twice.
+    doc = {
+        "schema_version": 1,
+        "tokens": [{"id": "ETH", "primary": True}],
+        "contracts": [
+            {"id": "amm", "type": "amm", "token_x": "ETH", "token_y": "ETH",
+             "reserve_x": "1000", "reserve_y": "1000"},
+        ],
+    }
+    with pytest.raises(ParseError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == "$.contracts[0]: pool pairs token 'ETH' with itself"
+
+
 def test_requires_exactly_one_primary():
     doc = {"schema_version": 1, "tokens": [{"id": "ETH"}, {"id": "BBT"}]}
     with pytest.raises(ParseError):
