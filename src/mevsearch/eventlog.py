@@ -1,7 +1,9 @@
 """Chronological event logs and replay validation.
 
 Logs are flat CSV with a header row, one record per contract event, sorted
-by (block_number, tx_index).  Sparse columns per kind:
+by (block_number, tx_index).  The columns are ``Record``'s fields, in order;
+integer cells of the optional fields are left blank when zero.  Sparse
+columns per kind:
 
     swap              actor, token_in, amount_in (token_out for readability)
     liquidity_add     actor, amount_x, amount_y
@@ -20,8 +22,7 @@ carry wallet balances).
 from __future__ import annotations
 
 import csv
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,30 +37,7 @@ from .state import (
     Tx,
     apply_tx,
 )
-from .scenario import ParseError
-
-COLUMNS = [
-    "venue",
-    "block_number",
-    "tx_index",
-    "kind",
-    "actor",
-    "token_in",
-    "amount_in",
-    "token_out",
-    "amount_x",
-    "amount_y",
-    "shares",
-    "sub_kind",
-    "qty",
-    "victim",
-    "price_num",
-    "price_den",
-    "debt_value",
-    "reverted",
-]
-
-KINDS = ("swap", "liquidity_add", "liquidity_remove", "cdp", "liquidate", "price_update", "fee_update")
+from .scenario import ParseError, _amount, _shaped, read_json_object
 
 
 @dataclass(frozen=True)
@@ -84,14 +62,43 @@ class Record:
     reverted: bool = False
 
 
-def _int_cell(row: dict, key: str, line: int) -> int:
-    raw = (row.get(key) or "").strip()
+_FIELDS = fields(Record)
+COLUMNS = [f.name for f in _FIELDS]
+
+# Record kind -> (action type, ((column, action field), ...)).
+_TX_KINDS = {
+    "swap": (Swap, (("token_in", "token_in"), ("token_out", "token_out"), ("amount_in", "amount"))),
+    "liquidity_add": (AddLiquidity, (("amount_x", "amount_x"), ("amount_y", "amount_y"))),
+    "liquidity_remove": (RemoveLiquidity, (("shares", "shares"),)),
+    "cdp": (CdpManipulate, (("sub_kind", "kind"), ("qty", "qty"))),
+    "liquidate": (Liquidate, (("victim", "victim"),)),
+}
+_KIND_OF = {action_type: kind for kind, (action_type, _) in _TX_KINDS.items()}
+KINDS = (*_TX_KINDS, "price_update", "fee_update")
+
+
+def _cell_from_csv(row: dict, f: Field, line: int):
+    # The module postpones its annotations, so ``f.type`` is the source text.
+    raw = (row.get(f.name) or "").strip()
+    if f.type == "bool":
+        return raw in ("1", "true", "True")
+    if f.type == "str":
+        return raw
     if not raw:
         return 0
     try:
         return int(raw)
     except ValueError:
-        raise ParseError(f"line {line}", f"column {key!r}: not an integer: {raw!r}") from None
+        raise ParseError(f"line {line}", f"column {f.name!r}: not an integer: {raw!r}") from None
+
+
+def _cell_to_csv(record: Record, f: Field):
+    value = getattr(record, f.name)
+    if f.type == "bool":
+        return "1" if value else ""
+    if f.type == "int" and f.default is not MISSING:  # block_number and tx_index always show
+        return value or ""
+    return value
 
 
 def read_event_log(path: str | Path) -> list[Record]:
@@ -104,28 +111,7 @@ def read_event_log(path: str | Path) -> list[Record]:
             kind = (row.get("kind") or "").strip()
             if kind not in KINDS:
                 raise ParseError(f"line {line}", f"unknown record type {kind!r}")
-            records.append(
-                Record(
-                    venue=(row.get("venue") or "").strip(),
-                    block_number=_int_cell(row, "block_number", line),
-                    tx_index=_int_cell(row, "tx_index", line),
-                    kind=kind,
-                    actor=(row.get("actor") or "").strip(),
-                    token_in=(row.get("token_in") or "").strip(),
-                    amount_in=_int_cell(row, "amount_in", line),
-                    token_out=(row.get("token_out") or "").strip(),
-                    amount_x=_int_cell(row, "amount_x", line),
-                    amount_y=_int_cell(row, "amount_y", line),
-                    shares=_int_cell(row, "shares", line),
-                    sub_kind=(row.get("sub_kind") or "").strip(),
-                    qty=_int_cell(row, "qty", line),
-                    victim=(row.get("victim") or "").strip(),
-                    price_num=_int_cell(row, "price_num", line),
-                    price_den=_int_cell(row, "price_den", line),
-                    debt_value=_int_cell(row, "debt_value", line),
-                    reverted=(row.get("reverted") or "").strip() in ("1", "true", "True"),
-                )
-            )
+            records.append(Record(**{f.name: _cell_from_csv(row, f, line) for f in _FIELDS}))
     order = [(r.block_number, r.tx_index) for r in records]
     if order != sorted(order):
         raise ParseError("$", "records must be sorted by (block_number, tx_index)")
@@ -137,44 +123,15 @@ def write_event_log(records: list[Record], path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(COLUMNS)
         for r in records:
-            writer.writerow(
-                [
-                    r.venue,
-                    r.block_number,
-                    r.tx_index,
-                    r.kind,
-                    r.actor,
-                    r.token_in,
-                    r.amount_in or "",
-                    r.token_out,
-                    r.amount_x or "",
-                    r.amount_y or "",
-                    r.shares or "",
-                    r.sub_kind,
-                    r.qty or "",
-                    r.victim,
-                    r.price_num or "",
-                    r.price_den or "",
-                    r.debt_value or "",
-                    "1" if r.reverted else "",
-                ]
-            )
+            writer.writerow([_cell_to_csv(r, f) for f in _FIELDS])
 
 
 def record_to_tx(record: Record) -> Tx | None:
     """Transaction equivalent of a record; None for book-keeping records."""
-    if record.kind == "swap":
-        action = Swap(record.token_in, record.token_out, record.amount_in)
-    elif record.kind == "liquidity_add":
-        action = AddLiquidity(record.amount_x, record.amount_y)
-    elif record.kind == "liquidity_remove":
-        action = RemoveLiquidity(record.shares)
-    elif record.kind == "cdp":
-        action = CdpManipulate(record.sub_kind, record.qty)
-    elif record.kind == "liquidate":
-        action = Liquidate(record.victim)
-    else:
+    if record.kind not in _TX_KINDS:
         return None
+    action_type, columns = _TX_KINDS[record.kind]
+    action = action_type(**{name: getattr(record, column) for column, name in columns})
     return Tx(record.actor, record.venue, action)
 
 
@@ -340,15 +297,13 @@ def replay_validate(
 
 
 def load_expected(path: str | Path) -> dict[str, dict[str, int]]:
-    doc = json.loads(Path(path).read_text())
-    out: dict[str, dict[str, int]] = {}
-    for venue, fields in doc.items():
-        out[venue] = {}
-        for fname, value in fields.items():
-            if isinstance(value, float):
-                raise ParseError(f"$.{venue}.{fname}", "floats are not allowed")
-            out[venue][fname] = int(value)
-    return out
+    return {
+        venue: {
+            fname: _amount(value, f"$.{venue}.{fname}")
+            for fname, value in _shaped(snapshot, dict, f"$.{venue}").items()
+        }
+        for venue, snapshot in read_json_object(path).items()
+    }
 
 
 def log_from_sequence(state: State, txs: list[Tx], block_number: int = 0) -> tuple[list[Record], State]:
@@ -360,21 +315,17 @@ def log_from_sequence(state: State, txs: list[Tx], block_number: int = 0) -> tup
         nxt = apply_tx(current, tx)
         if nxt is None:
             raise ParseError(f"$.txs[{i}]", "sequence invalid while writing log")
-        a = tx.action
-        base = dict(venue=tx.venue, block_number=block_number, tx_index=i, actor=tx.actor)
-        if type(a) is Swap:
-            records.append(
-                Record(kind="swap", token_in=a.token_in, amount_in=a.amount, token_out=a.token_out, **base)
-            )
-        elif type(a) is AddLiquidity:
-            records.append(Record(kind="liquidity_add", amount_x=a.amount_x, amount_y=a.amount_y, **base))
-        elif type(a) is RemoveLiquidity:
-            records.append(Record(kind="liquidity_remove", shares=a.shares, **base))
-        elif type(a) is CdpManipulate:
-            records.append(Record(kind="cdp", sub_kind=a.kind, qty=a.qty, **base))
-        elif type(a) is Liquidate:
-            records.append(Record(kind="liquidate", victim=a.victim, **base))
-        else:
+        kind = _KIND_OF.get(type(tx.action))
+        if kind is None:
             raise ParseError(f"$.txs[{i}]", "bets are not loggable events")
+        _, columns = _TX_KINDS[kind]
+        record = Record(
+            venue=tx.venue, block_number=block_number, tx_index=i, kind=kind, actor=tx.actor,
+            **{column: getattr(tx.action, name) for column, name in columns},
+        )
+        if record_to_tx(record).action != tx.action:
+            # e.g. an exact-output swap: its record would replay as exact-input
+            raise ParseError(f"$.txs[{i}]", f"a {kind} record cannot carry {tx.action!r}")
+        records.append(record)
         current = nxt
     return records, current

@@ -203,7 +203,6 @@ def search_with_insertion(
     state: State,
     alpha_min: int,
     alpha_max: int,
-    pruning: bool = False,
 ) -> InsertionSearchResult:
     """Best value over orderings whose miner templates share one unresolved
     trade size: every candidate skeleton is size-optimized and the best
@@ -217,7 +216,7 @@ def search_with_insertion(
         raise ScenarioError("need 1 <= alpha_min <= alpha_max")
     if space.k != 1:
         raise ScenarioError("insertion sizing searches single-block spaces (k = 1)")
-    tree = _Tree(space, pruning, objective.tracked)
+    tree = _Tree(space, pruning=False, tracked=objective.tracked)
     fee_policy = tree.space.fee_policy()
     best: tuple[int, tuple[int, ...], int | None] | None = None  # (value, key, alpha)
     paths = 0

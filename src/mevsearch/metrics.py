@@ -169,14 +169,11 @@ def ev(
     budget: SearchBudget,
     workers: int = 1,
     pruning: bool = True,
-    want_worst: bool = False,
 ) -> EvReport:
     """Extractable value: the best valued balance delta of the player's
     accounts over the feasible block constructions."""
     objective = PlayerDelta.from_state(player.accounts, valuation, state)
-    return search(
-        space, budget, objective, state, pruning=pruning, want_worst=want_worst, workers=workers
-    )
+    return search(space, budget, objective, state, pruning=pruning, workers=workers)
 
 
 def k_mev(
@@ -187,7 +184,6 @@ def k_mev(
     valuation: Valuation,
     budget: SearchBudget,
     workers: int = 1,
-    pruning: bool = True,
 ) -> EvReport:
     """Extractable value over k-block constructions.
 
@@ -196,7 +192,7 @@ def k_mev(
     """
     if k < 1:
         raise ScenarioError("k must be >= 1")
-    return ev(player, replace(space, k=k), state, valuation, budget, workers=workers, pruning=pruning)
+    return ev(player, replace(space, k=k), state, valuation, budget, workers=workers)
 
 
 @dataclass(frozen=True)
@@ -220,7 +216,6 @@ def wmev(
     horizon: int,
     valuation: Valuation,
     budget: SearchBudget,
-    pruning: bool = True,
     mining_cost: int = 0,
 ) -> WmevResult:
     """Probability-weighted MEV, truncated at ``horizon`` blocks.
@@ -250,7 +245,7 @@ def wmev(
     else:
         objective = PlayerDelta.from_state(player.accounts, valuation, state)
         _, per_block = _greedy_k_blocks(
-            state, replace(space, k=horizon), objective, budget, pruning, workers=1
+            state, replace(space, k=horizon), objective, budget, pruning=True, workers=1
         )
         values = tuple(per_block)
         tail = Fraction(0) if player.block_probs is not None else None
@@ -272,20 +267,16 @@ def value_spread(
     valuation: Valuation,
     budget: SearchBudget,
     workers: int = 1,
-    pruning: bool = True,
-    allow_insertions: bool = False,
 ) -> ValueSpread:
     """Highest and lowest valued balance the beneficiary can end the block
-    with, over reorder/censor orderings (insertions excluded by default)."""
-    if space.allow_insert and not allow_insertions:
+    with, over reorder/censor orderings (insertions excluded)."""
+    if space.allow_insert:
         raise ScenarioError("value_spread expects a reorder/censor-only space")
     if space.k > 1 and budget.mode != "exhaustive":
         # the greedy multi-block search tracks no worst ordering
         raise ScenarioError("value_spread over k > 1 blocks needs an exhaustive budget")
     objective = AccountBalanceValue(beneficiary, valuation)
-    report = search(
-        space, budget, objective, state, pruning=pruning, want_worst=True, workers=workers
-    )
+    report = search(space, budget, objective, state, want_worst=True, workers=workers)
     return ValueSpread(
         beneficiary=beneficiary,
         b_high=report.best_value,

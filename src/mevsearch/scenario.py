@@ -12,7 +12,7 @@ are rejected outright so values survive round trips bit-exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -51,6 +51,16 @@ def _require(obj: dict, key: str, path: str):
     if key not in obj:
         raise ParseError(path, f"missing required field {key!r}")
     return obj[key]
+
+
+_JSON_KINDS = {dict: "object", list: "array"}
+
+
+def _shaped(value, kind: type, path: str):
+    """``value``, checked to be a JSON object (``kind=dict``) or array (``kind=list``)."""
+    if not isinstance(value, kind):
+        raise ParseError(path, f"expected a JSON {_JSON_KINDS[kind]}")
+    return value
 
 
 def _amount(value, path: str, minimum: int = 0, maximum: int | None = None) -> int:
@@ -138,47 +148,45 @@ class Scenario:
 # Transactions
 # ---------------------------------------------------------------------------
 
-_TX_TYPES = ("swap", "add_liquidity", "remove_liquidity", "cdp", "liquidate", "bet", "get_reward")
+_ACTIONS = {
+    "swap": Swap,
+    "add_liquidity": AddLiquidity,
+    "remove_liquidity": RemoveLiquidity,
+    "cdp": CdpManipulate,
+    "liquidate": Liquidate,
+    "bet": Bet,
+    "get_reward": GetReward,
+}
+_ACTION_NAMES = {action_type: name for name, action_type in _ACTIONS.items()}
+
+
+def _field_from_json(obj: dict, f: Field, path: str, origin: str):
+    # ``state`` postpones its annotations, so ``f.type`` is the source text.
+    if f.type == "bool":
+        return bool(obj.get(f.name, f.default))
+    value = _require(obj, f.name, path)
+    if f.type == "str":
+        return value
+    if value is None and f.type == "int | None":
+        if origin != "miner":
+            raise ParseError(path, f"only miner templates may leave the {f.name} unresolved")
+        return None
+    return _amount(value, f"{path}.{f.name}")
 
 
 def tx_from_json(obj: dict, path: str, origin: str) -> Tx:
+    _shaped(obj, dict, path)
     actor = _require(obj, "actor", path)
     venue = _require(obj, "venue", path)
     kind = _require(obj, "type", path)
-    if kind == "swap":
-        amount_raw = _require(obj, "amount", path)
-        if amount_raw is None:
-            if origin != "miner":
-                raise ParseError(path, "only miner templates may leave the amount unresolved")
-            amount = None
-        else:
-            amount = _amount(amount_raw, f"{path}.amount", minimum=0)
-        action = Swap(
-            token_in=_require(obj, "token_in", path),
-            token_out=_require(obj, "token_out", path),
-            amount=amount,
-            exact_out=bool(obj.get("exact_out", False)),
-        )
-    elif kind == "add_liquidity":
-        action = AddLiquidity(
-            amount_x=_amount(_require(obj, "amount_x", path), f"{path}.amount_x"),
-            amount_y=_amount(_require(obj, "amount_y", path), f"{path}.amount_y"),
-        )
-    elif kind == "remove_liquidity":
-        action = RemoveLiquidity(shares=_amount(_require(obj, "shares", path), f"{path}.shares"))
-    elif kind == "cdp":
-        sub = _require(obj, "kind", path)
-        if sub not in CDP_KINDS:
-            raise ParseError(path, f"unknown CDP action {sub!r}")
-        action = CdpManipulate(kind=sub, qty=_amount(_require(obj, "qty", path), f"{path}.qty"))
-    elif kind == "liquidate":
-        action = Liquidate(victim=_require(obj, "victim", path))
-    elif kind == "bet":
-        action = Bet()
-    elif kind == "get_reward":
-        action = GetReward()
-    else:
-        raise ParseError(path, f"unknown transaction type {kind!r} (expected one of {_TX_TYPES})")
+    action_type = _ACTIONS.get(kind) if isinstance(kind, str) else None
+    if action_type is None:
+        expected = tuple(_ACTIONS)
+        raise ParseError(path, f"unknown transaction type {kind!r} (expected one of {expected})")
+    if action_type is CdpManipulate and _require(obj, "kind", path) not in CDP_KINDS:
+        raise ParseError(path, f"unknown CDP action {obj['kind']!r}")
+    values = {f.name: _field_from_json(obj, f, path, origin) for f in fields(action_type)}
+    action = action_type(**values)
     return Tx(
         actor=actor,
         venue=venue,
@@ -191,35 +199,19 @@ def tx_from_json(obj: dict, path: str, origin: str) -> Tx:
 
 
 def tx_to_json(tx: Tx) -> dict:
-    out: dict = {"actor": tx.actor, "venue": tx.venue}
     a = tx.action
-    if type(a) is Swap:
-        out["type"] = "swap"
-        out["token_in"] = a.token_in
-        out["token_out"] = a.token_out
-        out["amount"] = None if a.amount is None else str(a.amount)
-        if a.exact_out:
-            out["exact_out"] = True
-    elif type(a) is AddLiquidity:
-        out["type"] = "add_liquidity"
-        out["amount_x"] = str(a.amount_x)
-        out["amount_y"] = str(a.amount_y)
-    elif type(a) is RemoveLiquidity:
-        out["type"] = "remove_liquidity"
-        out["shares"] = str(a.shares)
-    elif type(a) is CdpManipulate:
-        out["type"] = "cdp"
-        out["kind"] = a.kind
-        out["qty"] = str(a.qty)
-    elif type(a) is Liquidate:
-        out["type"] = "liquidate"
-        out["victim"] = a.victim
-    elif type(a) is Bet:
-        out["type"] = "bet"
-    elif type(a) is GetReward:
-        out["type"] = "get_reward"
-    else:
+    if type(a) not in _ACTION_NAMES:
         raise ParseError("<tx>", f"unknown action {a!r}")
+    out: dict = {"actor": tx.actor, "venue": tx.venue, "type": _ACTION_NAMES[type(a)]}
+    for f in fields(a):
+        value = getattr(a, f.name)
+        if f.type == "bool":
+            if value:
+                out[f.name] = True
+        elif f.type == "str":
+            out[f.name] = value
+        else:
+            out[f.name] = None if value is None else str(value)
     if tx.label:
         out["label"] = tx.label
     if tx.fee:
@@ -234,6 +226,7 @@ def tx_to_json(tx: Tx) -> dict:
 # ---------------------------------------------------------------------------
 
 def contract_from_json(obj: dict, path: str, primary: str) -> tuple[str, object]:
+    _shaped(obj, dict, path)
     cid = _require(obj, "id", path)
     kind = _require(obj, "type", path)
     if kind == "amm":
@@ -251,11 +244,11 @@ def contract_from_json(obj: dict, path: str, primary: str) -> tuple[str, object]
             lp_total=_amount(obj.get("lp_total", 0), f"{path}.lp_total"),
             lp_shares={
                 acct: _amount(v, f"{path}.lp_shares.{acct}")
-                for acct, v in obj.get("lp_shares", {}).items()
+                for acct, v in _shaped(obj.get("lp_shares", {}), dict, f"{path}.lp_shares").items()
             },
         )
     elif kind == "maker":
-        ratio = obj.get("ratio", {"num": 3, "den": 2})
+        ratio = _shaped(obj.get("ratio", {"num": 3, "den": 2}), dict, f"{path}.ratio")
         oracle_price = None
         if obj.get("oracle_price") is not None:
             f = _fraction(obj["oracle_price"], f"{path}.oracle_price")
@@ -268,9 +261,12 @@ def contract_from_json(obj: dict, path: str, primary: str) -> tuple[str, object]
             ratio_den=_amount(_require(ratio, "den", f"{path}.ratio"), f"{path}.ratio.den", 1),
             collateral={
                 acct: _amount(v, f"{path}.collateral.{acct}")
-                for acct, v in obj.get("collateral", {}).items()
+                for acct, v in _shaped(obj.get("collateral", {}), dict, f"{path}.collateral").items()
             },
-            debt={acct: _amount(v, f"{path}.debt.{acct}") for acct, v in obj.get("debt", {}).items()},
+            debt={
+                acct: _amount(v, f"{path}.debt.{acct}")
+                for acct, v in _shaped(obj.get("debt", {}), dict, f"{path}.debt").items()
+            },
             oracle_price=oracle_price,
             efficient_auction=bool(obj.get("efficient_auction", False)),
         )
@@ -351,7 +347,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ParseError("$.schema_version", f"unsupported version {doc['schema_version']!r}")
 
     tokens = []
-    for i, t in enumerate(_require(doc, "tokens", "$")):
+    for i, t in enumerate(_shaped(_require(doc, "tokens", "$"), list, "$.tokens")):
+        _shaped(t, dict, f"$.tokens[{i}]")
         tokens.append(
             TokenDecl(
                 id=_require(t, "id", f"$.tokens[{i}]"),
@@ -368,14 +365,14 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ParseError("$.tokens", "duplicate token ids")
 
     balances: dict[tuple[str, str], int] = {}
-    for acct, per_token in doc.get("accounts", {}).items():
-        for token, amount in per_token.items():
+    for acct, per_token in _shaped(doc.get("accounts", {}), dict, "$.accounts").items():
+        for token, amount in _shaped(per_token, dict, f"$.accounts.{acct}").items():
             if token not in token_ids:
                 raise ParseError(f"$.accounts.{acct}", f"unknown token {token!r}")
             balances[(acct, token)] = _amount(amount, f"$.accounts.{acct}.{token}")
 
     contracts: dict[str, object] = {}
-    for i, c in enumerate(doc.get("contracts", [])):
+    for i, c in enumerate(_shaped(doc.get("contracts", []), list, "$.contracts")):
         cid, contract = contract_from_json(c, f"$.contracts[{i}]", primary)
         if cid in contracts:
             raise ParseError(f"$.contracts[{i}]", f"duplicate contract id {cid!r}")
@@ -390,13 +387,13 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     known_venues = set(contracts) | ({new_contract[0]} if new_contract else set())
 
-    miner = doc.get("miner", {})
+    miner = _shaped(doc.get("miner", {}), dict, "$.miner")
     miner_account = miner.get("account", "miner")
-    flags = miner.get("flags", {})
+    flags = _shaped(miner.get("flags", {}), dict, "$.miner.flags")
 
     def load_txs(objs, path, origin):
         txs = []
-        for i, obj in enumerate(objs):
+        for i, obj in enumerate(_shaped(objs, list, path)):
             tx = tx_from_json(obj, f"{path}[{i}]", origin)
             if tx.venue not in known_venues:
                 raise ParseError(f"{path}[{i}].venue", f"unknown venue {tx.venue!r}")
@@ -414,15 +411,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     valuation = None
     if doc.get("valuation") is not None:
-        v = doc["valuation"]
+        v = _shaped(doc["valuation"], dict, "$.valuation")
         prices = {}
-        for token, frac in v.get("prices", {}).items():
+        for token, frac in _shaped(v.get("prices", {}), dict, "$.valuation.prices").items():
             if token not in token_ids:
                 raise ParseError("$.valuation.prices", f"unknown token {token!r}")
             prices[token] = _fraction(frac, f"$.valuation.prices.{token}")
         valuation = Valuation(primary=primary, mode=v.get("mode", "primary_only"), prices=prices)
 
-    b = doc.get("budget", {})
+    b = _shaped(doc.get("budget", {}), dict, "$.budget")
     budget = SearchBudget(
         mode=b.get("mode", "randomized"),
         max_paths=_amount(b.get("max_paths", 400_000), "$.budget.max_paths", 1),
@@ -432,7 +429,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     insertion_bounds = None
     if doc.get("insertion_bounds") is not None:
-        ib = doc["insertion_bounds"]
+        ib = _shaped(doc["insertion_bounds"], dict, "$.insertion_bounds")
         insertion_bounds = (
             _amount(_require(ib, "alpha_min", "$.insertion_bounds"), "$.insertion_bounds.alpha_min", 1),
             _amount(_require(ib, "alpha_max", "$.insertion_bounds"), "$.insertion_bounds.alpha_max", 1),
@@ -518,15 +515,17 @@ def scenario_to_dict(s: Scenario) -> dict:
     return doc
 
 
-def load_scenario(path: str | Path) -> Scenario:
-    text = Path(path).read_text()
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object stored at ``path``; float literals are rejected."""
     try:
-        doc = json.loads(text, parse_float=_reject_float)
+        doc = json.loads(Path(path).read_text(), parse_float=_reject_float)
     except json.JSONDecodeError as e:
         raise ParseError("$", f"invalid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("$", "scenario must be a JSON object")
-    return scenario_from_dict(doc)
+    return _shaped(doc, dict, "$")
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    return scenario_from_dict(read_json_object(path))
 
 
 def save_scenario(s: Scenario, path: str | Path) -> None:

@@ -271,6 +271,47 @@ def test_pool_fee_of_the_whole_input_is_a_one_line_error(runner, tmp_path):
     assert result.stderr == "error: $.contracts[1].fee_bps: value 10000 above maximum 9999\n"
 
 
+def test_wrong_shaped_scenario_section_is_a_one_line_error(runner, tmp_path):
+    from mevsearch.cli import EXIT_BAD_INPUT
+
+    doc = json.loads((DATA / "liquidation.json").read_text())
+    doc["budget"] = []
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["mev", "--scenario", str(path)])
+    assert result.exit_code == EXIT_BAD_INPUT
+    assert result.stdout == ""
+    assert result.stderr == "error: $.budget: expected a JSON object\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"pair": ', "$: invalid JSON: Expecting value: line 1 column 10 (char 9)"),
+        ('{"pair": {"reserve_x": "abc"}}', "$.pair.reserve_x: not a decimal integer: 'abc'"),
+        ('{"pair": {"reserve_x": null}}', "$.pair.reserve_x: expected a decimal string, got None"),
+        ('{"pair": []}', "$.pair: expected a JSON object"),
+        ('["pair"]', "$: expected a JSON object"),
+    ],
+    ids=["invalid_json", "not_an_integer", "null", "venue_not_an_object", "not_an_object"],
+)
+def test_bad_expected_snapshot_is_a_one_line_error(runner, tmp_path, text, message):
+    from mevsearch.cli import EXIT_BAD_INPUT
+
+    path = tmp_path / "expected.json"
+    path.write_text(text)
+    args = [
+        "replay",
+        "--scenario", str(DATA / "pair_scenario.json"),
+        "--log", str(DATA / "pair_log.csv"),
+        "--expected", str(path),
+    ]
+    result = runner.invoke(main, args)
+    assert result.exit_code == EXIT_BAD_INPUT
+    assert result.stdout == ""
+    assert result.stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("option, value", [("--increment", "abc"), ("--mining-cost", "1.5")])
 def test_wmev_integer_options_are_usage_errors(runner, option, value):
     args = ["wmev", "--scenario", str(DATA / "wmev_scenario.json"), "--hash-fraction", "1/2", option, value]

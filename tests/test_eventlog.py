@@ -4,18 +4,30 @@ from fractions import Fraction
 
 import pytest
 
-from mevsearch.contracts import AmmPool, MakerBook
+from mevsearch.contracts import AmmPool, MakerBook, Pricebet
 from mevsearch.eventlog import (
+    KINDS,
     Record,
     contract_snapshot,
     log_from_sequence,
     read_event_log,
+    record_to_tx,
     replay,
     replay_validate,
     write_event_log,
 )
 from mevsearch.scenario import ParseError
-from mevsearch.state import AddLiquidity, RemoveLiquidity, State, Swap, Tx
+from mevsearch.state import (
+    AddLiquidity,
+    Bet,
+    CdpManipulate,
+    Liquidate,
+    RemoveLiquidity,
+    State,
+    Swap,
+    Tx,
+    apply_tx,
+)
 
 
 def fresh_amm_state(rx=10_000_000, ry=8_000_000, fee=30):
@@ -28,6 +40,12 @@ def test_csv_round_trip(tmp_path):
                token_in="TKN", amount_in=5, token_out="ETH"),
         Record(venue="pair", block_number=1, tx_index=1, kind="liquidity_add",
                actor="lp", amount_x=10, amount_y=8),
+        Record(venue="pair", block_number=1, tx_index=2, kind="liquidity_remove",
+               actor="lp", shares=4),
+        Record(venue="book", block_number=1, tx_index=3, kind="cdp", actor="v",
+               sub_kind="withdraw_loan", qty=9),
+        Record(venue="book", block_number=1, tx_index=4, kind="liquidate", actor="k",
+               victim="v"),
         Record(venue="book", block_number=2, tx_index=0, kind="price_update",
                price_num=3, price_den=2),
         Record(venue="book", block_number=2, tx_index=1, kind="fee_update",
@@ -35,9 +53,53 @@ def test_csv_round_trip(tmp_path):
         Record(venue="pair", block_number=3, tx_index=0, kind="swap", actor="b",
                token_in="ETH", amount_in=7, token_out="TKN", reverted=True),
     ]
+    assert {r.kind for r in records} == set(KINDS)
     path = tmp_path / "log.csv"
     write_event_log(records, path)
     assert read_event_log(path) == records
+
+
+def test_logged_actions_convert_back_to_their_transactions():
+    pool = AmmPool("DAI", "ETH", 2_000, 1_000, fee_bps=0)
+    book = MakerBook(loan_token="DAI", collateral_token="ETH", price_source="pool")
+    state = State(
+        {("v", "ETH"): 300, ("a", "ETH"): 1_000, ("lp", "DAI"): 400, ("lp", "ETH"): 200},
+        {"pool": pool, "book": book},
+        0,
+    )
+    txs = [
+        Tx("v", "book", CdpManipulate("deposit_collateral", 300)),
+        Tx("v", "book", CdpManipulate("withdraw_loan", 350)),
+        Tx("v", "book", CdpManipulate("pay_loan", 50)),
+        Tx("v", "book", CdpManipulate("withdraw_collateral", 10)),
+        Tx("lp", "pool", AddLiquidity(400, 200)),
+        Tx("lp", "pool", RemoveLiquidity(100)),
+        Tx("a", "pool", Swap("ETH", "DAI", 1_000)),
+        Tx("keeper", "book", Liquidate("v")),
+    ]
+    records, _ = log_from_sequence(state, txs, block_number=5)
+    assert [record_to_tx(r) for r in records] == txs
+    assert [(r.block_number, r.tx_index) for r in records] == [(5, i) for i in range(len(txs))]
+
+
+@pytest.mark.parametrize(
+    "tx, message",
+    [
+        # its record would replay as an exact-input swap
+        (Tx("a", "pool", Swap("ETH", "DAI", 10, exact_out=True)), "a swap record cannot carry"),
+        (Tx("a", "bet", Bet()), "bets are not loggable events"),
+    ],
+    ids=["exact_out_swap", "bet"],
+)
+def test_unloggable_actions_rejected(tx, message):
+    state = State(
+        {("a", "ETH"): 1_000},
+        {"pool": AmmPool("DAI", "ETH", 2_000, 1_000, fee_bps=0), "bet": Pricebet("pool", "ETH", 10)},
+        0,
+    )
+    assert apply_tx(state, tx) is not None
+    with pytest.raises(ParseError, match=message):
+        log_from_sequence(state, [tx])
 
 
 def test_unsorted_log_rejected(tmp_path):

@@ -19,7 +19,17 @@ from mevsearch.scenario import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from mevsearch.state import Bet, Liquidate, Swap, Tx
+from mevsearch.state import (
+    Action,
+    AddLiquidity,
+    Bet,
+    CdpManipulate,
+    GetReward,
+    Liquidate,
+    RemoveLiquidity,
+    Swap,
+    Tx,
+)
 
 
 def full_scenario() -> Scenario:
@@ -40,11 +50,16 @@ def full_scenario() -> Scenario:
         mempool=(
             Tx("alice", "amm", Swap("BBT", "ETH", 10**18), label="m0"),
             Tx("alice", "book", Liquidate("v"), label="m1", arrival_block=1),
+            Tx("alice", "amm", Swap("BBT", "ETH", 3 * 10**17, exact_out=True), label="m2", fee=21),
+            Tx("lp", "amm", AddLiquidity(10**18, 9 * 10**17), label="m3", fee=5, arrival_block=1),
+            Tx("lp", "amm", RemoveLiquidity(10**9), label="m4"),
+            Tx("v", "book", CdpManipulate("withdraw_loan", 7), label="m5", fee=1, arrival_block=2),
+            Tx("alice", "bet", GetReward(), label="m6"),
         ),
         miner_account="miner",
         templates=(
             Tx("miner", "amm", Swap("ETH", "BBT", None, exact_out=True), origin="miner", label="t0"),
-            Tx("miner", "bet", Bet(), origin="miner", label="t1"),
+            Tx("miner", "bet", Bet(), origin="miner", label="t1", fee=3, arrival_block=1),
         ),
         allow_reorder=True,
         allow_censor=True,
@@ -62,6 +77,8 @@ def full_scenario() -> Scenario:
 
 def test_round_trip_semantic_identity(tmp_path):
     s = full_scenario()
+    # every action type, with every optional transaction field set somewhere
+    assert {type(tx.action) for tx in s.mempool + s.templates} == set(Action.__args__)
     path = tmp_path / "scn.json"
     save_scenario(s, path)
     s2 = load_scenario(path)
@@ -89,6 +106,81 @@ def test_saved_amounts_are_decimal_strings(tmp_path):
     for tx in doc["mempool"]:
         if tx["type"] == "swap":
             assert tx["amount"] is None or isinstance(tx["amount"], str)
+
+
+def shaped_doc() -> dict:
+    return {
+        "schema_version": 1,
+        "tokens": [{"id": "ETH", "primary": True}, {"id": "BBT"}],
+        "accounts": {"u": {"BBT": "10"}},
+        "contracts": [
+            {"id": "amm", "type": "amm", "token_x": "BBT", "token_y": "ETH",
+             "reserve_x": "1000", "reserve_y": "1000"}
+        ],
+        "mempool": [
+            {"actor": "u", "venue": "amm", "type": "swap", "token_in": "BBT",
+             "token_out": "ETH", "amount": "10"}
+        ],
+        "miner": {"account": "miner", "flags": {"reorder": True}},
+        "budget": {"mode": "exhaustive"},
+        "valuation": {"mode": "primary_only"},
+    }
+
+
+WRONG_SHAPES = [
+    (("accounts",), [1], "$.accounts: expected a JSON object"),
+    (("accounts", "u"), [], "$.accounts.u: expected a JSON object"),
+    (("tokens",), [1], "$.tokens[0]: expected a JSON object"),
+    (("contracts",), [1], "$.contracts[0]: expected a JSON object"),
+    (("mempool",), [1], "$.mempool[0]: expected a JSON object"),
+    (("miner",), [], "$.miner: expected a JSON object"),
+    (("miner", "flags"), [], "$.miner.flags: expected a JSON object"),
+    (("budget",), [], "$.budget: expected a JSON object"),
+    (("valuation",), [], "$.valuation: expected a JSON object"),
+]
+
+
+@pytest.mark.parametrize(
+    "keys, value, message", WRONG_SHAPES, ids=[".".join(k) for k, _, _ in WRONG_SHAPES]
+)
+def test_wrong_shaped_section_rejected(keys, value, message):
+    doc = shaped_doc()
+    scenario_from_dict(doc)  # the unchanged document loads
+    *parents, last = keys
+    section = doc
+    for key in parents:
+        section = section[key]
+    section[last] = value
+    with pytest.raises(ParseError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == message
+
+
+def test_wrong_shaped_entries_and_contract_sections_rejected():
+    doc = shaped_doc()
+    doc["tokens"] = {"ETH": {"primary": True}}
+    with pytest.raises(ParseError, match=r"^\$\.tokens: expected a JSON array$"):
+        scenario_from_dict(doc)
+    doc = shaped_doc()
+    doc["contracts"][0]["lp_shares"] = ["u"]
+    with pytest.raises(ParseError, match=r"^\$\.contracts\[0\]\.lp_shares: expected a JSON object$"):
+        scenario_from_dict(doc)
+    doc = shaped_doc()
+    doc["mempool"][0]["type"] = ["swap"]  # unhashable: no table lookup
+    with pytest.raises(ParseError, match="unknown transaction type"):
+        scenario_from_dict(doc)
+
+
+def test_unknown_cdp_action_is_reported_before_its_fields():
+    doc = shaped_doc()
+    doc["contracts"].append(
+        {"id": "book", "type": "maker", "loan_token": "BBT", "collateral_token": "ETH",
+         "price_source": "amm"}
+    )
+    doc["mempool"] = [{"actor": "u", "venue": "book", "type": "cdp", "kind": "borrow"}]
+    with pytest.raises(ParseError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == "$.mempool[0]: unknown CDP action 'borrow'"
 
 
 def test_floats_rejected(tmp_path):
