@@ -7,8 +7,7 @@ contract without trading at all.
 """
 
 from mevsearch import AmmPool, OrderingSpace, SearchBudget, State, Swap, Tx
-from mevsearch.compose import bribery_bound
-from mevsearch.metrics import Valuation
+from mevsearch.metrics import Valuation, value_spread
 
 pool = AmmPool("YFI", "ETH", 1_000 * 10**18, 30_000 * 10**18, fee_bps=30)
 state = State(
@@ -28,7 +27,7 @@ mempool = (
 )
 space = OrderingSpace(mempool=mempool)
 
-bound = bribery_bound("A", space, state, Valuation(primary="ETH"), SearchBudget(mode="exhaustive"))
+bound = value_spread("A", space, state, Valuation(primary="ETH"), SearchBudget(mode="exhaustive"))
 WAD = 10**18
 print("A sells 22 YFI; B, C, D buy the dip with ETH.")
 print(f"  best ordering for A:  {bound.best_ordering}  -> {bound.b_high / WAD:.4f} ETH")

@@ -2,7 +2,7 @@
 
 Models constant-product AMMs, a simplified CDP contract, and a price-betting
 contract as exact-integer state transitions; enumerates miner-feasible block
-constructions (reordering, censoring, insertion) with lossless run pruning
+constructions (reordering, censoring, insertion) with lossless reductions
 and a seeded randomized fallback; and computes extractable-value metrics,
 composability verdicts, and insertion-size optima on top of the search.
 """
@@ -15,7 +15,6 @@ from .ordering import EvReport, OrderingSpace, SearchBudget, count_sequences, it
 from .state import (
     AddLiquidity,
     Bet,
-    Block,
     CdpManipulate,
     GetReward,
     Liquidate,
@@ -26,7 +25,6 @@ from .state import (
     UnknownVenueError,
     apply_sequence,
     apply_tx,
-    block_valid,
     total_supply,
 )
 
@@ -34,7 +32,6 @@ __all__ = [
     "AddLiquidity",
     "AmmPool",
     "Bet",
-    "Block",
     "CdpManipulate",
     "EvReport",
     "GetReward",
@@ -53,7 +50,6 @@ __all__ = [
     "ValueSpread",
     "apply_sequence",
     "apply_tx",
-    "block_valid",
     "count_sequences",
     "ev",
     "iter_sequences",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .contracts import AmmPool, MakerBook, Pricebet, amm_swap_exact_in
-from .metrics import MinerModel, Valuation, ValueSpread, ev, value_spread
+from .metrics import MinerModel, Valuation, ev
 from .ordering import EvReport, OrderingSpace, SearchBudget
 from .state import Bet, GetReward, Liquidate, MINER, ScenarioError, State, Swap, Tx
 
@@ -280,19 +280,6 @@ def oracle_liquidation_mev(
         space, templates=space.templates + templates, allow_insert=True
     )
     return ev(player, extended, state, valuation, budget, workers=workers)
-
-
-def bribery_bound(
-    beneficiary: str,
-    space: OrderingSpace,
-    state: State,
-    valuation: Valuation,
-    budget: SearchBudget,
-    workers: int = 1,
-) -> ValueSpread:
-    """MEV increase a bribery contract makes available: the beneficiary's
-    best-minus-worst ordering value, payable to the miner as a bribe."""
-    return value_spread(beneficiary, space, state, valuation, budget, workers=workers)
 
 
 # ---------------------------------------------------------------------------

@@ -103,15 +103,18 @@ def _cell_to_csv(record: Record, f: Field):
 
 def read_event_log(path: str | Path) -> list[Record]:
     records: list[Record] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "kind" not in reader.fieldnames:
-            raise ParseError("line 1", "missing header row")
-        for line, row in enumerate(reader, start=2):
-            kind = (row.get("kind") or "").strip()
-            if kind not in KINDS:
-                raise ParseError(f"line {line}", f"unknown record type {kind!r}")
-            records.append(Record(**{f.name: _cell_from_csv(row, f, line) for f in _FIELDS}))
+        try:
+            if reader.fieldnames is None or "kind" not in reader.fieldnames:
+                raise ParseError("line 1", "missing header row")
+            for line, row in enumerate(reader, start=2):
+                kind = (row.get("kind") or "").strip()
+                if kind not in KINDS:
+                    raise ParseError(f"line {line}", f"unknown record type {kind!r}")
+                records.append(Record(**{f.name: _cell_from_csv(row, f, line) for f in _FIELDS}))
+        except UnicodeDecodeError as e:
+            raise ParseError(f"line {reader.line_num + 1}", f"not UTF-8 text: {e}") from None
     order = [(r.block_number, r.tx_index) for r in records]
     if order != sorted(order):
         raise ParseError("$", "records must be sorted by (block_number, tx_index)")

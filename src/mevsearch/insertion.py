@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .ordering import EvReport, OrderingSpace, SearchBudget, _Tree, _labels_for
+from .ordering import _SLEEP, EvReport, OrderingSpace, SearchBudget, _Tree, _labels_for
 from .state import FeePolicy, ScenarioError, State, Swap, Tx, UnknownVenueError, apply_tx
 
 LOCAL_SPAN = 2048
@@ -216,7 +216,10 @@ def search_with_insertion(
         raise ScenarioError("need 1 <= alpha_min <= alpha_max")
     if space.k != 1:
         raise ScenarioError("insertion sizing searches single-block spaces (k = 1)")
-    tree = _Tree(space, pruning=False, tracked=objective.tracked)
+    # Footprints do not depend on the size, so equivalent skeletons have equal
+    # values at every size: sleep sets apply, but unverified run collapses
+    # would not.
+    tree = _Tree(space, _SLEEP, objective.tracked, state.contracts)
     fee_policy = tree.space.fee_policy()
     best: tuple[int, tuple[int, ...], int | None] | None = None  # (value, key, alpha)
     paths = 0

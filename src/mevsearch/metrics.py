@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .ordering import EvReport, OrderingSpace, SearchBudget, _greedy_k_blocks, search
+from .ordering import _FULL, EvReport, OrderingSpace, SearchBudget, _greedy_k_blocks, search
 from .state import ScenarioError, State
 
 PRIMARY_ONLY = "primary_only"
@@ -245,7 +245,7 @@ def wmev(
     else:
         objective = PlayerDelta.from_state(player.accounts, valuation, state)
         _, per_block = _greedy_k_blocks(
-            state, replace(space, k=horizon), objective, budget, pruning=True, workers=1
+            state, replace(space, k=horizon), objective, budget, _FULL, workers=1
         )
         values = tuple(per_block)
         tail = Fraction(0) if player.block_probs is not None else None

@@ -15,16 +15,40 @@ smallest item-index sequence wins, so reports are identical for any worker
 count.  With ``workers > 1``, exhaustive searches (any ``k``) run the
 subtrees under the walker's depth-2 prefixes in a process pool.
 
-Pruning collapses permutations within maximal runs of same-direction
-exact-input swaps on the same pool into one representative ordered by mempool
+Two reductions cut the walk; both keep the values and witnesses exact.
+
+Sleep sets (Godefroid, LNCS 1032, 1996).  Every item has a static footprint:
+its venue, the actor's balances in the tokens the action can move, a CDP
+book's price source or a claim's oracle pool, and the fee-token balances of
+the actor and the collector when fees are charged.  Two items with disjoint
+footprints commute bit for bit from any state, failures included, since
+neither can change what the other reads.  After item ``b`` the walk puts to
+sleep every item below ``b`` that was on offer, and keeps asleep every
+sleeper independent of ``b``; a sleeping item is not placed until an item it
+depends on wakes it, and a block break wakes all.  With reordering off, two
+mempool items never count as independent.  The walk then reaches exactly one
+construction per class of orderings that differ by swapping adjacent
+independent items: the lexicographically smallest (its normal form,
+Anisimov & Knuth, 1979).  Without censoring, a node where some transaction
+can never wake up has no construction under it and is cut.
+
+Run collapse.  Within maximal runs of same-direction exact-input swaps on one
+pool, permutations collapse into one representative ordered by mempool
 index.  Constant-product math is only order-independent up to integer
 rounding, so the search verifies every collapse: an inversion is skipped only
 when swapping the adjacent pair provably leaves the pool state bit-identical
 and both actors are single-shot accounts the objective ignores (their own
 balances then never influence anything downstream).  Repeated identical
 trades always collapse; distinct wei-scale trades collapse exactly when the
-rounding happens to agree, which keeps the reduction lossless for any
-objective.  The stateless enumeration API applies the syntactic rule only.
+rounding happens to agree.  The stateless enumeration API applies the
+syntactic rule only.
+
+Why the witnesses do not move: a skipped construction always has a smaller
+key with the same value (the sleeping item moved forward, or the verified
+pair swapped).  So the smallest key among the best-valued constructions is
+never skipped, and the same holds for the worst.  Only ``paths_explored`` and
+``paths_total`` change: they count the constructions left after reduction,
+one per equivalence class, not the raw orderings.
 
 Instances too large to enumerate fall back to seeded uniform sampling of
 orderings (Fisher-Yates shuffles, deduplicated) ; the original mempool order
@@ -44,6 +68,7 @@ from multiprocessing import get_context
 from . import contracts
 from .state import (
     FeePolicy,
+    GetReward,
     MINER,
     ScenarioError,
     State,
@@ -131,22 +156,41 @@ class EvReport:
 # Item bookkeeping
 # ---------------------------------------------------------------------------
 
-def _run_key(tx: Tx, tracked: frozenset[str]):
-    """Equivalence key for prunable swaps; None acts as a barrier."""
-    a = tx.action
-    if type(a) is Swap and not a.exact_out and a.amount is not None and tx.actor not in tracked:
-        return (tx.venue, a.token_in, a.token_out)
-    return None
+# Reduction levels of the walker, as bit flags.
+_RUN = 1  # collapse verified same-direction swap runs
+_SLEEP = 2  # footprint sleep sets
+_FULL = _RUN | _SLEEP
 
 
-def _guarded_tracked(items: tuple[Tx, ...], tracked: frozenset[str]) -> frozenset[str]:
-    """Also treat multi-shot actors as tracked: an account with several
-    transactions can gate later guards through its own balance, so its swaps
-    must never be commuted away."""
-    counts: dict[str, int] = {}
-    for tx in items:
-        counts[tx.actor] = counts.get(tx.actor, 0) + 1
-    return tracked | {actor for actor, n in counts.items() if n > 1}
+def _footprint(tx: Tx, deployed, space: OrderingSpace) -> frozenset | None:
+    """Everything ``tx`` can read or write, from any state: its venue, the
+    actor's balances in the tokens the action can move, a CDP book's price
+    source or a claim's oracle pool, and the actor's and the collector's
+    fee-token balances when a fee is charged.  ``None`` (dependent on every
+    item) when the action's tokens live in a contract and ``deployed`` is
+    not given."""
+    action = tx.action
+    keys = {tx.venue}
+    if type(action) is Swap:
+        tokens = (action.token_in, action.token_out)
+    elif deployed is None:
+        return None
+    else:
+        contract = deployed.get(tx.venue)
+        tokens = ()
+        if isinstance(contract, contracts.AmmPool):
+            tokens = (contract.token_x, contract.token_y)
+        elif isinstance(contract, contracts.MakerBook):
+            tokens = (contract.loan_token, contract.collateral_token)
+            keys.add(contract.price_source)
+        elif isinstance(contract, contracts.Pricebet):
+            tokens = (contract.token,)
+            if type(action) is GetReward:
+                keys.add(contract.oracle)
+    keys.update((tx.actor, token) for token in tokens)
+    if space.charge_fees and tx.fee > 0:
+        keys.update(((tx.actor, space.fee_token), (space.miner, space.fee_token)))
+    return frozenset(keys)
 
 
 def _commutes(state: State, tx_p: Tx, tx_c: Tx) -> bool:
@@ -186,51 +230,133 @@ class _Tree:
     Items are the mempool transactions that arrive within the ``k`` blocks,
     in mempool order, followed by the templates; a construction's key is its
     tuple of item indices, with ``BLOCK_BREAK`` between blocks.
+
+    The one independence test has a static half and a dynamic half.  Static:
+    ``indep[i]`` is the bitmask of the items whose footprints are disjoint
+    from item ``i``'s (with reordering off, two mempool items never count as
+    independent).  Dynamic: ``runs[i]`` is item ``i``'s run key, and two
+    adjacent items of equal run key swap when ``_commutes`` verifies it.  Run
+    keys go to exact-input swaps by single-shot actors the objective does not
+    track: an account with several transactions can gate later guards through
+    its own balance.
     """
 
-    __slots__ = ("space", "items", "keys", "waves", "templates")
+    __slots__ = ("space", "items", "waves", "templates", "runs", "indep")
 
-    def __init__(self, space: OrderingSpace, pruning: bool, tracked: frozenset[str]):
+    def __init__(
+        self, space: OrderingSpace, reduction: int, tracked: frozenset[str], deployed=None
+    ):
         if space.k < 1:
             raise ScenarioError("k must be >= 1")
         space = space.labeled()
         mempool = tuple(tx for tx in space.mempool if 0 <= tx.arrival_block < space.k)
+        items = mempool + space.templates
         self.space = space
-        self.items = mempool + space.templates
+        self.items = items
         self.waves = tuple(
             tuple(i for i, tx in enumerate(mempool) if tx.arrival_block == block)
             for block in range(space.k)
         )
-        self.templates = tuple(range(len(mempool), len(self.items)))
-        tracked = _guarded_tracked(self.items, tracked | {space.miner})
-        self.keys = [_run_key(tx, tracked) if pruning else None for tx in self.items]
+        self.templates = tuple(range(len(mempool), len(items)))
+
+        counts: dict[str, int] = {}
+        for tx in items:
+            counts[tx.actor] = counts.get(tx.actor, 0) + 1
+        self.runs = [
+            (tx.venue, tx.action.token_in, tx.action.token_out)
+            if reduction & _RUN
+            and type(tx.action) is Swap
+            and not tx.action.exact_out
+            and tx.action.amount is not None
+            and counts[tx.actor] == 1
+            and tx.actor not in tracked
+            and tx.actor != space.miner
+            else None
+            for tx in items
+        ]
+
+        n = len(items)
+        self.indep = [0] * n
+        if reduction & _SLEEP:
+            prints = [_footprint(tx, deployed, space) for tx in items]
+            for i in range(n):
+                for j in range(i):
+                    if (
+                        prints[i] is not None
+                        and prints[j] is not None
+                        and prints[i].isdisjoint(prints[j])
+                        and (space.allow_reorder or i >= len(mempool))
+                    ):
+                        self.indep[i] |= 1 << j
+                        self.indep[j] |= 1 << i
+
+    def _dead(self, sleep: int, mem_rem: tuple[int, ...], tpl_rem: tuple[int, ...]) -> bool:
+        """Can some remaining mempool item never be placed?  Only the awake
+        remaining items, and the sleepers that depend on something
+        placeable, can be; without censoring the node then has no leaf."""
+        indep = self.indep
+        mem_bits = 0
+        for i in mem_rem:
+            mem_bits |= 1 << i
+        reach = mem_bits
+        for i in tpl_rem:
+            reach |= 1 << i
+        reach &= ~sleep
+        asleep = sleep
+        while True:
+            woken = 0
+            rest = asleep
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if reach & ~indep[low.bit_length() - 1]:
+                    woken |= low
+            if not woken:
+                return bool(asleep & mem_bits)
+            reach |= woken
+            asleep ^= woken
 
     def walk(self, state: State | None, prefix: tuple[int, ...] = (), max_len: int | None = None):
-        """Yield ``(key, state)`` once for every feasible construction whose
-        key extends ``prefix``.
+        """Yield ``(key, state)`` once for every construction whose key
+        extends ``prefix`` and survives the reduction.
 
-        With a state, each step is applied in skip-invalid mode and a pruning
+        Item ``b`` is skipped when it is asleep, or when it collapses with
+        the item before it.  After ``b`` the sleep mask becomes
+        ``(sleep | the choices below b) & indep[b]``; it resets at
+        ``BLOCK_BREAK``.  The mask does not depend on which siblings were
+        walked, so a walk that follows ``prefix`` builds the same subtree as
+        the full walk.  Without censoring, a node of the last block where
+        some transaction can never wake up is cut.
+
+        With a state, each step is applied in skip-invalid mode and a run
         collapse is taken only when ``_commutes`` verifies it; without one,
-        the yielded states are ``None`` and only the syntactic rule applies.
+        the yielded states are ``None`` and collapses are not verified.
         With ``max_len`` the walk stops at that depth and also yields every
         node there, complete or not: those nodes are work-unit prefixes.
         """
-        items, keys, waves, templates = self.items, self.keys, self.waves, self.templates
+        items, runs, indep, waves, templates = (
+            self.items, self.runs, self.indep, self.waves, self.templates,
+        )
         space = self.space
         reorder, censor, insert = space.allow_reorder, space.allow_censor, space.allow_insert
         free = reorder or censor
         last = space.k - 1
         fee_policy = None if state is None else space.fee_policy()
+        sleepy = any(indep)
         n_prefix = len(prefix)
         seq: list[int] = []
 
-        def node(st, block, mem_rem, tpl_rem, prev_key, prev_idx, prev_state):
+        def node(st, block, mem_rem, tpl_rem, prev_run, prev_idx, prev_state, sleep):
             depth = len(seq)
             if depth == max_len:
                 yield tuple(seq), st
                 return
             want = prefix[depth] if depth < n_prefix else None
             if block == last:
+                if sleep and mem_rem and not censor and self._dead(
+                    sleep, mem_rem, tpl_rem if insert else ()
+                ):
+                    return
                 # Without censoring, every admitted transaction is placed.
                 if want is None and (censor or not mem_rem):
                     yield tuple(seq), st
@@ -238,18 +364,25 @@ class _Tree:
                 seq.append(BLOCK_BREAK)
                 yield from node(
                     None if st is None else st.with_block(st.block_number + 1),
-                    block + 1, mem_rem + waves[block + 1], templates, None, -1, None,
+                    block + 1, mem_rem + waves[block + 1], templates, None, -1, None, 0,
                 )
                 seq.pop()
             mem_choices = mem_rem if free else mem_rem[:1]
             n_mem_choices = len(mem_choices)
-            for pos, idx in enumerate(mem_choices + tpl_rem if insert else mem_choices):
+            choices = mem_choices + tpl_rem if insert else mem_choices
+            offered = 0
+            if sleepy:
+                for idx in choices:
+                    offered |= 1 << idx
+            for pos, idx in enumerate(choices):
                 if want is not None and idx != want:
                     continue
-                key = keys[idx]
+                if sleep >> idx & 1:
+                    continue
+                run = runs[idx]
                 if (
-                    key is not None
-                    and key == prev_key
+                    run is not None
+                    and run == prev_run
                     and idx < prev_idx
                     and (st is None or _commutes(prev_state, items[prev_idx], items[idx]))
                 ):
@@ -270,10 +403,13 @@ class _Tree:
                     if applied is not None:
                         nxt = applied
                 seq.append(idx)
-                yield from node(nxt, block, nxt_mem, nxt_tpl, key, idx, st)
+                yield from node(
+                    nxt, block, nxt_mem, nxt_tpl, run, idx, st,
+                    (sleep | offered & ((1 << idx) - 1)) & indep[idx],
+                )
                 seq.pop()
 
-        return node(state, 0, waves[0], templates, None, -1, None)
+        return node(state, 0, waves[0], templates, None, -1, None, 0)
 
 
 def iter_sequences(
@@ -282,13 +418,16 @@ def iter_sequences(
     """Yield every feasible single-block sequence exactly once, as tuples of
     item indices (mempool 0..n-1 in original order, then templates).
 
-    Applies the syntactic collapse rule (index-sorted runs of single-shot
-    untracked same-direction swaps); the stateful search additionally
-    verifies each collapse against the integer pool arithmetic.
+    With ``pruning``, keeps one sequence per class of swaps of adjacent
+    independent items, where only swaps have footprints (there are no
+    contracts to read other actions' tokens from), and applies the syntactic
+    collapse rule (index-sorted runs of single-shot untracked same-direction
+    swaps); the stateful search additionally verifies each collapse against
+    the integer pool arithmetic.
     """
     if space.k != 1:
         raise ScenarioError("iter_sequences enumerates single-block spaces")
-    for key, _ in _Tree(space, pruning, tracked).walk(None):
+    for key, _ in _Tree(space, _FULL if pruning else 0, tracked).walk(None):
         yield key
 
 
@@ -489,7 +628,7 @@ def _greedy_k_blocks(
     space: OrderingSpace,
     objective,
     budget: SearchBudget,
-    pruning: bool,
+    reduction: int,
     workers: int,
 ) -> tuple[EvReport, list[int]]:
     """Greedy per-block concatenation; returns the report and the cumulative
@@ -507,7 +646,9 @@ def _greedy_k_blocks(
     current = state
     for b in range(space.k):
         pending += tuple(replace(tx, arrival_block=0) for tx in space.mempool if tx.arrival_block == b)
-        tree = _Tree(replace(space, mempool=pending, k=1), pruning, objective.tracked)
+        tree = _Tree(
+            replace(space, mempool=pending, k=1), reduction, objective.tracked, current.contracts
+        )
         reducer, _ = _search_tree(tree, current, objective, budget, False, workers)
         paths += reducer.paths
         key = reducer.best[1]
@@ -545,15 +686,28 @@ def search(
 ) -> EvReport:
     """Best (and optionally worst) objective value over the feasible space.
 
-    Exhaustive whenever ``budget`` allows full coverage of the pruned space;
+    Exhaustive whenever ``budget`` allows full coverage of the reduced space;
     otherwise seeded uniform sampling without replacement (greedy per-block
-    search for ``k > 1``).  Reports are bit-identical for any ``workers``
-    value.
+    search for ``k > 1``).  ``pruning`` turns both reductions on or off;
+    under an exhaustive budget the values and witnesses do not depend on it.
+    Reports are bit-identical for any ``workers`` value.
     """
+    return _search(space, budget, objective, state, _FULL if pruning else 0, want_worst, workers)
+
+
+def _search(
+    space: OrderingSpace,
+    budget: SearchBudget,
+    objective,
+    state: State,
+    reduction: int,
+    want_worst: bool,
+    workers: int,
+) -> EvReport:
     if space.k > 1 and budget.mode == "randomized":
-        report, _ = _greedy_k_blocks(state, space, objective, budget, pruning, workers)
+        report, _ = _greedy_k_blocks(state, space, objective, budget, reduction, workers)
         return report
 
-    tree = _Tree(space, pruning, objective.tracked)
+    tree = _Tree(space, reduction, objective.tracked, state.contracts)
     reducer, exhaustive = _search_tree(tree, state, objective, budget, want_worst, workers)
     return reducer.report(tree.items, exhaustive)

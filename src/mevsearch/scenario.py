@@ -63,6 +63,22 @@ def _shaped(value, kind: type, path: str):
     return value
 
 
+def _text(value, path: str) -> str:
+    """``value``, checked to be a JSON string: ids are used as dict keys."""
+    if not isinstance(value, str):
+        raise ParseError(path, f"expected a string, got {value!r}")
+    return value
+
+
+def _require_text(obj: dict, key: str, path: str) -> str:
+    return _text(_require(obj, key, path), f"{path}.{key}")
+
+
+def _optional_text(obj: dict, key: str, path: str) -> str | None:
+    value = obj.get(key)
+    return None if value is None else _text(value, f"{path}.{key}")
+
+
 def _amount(value, path: str, minimum: int = 0, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ParseError(path, f"expected a decimal string, got {value!r}")
@@ -164,9 +180,9 @@ def _field_from_json(obj: dict, f: Field, path: str, origin: str):
     # ``state`` postpones its annotations, so ``f.type`` is the source text.
     if f.type == "bool":
         return bool(obj.get(f.name, f.default))
-    value = _require(obj, f.name, path)
     if f.type == "str":
-        return value
+        return _require_text(obj, f.name, path)
+    value = _require(obj, f.name, path)
     if value is None and f.type == "int | None":
         if origin != "miner":
             raise ParseError(path, f"only miner templates may leave the {f.name} unresolved")
@@ -176,8 +192,8 @@ def _field_from_json(obj: dict, f: Field, path: str, origin: str):
 
 def tx_from_json(obj: dict, path: str, origin: str) -> Tx:
     _shaped(obj, dict, path)
-    actor = _require(obj, "actor", path)
-    venue = _require(obj, "venue", path)
+    actor = _require_text(obj, "actor", path)
+    venue = _require_text(obj, "venue", path)
     kind = _require(obj, "type", path)
     action_type = _ACTIONS.get(kind) if isinstance(kind, str) else None
     if action_type is None:
@@ -192,7 +208,7 @@ def tx_from_json(obj: dict, path: str, origin: str) -> Tx:
         venue=venue,
         action=action,
         origin=origin,
-        label=obj.get("label", ""),
+        label=_text(obj.get("label", ""), f"{path}.label"),
         fee=_amount(obj.get("fee", 0), f"{path}.fee"),
         arrival_block=_amount(obj.get("arrival_block", 0), f"{path}.arrival_block"),
     )
@@ -227,11 +243,11 @@ def tx_to_json(tx: Tx) -> dict:
 
 def contract_from_json(obj: dict, path: str, primary: str) -> tuple[str, object]:
     _shaped(obj, dict, path)
-    cid = _require(obj, "id", path)
+    cid = _require_text(obj, "id", path)
     kind = _require(obj, "type", path)
     if kind == "amm":
-        token_x = _require(obj, "token_x", path)
-        token_y = _require(obj, "token_y", path)
+        token_x = _require_text(obj, "token_x", path)
+        token_y = _require_text(obj, "token_y", path)
         if token_x == token_y:
             raise ParseError(path, f"pool pairs token {token_x!r} with itself")
         contract: object = AmmPool(
@@ -254,9 +270,9 @@ def contract_from_json(obj: dict, path: str, primary: str) -> tuple[str, object]
             f = _fraction(obj["oracle_price"], f"{path}.oracle_price")
             oracle_price = (f.numerator, f.denominator)
         contract = MakerBook(
-            loan_token=_require(obj, "loan_token", path),
-            collateral_token=_require(obj, "collateral_token", path),
-            price_source=_require(obj, "price_source", path),
+            loan_token=_require_text(obj, "loan_token", path),
+            collateral_token=_require_text(obj, "collateral_token", path),
+            price_source=_require_text(obj, "price_source", path),
             ratio_num=_amount(_require(ratio, "num", f"{path}.ratio"), f"{path}.ratio.num", 1),
             ratio_den=_amount(_require(ratio, "den", f"{path}.ratio"), f"{path}.ratio.den", 1),
             collateral={
@@ -273,14 +289,14 @@ def contract_from_json(obj: dict, path: str, primary: str) -> tuple[str, object]
     elif kind == "pricebet":
         stake = _amount(obj.get("stake", 100), f"{path}.stake")
         contract = Pricebet(
-            oracle=_require(obj, "oracle", path),
+            oracle=_require_text(obj, "oracle", path),
             token=primary,
             deadline=_amount(_require(obj, "deadline", path), f"{path}.deadline"),
             stake=stake,
             reward=_amount(obj.get("reward", 2 * stake), f"{path}.reward"),
             pot=_amount(obj.get("pot", stake), f"{path}.pot"),
             has_bet=bool(obj.get("has_bet", False)),
-            player=obj.get("player"),
+            player=_optional_text(obj, "player", path),
             settled=bool(obj.get("settled", False)),
         )
     else:
@@ -351,7 +367,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         _shaped(t, dict, f"$.tokens[{i}]")
         tokens.append(
             TokenDecl(
-                id=_require(t, "id", f"$.tokens[{i}]"),
+                id=_require_text(t, "id", f"$.tokens[{i}]"),
                 primary=bool(t.get("primary", False)),
                 decimals=_amount(t.get("decimals", 18), f"$.tokens[{i}].decimals"),
             )
@@ -388,7 +404,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     known_venues = set(contracts) | ({new_contract[0]} if new_contract else set())
 
     miner = _shaped(doc.get("miner", {}), dict, "$.miner")
-    miner_account = miner.get("account", "miner")
+    miner_account = _text(miner.get("account", "miner"), "$.miner.account")
     flags = _shaped(miner.get("flags", {}), dict, "$.miner.flags")
 
     def load_txs(objs, path, origin):
@@ -456,7 +472,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         epsilon=epsilon,
         insertion_bounds=insertion_bounds,
         new_contract=new_contract,
-        beneficiary=doc.get("beneficiary"),
+        beneficiary=_optional_text(doc, "beneficiary", "$"),
         block_number=_amount(doc.get("block_number", 0), "$.block_number"),
     )
 
@@ -518,7 +534,9 @@ def scenario_to_dict(s: Scenario) -> dict:
 def read_json_object(path: str | Path) -> dict:
     """The JSON object stored at ``path``; float literals are rejected."""
     try:
-        doc = json.loads(Path(path).read_text(), parse_float=_reject_float)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_reject_float)
+    except UnicodeDecodeError as e:
+        raise ParseError("$", f"not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise ParseError("$", f"invalid JSON: {e}") from None
     return _shaped(doc, dict, "$")

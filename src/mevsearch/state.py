@@ -161,14 +161,6 @@ class State:
 
 
 @dataclass(frozen=True, slots=True)
-class Block:
-    """An ordered list of transactions at a block height."""
-
-    txs: tuple[Tx, ...]
-    block_number: int = 0
-
-
-@dataclass(frozen=True, slots=True)
 class SequenceResult:
     """Outcome of applying a transaction list.
 
@@ -247,11 +239,6 @@ def apply_sequence(
         current = nxt
         applied.append(i)
     return SequenceResult(current, tuple(applied))
-
-
-def block_valid(state: State, block: Block, fee_policy: FeePolicy | None = None) -> bool:
-    """A block is valid iff every transaction is valid at its input state."""
-    return apply_sequence(state, block.txs, "strict", fee_policy).ok
 
 
 def total_supply(state: State, token: str) -> int:

@@ -330,3 +330,55 @@ def test_seed_and_budget_overrides_keep_the_rest_of_the_budget():
     scenario.budget = SearchBudget(mode="randomized", max_paths=50, seed=1, tractability_threshold=3)
     out = _apply_overrides(scenario, 5, 7, None, None, None, None)
     assert out.budget == SearchBudget(mode="randomized", max_paths=7, seed=5, tractability_threshold=3)
+
+
+@pytest.mark.parametrize(
+    "section, index, key",
+    [
+        ("mempool", 0, "venue"),
+        ("mempool", 0, "actor"),
+        ("mempool", 0, "token_in"),
+        ("contracts", 0, "id"),
+        ("contracts", 1, "token_x"),
+        ("contracts", 0, "price_source"),
+        ("tokens", 0, "id"),
+    ],
+)
+def test_non_string_id_is_a_one_line_error(runner, tmp_path, section, index, key):
+    from mevsearch.cli import EXIT_BAD_INPUT
+
+    doc = json.loads((DATA / "liquidation.json").read_text())
+    assert key in doc[section][index]
+    doc[section][index][key] = []
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["mev", "--scenario", str(path)])
+    assert result.exit_code == EXIT_BAD_INPUT
+    assert result.stdout == ""
+    assert result.stderr.startswith(f"error: $.{section}[")
+    assert result.stderr.endswith(f".{key}: expected a string, got []\n")
+    assert result.stderr.count("\n") == 1
+
+
+UTF16_BOM = b"\xff\xfe"
+
+
+@pytest.mark.parametrize("which", ["scenario", "log", "expected"])
+def test_input_that_is_not_utf8_is_a_one_line_error(runner, tmp_path, which):
+    from mevsearch.cli import EXIT_BAD_INPUT
+
+    files = {
+        "scenario": DATA / "pair_scenario.json",
+        "log": DATA / "pair_log.csv",
+        "expected": DATA / "pair_expected.json",
+    }
+    bad = tmp_path / files[which].name
+    bad.write_bytes(UTF16_BOM + files[which].read_bytes())
+    files[which] = bad
+    args = ["replay"] + [arg for name, path in files.items() for arg in (f"--{name}", str(path))]
+    result = runner.invoke(main, args)
+    assert result.exit_code == EXIT_BAD_INPUT
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "not UTF-8 text" in result.stderr
+    assert result.stderr.count("\n") == 1

@@ -32,7 +32,8 @@ CORPUS_COUNT = 5
 # Randomized budgets laid over corpus scenario 0: (name, max_paths, threshold).
 RANDOMIZED = (
     ("capped", 400_000, 9),  # small enough for the capped exhaustive attempt
-    ("overcap", 100, 9),  # the capped attempt overflows, then sampling
+    ("overcap", 100, 9),  # the reduced space (96) fits: the capped attempt is exact
+    ("overflow", 50, 9),  # the capped attempt overflows, then sampling
     ("sampled", 200, 0),  # straight to sampling
 )
 

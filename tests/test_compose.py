@@ -9,7 +9,6 @@ import pytest
 from mevsearch.compose import (
     ComposabilityVerdict,
     TwoAmmInstance,
-    bribery_bound,
     build_pricebet_scenario,
     check_composability,
     liquidity_metrics,
@@ -286,7 +285,7 @@ def test_liquidatable_at_identity_keeps_identity_profit():
 
 # -- bribery ------------------------------------------------------------------
 
-def test_bribery_bound_equals_spread():
+def test_bribery_spread_puts_the_seller_last():
     pool = AmmPool("BBT", "ETH", 100_000, 100_000, fee_bps=30)
     state = State(
         {("A", "BBT"): 9_000, ("D1", "ETH"): 4_000, ("D2", "ETH"): 2_500},
@@ -300,9 +299,7 @@ def test_bribery_bound_equals_spread():
     )
     space = OrderingSpace(mempool=mempool)
     valuation = Valuation(primary="ETH")
-    bound = bribery_bound("A", space, state, valuation, EXH)
-    spread = value_spread("A", space, state, valuation, EXH)
-    assert bound == spread
+    bound = value_spread("A", space, state, valuation, EXH)
     assert bound.spread == bound.b_high - bound.b_low > 0
     assert bound.best_ordering[-1] == "A"
 
@@ -311,5 +308,5 @@ def test_bribery_zero_spread_mempool():
     pool = AmmPool("BBT", "ETH", 100_000, 100_000, fee_bps=0)
     state = State({("A", "BBT"): 500}, {"amm": pool}, 0)
     space = OrderingSpace(mempool=(Tx("A", "amm", Swap("BBT", "ETH", 500)),))
-    bound = bribery_bound("A", space, state, Valuation(primary="ETH"), EXH)
+    bound = value_spread("A", space, state, Valuation(primary="ETH"), EXH)
     assert bound.spread == 0

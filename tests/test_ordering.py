@@ -12,6 +12,7 @@ from mevsearch.ordering import (
     count_sequences,
     iter_sequences,
     search,
+    _FULL,
     _Tree,
 )
 from mevsearch.state import State, Swap, Tx, apply_sequence
@@ -91,7 +92,7 @@ def _split_covers_stream(sp, state=None):
     # The work units of a parallel search: the sequences shorter than 2 items
     # from the walk cut at depth 2, plus the whole subtree under every
     # depth-2 node.  Together they must be the full stream, each sequence once.
-    tree = _Tree(sp, True, frozenset())
+    tree = _Tree(sp, _FULL, frozenset(), None if state is None else state.contracts)
     full = [key for key, _ in tree.walk(state)]
     units = []
     for key, _ in tree.walk(state, max_len=2):
@@ -103,6 +104,7 @@ def _split_covers_stream(sp, state=None):
             units.extend(sub)
     assert len(full) == len(set(full)) > 1
     assert sorted(units) == sorted(full)
+    return tree
 
 
 def test_work_units_cover_stream_exactly_once():
@@ -121,6 +123,20 @@ def test_work_units_cover_stream_exactly_once():
     wave = tuple(replace(tx, arrival_block=i % 2) for i, tx in enumerate(mixed))
     _split_covers_stream(OrderingSpace(mempool=wave, templates=tpl[:1], allow_insert=True, k=2))
     _split_covers_stream(OrderingSpace(mempool=wave, allow_censor=True, k=2), mixed_state())
+    # Two pools: the whale's swaps on amm2 commute with the users' on amm, so the
+    # depth-2 units start with sleepers.
+    two_pools = swaps(2) + swaps(2, venue="amm2", token_in="ETH", actor="whale")
+    state = mixed_state(pools=("amm", "amm2"))
+    for sp in (
+        OrderingSpace(mempool=two_pools),
+        OrderingSpace(mempool=two_pools, templates=tpl, allow_insert=True),
+        OrderingSpace(mempool=two_pools, templates=tpl, allow_reorder=False, allow_insert=True),
+        OrderingSpace(mempool=two_pools, allow_censor=True),
+        OrderingSpace(mempool=wave[:2] + two_pools[2:], templates=tpl[:1], allow_insert=True, k=2),
+    ):
+        for st in (None, state):
+            tree = _split_covers_stream(sp, st)
+            assert any(tree.indep)
 
 
 def test_exact_k_block_search_same_at_any_worker_count():

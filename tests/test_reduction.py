@@ -1,0 +1,310 @@
+"""Footprint sleep sets: soundness, the leaf set, and pruned-vs-unpruned reports.
+
+The sleep-set reduction keeps one construction per class of orderings that
+differ only by swapping adjacent independent items, the lexicographically
+smallest one.  These tests check the reduction three ways: every pair the
+static footprints call independent commutes bit for bit from reachable
+states; the reduced walk's keys are exactly the lexicographic normal forms of
+the unreduced keys; and on a corpus mixing pools, a CDP book, a price bet,
+fees, censoring, insertion, fixed order and two blocks, reduced and unreduced
+search agree on every report field but the path counts.
+"""
+
+import itertools
+import random
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+
+from mevsearch.contracts import AmmPool, MakerBook, Pricebet
+from mevsearch.corpus import convergence_corpus, make_spread_instance, measure_convergence
+from mevsearch.metrics import AccountBalanceValue, PlayerDelta, Valuation
+from mevsearch.ordering import (
+    _FULL,
+    _RUN,
+    _SLEEP,
+    BLOCK_BREAK,
+    OrderingSpace,
+    SearchBudget,
+    _Tree,
+    count_sequences,
+    search,
+)
+from mevsearch.state import (
+    Bet,
+    CdpManipulate,
+    GetReward,
+    Liquidate,
+    State,
+    Swap,
+    Tx,
+    UnknownVenueError,
+    apply_tx,
+)
+
+EXH = SearchBudget(mode="exhaustive")
+VALUATION = Valuation(primary="ETH", mode="oracle_priced",
+                      prices={"DAI": Fraction(1, 2), "TKN": Fraction(1, 1)})
+# (reorder, censor, insert, k): every combination, the hardest one first.
+FLAGS = list(itertools.product((False, True), (True, False), (True, False), (2, 1)))
+
+
+def mixed_instance(seed: int, reorder: bool, censor: bool, insert: bool, k: int, fees: bool):
+    """Two pools, a CDP book priced by pool0, a price bet on pool1, and
+    optionally fees paid to the miner in ETH.
+
+    The mempool holds one swap on each pool and then, drawn from swaps, CDP
+    actions, the bet and its claim, three more transactions (two when k = 2);
+    some actors trade twice.
+    Templates are a miner liquidation and a miner swap.  With k = 2 one
+    transaction arrives in the second block.
+    """
+    rng = random.Random(seed)
+    state = State(
+        {
+            **{(u, tok): 400 for u in ("u0", "u1", "u2") for tok in ("ETH", "DAI", "TKN")},
+            ("v", "DAI"): 300,
+            ("v", "ETH"): 50,
+            ("p", "ETH"): 120,
+            ("miner", "ETH"): 200,
+        },
+        {
+            "pool0": AmmPool("DAI", "ETH", rng.randint(2_000, 4_000), rng.randint(1_000, 2_000),
+                             fee_bps=rng.choice([0, 30])),
+            "pool1": AmmPool("TKN", "ETH", rng.randint(900, 1_100), rng.randint(900, 1_100),
+                             fee_bps=rng.choice([0, 30])),
+            "book": MakerBook("DAI", "ETH", "pool0", collateral={"v": 900},
+                              debt={"v": rng.randint(1_000, 1_400)}),
+            "bet": Pricebet(oracle="pool1", token="ETH", deadline=rng.randint(0, 1)),
+        },
+        0,
+    )
+
+    def swap(actor):
+        venue = rng.choice(("pool0", "pool1"))
+        other = "DAI" if venue == "pool0" else "TKN"
+        token_in, token_out = rng.choice(((other, "ETH"), ("ETH", other)))
+        return Tx(actor, venue, Swap(token_in, token_out, rng.randint(20, 300)))
+
+    extras = [
+        lambda: swap(rng.choice(("u0", "u1", "u2", "p"))),
+        lambda: Tx("v", "book", CdpManipulate(
+            rng.choice(("withdraw_loan", "deposit_collateral", "pay_loan")), rng.randint(10, 200))),
+        lambda: Tx("p", "bet", Bet()),
+        lambda: Tx("p", "bet", GetReward()),
+    ]
+    first = swap("u0")
+    second = replace(swap("u1"), venue="pool1" if first.venue == "pool0" else "pool0")
+    second = replace(second, action=Swap(
+        *(("DAI", "ETH") if second.venue == "pool0" else ("TKN", "ETH")), 150))
+    n_extra = 2 if k == 2 else 3
+    mempool = [first, second] + [rng.choice(extras)() for _ in range(n_extra)]
+    rng.shuffle(mempool)
+    mempool = [
+        replace(tx, fee=rng.choice((0, 0, 1, 5)) if fees else 0,
+                arrival_block=int(k == 2 and i == len(mempool) - 1))
+        for i, tx in enumerate(mempool)
+    ]
+    templates = (
+        Tx("miner", "book", Liquidate("v"), origin="miner"),
+        Tx("miner", "pool1", Swap("ETH", "TKN", 60), origin="miner"),
+    )[: 1 if k == 2 else 2]
+    space = OrderingSpace(
+        mempool=tuple(mempool),
+        templates=templates if insert else (),
+        allow_reorder=reorder,
+        allow_censor=censor,
+        allow_insert=insert,
+        k=k,
+        charge_fees=fees,
+        fee_token="ETH",
+    )
+    return state, space
+
+
+def differential_corpus():
+    return [
+        mixed_instance(1_000 + i, *flags, fees=i < len(FLAGS)) for i, flags in enumerate(FLAGS * 2)
+    ]
+
+
+def _step(state, tx, fee_policy):
+    try:
+        nxt = apply_tx(state, tx, fee_policy)
+    except UnknownVenueError:
+        nxt = None
+    return state if nxt is None else nxt
+
+
+def test_independent_items_commute_bit_for_bit():
+    checked = 0
+    for seed, (state, space) in enumerate(differential_corpus()):
+        tree = _Tree(space, _FULL, frozenset(), state.contracts)
+        items, fee_policy = tree.items, tree.space.fee_policy()
+        rng = random.Random(seed)
+        for _ in range(4):
+            # a state reached by a random prefix of the items
+            st = state
+            for i in rng.sample(range(len(items)), rng.randint(0, len(items))):
+                st = _step(st, items[i], fee_policy)
+            for i, j in itertools.combinations(range(len(items)), 2):
+                if tree.indep[i] >> j & 1:
+                    ij = _step(_step(st, items[i], fee_policy), items[j], fee_policy)
+                    ji = _step(_step(st, items[j], fee_policy), items[i], fee_policy)
+                    assert ij == ji, (seed, items[i], items[j])
+                    checked += 1
+    assert checked > 100
+
+
+def test_footprints_follow_what_each_action_reads_and_writes():
+    state, _ = mixed_instance(0, True, False, True, 1, False)
+    mempool = (
+        Tx("u0", "pool0", Swap("DAI", "ETH", 10)),  # 0
+        Tx("u1", "pool1", Swap("TKN", "ETH", 10)),  # 1: other pool, other actor
+        Tx("u0", "pool1", Swap("TKN", "ETH", 10)),  # 2: shares u0's ETH with 0
+        Tx("v", "book", CdpManipulate("withdraw_loan", 5)),  # 3: reads pool0's price
+        Tx("p", "bet", GetReward()),  # 4: reads pool1, the oracle
+        Tx("p", "bet", Bet()),  # 5: same bet as 4
+        Tx("u2", "nowhere", Swap("DAI", "ETH", 10)),  # 6: unknown venue
+    )
+    templates = (Tx("miner", "book", Liquidate("v"), origin="miner"),)  # 7
+    space = OrderingSpace(mempool=mempool, templates=templates, allow_insert=True)
+    tree = _Tree(space, _FULL, frozenset(), state.contracts)
+
+    def independent(i, j):
+        assert (tree.indep[i] >> j & 1) == (tree.indep[j] >> i & 1)
+        return bool(tree.indep[i] >> j & 1)
+
+    assert independent(0, 1) and not independent(0, 2)
+    assert not independent(3, 0) and independent(3, 1)
+    assert not independent(4, 1) and not independent(4, 2) and independent(4, 0)
+    assert not independent(4, 5)
+    assert not independent(7, 3) and not independent(7, 0) and independent(7, 1)
+    assert all(independent(6, j) for j in range(8) if j != 6)
+    # fees: every fee payer touches the collector's fee-token balance
+    charged = replace(
+        space, mempool=tuple(replace(tx, fee=1) for tx in mempool), charge_fees=True,
+        fee_token="ETH",
+    )
+    tree = _Tree(charged, _FULL, frozenset(), state.contracts)
+    assert not any(independent(i, j) for i, j in itertools.combinations(range(6), 2))
+    assert not independent(7, 1)
+    # fixed order: two mempool items never change places
+    tree = _Tree(replace(space, allow_reorder=False), _FULL, frozenset(), state.contracts)
+    assert not independent(0, 1) and independent(7, 1)
+    # no contracts to read the tokens from: only swaps have footprints
+    tree = _Tree(space, _FULL, frozenset(), None)
+    assert independent(0, 1) and not independent(3, 1) and not independent(7, 1)
+
+
+def _normal_forms(keys, indep):
+    """The lexicographically smallest key of each class of ``keys`` under
+    swaps of adjacent independent items, by brute force."""
+    forms = set()
+    for key in keys:
+        seen = {key}
+        todo = [key]
+        while todo:
+            cur = todo.pop()
+            for p in range(len(cur) - 1):
+                a, b = cur[p], cur[p + 1]
+                if a != BLOCK_BREAK and b != BLOCK_BREAK and indep[a] >> b & 1:
+                    nxt = cur[:p] + (b, a) + cur[p + 2:]
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        todo.append(nxt)
+        forms.add(min(seen))
+    return forms
+
+
+def _oracle_cases():
+    # Two pools with fees of 30 bps, where the run rule collapses nothing.
+    spread = make_spread_instance(3, 1, 5, n_pools=2, fee_bps=30, whale_txs=1)
+    yield spread.initial_state(), spread.space(), frozenset()
+    yield spread.initial_state(), replace(spread.space(), allow_censor=True), frozenset()
+    # The mixed instances, every actor tracked so that no run key exists.
+    for seed, flags in enumerate(FLAGS[::3]):
+        state, space = mixed_instance(2_000 + seed, *flags, fees=seed % 2 == 0)
+        actors = frozenset(tx.actor for tx in space.mempool + space.templates)
+        yield state, space, actors
+
+
+@pytest.mark.parametrize("case", range(len(list(_oracle_cases()))))
+def test_reduced_walk_keeps_exactly_the_lexicographic_normal_forms(case):
+    state, space, tracked = list(_oracle_cases())[case]
+    unreduced_keys = [key for key, _ in _Tree(space, 0, tracked, state.contracts).walk(state)]
+    runs = _Tree(space, _RUN, tracked, state.contracts)
+    assert sum(1 for _ in runs.walk(state)) == len(unreduced_keys)  # nothing collapses
+    reduced = _Tree(space, _FULL, tracked, state.contracts)
+    reduced_keys = [key for key, _ in reduced.walk(state)]
+    assert len(reduced_keys) == len(set(reduced_keys))
+    assert set(reduced_keys) == _normal_forms(unreduced_keys, reduced.indep)
+    if not any(reduced.runs):
+        # the stateless walk cuts the same way
+        assert [key for key, _ in reduced.walk(None)] == reduced_keys
+    if case == 0:
+        assert len(reduced_keys) < len(unreduced_keys)
+
+
+def test_reduced_and_unreduced_search_agree_on_the_mixed_corpus():
+    reduced_total = full_total = 0
+    for i, (state, space) in enumerate(differential_corpus()):
+        if i % 2:
+            objective = PlayerDelta.from_state(frozenset({"miner"}), VALUATION, state)
+        else:
+            objective = AccountBalanceValue("p" if i % 4 else "u0", VALUATION)
+        reduced = search(space, EXH, objective, state, pruning=True, want_worst=True)
+        full = search(space, EXH, objective, state, pruning=False, want_worst=True)
+        assert replace(reduced, paths_explored=0, paths_total=0) == replace(
+            full, paths_explored=0, paths_total=0
+        ), (i, space)
+        assert reduced.paths_explored <= full.paths_explored
+        reduced_total += reduced.paths_explored
+        full_total += full.paths_explored
+        if i == 0:
+            assert space.k == 2 and space.allow_censor and space.allow_insert
+            assert not space.allow_reorder and space.charge_fees
+            assert search(
+                space, EXH, objective, state, want_worst=True, workers=2
+            ) == reduced
+    assert reduced_total < full_total
+
+
+def test_insertion_skeletons_reduce_on_two_pools():
+    pool = AmmPool("TKN", "ETH", 10_000, 10_000, fee_bps=30)
+    state = State({("u0", "TKN"): 500, ("u1", "TKN"): 500}, {"a": pool, "b": pool}, 0)
+    space = OrderingSpace(
+        mempool=(Tx("u0", "a", Swap("TKN", "ETH", 300)), Tx("u1", "b", Swap("TKN", "ETH", 200))),
+        templates=(Tx("miner", "a", Swap("ETH", "TKN", None), origin="miner"),),
+        allow_insert=True,
+    )
+    # m0 and m1 commute, and so do m1 and the template on pool a
+    assert count_sequences(space, pruning=False) == 8
+    assert count_sequences(space, pruning=True) == 3
+    tree = _Tree(space, _SLEEP, frozenset({"miner"}), state.contracts)
+    assert [key for key, _ in tree.walk(None)] == [(0, 1), (0, 1, 2), (1, 2, 0)]
+
+
+# Criterion 4's first ten points, as the run rule alone counts the paths.
+CONVERGENCE_POINTS = (
+    (40320, 403, 69878639771512354664, 69878639771512354664),
+    (40320, 403, 52257789094494040518, 52257335714319935297),
+    (35280, 352, 40720969433191467428, 40720969433191467428),
+    (5040, 50, 5637676672843875848, 5637676003627973260),
+    (5040, 50, 13347339350018046561, 13346967435757172938),
+    (362880, 3628, 9532350935625353341, 9532350935625353341),
+    (5040, 50, 7766893793711783164, 7766893793711783164),
+    (5040, 50, 18409987349122606640, 16160863379114271987),
+    (40320, 403, 31219552526242206129, 31219552526242206129),
+    (35280, 352, 28937300163704751028, 28937300163704751028),
+)
+
+
+def test_convergence_budget_is_sized_by_the_run_rule_count():
+    result = measure_convergence(convergence_corpus(seed=0, count=10), seed=0)
+    got = tuple(
+        (p.paths_total, p.paths_sampled, p.exhaustive_spread, p.sampled_spread)
+        for p in result.points
+    )
+    assert got == CONVERGENCE_POINTS

@@ -13,8 +13,6 @@ from mevsearch.state import (
     UnknownVenueError,
     apply_sequence,
     apply_tx,
-    block_valid,
-    Block,
     total_supply,
 )
 
@@ -73,7 +71,8 @@ def test_dependent_pair_orders():
     bad = apply_sequence(st, [tx_b, tx_a])
     assert not bad.ok and bad.failed_index == 0
     assert bad.state == st
-    assert block_valid(st, Block((tx_a, tx_b))) and not block_valid(st, Block((tx_b, tx_a)))
+    assert apply_sequence(st, (tx_a, tx_b), "strict").ok
+    assert not apply_sequence(st, (tx_b, tx_a), "strict").ok
 
 
 def test_skip_invalid_records_applied_indices():
