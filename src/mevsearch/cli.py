@@ -296,13 +296,12 @@ def compose_check(scenario_path, epsilon, seed, workers, budget, censor, insert,
 
 @main.command("optimize-insert")
 @scenario_option
-@seed_option
 @click.option("--samples", type=int, default=64, show_default=True, help="Profit-curve grid size.")
 @valuation_option
 @out_option
-def optimize_insert(scenario_path, seed, samples, valuation, out):
+def optimize_insert(scenario_path, samples, valuation, out):
     """Optimize the miner templates' shared trade size; emit the profit curve."""
-    scenario = _apply_overrides(load_scenario(scenario_path), seed, None, None, None, None, valuation)
+    scenario = _apply_overrides(load_scenario(scenario_path), None, None, None, None, None, valuation)
     if scenario.insertion_bounds is None:
         raise click.ClickException("scenario has no insertion_bounds section")
     space = scenario.space()
@@ -339,16 +338,15 @@ def optimize_insert(scenario_path, seed, samples, valuation, out):
               help="Operating cost to report alongside the value (base units).")
 @seed_option
 @budget_option
-@k_option
 @censor_option
 @insert_option
 @valuation_option
 @out_option
-def wmev_cmd(scenario_path, horizon, hash_fraction, increment, mining_cost, seed, budget, k,
+def wmev_cmd(scenario_path, horizon, hash_fraction, increment, mining_cost, seed, budget,
              censor, insert, valuation, out):
-    """Probability-weighted MEV over a block horizon."""
+    """Probability-weighted MEV over a block horizon; the horizon sets the block count."""
     scenario = _apply_overrides(
-        load_scenario(scenario_path), seed, budget, k, _on_off(censor), _on_off(insert), valuation
+        load_scenario(scenario_path), seed, budget, None, _on_off(censor), _on_off(insert), valuation
     )
     if hash_fraction is None:
         raise click.ClickException("--hash-fraction is required")

@@ -14,9 +14,11 @@ columns per kind:
     fee_update        actor, debt_value      (post-stability-fee debt)
 
 ``reverted`` marks records the export knows failed on-chain; they are
-skipped.  Replay recomputes swap outputs from the model, so the final
-reserves measure model fidelity; actors are funded on demand (exports do not
-carry wallet balances).
+skipped.  Its cell is blank, ``0`` or ``false`` (not reverted), or ``1`` or
+``true``.  A ``price_update`` needs a ``price_den`` of at least 1.  Replay
+recomputes swap outputs from the model, so the final reserves measure model
+fidelity; actors are funded on demand (exports do not carry wallet
+balances).
 """
 
 from __future__ import annotations
@@ -77,11 +79,19 @@ _KIND_OF = {action_type: kind for kind, (action_type, _) in _TX_KINDS.items()}
 KINDS = (*_TX_KINDS, "price_update", "fee_update")
 
 
+# The spellings of a boolean cell.
+_FLAG_CELLS = {"": False, "0": False, "1": True, "false": False, "true": True}
+
+
 def _cell_from_csv(row: dict, f: Field, line: int):
     # The module postpones its annotations, so ``f.type`` is the source text.
     raw = (row.get(f.name) or "").strip()
     if f.type == "bool":
-        return raw in ("1", "true", "True")
+        if raw not in _FLAG_CELLS:
+            raise ParseError(
+                f"line {line}", f"column {f.name!r}: expected blank, 0, 1, true or false: {raw!r}"
+            )
+        return _FLAG_CELLS[raw]
     if f.type == "str":
         return raw
     if not raw:
@@ -112,7 +122,10 @@ def read_event_log(path: str | Path) -> list[Record]:
                 kind = (row.get("kind") or "").strip()
                 if kind not in KINDS:
                     raise ParseError(f"line {line}", f"unknown record type {kind!r}")
-                records.append(Record(**{f.name: _cell_from_csv(row, f, line) for f in _FIELDS}))
+                record = Record(**{f.name: _cell_from_csv(row, f, line) for f in _FIELDS})
+                if kind == "price_update" and record.price_den < 1:
+                    raise ParseError(f"line {line}", f"price_den {record.price_den} below minimum 1")
+                records.append(record)
         except UnicodeDecodeError as e:
             raise ParseError(f"line {reader.line_num + 1}", f"not UTF-8 text: {e}") from None
     order = [(r.block_number, r.tx_index) for r in records]

@@ -63,6 +63,7 @@ import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 from multiprocessing import get_context
 
 from . import contracts
@@ -137,6 +138,12 @@ class SearchBudget:
     max_paths: int = 400_000
     seed: int = 0
     tractability_threshold: int = 9
+
+    def __post_init__(self):
+        if self.mode not in ("exhaustive", "randomized"):
+            raise ScenarioError(f"unknown budget mode: {self.mode!r}")
+        if self.max_paths < 1:
+            raise ScenarioError(f"budget max_paths must be >= 1, got {self.max_paths}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -442,57 +449,51 @@ def count_sequences(
 # Search
 # ---------------------------------------------------------------------------
 
-class _OverBudget(Exception):
-    """Raised by a capped exhaustive attempt when the space is too large."""
-
-
 class _Reducer:
     """Deterministic max/min fold over (value, sequence-key) pairs."""
 
-    __slots__ = ("best", "worst", "paths", "want_worst", "cap")
+    __slots__ = ("best", "worst", "paths")
 
-    def __init__(self, want_worst: bool, cap: int | None = None):
+    def __init__(self):
         self.best = None  # (value, key)
         self.worst = None
         self.paths = 0
-        self.want_worst = want_worst
-        self.cap = cap
 
     def offer(self, value: int, key: tuple[int, ...]) -> None:
         self.paths += 1
-        if self.cap is not None and self.paths > self.cap:
-            raise _OverBudget
         b = self.best
         if b is None or value > b[0] or (value == b[0] and key < b[1]):
             self.best = (value, key)
-        if self.want_worst:
-            w = self.worst
-            if w is None or value < w[0] or (value == w[0] and key < w[1]):
-                self.worst = (value, key)
+        w = self.worst
+        if w is None or value < w[0] or (value == w[0] and key < w[1]):
+            self.worst = (value, key)
 
     def merge(self, other: "_Reducer") -> None:
-        """Fold in another (uncapped) reducer's extremes and path count."""
+        """Fold in another reducer's extremes and path count."""
         paths = self.paths + other.paths
-        for cand in (other.best, other.worst):
-            if cand is not None:
-                self.offer(*cand)
+        if other.best is not None:
+            self.offer(*other.best)
+            self.offer(*other.worst)
         self.paths = paths
 
-    def report(self, items: tuple[Tx, ...], exhaustive: bool) -> EvReport:
-        """The report, with witness labels built for the final keys only."""
-        (best_value, best_key), worst = self.best, self.worst
+    def report(self, items: tuple[Tx, ...], exhaustive: bool, want_worst: bool) -> EvReport:
+        """The report, with witness labels built for the final keys only;
+        the worst is left out unless the caller asked for it."""
+        (best_value, best_key), (worst_value, worst_key) = self.best, self.worst
         return EvReport(
             best_value=best_value,
             best_ordering=_labels_for(items, best_key),
             paths_explored=self.paths,
             exhaustive=exhaustive,
-            worst_value=None if worst is None else worst[0],
-            worst_ordering=None if worst is None else _labels_for(items, worst[1]),
+            worst_value=worst_value if want_worst else None,
+            worst_ordering=_labels_for(items, worst_key) if want_worst else None,
             paths_total=self.paths if exhaustive else None,
         )
 
 
-def _fold_walk(walk, objective, reducer: _Reducer) -> _Reducer:
+def _fold_walk(walk, objective) -> _Reducer:
+    """Fold every ``(key, state)`` pair of ``walk``."""
+    reducer = _Reducer()
     value_of = objective.value
     offer = reducer.offer
     for key, st in walk:
@@ -509,34 +510,27 @@ def _init_worker(shared) -> None:
 
 
 def _unit_task(prefix: tuple[int, ...]) -> _Reducer:
-    tree, state, objective, want_worst = _WORKER_SHARED
-    return _fold_walk(tree.walk(state, prefix), objective, _Reducer(want_worst))
+    tree, state, objective = _WORKER_SHARED
+    return _fold_walk(tree.walk(state, prefix), objective)
 
 
-def _exhaustive(
-    tree: _Tree, state: State, objective, want_worst: bool, workers: int, cap: int | None = None
-) -> _Reducer:
-    """Fold every construction of the tree.  ``cap`` (single worker only)
-    raises ``_OverBudget`` once more than that many have been seen."""
-    reducer = _Reducer(want_worst, cap)
+def _exhaustive(tree: _Tree, state: State, objective, workers: int) -> _Reducer:
+    """Fold every construction of the tree."""
     if workers <= 1:
-        return _fold_walk(tree.walk(state), objective, reducer)
+        return _fold_walk(tree.walk(state), objective)
 
     # Depth-2 prefixes load-balance far better than first items.  Sequences
     # shorter than 2 are folded here; every longer one extends exactly one
     # depth-2 prefix, whose subtree is one work unit.
-    units: list[tuple[int, ...]] = []
-    for key, st in tree.walk(state, max_len=2):
-        if len(key) < 2:
-            reducer.offer(objective.value(st), key)
-        else:
-            units.append(key)
+    shallow = list(tree.walk(state, max_len=2))
+    reducer = _fold_walk(((key, st) for key, st in shallow if len(key) < 2), objective)
+    units = [key for key, _ in shallow if len(key) == 2]
     pool_size = max(1, min(workers, len(units), os.cpu_count() or 1))
     with ProcessPoolExecutor(
         max_workers=pool_size,
         mp_context=get_context("fork"),
         initializer=_init_worker,
-        initargs=((tree, state, objective, want_worst),),
+        initargs=((tree, state, objective),),
     ) as pool:
         for other in pool.map(_unit_task, units, chunksize=1):
             reducer.merge(other)
@@ -587,36 +581,30 @@ def _sample_sequences(tree: _Tree, budget: SearchBudget) -> list[tuple[int, ...]
     return out
 
 
-def _evaluate_sequences(
-    tree: _Tree, state: State, seqs: list[tuple[int, ...]], objective, want_worst: bool
-) -> _Reducer:
-    reducer = _Reducer(want_worst)
+def _evaluate_sequences(tree: _Tree, state: State, seqs: list[tuple[int, ...]]):
+    """Yield ``(key, state)`` for every sampled sequence, each replayed whole."""
     items = tree.items
     fee_policy = tree.space.fee_policy()
     for seq in seqs:
-        res = apply_sequence(state, [items[i] for i in seq], "skip_invalid", fee_policy)
-        reducer.offer(objective.value(res.state), seq)
-    return reducer
+        yield seq, apply_sequence(state, [items[i] for i in seq], "skip_invalid", fee_policy).state
 
 
 def _search_tree(
-    tree: _Tree, state: State, objective, budget: SearchBudget, want_worst: bool, workers: int
+    tree: _Tree, state: State, objective, budget: SearchBudget, workers: int
 ) -> tuple[_Reducer, bool]:
     """Fold the tree under the budget; also says whether the fold was
     exhaustive.  A randomized budget gives tractable trees one capped
     exhaustive attempt (exact when the pruned space fits in ``max_paths``)
     and samples single-block orderings otherwise."""
     if budget.mode == "exhaustive":
-        return _exhaustive(tree, state, objective, want_worst, workers), True
-    if budget.mode != "randomized":
-        raise ScenarioError(f"unknown budget mode: {budget.mode!r}")
+        return _exhaustive(tree, state, objective, workers), True
     if len(tree.items) <= budget.tractability_threshold:
-        try:
-            return _exhaustive(tree, state, objective, want_worst, 1, cap=budget.max_paths), True
-        except _OverBudget:
-            pass
+        # One construction past the cap tells a space that fits from one that does not.
+        reducer = _fold_walk(islice(tree.walk(state), budget.max_paths + 1), objective)
+        if reducer.paths <= budget.max_paths:
+            return reducer, True
     seqs = _sample_sequences(tree, budget)
-    return _evaluate_sequences(tree, state, seqs, objective, want_worst), False
+    return _fold_walk(_evaluate_sequences(tree, state, seqs), objective), False
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +637,7 @@ def _greedy_k_blocks(
         tree = _Tree(
             replace(space, mempool=pending, k=1), reduction, objective.tracked, current.contracts
         )
-        reducer, _ = _search_tree(tree, current, objective, budget, False, workers)
+        reducer, _ = _search_tree(tree, current, objective, budget, workers)
         paths += reducer.paths
         key = reducer.best[1]
         txs = [tree.items[i] for i in key]
@@ -709,5 +697,5 @@ def _search(
         return report
 
     tree = _Tree(space, reduction, objective.tracked, state.contracts)
-    reducer, exhaustive = _search_tree(tree, state, objective, budget, want_worst, workers)
-    return reducer.report(tree.items, exhaustive)
+    reducer, exhaustive = _search_tree(tree, state, objective, budget, workers)
+    return reducer.report(tree.items, exhaustive, want_worst)

@@ -79,6 +79,14 @@ def _optional_text(obj: dict, key: str, path: str) -> str | None:
     return None if value is None else _text(value, f"{path}.{key}")
 
 
+def _flag(obj: dict, key: str, path: str, default: bool = False) -> bool:
+    """``obj[key]`` (``default`` when absent), checked to be a JSON boolean."""
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        raise ParseError(f"{path}.{key}", f"expected true or false, got {value!r}")
+    return value
+
+
 def _amount(value, path: str, minimum: int = 0, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ParseError(path, f"expected a decimal string, got {value!r}")
@@ -179,7 +187,7 @@ _ACTION_NAMES = {action_type: name for name, action_type in _ACTIONS.items()}
 def _field_from_json(obj: dict, f: Field, path: str, origin: str):
     # ``state`` postpones its annotations, so ``f.type`` is the source text.
     if f.type == "bool":
-        return bool(obj.get(f.name, f.default))
+        return _flag(obj, f.name, path, f.default)
     if f.type == "str":
         return _require_text(obj, f.name, path)
     value = _require(obj, f.name, path)
@@ -284,7 +292,7 @@ def contract_from_json(obj: dict, path: str, primary: str) -> tuple[str, object]
                 for acct, v in _shaped(obj.get("debt", {}), dict, f"{path}.debt").items()
             },
             oracle_price=oracle_price,
-            efficient_auction=bool(obj.get("efficient_auction", False)),
+            efficient_auction=_flag(obj, "efficient_auction", path),
         )
     elif kind == "pricebet":
         stake = _amount(obj.get("stake", 100), f"{path}.stake")
@@ -295,9 +303,9 @@ def contract_from_json(obj: dict, path: str, primary: str) -> tuple[str, object]
             stake=stake,
             reward=_amount(obj.get("reward", 2 * stake), f"{path}.reward"),
             pot=_amount(obj.get("pot", stake), f"{path}.pot"),
-            has_bet=bool(obj.get("has_bet", False)),
+            has_bet=_flag(obj, "has_bet", path),
             player=_optional_text(obj, "player", path),
-            settled=bool(obj.get("settled", False)),
+            settled=_flag(obj, "settled", path),
         )
     else:
         raise ParseError(path, f"unknown contract type {kind!r}")
@@ -368,7 +376,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
         tokens.append(
             TokenDecl(
                 id=_require_text(t, "id", f"$.tokens[{i}]"),
-                primary=bool(t.get("primary", False)),
+                primary=_flag(t, "primary", f"$.tokens[{i}]"),
                 decimals=_amount(t.get("decimals", 18), f"$.tokens[{i}].decimals"),
             )
         )
@@ -462,11 +470,11 @@ def scenario_from_dict(doc: dict) -> Scenario:
         mempool=mempool,
         miner_account=miner_account,
         templates=templates,
-        allow_reorder=bool(flags.get("reorder", True)),
-        allow_censor=bool(flags.get("censor", False)),
-        allow_insert=bool(flags.get("insert", False)),
+        allow_reorder=_flag(flags, "reorder", "$.miner.flags", True),
+        allow_censor=_flag(flags, "censor", "$.miner.flags"),
+        allow_insert=_flag(flags, "insert", "$.miner.flags"),
         k=_amount(miner.get("k", 1), "$.miner.k", 1),
-        charge_fees=bool(miner.get("charge_fees", False)),
+        charge_fees=_flag(miner, "charge_fees", "$.miner"),
         valuation=valuation,
         budget=budget,
         epsilon=epsilon,

@@ -382,3 +382,72 @@ def test_input_that_is_not_utf8_is_a_one_line_error(runner, tmp_path, which):
     assert result.stderr.startswith("error: ")
     assert "not UTF-8 text" in result.stderr
     assert result.stderr.count("\n") == 1
+
+
+def _set(doc, path, value):
+    *parents, last = path
+    for key in parents:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize(
+    "name, path, where",
+    [
+        ("liquidation.json", ("miner", "flags", "censor"), "$.miner.flags.censor"),
+        ("liquidation.json", ("miner", "charge_fees"), "$.miner.charge_fees"),
+        ("liquidation.json", ("tokens", 0, "primary"), "$.tokens[0].primary"),
+        ("liquidation.json", ("contracts", 0, "efficient_auction"), "$.contracts[0].efficient_auction"),
+        ("pricebet_compose.json", ("new_contract", "settled"), "$.new_contract.settled"),
+        ("two_amm_counterexample.json", ("miner", "templates", 0, "exact_out"), "$.miner.templates[0].exact_out"),
+    ],
+)
+def test_non_boolean_flag_is_a_one_line_error(runner, tmp_path, name, path, where):
+    # bool("false") is True: a quoted false once switched censoring on.
+    from mevsearch.cli import EXIT_BAD_INPUT
+
+    doc = json.loads((DATA / name).read_text())
+    _set(doc, path, "false")
+    scn = tmp_path / name
+    scn.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["mev", "--scenario", str(scn)])
+    assert result.exit_code == EXIT_BAD_INPUT
+    assert result.stdout == ""
+    assert result.stderr == f"error: {where}: expected true or false, got 'false'\n"
+
+
+@pytest.mark.parametrize("command", ["mev", "optimize-insert"])
+def test_budget_mode_typo_is_a_one_line_error(runner, tmp_path, command):
+    from mevsearch.cli import EXIT_BAD_INPUT
+
+    doc = json.loads((DATA / "two_amm_counterexample.json").read_text())
+    doc["budget"]["mode"] = "exhaustiv"
+    scn = tmp_path / "typo.json"
+    scn.write_text(json.dumps(doc))
+    result = runner.invoke(main, [command, "--scenario", str(scn)])
+    assert result.exit_code == EXIT_BAD_INPUT
+    assert result.stdout == ""
+    assert result.stderr == "error: unknown budget mode: 'exhaustiv'\n"
+
+
+def test_budget_of_zero_paths_is_a_one_line_error(runner):
+    from mevsearch.cli import EXIT_BAD_INPUT
+
+    result = runner.invoke(main, ["mev", "--scenario", str(DATA / "liquidation.json"), "--budget", "0"])
+    assert result.exit_code == EXIT_BAD_INPUT
+    assert result.stdout == ""
+    assert result.stderr == "error: budget max_paths must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["wmev", "--scenario", str(DATA / "wmev_scenario.json"), "--hash-fraction", "1/2", "--k", "3"],
+        ["optimize-insert", "--scenario", str(DATA / "two_amm_counterexample.json"), "--seed", "1"],
+    ],
+    ids=["wmev_k", "optimize_insert_seed"],
+)
+def test_removed_options_are_usage_errors(runner, args):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "no such option" in result.stderr.lower() and args[-2] in result.stderr

@@ -1,5 +1,6 @@
 """Event-log ingestion, replay fidelity, and diff reporting."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -247,3 +248,41 @@ def test_reverted_records_are_skipped():
     final, failures, counts = replay(state, records)
     assert not failures and counts == {}
     assert contract_snapshot(final.contracts["pair"]) == {"reserve_x": 1_000, "reserve_y": 1_000}
+
+
+@pytest.mark.parametrize(
+    "cell, reverted",
+    [("", False), ("0", False), ("false", False), ("1", True), ("true", True)],
+)
+def test_reverted_cell_spellings(tmp_path, cell, reverted):
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "venue,block_number,tx_index,kind,price_num,price_den,reverted\n"
+        f"book,1,0,price_update,1,1,{cell}\n"
+    )
+    assert read_event_log(path)[0].reverted is reverted
+
+
+@pytest.mark.parametrize("cell", ["TRUE", "True", "yes", "2"])
+def test_other_reverted_cells_rejected(tmp_path, cell):
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "venue,block_number,tx_index,kind,price_num,price_den,reverted\n"
+        "book,1,0,price_update,1,1,\n"
+        f"book,1,1,price_update,1,1,{cell}\n"
+    )
+    message = f"line 3: column 'reverted': expected blank, 0, 1, true or false: '{cell}'"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        read_event_log(path)
+
+
+@pytest.mark.parametrize("den", ["", "0", "-1"])
+def test_price_update_below_unit_denominator_rejected(tmp_path, den):
+    path = tmp_path / "log.csv"
+    path.write_text(
+        "venue,block_number,tx_index,kind,price_num,price_den\n"
+        "book,1,0,price_update,1,1\n"
+        f"book,2,0,price_update,1,{den}\n"
+    )
+    with pytest.raises(ParseError, match=f"^line 3: price_den {int(den or 0)} below minimum 1$"):
+        read_event_log(path)

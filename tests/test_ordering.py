@@ -226,6 +226,25 @@ def test_randomized_determinism_and_soundness():
     assert full.exhaustive and full.best_value == exact.best_value
 
 
+def test_capped_attempt_is_exact_when_the_classes_just_fit():
+    state = mixed_state(pools=("amm", "amm2"))
+    directions = (("ETH", "BBT"), ("BBT", "ETH"))
+    mempool = tuple(
+        Tx(f"u{i}", "amm" if i < 3 else "amm2", Swap(*directions[i % 2], 400 + 53 * i)) for i in range(5)
+    ) + (Tx("whale", "amm", Swap("BBT", "ETH", 6_000)),)
+    sp = OrderingSpace(mempool=mempool)
+    objective = AccountBalanceValue("whale", Valuation(primary="ETH"))
+    exact = search(sp, SearchBudget(mode="exhaustive"), objective, state, want_worst=True)
+    classes = exact.paths_total
+    assert classes < 720  # the sleep sets reduce the 6! orderings
+    fits = SearchBudget(mode="randomized", max_paths=classes, seed=5)
+    assert search(sp, fits, objective, state, want_worst=True) == exact
+    over = search(sp, replace(fits, max_paths=classes - 1), objective, state, want_worst=True)
+    assert not over.exhaustive and over.paths_total is None
+    assert over.paths_explored == classes - 1
+    assert over.worst_value >= exact.worst_value and over.best_value <= exact.best_value
+
+
 def test_best_value_at_least_identity_order():
     state = mixed_state()
     mempool = (
