@@ -107,7 +107,7 @@ def _ev_report_json(report) -> dict:
 
 scenario_option = click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
 seed_option = click.option("--seed", type=int, default=None, help="Override the scenario's search seed.")
-workers_option = click.option("--workers", type=int, default=1, show_default=True)
+workers_option = click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 budget_option = click.option("--budget", type=int, default=None, help="Override max explored paths.")
 k_option = click.option("--k", type=int, default=None, help="Override the number of blocks.")
 censor_option = click.option("--censor", type=str, default=None, metavar="on|off")
@@ -139,7 +139,7 @@ def main() -> None:
 @scenario_option
 @click.option("--log", "log_path", required=True, type=click.Path(exists=True))
 @click.option("--expected", "expected_path", required=True, type=click.Path(exists=True))
-@click.option("--tolerance", type=int, default=1, show_default=True, help="Base units per applied swap.")
+@click.option("--tolerance", type=click.IntRange(min=0), default=1, show_default=True, help="Base units per applied swap.")
 @out_option
 def replay(scenario_path, log_path, expected_path, tolerance, out):
     """Replay an event log and diff the final state against a snapshot."""
@@ -386,7 +386,7 @@ main.add_command(wmev_cmd, "wmev")
 
 @main.command("gen-corpus")
 @click.option("--seed", type=int, required=True)
-@click.option("--count", type=int, default=100, show_default=True)
+@click.option("--count", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--txs", type=int, default=8, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def gen_corpus_cmd(seed, count, txs, out):

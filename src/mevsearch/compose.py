@@ -28,10 +28,6 @@ class ComposabilityVerdict:
     status: str  # "composable" | "no violation found" | "not composable (witness found)"
     witness: tuple[str, ...] | None
 
-    @property
-    def extra_value(self) -> int:
-        return self.mev_after - self.mev_before
-
 
 def check_composability(
     state: State,
@@ -91,10 +87,6 @@ class LiquidityMetrics:
     @property
     def liquid_eth(self) -> int:
         return self.mempool_eth_in + self.player_eth
-
-    @property
-    def liquid_other(self) -> int:
-        return self.mempool_other_in + self.player_other
 
 
 def liquidity_metrics(

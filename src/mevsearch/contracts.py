@@ -9,7 +9,9 @@ Each contract model is a frozen dataclass plus one transition rule per action
 it accepts.  A rule takes ``(state, tx, contract)``, checks its guards and
 returns ``state.settle(moves, venue, new_contract)``; ``_EXECUTORS`` maps
 contract type and action type to the rule.  Adding a contract model means one
-dataclass, its rules, one ``_EXECUTORS`` row and its codec in ``scenario``.
+dataclass, its rules, one ``_EXECUTORS`` row, its codec in ``scenario`` and its
+branch in ``ordering._footprint`` (until it has one, the sleep sets treat its
+transactions as dependent on every other).
 """
 
 from __future__ import annotations

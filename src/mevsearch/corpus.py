@@ -149,10 +149,6 @@ class ConvergenceResult:
     def hits(self) -> int:
         return sum(1 for p in self.points if p.ratio >= self.target_ratio)
 
-    @property
-    def hit_rate(self) -> Fraction:
-        return Fraction(self.hits, len(self.points))
-
 
 def measure_convergence(
     instances: list[Scenario],

@@ -5,7 +5,11 @@ The profit of a two-hop constant-product round trip is strictly concave in
 the trade size in the rational model; with fees and floor rounding the
 integer profile can wiggle, so the ternary search is guarded by a coarse
 geometric grid and an exhaustive local scan around the best candidate.
-Ranges small enough to scan outright are scanned outright.
+Every range takes this one path; a range of at most ``GRID_POINTS`` sizes is
+scanned whole, because the grid is then the whole range.  One skeleton costs
+at most ``GRID_POINTS + 2*LOCAL_SPAN + 1 + 2*ceil(log_{3/2} range) + 3``
+distinct evaluations, so ``search_with_insertion`` costs at most
+``MAX_SKELETONS`` times that.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from .state import FeePolicy, ScenarioError, State, Swap, Tx, UnknownVenueError,
 
 LOCAL_SPAN = 2048
 GRID_POINTS = 1024
-EXHAUSTIVE_RANGE = 1 << 20
 
 
 class EmptyFeasibleError(ValueError):
@@ -106,11 +109,12 @@ def _geometric_grid(lo: int, hi: int, points: int) -> list[int]:
 def optimize_alpha(problem: InsertionProblem) -> AlphaResult:
     """Best integer trade size and its exact profit.
 
-    Ranges of at most ``EXHAUSTIVE_RANGE`` sizes are scanned exhaustively.
-    Larger ranges combine a ``GRID_POINTS`` geometric grid sweep, an integer
-    ternary search (unimodality assumption), and an exhaustive scan of
-    +-``LOCAL_SPAN`` around the best candidate; ties break toward the
-    smallest size.
+    A ``GRID_POINTS`` geometric grid sweep (the whole range when it is that
+    small), an integer ternary search (unimodality assumption) whose final
+    window is scanned, and an exhaustive scan of +-``LOCAL_SPAN`` around the
+    best candidate; ternary probes never become the best by themselves, and
+    ties break toward the smallest size.  That is at most ``GRID_POINTS +
+    2*LOCAL_SPAN + 1 + 2*ceil(log_{3/2} range) + 3`` distinct evaluations.
     """
     lo, hi = problem.alpha_min, problem.alpha_max
     cache: dict[int, int | None] = {}
@@ -129,14 +133,6 @@ def optimize_alpha(problem: InsertionProblem) -> AlphaResult:
         return best
 
     best: tuple[int, int] | None = None
-
-    if hi - lo + 1 <= EXHAUSTIVE_RANGE:
-        for x in range(lo, hi + 1):
-            best = better(x, best)
-        if best is None:
-            raise EmptyFeasibleError("no feasible trade size in bounds")
-        return AlphaResult(*best)
-
     for x in _geometric_grid(lo, hi, GRID_POINTS):
         best = better(x, best)
 

@@ -57,14 +57,6 @@ def account_totals(state: State, accounts: frozenset[str]) -> dict[str, int]:
     return totals
 
 
-def account_value(state: State, accounts: frozenset[str], valuation: Valuation) -> int:
-    """Valued balance of a set of accounts (floor per token)."""
-    total = 0
-    for token, amount in account_totals(state, accounts).items():
-        total += valuation.token_value(token, amount)
-    return total
-
-
 @dataclass(frozen=True)
 class PlayerDelta:
     """Objective: valued balance change of the player's accounts since the
@@ -106,7 +98,10 @@ class AccountBalanceValue:
         return frozenset((self.account,))
 
     def value(self, state: State) -> int:
-        return account_value(state, self.tracked, self.valuation)
+        total = 0  # floor per token
+        for token, amount in account_totals(state, self.tracked).items():
+            total += self.valuation.token_value(token, amount)
+        return total
 
 
 @dataclass(frozen=True)
@@ -168,12 +163,11 @@ def ev(
     valuation: Valuation,
     budget: SearchBudget,
     workers: int = 1,
-    pruning: bool = True,
 ) -> EvReport:
     """Extractable value: the best valued balance delta of the player's
     accounts over the feasible block constructions."""
     objective = PlayerDelta.from_state(player.accounts, valuation, state)
-    return search(space, budget, objective, state, pruning=pruning, workers=workers)
+    return search(space, budget, objective, state, workers=workers)
 
 
 def k_mev(
@@ -190,8 +184,6 @@ def k_mev(
     Exact joint search under an exhaustive budget; greedy per-block
     concatenation (a lower bound) otherwise.
     """
-    if k < 1:
-        raise ScenarioError("k must be >= 1")
     return ev(player, replace(space, k=k), state, valuation, budget, workers=workers)
 
 

@@ -175,15 +175,20 @@ def _footprint(tx: Tx, deployed, space: OrderingSpace) -> frozenset | None:
     source or a claim's oracle pool, and the actor's and the collector's
     fee-token balances when a fee is charged.  ``None`` (dependent on every
     item) when the action's tokens live in a contract and ``deployed`` is
-    not given."""
+    not given, or when the venue holds a contract of a type with no branch
+    here, whose rules may move anything."""
     action = tx.action
     keys = {tx.venue}
+    contract = None if deployed is None else deployed.get(tx.venue)
+    if contract is not None and not isinstance(
+        contract, (contracts.AmmPool, contracts.MakerBook, contracts.Pricebet)
+    ):
+        return None
     if type(action) is Swap:
         tokens = (action.token_in, action.token_out)
     elif deployed is None:
         return None
     else:
-        contract = deployed.get(tx.venue)
         tokens = ()
         if isinstance(contract, contracts.AmmPool):
             tokens = (contract.token_x, contract.token_y)
@@ -651,7 +656,7 @@ def _greedy_k_blocks(
         chosen += txs
         per_block.append(objective.value(current))
     report = EvReport(
-        best_value=per_block[-1] if per_block else objective.value(current),
+        best_value=per_block[-1],
         best_ordering=tuple(BLOCK_BREAK_LABEL if tx is None else tx.label for tx in chosen),
         paths_explored=paths,
         exhaustive=False,

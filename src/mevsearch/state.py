@@ -150,15 +150,6 @@ class State:
             raise ScenarioError(f"contract id already in use: {venue}")
         return self.settle((), venue, contract)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, State):
-            return NotImplemented
-        return (
-            self.block_number == other.block_number
-            and self.balances == other.balances
-            and self.contracts == other.contracts
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class SequenceResult:

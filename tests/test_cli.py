@@ -451,3 +451,32 @@ def test_removed_options_are_usage_errors(runner, args):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert "no such option" in result.stderr.lower() and args[-2] in result.stderr
+
+
+@pytest.mark.parametrize(
+    "args, option",
+    [
+        (["mev", "--scenario", str(DATA / "liquidation.json"), "--workers", "-4"], "--workers"),
+        (["spread", "--scenario", str(DATA / "liquidation.json"), "--workers", "0"], "--workers"),
+        (["compose-check", "--scenario", str(DATA / "pricebet_compose.json"), "--workers", "-2"], "--workers"),
+        (["gen-corpus", "--seed", "7", "--count", "-1"], "--count"),
+        (
+            [
+                "replay",
+                "--scenario", str(DATA / "pair_scenario.json"),
+                "--log", str(DATA / "pair_log.csv"),
+                "--expected", str(DATA / "pair_expected.json"),
+                "--tolerance", "-1",
+            ],
+            "--tolerance",
+        ),
+    ],
+    ids=["mev_workers", "spread_workers", "compose_check_workers", "gen_corpus_count", "replay_tolerance"],
+)
+def test_out_of_range_integer_options_are_usage_errors(runner, tmp_path, args, option):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Invalid value for" in result.stderr and option in result.stderr
+    assert not out.exists()

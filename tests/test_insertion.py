@@ -1,5 +1,7 @@
 """Insertion-size optimization against exhaustive scans."""
 
+from pathlib import Path
+
 import pytest
 
 from mevsearch import insertion
@@ -15,9 +17,11 @@ from mevsearch.insertion import (
 )
 from mevsearch.metrics import PlayerDelta, Valuation
 from mevsearch.ordering import OrderingSpace, SearchBudget
+from mevsearch.scenario import load_scenario
 from mevsearch.state import State, Swap, Tx
 
 WAD = 10**18
+DATA = Path(__file__).parent.parent / "demos" / "data"
 
 
 def two_pool_problem(a_bbt, a_eth, b_bbt, b_eth, fee=30, lo=1, hi=None, miner_eth=10**30):
@@ -46,26 +50,68 @@ def test_bind_alpha_fills_only_open_templates():
     assert bound[1].action.amount == 55
 
 
+def full_scan(problem):
+    """(smallest best size, best value) over every size in the bounds."""
+    sizes = range(problem.alpha_min, problem.alpha_max + 1)
+    values = {a: evaluate_alpha(problem, a) for a in sizes}
+    best = max(v for v in values.values() if v is not None)
+    return min(a for a, v in values.items() if v == best), best
+
+
 def test_optimize_equals_exhaustive_scan_small_range():
     problem = two_pool_problem(10_000, 10_000, 10_000, 12_000, fee=30, hi=5_000)
-    values = {a: evaluate_alpha(problem, a) for a in range(1, 5_001)}
-    feasible = {a: v for a, v in values.items() if v is not None}
-    best_alpha = min(a for a, v in feasible.items() if v == max(feasible.values()))
     result = optimize_alpha(problem)
-    assert result.alpha == best_alpha
-    assert result.profit == max(feasible.values())
+    assert (result.alpha, result.profit) == full_scan(problem)
     assert result.profit > 0
 
 
-def test_optimize_large_range_matches_small_exhaustive(monkeypatch):
-    # the guarded ternary/grid path must find the same optimum that a forced
-    # exhaustive scan finds on the same instance
+def test_optimize_large_range_matches_small_exhaustive():
+    # the guarded grid/ternary/local-scan path must find the optimum that a
+    # scan of every size finds on the same instance
     problem = two_pool_problem(30_000, 30_000, 30_000, 36_000, fee=30, hi=20_000)
-    exact = optimize_alpha(problem)  # 20k candidates: exhaustive
-    monkeypatch.setattr(insertion, "EXHAUSTIVE_RANGE", 1)  # force grid+ternary
     guarded = optimize_alpha(problem)
-    assert guarded.profit == exact.profit
-    assert guarded.alpha == exact.alpha
+    assert (guarded.alpha, guarded.profit) == full_scan(problem)
+
+
+def _counterexample():
+    scenario = load_scenario(DATA / "two_amm_counterexample.json")
+    state = scenario.initial_state()
+    objective = PlayerDelta.from_state(
+        frozenset((scenario.miner_account,)), scenario.get_valuation(), state
+    )
+    return scenario.space(), scenario.budget, objective, state
+
+
+@pytest.mark.parametrize(
+    "alpha_max, alpha, value",
+    [(3_000, 2_997, 494), (50_000, 49_997, 8_246), (1 << 16, 65_528, 10_808)],
+)
+def test_counterexample_small_ranges_keep_the_full_scan_answers(alpha_max, alpha, value):
+    # (alpha, value) that a scan of every size in [1, alpha_max] finds
+    space, budget, objective, state = _counterexample()
+    out = search_with_insertion(space, budget, objective, state, 1, alpha_max)
+    assert out.report.best_ordering == ("user-sell", "buy", "sell")
+    assert (out.alpha, out.report.best_value) == (alpha, value)
+
+
+def test_optimize_alpha_evaluations_stay_within_the_bound(monkeypatch):
+    space, _, objective, state = _counterexample()
+    skeleton = space.mempool + space.templates
+    hi = 1 << 16
+    problem = InsertionProblem(state, skeleton, 1, hi, objective, space.fee_policy())
+    seen = []
+    evaluate = insertion.evaluate_alpha
+
+    def counting(problem, alpha):
+        seen.append(alpha)
+        return evaluate(problem, alpha)
+
+    monkeypatch.setattr(insertion, "evaluate_alpha", counting)
+    optimize_alpha(problem)
+    # ceil(log_{3/2} range), in integers: the ternary search's iteration bound
+    steps = next(t for t in range(hi) if 3**t >= hi * 2**t)
+    bound = insertion.GRID_POINTS + 2 * insertion.LOCAL_SPAN + 1 + 2 * steps + 3
+    assert len(seen) == len(set(seen)) <= bound < hi
 
 
 def test_aligned_pools_with_fees_never_profit():

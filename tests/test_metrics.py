@@ -8,13 +8,14 @@ import pytest
 from mevsearch.contracts import AmmPool, Pricebet
 from mevsearch.metrics import (
     MinerModel,
+    PlayerDelta,
     Valuation,
     ev,
     k_mev,
     value_spread,
     wmev,
 )
-from mevsearch.ordering import OrderingSpace, SearchBudget
+from mevsearch.ordering import OrderingSpace, SearchBudget, search
 from mevsearch.state import Bet, GetReward, State, Swap, Tx, apply_sequence
 
 EXH = SearchBudget(mode="exhaustive")
@@ -47,7 +48,8 @@ def test_ev_arbitrage_matches_hand_enumeration():
     t_buy = Tx("miner", "b", Swap("ETH", "BBT", 120), origin="miner")
     space = OrderingSpace(mempool=(user,), templates=(t_buy, t_sell), allow_insert=True)
     valuation = Valuation(primary="ETH", mode="oracle_priced", prices={"BBT": Fraction(1)})
-    report = ev(miner(), space, state, valuation, EXH, pruning=False)
+    objective = PlayerDelta.from_state(miner().accounts, valuation, state)
+    report = search(space, EXH, objective, state, pruning=False)
 
     def value(seq):
         res = apply_sequence(state, list(seq), "skip_invalid")

@@ -6,17 +6,19 @@ smallest one.  These tests check the reduction three ways: every pair the
 static footprints call independent commutes bit for bit from reachable
 states; the reduced walk's keys are exactly the lexicographic normal forms of
 the unreduced keys; and on a corpus mixing pools, a CDP book, a price bet,
-fees, censoring, insertion, fixed order and two blocks, reduced and unreduced
-search agree on every report field but the path counts.
+fees, censoring, insertion, fixed order and two blocks, and on one of pools
+with liquidity adds and removes, reduced and unreduced search agree on every
+report field but the path counts.
 """
 
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
 
+from mevsearch import contracts
 from mevsearch.contracts import AmmPool, MakerBook, Pricebet
 from mevsearch.corpus import convergence_corpus, make_spread_instance, measure_convergence
 from mevsearch.metrics import AccountBalanceValue, PlayerDelta, Valuation
@@ -32,10 +34,12 @@ from mevsearch.ordering import (
     search,
 )
 from mevsearch.state import (
+    AddLiquidity,
     Bet,
     CdpManipulate,
     GetReward,
     Liquidate,
+    RemoveLiquidity,
     State,
     Swap,
     Tx,
@@ -155,6 +159,97 @@ def test_independent_items_commute_bit_for_bit():
                     assert ij == ji, (seed, items[i], items[j])
                     checked += 1
     assert checked > 100
+
+
+def liquidity_instance(seed: int, censor: bool):
+    """Two pools whose LP shares three accounts hold, and a mempool of five
+    transactions drawn from swaps, adds and removes on either pool."""
+    rng = random.Random(seed)
+    lps = ("u0", "u1", "u2")
+
+    def pool(token):
+        shares = {u: rng.randint(100, 400) for u in lps}
+        return AmmPool(token, "ETH", rng.randint(2_000, 4_000), rng.randint(1_000, 2_000),
+                       fee_bps=rng.choice([0, 30]), lp_total=sum(shares.values()),
+                       lp_shares=shares)
+
+    state = State(
+        {(u, tok): 600 for u in lps for tok in ("ETH", "DAI", "TKN")},
+        {"pool0": pool("DAI"), "pool1": pool("TKN")},
+        0,
+    )
+
+    def draw():
+        actor = rng.choice(lps)
+        venue = rng.choice(("pool0", "pool1"))
+        other = "DAI" if venue == "pool0" else "TKN"
+        kind = rng.randrange(3)
+        if kind == 0:
+            token_in, token_out = rng.choice(((other, "ETH"), ("ETH", other)))
+            action = Swap(token_in, token_out, rng.randint(20, 300))
+        elif kind == 1:
+            action = AddLiquidity(rng.randint(10, 400), rng.randint(10, 300))
+        else:
+            action = RemoveLiquidity(rng.randint(10, 250))
+        return Tx(actor, venue, action)
+
+    space = OrderingSpace(mempool=tuple(draw() for _ in range(5)), allow_censor=censor)
+    return state, space
+
+
+def test_liquidity_actions_commute_and_reduce_losslessly():
+    reduced_total = full_total = liquidity_pairs = 0
+    for seed in range(12):
+        for censor in (True, False):
+            state, space = liquidity_instance(3_000 + seed, censor)
+            tree = _Tree(space, _FULL, frozenset(), state.contracts)
+            items = tree.items
+            rng = random.Random(seed)
+            for _ in range(4):
+                st = state
+                for i in rng.sample(range(len(items)), rng.randint(0, len(items))):
+                    st = _step(st, items[i], None)
+                for i, j in itertools.combinations(range(len(items)), 2):
+                    if tree.indep[i] >> j & 1:
+                        ij = _step(_step(st, items[i], None), items[j], None)
+                        ji = _step(_step(st, items[j], None), items[i], None)
+                        assert ij == ji, (seed, items[i], items[j])
+                        liquidity_pairs += type(items[i].action) is not Swap or type(
+                            items[j].action
+                        ) is not Swap
+            objective = PlayerDelta.from_state(frozenset({"u0"}), VALUATION, state)
+            reduced = search(space, EXH, objective, state, pruning=True, want_worst=True)
+            full = search(space, EXH, objective, state, pruning=False, want_worst=True)
+            assert replace(reduced, paths_explored=0, paths_total=0) == replace(
+                full, paths_explored=0, paths_total=0
+            ), (seed, censor)
+            reduced_total += reduced.paths_explored
+            full_total += full.paths_explored
+    assert liquidity_pairs > 0
+    assert reduced_total < full_total
+
+
+def test_a_contract_type_with_no_footprint_branch_depends_on_everything(monkeypatch):
+    @dataclass(frozen=True)
+    class Vault:
+        pass
+
+    def deposit(state, tx, vault):
+        if state.balances.get((tx.actor, "ETH"), 0) < 10:
+            return None
+        return state.settle(((tx.actor, "ETH", -10), ("vault", "ETH", 10)))
+
+    monkeypatch.setitem(contracts._EXECUTORS, Vault, {Bet: deposit})
+    pool = AmmPool("TKN", "ETH", 1_000, 1_000, fee_bps=0)
+    state = State({("u", "ETH"): 15}, {"vault": Vault(), "pool": pool}, 0)
+    into_vault = Tx("u", "vault", Bet())
+    buy = Tx("u", "pool", Swap("ETH", "TKN", 10))
+    # the two spend the same ETH, so only one of them succeeds
+    assert _step(_step(state, into_vault, None), buy, None) != _step(
+        _step(state, buy, None), into_vault, None
+    )
+    tree = _Tree(OrderingSpace(mempool=(into_vault, buy)), _FULL, frozenset(), state.contracts)
+    assert not tree.indep[0] >> 1 & 1 and not tree.indep[1] >> 0 & 1
 
 
 def test_footprints_follow_what_each_action_reads_and_writes():
