@@ -175,13 +175,16 @@ def amm_swap_exact_in(pool: AmmPool, token_in: str, amount_in: int) -> tuple[Amm
         return None
     if pool.reserve_x <= 0 or pool.reserve_y <= 0:
         return None
+    # The successor is built directly, not through ``replace``: this is the
+    # search's hottest allocation.  It shares ``lp_shares``, as ``replace`` does.
+    x, y = pool.reserve_x, pool.reserve_y
     if token_in == pool.token_x:
-        out = amm_out_given_in(pool.reserve_x, pool.reserve_y, amount_in, pool.fee_bps)
-        new_pool = replace(pool, reserve_x=pool.reserve_x + amount_in, reserve_y=pool.reserve_y - out)
+        out = amm_out_given_in(x, y, amount_in, pool.fee_bps)
+        x, y = x + amount_in, y - out
     else:
-        out = amm_out_given_in(pool.reserve_y, pool.reserve_x, amount_in, pool.fee_bps)
-        new_pool = replace(pool, reserve_y=pool.reserve_y + amount_in, reserve_x=pool.reserve_x - out)
-    return new_pool, out
+        out = amm_out_given_in(y, x, amount_in, pool.fee_bps)
+        x, y = x - out, y + amount_in
+    return AmmPool(pool.token_x, pool.token_y, x, y, pool.fee_bps, pool.lp_total, pool.lp_shares), out
 
 
 def amm_swap_exact_out(pool: AmmPool, token_out: str, amount_out: int) -> tuple[AmmPool, int] | None:
@@ -190,17 +193,18 @@ def amm_swap_exact_out(pool: AmmPool, token_out: str, amount_out: int) -> tuple[
         return None
     if pool.reserve_x <= 0 or pool.reserve_y <= 0:
         return None
+    x, y = pool.reserve_x, pool.reserve_y
     if token_out == pool.token_y:
-        if amount_out >= pool.reserve_y:
+        if amount_out >= y:
             return None
-        cost = amm_in_given_out(pool.reserve_x, pool.reserve_y, amount_out, pool.fee_bps)
-        new_pool = replace(pool, reserve_x=pool.reserve_x + cost, reserve_y=pool.reserve_y - amount_out)
+        cost = amm_in_given_out(x, y, amount_out, pool.fee_bps)
+        x, y = x + cost, y - amount_out
     else:
-        if amount_out >= pool.reserve_x:
+        if amount_out >= x:
             return None
-        cost = amm_in_given_out(pool.reserve_y, pool.reserve_x, amount_out, pool.fee_bps)
-        new_pool = replace(pool, reserve_y=pool.reserve_y + cost, reserve_x=pool.reserve_x - amount_out)
-    return new_pool, cost
+        cost = amm_in_given_out(y, x, amount_out, pool.fee_bps)
+        x, y = x - amount_out, y + cost
+    return AmmPool(pool.token_x, pool.token_y, x, y, pool.fee_bps, pool.lp_total, pool.lp_shares), cost
 
 
 def amm_add_liquidity(pool: AmmPool, account: str, amount_x: int, amount_y: int) -> tuple[AmmPool, int] | None:

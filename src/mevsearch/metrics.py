@@ -3,6 +3,12 @@
 All values are exact: balances are ints, prices and probabilities are
 `fractions.Fraction`, and valued amounts floor once per token (floor of the
 price times the balance delta, matching integer settlement).
+
+An objective (``PlayerDelta``, ``AccountBalanceValue``) names the accounts it
+``tracked`` and its ``value(state)`` reads nothing but those accounts'
+balances.  The search relies on this contract: the sampler evaluates only the
+transactions whose footprints reach a tracked balance (see ``ordering``), so
+a ``value`` that read anything else could see a state missing the others.
 """
 
 from __future__ import annotations

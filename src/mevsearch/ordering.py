@@ -51,10 +51,24 @@ never skipped, and the same holds for the worst.  Only ``paths_explored`` and
 one per equivalence class, not the raw orderings.
 
 Instances too large to enumerate fall back to seeded uniform sampling of
-orderings (Fisher-Yates shuffles, deduplicated) ; the original mempool order
+orderings (Fisher-Yates shuffles, deduplicated); the original mempool order
 is always evaluated first, so the reported best is never below the untouched
 ordering's value.  Multi-block spaces under a randomized budget are searched
 greedily, one block at a time.
+
+Sampling evaluates only the objective's slice of each sample (cone of
+influence: Clarke, Grumberg & Peled, 1999; Weiser, 1984).  An item is
+relevant when it is connected, through footprints that share a key, to an
+item that touches a balance of an account the objective tracks, or to one
+whose application may raise.  Every other item has a footprint disjoint from
+every relevant one, so it commutes with all of them and can move to the end
+of the sample, where it writes no balance the objective reads: the value of
+the relevant items alone is the sample's value, bit for bit.  Without
+footprints (the sleep sets off, or one item dependent on everything) every
+item is relevant.  The projections are evaluated in sorted order, each one
+starting from the state of its longest common prefix with the one before, so
+a prefix shared by many samples is applied once.  Each sample keeps its own
+key, so the reports do not change.
 """
 
 from __future__ import annotations
@@ -68,6 +82,8 @@ from multiprocessing import get_context
 
 from . import contracts
 from .state import (
+    CDP_KINDS,
+    CdpManipulate,
     FeePolicy,
     GetReward,
     MINER,
@@ -205,6 +221,64 @@ def _footprint(tx: Tx, deployed, space: OrderingSpace) -> frozenset | None:
     return frozenset(keys)
 
 
+def _may_raise(tx: Tx, deployed) -> bool:
+    """Can applying ``tx`` raise instead of succeeding or failing?  An
+    unbound insertion size, an unknown CDP action, and a CDP book's price
+    source or a claim's oracle that is not a pool over the tokens it prices.
+    Contract types do not change during a search, so neither does this."""
+    action = tx.action
+    if type(action) is Swap:
+        return action.amount is None
+    contract = deployed.get(tx.venue)
+    if isinstance(contract, contracts.MakerBook):
+        if type(action) is CdpManipulate and action.kind not in CDP_KINDS:
+            return True
+        source = deployed.get(contract.price_source)
+        return contract.oracle_price is None and not (
+            isinstance(source, contracts.AmmPool)
+            and source.has_token(contract.loan_token)
+            and source.has_token(contract.collateral_token)
+        )
+    if isinstance(contract, contracts.Pricebet) and type(action) is GetReward:
+        oracle = deployed.get(contract.oracle)
+        return not (isinstance(oracle, contracts.AmmPool) and oracle.has_token(contract.token))
+    return False
+
+
+def _relevant(items: tuple[Tx, ...], prints: list[frozenset], tracked, deployed) -> int:
+    """Bitmask of the items whose footprint-connected component holds a
+    balance of a ``tracked`` account or an item that may raise."""
+    holders: dict = {}
+    for i, keys in enumerate(prints):
+        for key in keys:
+            holders[key] = holders.get(key, 0) | 1 << i
+    todo = 0
+    for i, tx in enumerate(items):
+        if _may_raise(tx, deployed) or any(
+            type(key) is tuple and key[0] in tracked for key in prints[i]
+        ):
+            todo |= 1 << i
+    relevant = 0
+    while todo:
+        low = todo & -todo
+        relevant |= low
+        for key in prints[low.bit_length() - 1]:
+            todo |= holders[key]
+        todo &= ~relevant
+    return relevant
+
+
+def _step(state: State, tx: Tx, fee_policy: FeePolicy | None) -> State:
+    """``tx`` applied in skip-invalid mode: the successor, or ``state`` itself
+    when ``tx`` fails or its venue holds no contract.  ``apply_tx`` is looked
+    up on this module at call time, so tracing can wrap it."""
+    try:
+        nxt = apply_tx(state, tx, fee_policy)
+    except UnknownVenueError:
+        return state
+    return state if nxt is None else nxt
+
+
 def _commutes(state: State, tx_p: Tx, tx_c: Tx) -> bool:
     """Would swapping this adjacent same-pool, same-direction pair leave the
     pool bit-identical?
@@ -251,9 +325,14 @@ class _Tree:
     keys go to exact-input swaps by single-shot actors the objective does not
     track: an account with several transactions can gate later guards through
     its own balance.
+
+    ``relevant`` is the bitmask of the items the objective can see: those
+    footprint-connected to a balance of a tracked account or to an item that
+    may raise.  Without footprints every item is relevant.  Only the sampler
+    reads it.
     """
 
-    __slots__ = ("space", "items", "waves", "templates", "runs", "indep")
+    __slots__ = ("space", "items", "waves", "templates", "runs", "indep", "relevant")
 
     def __init__(
         self, space: OrderingSpace, reduction: int, tracked: frozenset[str], deployed=None
@@ -289,8 +368,11 @@ class _Tree:
 
         n = len(items)
         self.indep = [0] * n
+        self.relevant = (1 << n) - 1
         if reduction & _SLEEP:
             prints = [_footprint(tx, deployed, space) for tx in items]
+            if None not in prints:
+                self.relevant = _relevant(items, prints, tracked, deployed)
             for i in range(n):
                 for j in range(i):
                     if (
@@ -406,14 +488,7 @@ class _Tree:
                 else:
                     pos -= n_mem_choices
                     nxt_mem, nxt_tpl = mem_rem, tpl_rem[:pos] + tpl_rem[pos + 1:]
-                nxt = st
-                if st is not None:
-                    try:
-                        applied = apply_tx(st, items[idx], fee_policy)
-                    except UnknownVenueError:
-                        applied = None
-                    if applied is not None:
-                        nxt = applied
+                nxt = None if st is None else _step(st, items[idx], fee_policy)
                 seq.append(idx)
                 yield from node(
                     nxt, block, nxt_mem, nxt_tpl, run, idx, st,
@@ -550,9 +625,9 @@ def _sample_sequences(tree: _Tree, budget: SearchBudget) -> list[tuple[int, ...]
     """Distinct single-block orderings sampled uniformly: identity first, then
     seeded Fisher-Yates shuffles, without replacement.
 
-    Stops at ``max_paths`` orderings, after 50 x ``max_paths`` draws, or after
-    ``MAX_DUPLICATE_RUN`` draws in a row that were all seen before (the space
-    is then all but exhausted).
+    Stops at ``max_paths`` orderings, after ``max(50 x max_paths, 1000)``
+    draws, or after ``MAX_DUPLICATE_RUN`` draws in a row that were all seen
+    before (the space is then all but exhausted).
     """
     space = tree.space
     rng = random.Random(budget.seed)
@@ -587,11 +662,41 @@ def _sample_sequences(tree: _Tree, budget: SearchBudget) -> list[tuple[int, ...]
 
 
 def _evaluate_sequences(tree: _Tree, state: State, seqs: list[tuple[int, ...]]):
-    """Yield ``(key, state)`` for every sampled sequence, each replayed whole."""
-    items = tree.items
+    """Yield ``(key, state)`` for every sampled sequence, in the order of
+    their projections, where the state is that of the sequence's relevant
+    items alone, applied in skip-invalid mode.
+
+    The objective reads that state's tracked balances exactly as it would
+    read the whole sequence's (see the module docstring).  The projections
+    are walked in sorted order over a stack of states, ``stack[d]`` being
+    the state after the first ``d`` items of the previous projection, so a
+    projection applies only the items past its longest common prefix with
+    the one before it: one ``apply_tx`` per distinct non-empty prefix.  The
+    fold does not depend on the order of its offers.
+    """
+    items, relevant = tree.items, tree.relevant
     fee_policy = tree.space.fee_policy()
-    for seq in seqs:
-        yield seq, apply_sequence(state, [items[i] for i in seq], "skip_invalid", fee_policy).state
+    # A projection is a string with one character, chr(index), per relevant
+    # item.  It sorts as the tuple of indices would, and it is freed when the
+    # fold ends, where thousands of tuples of assorted lengths would stay
+    # behind in the interpreter's tuple free lists.
+    code = [chr(i) if relevant >> i & 1 else "" for i in range(len(items))]
+    stack = [state]
+    prev = ""
+    for proj, seq in sorted(("".join([code[i] for i in seq]), seq) for seq in seqs):
+        if proj != prev:
+            common = 0
+            for a, b in zip(proj, prev):
+                if a != b:
+                    break
+                common += 1
+            del stack[common + 1:]
+            st = stack[common]
+            for c in proj[common:]:
+                st = _step(st, items[ord(c)], fee_policy)
+                stack.append(st)
+            prev = proj
+        yield seq, stack[-1]
 
 
 def _search_tree(

@@ -9,6 +9,11 @@ the unreduced keys; and on a corpus mixing pools, a CDP book, a price bet,
 fees, censoring, insertion, fixed order and two blocks, and on one of pools
 with liquidity adds and removes, reduced and unreduced search agree on every
 report field but the path counts.
+
+The sampler evaluates only the objective's slice of each sample, sharing
+prefixes in sorted order.  On the same corpus, and on two-pool spreads where
+the beneficiary trades one pool, every sampled report equals the one of an
+evaluator that replays each sample whole.
 """
 
 import itertools
@@ -18,10 +23,10 @@ from fractions import Fraction
 
 import pytest
 
-from mevsearch import contracts
+from mevsearch import contracts, ordering
 from mevsearch.contracts import AmmPool, MakerBook, Pricebet
 from mevsearch.corpus import convergence_corpus, make_spread_instance, measure_convergence
-from mevsearch.metrics import AccountBalanceValue, PlayerDelta, Valuation
+from mevsearch.metrics import AccountBalanceValue, PlayerDelta, Valuation, value_spread
 from mevsearch.ordering import (
     _FULL,
     _RUN,
@@ -30,6 +35,7 @@ from mevsearch.ordering import (
     OrderingSpace,
     SearchBudget,
     _Tree,
+    _sample_sequences,
     count_sequences,
     search,
 )
@@ -40,10 +46,12 @@ from mevsearch.state import (
     GetReward,
     Liquidate,
     RemoveLiquidity,
+    ScenarioError,
     State,
     Swap,
     Tx,
     UnknownVenueError,
+    apply_sequence,
     apply_tx,
 )
 
@@ -403,3 +411,182 @@ def test_convergence_budget_is_sized_by_the_run_rule_count():
         for p in result.points
     )
     assert got == CONVERGENCE_POINTS
+
+
+# ---------------------------------------------------------------------------
+# Objective slicing in the sampler
+# ---------------------------------------------------------------------------
+
+def _whole_replay(tree, state, seqs):
+    """The sampler's evaluator without the slice or shared prefixes: every
+    sampled sequence replayed whole, in sample order."""
+    items, fee_policy = tree.items, tree.space.fee_policy()
+    for seq in seqs:
+        yield seq, apply_sequence(state, [items[i] for i in seq], "skip_invalid", fee_policy).state
+
+
+def _sampled(seed, max_paths=60):
+    return SearchBudget(max_paths=max_paths, seed=seed, tractability_threshold=0)
+
+
+def _all_items(tree):
+    return (1 << len(tree.items)) - 1
+
+
+def test_sliced_sampling_equals_whole_replay_on_the_mixed_corpus(monkeypatch):
+    cases = [
+        (state, space, PlayerDelta.from_state(frozenset({"miner"}), VALUATION, state) if i % 2
+         else AccountBalanceValue("p" if i % 4 else "u0", VALUATION))
+        for i, (state, space) in enumerate(differential_corpus())
+    ]
+    sliced = [
+        search(space, _sampled(i), objective, state, want_worst=True)
+        for i, (state, space, objective) in enumerate(cases)
+    ]
+    trees = [
+        _Tree(replace(space, k=1), _FULL, objective.tracked, state.contracts)
+        for state, space, objective in cases
+    ]
+    # the slice cut items from some samples, all of them from a few
+    assert sum(tree.relevant != _all_items(tree) for tree in trees) >= 10
+    assert any(tree.relevant == 0 for tree in trees)
+    # the corpus covers greedy blocks, fixed order, fees, censoring and insertion
+    assert {space.k for _, space, _ in cases} == {1, 2}
+    monkeypatch.setattr(ordering, "_evaluate_sequences", _whole_replay)
+    for i, (state, space, objective) in enumerate(cases):
+        oracle = search(space, _sampled(i), objective, state, want_worst=True)
+        assert sliced[i] == oracle, (i, space)
+
+
+def _one_pool_whale_spreads():
+    for index in range(6):
+        sc = make_spread_instance(7, index, 8, n_pools=2, fee_bps=30, whale_txs=1)
+        space = sc.space()
+        yield sc, space if index % 2 else replace(space, allow_censor=True)
+
+
+def test_sliced_sampling_equals_whole_replay_on_one_pool_whale_spreads(monkeypatch):
+    cases = list(_one_pool_whale_spreads())
+    sliced = [
+        value_spread(sc.beneficiary, space, sc.initial_state(), sc.valuation, _sampled(i, 300))
+        for i, (sc, space) in enumerate(cases)
+    ]
+    cut = 0
+    for sc, space in cases:
+        tree = _Tree(space, _FULL, frozenset({sc.beneficiary}), sc.initial_state().contracts)
+        cut += tree.relevant != _all_items(tree)
+    assert cut == len(cases)  # the whale trades one of the two pools
+    monkeypatch.setattr(ordering, "_evaluate_sequences", _whole_replay)
+    for i, (sc, space) in enumerate(cases):
+        oracle = value_spread(
+            sc.beneficiary, space, sc.initial_state(), sc.valuation, _sampled(i, 300)
+        )
+        assert sliced[i] == oracle, i
+
+
+def _two_pool_instance():
+    """The whale and two users trade pool0; three users trade pool1, which
+    no tracked balance reaches."""
+    pool = AmmPool("TKN", "ETH", 1_000_000, 1_000_000, fee_bps=30)
+    mempool = (
+        Tx("whale", "pool0", Swap("ETH", "TKN", 50_000)),
+        Tx("u1", "pool1", Swap("TKN", "ETH", 30_000)),
+        Tx("u2", "pool0", Swap("TKN", "ETH", 40_000)),
+        Tx("u3", "pool1", Swap("ETH", "TKN", 20_000)),
+        Tx("u4", "pool1", Swap("TKN", "ETH", 10_000)),
+        Tx("u5", "pool0", Swap("ETH", "TKN", 60_000)),
+    )
+    balances = {(tx.actor, tx.action.token_in): tx.action.amount for tx in mempool}
+    return State(balances, {"pool0": pool, "pool1": pool}, 0), OrderingSpace(mempool=mempool)
+
+
+@pytest.mark.parametrize("censor", (False, True))
+def test_sampling_applies_each_shared_prefix_of_the_slice_once(monkeypatch, censor):
+    state, space = _two_pool_instance()
+    space = replace(space, allow_censor=censor)
+    objective = AccountBalanceValue("whale", VALUATION)
+    budget = _sampled(0, 200)
+    tree = _Tree(space, _FULL, objective.tracked, state.contracts)
+    assert tree.relevant == 0b100101  # the pool0 items
+    seqs = _sample_sequences(tree, budget)
+    projections = {tuple(i for i in seq if tree.relevant >> i & 1) for seq in seqs}
+    prefixes = {proj[:d] for proj in projections for d in range(1, len(proj) + 1)}
+
+    calls = []
+    real_apply_tx = ordering.apply_tx
+
+    def counting_apply_tx(st, tx, fee_policy=None):
+        calls.append(tx)
+        return real_apply_tx(st, tx, fee_policy)
+
+    monkeypatch.setattr(ordering, "apply_tx", counting_apply_tx)
+    report = search(space, budget, objective, state, want_worst=True)
+    assert len(calls) == len(prefixes)
+    assert len(calls) < sum(len(seq) for seq in seqs)  # the whole-replay count
+    if not censor:
+        assert len(prefixes) == 3 + 6 + 6  # every ordering of the three pool0 swaps
+    else:
+        # some projection extends another, so a state on the stack is reused whole
+        assert any(proj[:-1] in projections for proj in projections if proj)
+    monkeypatch.setattr(ordering, "_evaluate_sequences", _whole_replay)
+    assert search(space, budget, objective, state, want_worst=True) == report
+
+
+def test_a_contract_type_with_no_footprint_branch_disables_the_slice(monkeypatch):
+    @dataclass(frozen=True)
+    class Vault:
+        pass
+
+    def deposit(state, tx, vault):
+        if state.balances.get((tx.actor, "ETH"), 0) < 10:
+            return None
+        return state.settle(((tx.actor, "ETH", -10), ("vault", "ETH", 10)))
+
+    monkeypatch.setitem(contracts._EXECUTORS, Vault, {Bet: deposit})
+    state, space = _two_pool_instance()
+    state = State({**state.balances, ("u1", "ETH"): 15}, {**state.contracts, "vault": Vault()}, 0)
+    objective = AccountBalanceValue("whale", VALUATION)
+    tree = _Tree(space, _FULL, objective.tracked, state.contracts)
+    assert tree.relevant != _all_items(tree)
+    space = replace(space, mempool=space.mempool + (Tx("u1", "vault", Bet()),))
+    tree = _Tree(space, _FULL, objective.tracked, state.contracts)
+    assert tree.relevant == _all_items(tree)
+    # without footprints the sleep sets are off, and so is the slice
+    assert _Tree(space, _RUN, objective.tracked, state.contracts).relevant == _all_items(tree)
+    sliced = search(space, _sampled(1, 100), objective, state, want_worst=True)
+    monkeypatch.setattr(ordering, "_evaluate_sequences", _whole_replay)
+    assert search(space, _sampled(1, 100), objective, state, want_worst=True) == sliced
+
+
+# Items whose application raises, each reaching no tracked balance.
+RAISERS = {
+    "unbound template": (Tx("miner", "pool1", Swap("ETH", "TKN", None), origin="miner"), {}),
+    "unknown CDP action": (
+        Tx("v", "book", CdpManipulate("borrow", 5)),
+        {"book": MakerBook("TKN", "ETH", "pool1")},
+    ),
+    "CDP price source not a pool": (
+        Tx("v", "book", CdpManipulate("withdraw_loan", 5)),
+        {"book": MakerBook("TKN", "ETH", "nowhere")},
+    ),
+    "claim oracle not a pool": (
+        Tx("p", "bet", GetReward()),
+        {"bet": Pricebet("nowhere", "ETH", deadline=5, pot=300, has_bet=True, player="p")},
+    ),
+}
+
+
+@pytest.mark.parametrize("raiser", RAISERS)
+def test_an_item_that_raises_still_raises_outside_the_objectives_reach(raiser):
+    tx, deployed = RAISERS[raiser]
+    state, space = _two_pool_instance()
+    state = State(state.balances, {**state.contracts, **deployed}, 0)
+    if tx.origin == "miner":
+        space = replace(space, templates=(tx,), allow_insert=True)
+    else:
+        space = replace(space, mempool=space.mempool + (tx,))
+    objective = PlayerDelta.from_state(frozenset({"whale"}), VALUATION, state)
+    tree = _Tree(space, _FULL, objective.tracked, state.contracts)
+    assert tree.relevant >> len(tree.items) - 1 & 1  # the raiser is the last item
+    with pytest.raises(ScenarioError):
+        search(space, _sampled(0), objective, state)
