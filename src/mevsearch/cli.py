@@ -187,15 +187,22 @@ def replay(scenario_path, log_path, expected_path, tolerance, out):
 @out_option
 def mev(scenario_path, seed, workers, budget, k, censor, insert, valuation, out):
     """Best extractable value for the scenario's miner."""
-    scenario = _apply_overrides(
-        load_scenario(scenario_path), seed, budget, k, _on_off(censor), _on_off(insert), valuation
-    )
+    scenario = load_scenario(scenario_path)
+    sizing = any(has_unresolved_amount(tx) for tx in scenario.templates)
+    if sizing:
+        for name, value in (("--seed", seed), ("--budget", budget)):
+            if value is not None:
+                raise click.UsageError(
+                    f"{name} does not apply to insertion sizing, which reads no search budget "
+                    "(the scenario has open-size templates)"
+                )
+    scenario = _apply_overrides(scenario, seed, budget, k, _on_off(censor), _on_off(insert), valuation)
     state = scenario.initial_state()
     space = scenario.space()
     val = scenario.get_valuation()
     player = scenario.player()
     doc: dict
-    if any(has_unresolved_amount(tx) for tx in space.templates):
+    if sizing:
         if scenario.insertion_bounds is None:
             raise click.ClickException("scenario has open templates but no insertion_bounds")
         objective = PlayerDelta.from_state(player.accounts, val, state)

@@ -10,11 +10,17 @@ scanned whole, because the grid is then the whole range.  One skeleton costs
 at most ``GRID_POINTS + 2*LOCAL_SPAN + 1 + 2*ceil(log_{3/2} range) + 3``
 distinct evaluations, so ``search_with_insertion`` costs at most
 ``MAX_SKELETONS`` times that.
+
+Nothing before a skeleton's first open template depends on the size, so an
+``InsertionProblem`` applies that prefix once, the first time it is
+evaluated, and one evaluation binds and applies only the tail from the first
+open template on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 from .ordering import _SLEEP, EvReport, OrderingSpace, SearchBudget, _Tree, _labels_for
 from .state import FeePolicy, ScenarioError, State, Swap, Tx, UnknownVenueError, apply_tx
@@ -32,9 +38,24 @@ def has_unresolved_amount(tx: Tx) -> bool:
 
 
 def bind_alpha(txs: tuple[Tx, ...], alpha: int) -> tuple[Tx, ...]:
-    """Fill the shared unresolved trade size into every open template."""
+    """Fill the shared unresolved trade size into every open template.
+
+    The bound ``Tx`` and ``Swap`` are built from their fields directly, which
+    costs a fraction of ``dataclasses.replace``; a field added to either class
+    must be added here too.
+    """
     return tuple(
-        replace(tx, action=replace(tx.action, amount=alpha)) if has_unresolved_amount(tx) else tx
+        Tx(
+            tx.actor,
+            tx.venue,
+            Swap(tx.action.token_in, tx.action.token_out, alpha, tx.action.exact_out),
+            tx.origin,
+            tx.label,
+            tx.fee,
+            tx.arrival_block,
+        )
+        if has_unresolved_amount(tx)
+        else tx
         for tx in txs
     )
 
@@ -49,6 +70,11 @@ class InsertionProblem:
     transaction that fails is censored-by-failure (a no-op), while a miner
     template that fails makes the size infeasible, since the same ordering
     without that template is a skeleton of its own.
+
+    The items before the first open template do not depend on the size: the
+    first evaluation applies them once and keeps the state they leave, and
+    every evaluation applies only the tail.  The cached state lives as long
+    as the problem; a prefix that raises caches nothing and raises again.
     """
 
     state: State
@@ -67,9 +93,16 @@ class InsertionProblem:
             if tx.origin == "mempool" and has_unresolved_amount(tx):
                 raise ScenarioError("only miner templates may be unresolved")
 
+    @cached_property
+    def _prefix(self) -> tuple[State | None, tuple[Tx, ...]]:
+        """(state after the items before the first open template, or ``None``
+        when a template among them fails; the items from it on)."""
+        first = next(i for i, tx in enumerate(self.skeleton) if has_unresolved_amount(tx))
+        return _apply(self.state, self.skeleton[:first], self.fee_policy), self.skeleton[first:]
 
-def _evaluate(state: State, txs: tuple[Tx, ...], objective, fee_policy) -> int | None:
-    """Objective after a concrete skeleton; ``None`` when a template fails."""
+
+def _apply(state: State, txs: tuple[Tx, ...], fee_policy) -> State | None:
+    """State after concrete transactions; ``None`` when a template fails."""
     for tx in txs:
         try:
             nxt = apply_tx(state, tx, fee_policy)
@@ -79,14 +112,25 @@ def _evaluate(state: State, txs: tuple[Tx, ...], objective, fee_policy) -> int |
             state = nxt
         elif tx.origin != "mempool":
             return None
-    return objective.value(state)
+    return state
+
+
+def _evaluate(state: State, txs: tuple[Tx, ...], objective, fee_policy) -> int | None:
+    """Objective after a concrete skeleton; ``None`` when a template fails."""
+    end = _apply(state, txs, fee_policy)
+    return None if end is None else objective.value(end)
 
 
 def evaluate_alpha(problem: InsertionProblem, alpha: int) -> int | None:
-    """Objective at one trade size; ``None`` when the size is infeasible."""
-    return _evaluate(
-        problem.state, bind_alpha(problem.skeleton, alpha), problem.objective, problem.fee_policy
-    )
+    """Objective at one trade size; ``None`` when the size is infeasible.
+
+    Only the tail from the first open template is bound and applied, to the
+    state the problem's α-free prefix left.
+    """
+    state, tail = problem._prefix
+    if state is None:
+        return None
+    return _evaluate(state, bind_alpha(tail, alpha), problem.objective, problem.fee_policy)
 
 
 @dataclass(frozen=True)

@@ -480,3 +480,16 @@ def test_out_of_range_integer_options_are_usage_errors(runner, tmp_path, args, o
     assert result.stdout == ""
     assert "Invalid value for" in result.stderr and option in result.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("option, value", [("--budget", "1"), ("--seed", "3")])
+def test_search_options_on_insertion_sizing_are_usage_errors(runner, tmp_path, option, value):
+    # insertion sizing reads no search budget, so mev rejects the options
+    # that would override it rather than ignore them
+    out = tmp_path / "out"
+    args = ["mev", "--scenario", str(DATA / "two_amm_counterexample.json"), option, value]
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"{option} does not apply to insertion sizing" in result.stderr
+    assert not out.exists()

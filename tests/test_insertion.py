@@ -1,24 +1,35 @@
 """Insertion-size optimization against exhaustive scans."""
 
+import random
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import pytest
 
 from mevsearch import insertion
-from mevsearch.contracts import AmmPool
+from mevsearch.contracts import AmmPool, MakerBook
 from mevsearch.insertion import (
     EmptyFeasibleError,
     InsertionProblem,
     bind_alpha,
     evaluate_alpha,
+    has_unresolved_amount,
     optimize_alpha,
     profit_curve,
     search_with_insertion,
 )
 from mevsearch.metrics import PlayerDelta, Valuation
-from mevsearch.ordering import OrderingSpace, SearchBudget
+from mevsearch.ordering import _SLEEP, OrderingSpace, SearchBudget, _Tree
 from mevsearch.scenario import load_scenario
-from mevsearch.state import State, Swap, Tx
+from mevsearch.state import (
+    CdpManipulate,
+    ScenarioError,
+    State,
+    Swap,
+    Tx,
+    UnknownVenueError,
+    apply_tx,
+)
 
 WAD = 10**18
 DATA = Path(__file__).parent.parent / "demos" / "data"
@@ -233,3 +244,216 @@ def test_skeleton_cap_stops_the_enumeration(monkeypatch):
         )
     # the enumeration is lazy: it stops at the first skeleton over the cap
     assert len(walked) == MAX_SKELETONS + 1
+
+
+# ---------------------------------------------------------------------------
+# The prefix-once evaluator against a whole replay
+# ---------------------------------------------------------------------------
+
+
+def replace_bind(txs, alpha):
+    """Every open template bound through ``dataclasses.replace``."""
+    return tuple(
+        replace(tx, action=replace(tx.action, amount=alpha)) if has_unresolved_amount(tx) else tx
+        for tx in txs
+    )
+
+
+def whole_replay(problem, alpha):
+    """Oracle: bind the whole skeleton and replay it from the initial state,
+    with the user-no-op / template-infeasible rule."""
+    state = problem.state
+    for tx in replace_bind(problem.skeleton, alpha):
+        try:
+            nxt = apply_tx(state, tx, problem.fee_policy)
+        except UnknownVenueError:
+            nxt = None
+        if nxt is not None:
+            state = nxt
+        elif tx.origin != "mempool":
+            return None
+    return problem.objective.value(state)
+
+
+def _variant(seed, index):
+    """The counterexample with both pools' reserves scaled by 0.9-1.1 and
+    the user's trade by 0.8-1.2 (the benchmark's insertion variants)."""
+    base = load_scenario(DATA / "two_amm_counterexample.json")
+    rng = random.Random(seed * 1_000_003 + 500_000 + index)
+    contracts = {}
+    for cid in sorted(base.contracts):
+        pool = base.contracts[cid]
+        contracts[cid] = replace(
+            pool,
+            reserve_x=pool.reserve_x * rng.randint(900, 1100) // 1000,
+            reserve_y=pool.reserve_y * rng.randint(900, 1100) // 1000,
+        )
+    (user_tx,) = base.mempool
+    amount = user_tx.action.amount * rng.randint(800, 1200) // 1000
+    balances = dict(base.balances)
+    balances[(user_tx.actor, user_tx.action.token_in)] = amount
+    user_tx = replace(user_tx, action=replace(user_tx.action, amount=amount))
+    return replace(base, contracts=contracts, balances=balances, mempool=(user_tx,))
+
+
+def _with_fees():
+    """The counterexample with fees charged: the user pays 0.001 ETH and each
+    template 0.002 ETH to the miner."""
+    base = load_scenario(DATA / "two_amm_counterexample.json")
+    (user_tx,) = base.mempool
+    balances = dict(base.balances)
+    balances[(user_tx.actor, "ETH")] = WAD
+    return replace(
+        base,
+        charge_fees=True,
+        balances=balances,
+        mempool=(replace(user_tx, fee=WAD // 1000),),
+        templates=tuple(replace(t, fee=2 * WAD // 1000) for t in base.templates),
+    )
+
+
+DIFFERENTIAL = {
+    "counterexample": lambda: load_scenario(DATA / "two_amm_counterexample.json"),
+    **{f"variant{i}": (lambda i=i: _variant(0, i)) for i in range(1, 5)},
+    "fees": _with_fees,
+}
+
+
+def _setup(scenario):
+    state = scenario.initial_state()
+    objective = PlayerDelta.from_state(
+        frozenset((scenario.miner_account,)), scenario.get_valuation(), state
+    )
+    return scenario.space(), objective, state
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_prefix_once_evaluation_equals_whole_replay(name):
+    scenario = DIFFERENTIAL[name]()
+    space, objective, state = _setup(scenario)
+    lo, hi = scenario.insertion_bounds
+    rng = random.Random(name)
+    sizes = insertion._geometric_grid(lo, hi, insertion.GRID_POINTS)
+    sizes += [rng.randint(lo, hi) for _ in range(200)]
+    tree = _Tree(space, _SLEEP, objective.tracked, state.contracts)
+    open_skeletons = with_prefix = 0
+    for key, _ in tree.walk(None):
+        txs = tuple(tree.items[i] for i in key)
+        if not any(has_unresolved_amount(tx) for tx in txs):
+            continue
+        open_skeletons += 1
+        with_prefix += not has_unresolved_amount(txs[0])
+        problem = InsertionProblem(state, txs, lo, hi, objective, space.fee_policy())
+        got = [evaluate_alpha(problem, a) for a in sizes]
+        assert got == [whole_replay(problem, a) for a in sizes], [tx.label for tx in txs]
+    # 7 open skeletons, 4 of which start with the user's sell; with fees every
+    # two transactions are dependent, and the sleep sets keep 10 and 4
+    assert (open_skeletons, with_prefix) == ((10, 4) if name == "fees" else (7, 4))
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_search_with_insertion_equals_the_whole_replay_search(name, monkeypatch):
+    scenario = DIFFERENTIAL[name]()
+    space, objective, state = _setup(scenario)
+
+    def run():
+        out = search_with_insertion(
+            space, scenario.budget, objective, state, *scenario.insertion_bounds
+        )
+        return out.report.best_value, out.report.best_ordering, out.alpha, out.report.paths_explored
+
+    got = run()
+    monkeypatch.setattr(insertion, "evaluate_alpha", whole_replay)
+    assert got == run()
+    if name == "counterexample":
+        assert got == (
+            123061201464936859816, ("user-sell", "buy", "sell"), 1361442650470666519273, 8
+        )
+
+
+def _pool_state():
+    return State(
+        {("miner", "ETH"): 10**6},
+        {
+            "a": AmmPool("BBT", "ETH", 10_000, 10_000, fee_bps=30),
+            "b": AmmPool("BBT", "ETH", 10_000, 12_000, fee_bps=30),
+            "book": MakerBook("DAI", "ETH", "a"),
+        },
+        0,
+    )
+
+
+BUY = Tx("miner", "a", Swap("ETH", "BBT", None, exact_out=True), origin="miner", label="buy")
+SELL = Tx("miner", "b", Swap("BBT", "ETH", None), origin="miner", label="sell")
+
+
+def _problem(state, skeleton):
+    objective = PlayerDelta.from_state(frozenset({"miner"}), Valuation(primary="ETH"), state)
+    return InsertionProblem(state, skeleton, 1, 5_000, objective)
+
+
+def test_a_failing_template_in_the_prefix_makes_every_size_infeasible():
+    state = _pool_state()
+    # a concrete miner template paying more ETH than the miner holds
+    broke = Tx("miner", "a", Swap("ETH", "BBT", 10**7), origin="miner")
+    problem = _problem(state, (broke, BUY, SELL))
+    for alpha in (1, 100, 5_000):
+        assert evaluate_alpha(problem, alpha) is None
+        assert whole_replay(problem, alpha) is None
+    with pytest.raises(EmptyFeasibleError):
+        optimize_alpha(problem)
+
+
+def test_a_prefix_that_raises_raises_on_every_evaluation():
+    state = _pool_state()
+    bogus = Tx("u", "book", CdpManipulate("bogus", 1))
+    problem = _problem(state, (bogus, BUY, SELL))
+    for _ in range(2):
+        with pytest.raises(ScenarioError, match="unknown CDP action"):
+            evaluate_alpha(problem, 10)
+
+
+def test_the_prefix_is_applied_once_per_problem(monkeypatch):
+    state = _pool_state()
+    state.balances[("u", "BBT")] = 500
+    prefix = (
+        Tx("u", "a", Swap("BBT", "ETH", 300), label="u1"),
+        Tx("u", "a", Swap("BBT", "ETH", 400), label="u2"),  # fails: a no-op
+        Tx("miner", "b", Swap("ETH", "BBT", 50), origin="miner", label="m"),
+    )
+    problem = _problem(state, prefix + (BUY, SELL))
+    applied = []
+    apply = insertion.apply_tx
+
+    def counting(state, tx, fee_policy=None):
+        applied.append(tx)
+        return apply(state, tx, fee_policy)
+
+    monkeypatch.setattr(insertion, "apply_tx", counting)
+    sizes = range(1, 201)
+    got = [evaluate_alpha(problem, a) for a in sizes]
+    assert sum(1 for tx in applied if tx in prefix) == len(prefix)
+    assert len(applied) - len(prefix) <= 2 * len(sizes)
+    monkeypatch.setattr(insertion, "apply_tx", apply)
+    assert got == [whole_replay(problem, a) for a in sizes]
+
+
+@pytest.mark.parametrize("exact_out", [True, False])
+def test_bind_alpha_keeps_every_field_that_replace_keeps(exact_out):
+    template = Tx(
+        "miner", "a", Swap("ETH", "BBT", None, exact_out=exact_out),
+        origin="miner", label="buy", fee=7, arrival_block=2,
+    )
+    # every defaulted field is set away from its default, so a field that
+    # binding drops would show
+    for obj in (template, template.action):
+        for f in fields(obj):
+            if f.default is not MISSING and not (f.name == "exact_out" and not exact_out):
+                assert getattr(obj, f.name) != f.default, f.name
+    (bound,) = bind_alpha((template,), 55)
+    (expected,) = replace_bind((template,), 55)
+    for f in fields(Tx):
+        assert getattr(bound, f.name) == getattr(expected, f.name), f.name
+    for f in fields(Swap):
+        assert getattr(bound.action, f.name) == getattr(expected.action, f.name), f.name
+    assert type(bound) is Tx and type(bound.action) is Swap
