@@ -12,8 +12,9 @@ censored-by-failure, not a dead branch); without one it yields index
 sequences only.  Searches reduce the objective's values to the best/worst
 with a deterministic tie-break: among equal values the lexicographically
 smallest item-index sequence wins, so reports are identical for any worker
-count.  With ``workers > 1``, exhaustive searches (any ``k``) run the
-subtrees under the walker's depth-2 prefixes in a process pool.
+count.  With ``workers > 1``, exhaustive searches (any ``k``) split the
+subtrees under the walker's depth-2 prefixes between forked workers, the
+parent folding one share itself.
 
 Two reductions cut the walk; both keep the values and witnesses exact.
 
@@ -74,11 +75,11 @@ key, so the reports do not change.
 from __future__ import annotations
 
 import os
+import pickle
 import random
-from concurrent.futures import ProcessPoolExecutor
+import signal
 from dataclasses import dataclass, replace
 from itertools import islice
-from multiprocessing import get_context
 
 from . import contracts
 from .state import (
@@ -581,21 +582,40 @@ def _fold_walk(walk, objective) -> _Reducer:
     return reducer
 
 
-_WORKER_SHARED = None
+def _fold_share(tree: _Tree, state: State, objective, units, first: int, step: int):
+    """Fold the subtrees of ``units[first::step]`` into one reducer.  The
+    share stops at its first failing unit; the failure comes back as
+    ``(unit index, exception)`` in place of raising."""
+    reducer = _Reducer()
+    for index in range(first, len(units), step):
+        try:
+            reducer.merge(_fold_walk(tree.walk(state, units[index]), objective))
+        except Exception as e:
+            return reducer, (index, e)
+    return reducer, None
 
 
-def _init_worker(shared) -> None:
-    global _WORKER_SHARED
-    _WORKER_SHARED = shared
-
-
-def _unit_task(prefix: tuple[int, ...]) -> _Reducer:
-    tree, state, objective = _WORKER_SHARED
-    return _fold_walk(tree.walk(state, prefix), objective)
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform says."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _exhaustive(tree: _Tree, state: State, objective, workers: int) -> _Reducer:
-    """Fold every construction of the tree."""
+    """Fold every construction of the tree.
+
+    With ``workers > 1`` the subtrees under the walk's depth-2 prefixes are
+    the work units, split over ``procs = min(workers, units, usable CPUs)``
+    processes: ``procs - 1`` forked workers, the parent folding one share
+    itself.  Process ``j`` folds the interleaved share ``units[j::procs]``,
+    and each worker pickles its reducer back over its own pipe.  The merge
+    does not depend on the order of its folds, and after the short
+    sequences a failure re-raises the one of the lowest-indexed failing
+    unit, so neither reports nor errors depend on the number of processes.
+    Every worker is reaped before this returns or raises, and killed first
+    if the parent stops before it has the worker's result.
+    """
     if workers <= 1:
         return _fold_walk(tree.walk(state), objective)
 
@@ -605,15 +625,47 @@ def _exhaustive(tree: _Tree, state: State, objective, workers: int) -> _Reducer:
     shallow = list(tree.walk(state, max_len=2))
     reducer = _fold_walk(((key, st) for key, st in shallow if len(key) < 2), objective)
     units = [key for key, _ in shallow if len(key) == 2]
-    pool_size = max(1, min(workers, len(units), os.cpu_count() or 1))
-    with ProcessPoolExecutor(
-        max_workers=pool_size,
-        mp_context=get_context("fork"),
-        initializer=_init_worker,
-        initargs=((tree, state, objective),),
-    ) as pool:
-        for other in pool.map(_unit_task, units, chunksize=1):
-            reducer.merge(other)
+    procs = max(1, min(workers, len(units), _usable_cpus()))
+    pids: list[int] = []  # forked and not yet reaped
+    pipes = []
+    try:
+        for first in range(1, procs):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    data = pickle.dumps(_fold_share(tree, state, objective, units, first, procs))
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pipe.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            pids.append(pid)
+            pipes.append(os.fdopen(read_fd, "rb"))
+        shares = [_fold_share(tree, state, objective, units, 0, procs)]
+        for pipe in pipes:
+            data = pipe.read()
+            pid = pids[0]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pids[0]
+            if code or not data:
+                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+                raise RuntimeError(f"search worker {pid} {how} without sending its result")
+            shares.append(pickle.loads(data))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = [failure for _, failure in shares if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    for share, _ in shares:
+        reducer.merge(share)
     return reducer
 
 

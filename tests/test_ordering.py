@@ -1,9 +1,17 @@
-"""Enumeration, pruning, work-unit splitting, and search determinism."""
+"""Enumeration, pruning, work-unit splitting, forked workers, and search determinism."""
 
 import itertools
+import os
+import re
+import subprocess
+import sys
+import time
 from dataclasses import replace
 
+import pytest
+
 from mevsearch.contracts import AmmPool
+from mevsearch.corpus import make_spread_instance
 from mevsearch.metrics import AccountBalanceValue, PlayerDelta, Valuation
 from mevsearch.ordering import (
     EvReport,
@@ -343,3 +351,222 @@ def test_sampler_stops_after_a_run_of_duplicate_draws(monkeypatch):
     rep = search(sp, budget, objective, mixed_state(10))
     assert not rep.exhaustive and rep.paths_explored == 1
     assert len(draws) == ordering.MAX_DUPLICATE_RUN
+
+
+# -- forked workers ------------------------------------------------------------
+
+def _count_forks(monkeypatch, cpus=8):
+    """Let ``cpus`` CPUs be usable, and record the pid of every worker that
+    ``os.fork`` starts from this process."""
+    from mevsearch import ordering
+
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    if cpus is not None:
+        monkeypatch.setattr(ordering, "_usable_cpus", lambda: cpus)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _units(sp, state, objective):
+    tree = _Tree(sp, _FULL, objective.tracked, state.contracts)
+    return tree, [key for key, _ in tree.walk(state, max_len=2) if len(key) == 2]
+
+
+def _k2_corpus_case():
+    scenario = make_spread_instance(5, 0, 6)
+    space = scenario.space()
+    wave = tuple(replace(tx, arrival_block=i % 2) for i, tx in enumerate(space.mempool))
+    objective = AccountBalanceValue(scenario.beneficiary, scenario.get_valuation())
+    return replace(space, mempool=wave, k=2), scenario.initial_state(), objective
+
+
+def _censor_corpus_case():
+    scenario = make_spread_instance(5, 1, 6)
+    objective = AccountBalanceValue(scenario.beneficiary, scenario.get_valuation())
+    return replace(scenario.space(), allow_censor=True), scenario.initial_state(), objective
+
+
+def _few_units_case():
+    sp = OrderingSpace(mempool=swaps(3))
+    return sp, mixed_state(), AccountBalanceValue("u0", Valuation(primary="ETH"))
+
+
+def _nothing_to_fork_case():
+    sp = OrderingSpace(mempool=swaps(1), allow_censor=True)
+    return sp, mixed_state(), AccountBalanceValue("u0", Valuation(primary="ETH"))
+
+
+@pytest.mark.parametrize(
+    "case, has_units",
+    [
+        (_k2_corpus_case, lambda n: n > 8),
+        (_censor_corpus_case, lambda n: n > 8),
+        (_few_units_case, lambda n: 1 < n < 8),
+        (_nothing_to_fork_case, lambda n: n == 0),
+    ],
+    ids=["k2_corpus", "censor_corpus", "few_units", "nothing_to_fork"],
+)
+def test_reports_are_the_same_at_any_worker_count(monkeypatch, case, has_units):
+    sp, state, objective = case()
+    _, units = _units(sp, state, objective)
+    assert has_units(len(units))
+    forks = _count_forks(monkeypatch)
+    reports = {}
+    for workers in (1, 2, 3, 8):
+        del forks[:]
+        reports[workers] = search(
+            sp, SearchBudget(mode="exhaustive"), objective, state, want_worst=True, workers=workers
+        )
+        assert len(forks) == max(1, min(workers, len(units))) - 1
+        _assert_no_child_left()
+    assert reports[1].exhaustive and reports[1].paths_explored > 1
+    assert all(reports[w] == reports[1] for w in (2, 3, 8))
+
+
+def test_workers_are_capped_by_the_cpus_the_process_may_use(monkeypatch):
+    if not hasattr(os, "sched_getaffinity"):
+        pytest.skip("the platform reports no CPU affinity")
+    state = mixed_state()
+    sp = OrderingSpace(mempool=swaps(4), allow_censor=True)
+    objective = AccountBalanceValue("u0", Valuation(primary="ETH"))
+    serial = search(sp, SearchBudget(mode="exhaustive"), objective, state)
+    forks = _count_forks(monkeypatch, cpus=None)
+    for cpus, workers, expected_forks in (({0}, 2, 0), ({0, 1, 2}, 8, 2)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(cpus))
+        del forks[:]
+        assert search(sp, SearchBudget(mode="exhaustive"), objective, state, workers=workers) == serial
+        assert len(forks) == expected_forks
+        _assert_no_child_left()
+
+
+def _alternating(n):
+    """Swaps on one pool in alternating directions: no two of them commute."""
+    return tuple(
+        Tx(f"u{i}", "amm", Swap("BBT" if i % 2 else "ETH", "ETH" if i % 2 else "BBT", 300 + 41 * i))
+        for i in range(n)
+    )
+
+
+class _RaisesPastDepth2:
+    """Raises at every leaf that applied 3 or more swaps, none of them u0's;
+    the message names the balances the leaf moved, so it tells leaves
+    apart."""
+
+    tracked = frozenset()
+
+    def __init__(self, state):
+        self.initial = state.balances
+
+    def value(self, state):
+        moved = sorted(
+            (key, amount) for key, amount in state.balances.items() if self.initial[key] != amount
+        )
+        actors = {actor for (actor, _), _ in moved}
+        if len(actors) >= 3 and "u0" not in actors:
+            raise ValueError(f"leaf moved {moved}")
+        return 0
+
+
+def test_a_failing_search_raises_the_lowest_indexed_units_error(monkeypatch):
+    from mevsearch.ordering import _fold_walk
+
+    state = mixed_state()
+    sp = OrderingSpace(mempool=_alternating(5), allow_censor=True)
+    objective = _RaisesPastDepth2(state)
+    tree, units = _units(sp, state, objective)
+    errors = {}
+    for index, unit in enumerate(units):
+        try:
+            _fold_walk(tree.walk(state, unit), objective)
+        except ValueError as e:
+            errors[index] = str(e)
+    first = min(errors)
+    # At two processes the first failure is in the worker's share while the
+    # parent's own share fails later, at a unit of its own.
+    assert first % 2 == 1 and any(index % 2 == 0 for index in errors)
+    assert len(set(errors.values())) == len(errors)
+
+    _count_forks(monkeypatch)
+    for workers in (1, 2, 2, 3, 3):
+        with pytest.raises(ValueError) as info:
+            search(sp, SearchBudget(mode="exhaustive"), objective, state, workers=workers)
+        assert str(info.value) == errors[first]
+        _assert_no_child_left()
+
+
+class _ExitsOutsideTheTestProcess:
+    tracked = frozenset()
+
+    def __init__(self):
+        self.pid = os.getpid()
+
+    def value(self, state):
+        if os.getpid() != self.pid:
+            os._exit(3)
+        return 0
+
+
+def test_a_worker_that_exits_without_a_result_is_a_one_line_error(monkeypatch):
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(RuntimeError) as info:
+        search(
+            OrderingSpace(mempool=_alternating(4)), SearchBudget(mode="exhaustive"),
+            _ExitsOutsideTheTestProcess(), mixed_state(), workers=2,
+        )
+    assert len(forks) == 1
+    assert re.fullmatch(
+        r"search worker \d+ exited with status 3 without sending its result", str(info.value)
+    )
+    _assert_no_child_left()
+
+
+class _Interrupted(BaseException):
+    pass
+
+
+class _StallsOutsideTheTestProcess(_ExitsOutsideTheTestProcess):
+    def value(self, state):
+        if os.getpid() != self.pid:
+            time.sleep(60)
+        raise _Interrupted
+
+
+def test_the_workers_are_killed_when_the_parents_own_share_stops(monkeypatch):
+    forks = _count_forks(monkeypatch)
+    t0 = time.monotonic()
+    with pytest.raises(_Interrupted):
+        search(
+            OrderingSpace(mempool=_alternating(4)), SearchBudget(mode="exhaustive"),
+            _StallsOutsideTheTestProcess(), mixed_state(), workers=3,
+        )
+    assert len(forks) == 2
+    assert time.monotonic() - t0 < 30
+    _assert_no_child_left()
+
+
+def test_importing_the_package_loads_no_process_pool():
+    import mevsearch
+
+    src = os.path.dirname(os.path.dirname(mevsearch.__file__))
+    code = (
+        "import sys, mevsearch\n"
+        "print([m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.stdout.strip() == "[]"
