@@ -164,6 +164,15 @@ def amm_out_given_in_exact(
     return in_after_fee * reserve_out / (reserve_in * FEE_DENOM + in_after_fee)
 
 
+def amm_in_given_out_exact(
+    reserve_in: int, reserve_out: int, amount_out: int, fee_bps: int = 0
+) -> Fraction:
+    """No-rounding rational oracle for the exact-output formula."""
+    return Fraction(
+        reserve_in * amount_out * FEE_DENOM, (reserve_out - amount_out) * (FEE_DENOM - fee_bps)
+    )
+
+
 def amm_swap_exact_in(pool: AmmPool, token_in: str, amount_in: int) -> tuple[AmmPool, int] | None:
     """Swap ``amount_in`` of ``token_in`` into the pool.
 

@@ -15,15 +15,44 @@ Nothing before a skeleton's first open template depends on the size, so an
 ``InsertionProblem`` applies that prefix once, the first time it is
 evaluated, and one evaluation binds and applies only the tail from the first
 open template on.
+
+Branch and bound (Land & Doig, 1960).  Once the search holds an incumbent,
+a skeleton is sized only when an integer upper bound on its value beats it;
+a later skeleton that ties loses the tie-break, since the walk yields keys
+in increasing order.  A skeleton is also skipped when the bound proves every
+size infeasible.  The bound exists when:
+
+1. no fee policy is set, the objective is a ``PlayerDelta`` and every price
+   is >= 0;
+2. after dropping every user transaction of the tail whose footprint is
+   disjoint from every later tail item's, that touches no tracked balance
+   and that cannot raise (it commutes to the end, where the objective cannot
+   see it), every item left is a constant-product swap by a tracked actor,
+   each on a pool of its own.
+
+Then each swap trades against its pool's reserves after the prefix, with or
+without rounding.  The exact-input output is floored and the exact-output
+cost is floor + 1, so each token's delta is at most its no-rounding delta,
+and the value is at most the floor of the priced no-rounding value U.  U is
+concave (optimal arbitrage on constant-product pools is a convex problem:
+Angeris et al., arXiv 1911.03380), so a binary search on U(a+1) > U(a)
+finds its integer maximum.  A size must stay below an exact-output swap's
+output reserve, and at most the trader's balance when the first template is
+exact-input; an empty range proves the skeleton infeasible.  A tail that
+trades twice on one pool has no bound: a later swap can profit from the
+rounding of an earlier one, so the integer value can exceed U.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
-from .ordering import _SLEEP, EvReport, OrderingSpace, SearchBudget, _Tree, _labels_for
-from .state import FeePolicy, ScenarioError, State, Swap, Tx, UnknownVenueError, apply_tx
+from .contracts import AmmPool, amm_in_given_out_exact, amm_out_given_in_exact
+from .metrics import PlayerDelta, account_totals
+from .ordering import _SLEEP, EvReport, OrderingSpace, SearchBudget, _may_raise, _Tree, _labels_for
+from .state import MEMPOOL, FeePolicy, ScenarioError, State, Swap, Tx, UnknownVenueError, apply_tx
 
 LOCAL_SPAN = 2048
 GRID_POINTS = 1024
@@ -223,6 +252,108 @@ def profit_curve(problem: InsertionProblem, samples: int) -> list[tuple[int, int
 
 
 # ---------------------------------------------------------------------------
+# The no-rounding bound
+# ---------------------------------------------------------------------------
+
+def _rational_gain(pool: AmmPool, swap: Swap, amount: int, price) -> Fraction:
+    """Priced change of the trader's balances when ``swap`` trades ``amount``
+    on ``pool`` without rounding."""
+    reserves = pool.reserve(swap.token_in), pool.reserve(swap.token_out)
+    if swap.exact_out:
+        cost = amm_in_given_out_exact(*reserves, amount, pool.fee_bps)
+        return price(swap.token_out) * amount - price(swap.token_in) * cost
+    out = amm_out_given_in_exact(*reserves, amount, pool.fee_bps)
+    return price(swap.token_out) * out - price(swap.token_in) * amount
+
+
+def _value_bound(problem: InsertionProblem, tree: _Tree, key: tuple[int, ...]) -> int | None:
+    """An integer that no size's value exceeds, or ``None`` when the tail
+    has no such bound; ``key`` holds the skeleton's item indices in ``tree``.
+
+    Raises ``EmptyFeasibleError`` when every size is provably infeasible:
+    the prefix fails, or the necessary conditions on the size leave an
+    empty range.
+    """
+    state, tail = problem._prefix
+    if state is None:
+        raise EmptyFeasibleError("a template before the first open one fails")
+    objective = problem.objective
+    if problem.fee_policy is not None or type(objective) is not PlayerDelta:
+        return None
+    price = objective.valuation.price
+    if any(price(token) < 0 for token in objective.valuation.prices):
+        return None
+    tracked = objective.tracked
+    deployed = state.contracts
+    tail_keys = key[len(key) - len(tail):]
+    swaps = []
+    venues = set()
+    later = 0
+    for tx, item in zip(reversed(tail), reversed(tail_keys)):
+        mask, later = later, later | 1 << item
+        if (
+            tx.origin == MEMPOOL
+            and tree.indep[item] & mask == mask
+            and tx.actor not in tracked
+            and not _may_raise(tx, deployed)
+        ):
+            continue  # commutes to the end, where the objective cannot see it
+        swap, pool = tx.action, deployed.get(tx.venue)
+        if (
+            tx.origin == MEMPOOL
+            or type(swap) is not Swap
+            or not isinstance(pool, AmmPool)
+            or tx.actor not in tracked
+            or tx.venue in venues
+            or {swap.token_in, swap.token_out} != {pool.token_x, pool.token_y}
+        ):
+            return None
+        if swap.amount is not None and (
+            swap.amount < 1 or swap.exact_out and swap.amount >= pool.reserve(swap.token_out)
+        ):
+            return None
+        venues.add(tx.venue)
+        swaps.append((pool, swap))
+
+    # Size-free terms: the tracked balances after the prefix, and the swaps
+    # of concrete templates.
+    totals = account_totals(state, tracked)
+    base = dict(objective.base)
+    fixed = Fraction(0)
+    for token in totals.keys() | base.keys():
+        fixed += price(token) * (totals.get(token, 0) - base.get(token, 0))
+    open_swaps = []
+    for pool, swap in swaps:
+        if swap.amount is None:
+            open_swaps.append((pool, swap))
+        else:
+            fixed += _rational_gain(pool, swap, swap.amount, price)
+
+    lo, hi = problem.alpha_min, problem.alpha_max
+    first = tail[0]
+    if not first.action.exact_out:
+        hi = min(hi, state.balance(first.actor, first.action.token_in))
+    for pool, swap in open_swaps:
+        if swap.exact_out:
+            hi = min(hi, pool.reserve(swap.token_out) - 1)
+    if lo > hi:
+        raise EmptyFeasibleError("no feasible trade size in bounds")
+
+    def upper(alpha: int) -> Fraction:
+        return fixed + sum(_rational_gain(pool, swap, alpha, price) for pool, swap in open_swaps)
+
+    # U is concave: the first size where it stops rising is its maximum.
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if upper(mid + 1) > upper(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    best = upper(lo)
+    return best.numerator // best.denominator
+
+
+# ---------------------------------------------------------------------------
 # Joint ordering + size search
 # ---------------------------------------------------------------------------
 
@@ -245,8 +376,10 @@ def search_with_insertion(
     alpha_max: int,
 ) -> InsertionSearchResult:
     """Best value over orderings whose miner templates share one unresolved
-    trade size: every candidate skeleton is size-optimized and the best
-    (value, ordering) wins with the usual smallest-key tie-break.
+    trade size: every candidate skeleton is size-optimized unless its bound
+    cannot beat the best value so far, and the best (value, ordering) wins
+    with the usual smallest-key tie-break.  A skipped skeleton still counts
+    in ``paths_explored`` and toward ``MAX_SKELETONS``.
 
     The skeletons are enumerated exhaustively (at most ``MAX_SKELETONS``).
     ``budget`` is accepted but unused; callers pass it positionally, as they
@@ -272,6 +405,11 @@ def search_with_insertion(
         if any(has_unresolved_amount(tx) for tx in txs):
             problem = InsertionProblem(state, txs, alpha_min, alpha_max, objective, fee_policy)
             try:
+                if best is not None:
+                    # On a tie the incumbent's smaller key wins.
+                    bound = _value_bound(problem, tree, key)
+                    if bound is not None and bound <= best[0]:
+                        continue
                 res = optimize_alpha(problem)
             except EmptyFeasibleError:
                 continue

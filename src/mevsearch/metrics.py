@@ -21,6 +21,7 @@ from .state import ScenarioError, State
 
 PRIMARY_ONLY = "primary_only"
 ORACLE_PRICED = "oracle_priced"
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -43,15 +44,20 @@ class Valuation:
         if self.prices.get(self.primary, Fraction(1)) != 1:
             raise ScenarioError("primary token price must be exactly 1")
 
+    def price(self, token: str) -> Fraction:
+        """Primary units per base unit of ``token``: 1 for the primary token,
+        0 for a token this valuation does not price."""
+        if token == self.primary:
+            return _ONE
+        if self.mode == PRIMARY_ONLY:
+            return _ZERO
+        return self.prices.get(token, _ZERO)
+
     def token_value(self, token: str, amount: int) -> int:
         """floor(price * amount); exact pass-through for the primary token."""
         if token == self.primary:
             return amount
-        if self.mode == PRIMARY_ONLY:
-            return 0
-        price = self.prices.get(token)
-        if price is None:
-            return 0
+        price = self.price(token)
         return (price.numerator * amount) // price.denominator
 
 

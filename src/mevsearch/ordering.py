@@ -595,6 +595,21 @@ def _fold_share(tree: _Tree, state: State, objective, units, first: int, step: i
     return reducer, None
 
 
+def _portable(failure):
+    """A share's failure as a worker sends it: unchanged when its exception
+    survives a pickle round trip, else a one-line ``RuntimeError`` at the
+    same unit index that names the exception's type and message."""
+    if failure is None:
+        return None
+    index, e = failure
+    try:
+        pickle.loads(pickle.dumps(e))
+    except Exception:
+        message = " ".join(str(e).split())
+        return index, RuntimeError(f"search worker raised {type(e).__qualname__}: {message}")
+    return failure
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on, where the platform says."""
     if hasattr(os, "sched_getaffinity"):
@@ -609,7 +624,8 @@ def _exhaustive(tree: _Tree, state: State, objective, workers: int) -> _Reducer:
     the work units, split over ``procs = min(workers, units, usable CPUs)``
     processes: ``procs - 1`` forked workers, the parent folding one share
     itself.  Process ``j`` folds the interleaved share ``units[j::procs]``,
-    and each worker pickles its reducer back over its own pipe.  The merge
+    and each worker pickles its reducer back over its own pipe, with its
+    failure made ``_portable``.  The merge
     does not depend on the order of its folds, and after the short
     sequences a failure re-raises the one of the lowest-indexed failing
     unit, so neither reports nor errors depend on the number of processes.
@@ -636,7 +652,8 @@ def _exhaustive(tree: _Tree, state: State, objective, workers: int) -> _Reducer:
                 status = 1
                 try:
                     os.close(read_fd)
-                    data = pickle.dumps(_fold_share(tree, state, objective, units, first, procs))
+                    reducer, failure = _fold_share(tree, state, objective, units, first, procs)
+                    data = pickle.dumps((reducer, _portable(failure)))
                     with os.fdopen(write_fd, "wb") as pipe:
                         pipe.write(data)
                     status = 0

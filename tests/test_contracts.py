@@ -12,6 +12,7 @@ from mevsearch.contracts import (
     Pricebet,
     amm_add_liquidity,
     amm_in_given_out,
+    amm_in_given_out_exact,
     amm_out_given_in,
     amm_out_given_in_exact,
     amm_remove_liquidity,
@@ -68,6 +69,15 @@ def test_exact_in_floor_of_rational(rx, ry, amount, fee):
     oracle = amm_out_given_in_exact(rx, ry, amount, fee)
     assert out == oracle.numerator // oracle.denominator
     assert 0 <= out < ry
+
+
+@given(rx=reserves, ry=reserves, amount=amounts, fee=fees)
+@settings(max_examples=200, deadline=None)
+def test_exact_out_floor_of_rational_plus_one(rx, ry, amount, fee):
+    if amount >= ry:
+        return
+    oracle = amm_in_given_out_exact(rx, ry, amount, fee)
+    assert amm_in_given_out(rx, ry, amount, fee) == oracle.numerator // oracle.denominator + 1
 
 
 @given(rx=reserves, ry=reserves, amount=amounts, fee=fees)

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import MISSING, fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from mevsearch.insertion import (
     profit_curve,
     search_with_insertion,
 )
-from mevsearch.metrics import PlayerDelta, Valuation
+from mevsearch.metrics import AccountBalanceValue, PlayerDelta, Valuation
 from mevsearch.ordering import _SLEEP, OrderingSpace, SearchBudget, _Tree
 from mevsearch.scenario import load_scenario
 from mevsearch.state import (
@@ -457,3 +458,218 @@ def test_bind_alpha_keeps_every_field_that_replace_keeps(exact_out):
     for f in fields(Swap):
         assert getattr(bound.action, f.name) == getattr(expected.action, f.name), f.name
     assert type(bound) is Tx and type(bound.action) is Swap
+
+
+# ---------------------------------------------------------------------------
+# The no-rounding bound
+# ---------------------------------------------------------------------------
+
+
+def _random_case(seed):
+    """A small insertion space: 1-3 pools with fees of 0-30 bps, a side pool
+    no template trades on, 1-2 user swaps and 1-2 open miner templates,
+    valued primary-only or with oracle prices >= 0.  Templates usually trade
+    on distinct pools."""
+    rng = random.Random(seed)
+    contracts = {
+        f"p{i}": AmmPool(
+            rng.choice(("BBT", "CCT")), "ETH", rng.randint(5_000, 50_000),
+            rng.randint(5_000, 50_000), fee_bps=rng.randint(0, 30),
+        )
+        for i in range(rng.randint(1, 3))
+    }
+    pools = sorted(contracts)
+    contracts["side"] = AmmPool("BBT", "ETH", 20_000, 20_000, fee_bps=30)
+    balances = {("miner", "ETH"): 10**6, ("miner", "BBT"): rng.randint(0, 5_000)}
+    mempool = []
+    for u in range(rng.randint(1, 2)):
+        venue = rng.choice(pools + ["side"])
+        pool = contracts[venue]
+        token_in, token_out = rng.sample((pool.token_x, pool.token_y), 2)
+        amount = rng.randint(100, 3_000)
+        balances[(f"u{u}", token_in)] = rng.choice((amount, amount // 2))
+        mempool.append(Tx(f"u{u}", venue, Swap(token_in, token_out, amount)))
+    n_templates = rng.randint(1, 2)
+    if rng.random() < 0.8:
+        venues = rng.sample(pools, min(n_templates, len(pools)))
+    else:
+        venues = [rng.choice(pools) for _ in range(n_templates)]
+    templates = []
+    for venue in venues:
+        pool = contracts[venue]
+        token_in, token_out = rng.sample((pool.token_x, pool.token_y), 2)
+        templates.append(Tx(
+            "miner", venue, Swap(token_in, token_out, None, exact_out=rng.random() < 0.5),
+            origin="miner",
+        ))
+    if rng.random() < 0.3:
+        valuation = Valuation("ETH")
+    else:
+        prices = {t: Fraction(rng.randint(0, 30), rng.randint(1, 10)) for t in ("BBT", "CCT")}
+        valuation = Valuation("ETH", "oracle_priced", prices)
+    state = State(balances, contracts, 0)
+    objective = PlayerDelta.from_state(frozenset({"miner"}), valuation, state)
+    space = OrderingSpace(mempool=tuple(mempool), templates=tuple(templates), allow_insert=True)
+    hi = rng.randint(20, 300) if rng.random() < 0.5 else rng.randint(10**4, 10**5)
+    return space, state, objective, hi
+
+
+def _open_problems(space, state, objective, hi):
+    """(key, problem) for every open skeleton the insertion search walks."""
+    tree = _Tree(space, _SLEEP, objective.tracked, state.contracts)
+    for key, _ in tree.walk(None):
+        txs = tuple(tree.items[i] for i in key)
+        if any(has_unresolved_amount(tx) for tx in txs):
+            yield tree, key, InsertionProblem(state, txs, 1, hi, objective, space.fee_policy())
+
+
+def test_no_size_is_worth_more_than_the_bound():
+    bounded = infeasible = with_dropped_users = 0
+    for seed in range(60):
+        case = _random_case(seed)
+        rng = random.Random(seed)
+        for tree, key, problem in _open_problems(*case):
+            lo, hi = problem.alpha_min, problem.alpha_max
+            sizes = insertion._geometric_grid(lo, hi, 64) + [rng.randint(lo, hi) for _ in range(64)]
+            try:
+                bound = insertion._value_bound(problem, tree, key)
+            except EmptyFeasibleError:
+                infeasible += 1
+                assert all(evaluate_alpha(problem, a) is None for a in sizes)
+                continue
+            if bound is None:
+                continue
+            bounded += 1
+            _, tail = problem._prefix
+            with_dropped_users += any(tx.origin == "mempool" for tx in tail)
+            for a in sizes:
+                value = evaluate_alpha(problem, a)
+                assert value is None or value <= bound, (seed, key, a)
+    assert bounded >= 100 and infeasible >= 20 and with_dropped_users >= 10
+
+
+def _bound_of(space, state, objective, labels):
+    tree = _Tree(space, _SLEEP, objective.tracked, state.contracts)
+    index = {tx.label: i for i, tx in enumerate(tree.items)}
+    key = tuple(index[label] for label in labels)
+    txs = tuple(tree.items[i] for i in key)
+    problem = InsertionProblem(state, txs, 1, 5_000, objective, space.fee_policy())
+    return insertion._value_bound(problem, tree, key)
+
+
+def _bound_case(**changes):
+    """Buy on pool a, sell on pool b, and a user's swap on a side pool c;
+    ``changes`` alter the base case."""
+    state = State(
+        {("miner", "ETH"): 10**6, ("u", "BBT"): 1_000},
+        {
+            "a": AmmPool("BBT", "ETH", 10_000, 10_000, fee_bps=30),
+            "b": AmmPool("BBT", "ETH", 10_000, 12_000, fee_bps=30),
+            "c": AmmPool("BBT", "ETH", 10_000, 10_000, fee_bps=30),
+        },
+        0,
+    )
+    case = {
+        "user": Tx("u", "c", Swap("BBT", "ETH", 500), label="user"),
+        "templates": (BUY, SELL),
+        "tracked": frozenset({"miner"}),
+        "valuation": Valuation("ETH", "oracle_priced", {"BBT": Fraction(1, 3)}),
+        "objective": PlayerDelta,
+        "charge_fees": False,
+        "labels": ("buy", "user", "sell"),
+    }
+    case.update(changes)
+    space = OrderingSpace(
+        mempool=(case["user"],), templates=case["templates"], allow_insert=True,
+        charge_fees=case["charge_fees"], fee_token="ETH",
+    )
+    if case["objective"] is PlayerDelta:
+        objective = PlayerDelta.from_state(case["tracked"], case["valuation"], state)
+    else:
+        objective = AccountBalanceValue("miner", case["valuation"])
+    return _bound_of(space, state, objective, case["labels"])
+
+
+def test_the_base_case_has_a_bound():
+    # The user's swap commutes past the sell and is dropped.
+    assert isinstance(_bound_case(), int)
+    assert isinstance(_bound_case(labels=("user", "buy", "sell")), int)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"charge_fees": True},
+        {"valuation": Valuation("ETH", "oracle_priced", {"BBT": Fraction(-1, 3)})},
+        {"templates": (BUY, replace(SELL, venue="a"))},
+        {"user": Tx("u", "b", Swap("BBT", "ETH", 500), label="user")},
+        {"tracked": frozenset({"miner", "u"})},
+        {"objective": AccountBalanceValue},
+    ],
+    ids=[
+        "fee_policy", "negative_price", "two_templates_on_one_pool",
+        "user_swap_sandwiched_on_the_templates_pool", "tracked_user_in_the_tail",
+        "not_a_player_delta",
+    ],
+)
+def test_no_bound_outside_its_conditions(changes):
+    assert _bound_case(**changes) is None
+
+
+def _searches_with_and_without_the_bound(monkeypatch, cases):
+    """Each case's search with the bound, then with it disabled, and the
+    number of skeletons each run sized."""
+    sized = []
+    optimize = insertion.optimize_alpha
+
+    def counting(problem):
+        sized.append(problem.skeleton)
+        return optimize(problem)
+
+    monkeypatch.setattr(insertion, "optimize_alpha", counting)
+    runs = []
+    for disabled in (False, True):
+        if disabled:
+            monkeypatch.setattr(insertion, "_value_bound", lambda *args: None)
+        results = []
+        for space, state, objective, hi in cases:
+            try:
+                results.append(search_with_insertion(
+                    space, SearchBudget(mode="exhaustive"), objective, state, 1, hi
+                ))
+            except EmptyFeasibleError as e:
+                results.append(repr(e))
+        runs.append((results, len(sized)))
+        del sized[:]
+    return runs
+
+
+def test_the_bound_changes_no_search_result(monkeypatch):
+    cases = []
+    for seed in range(40):
+        space, state, objective, hi = _random_case(seed)
+        cases.append((space, state, objective, min(hi, 300)))
+    for name in sorted(DIFFERENTIAL):
+        scenario = DIFFERENTIAL[name]()
+        space, objective, state = _setup(scenario)
+        cases.append((space, state, objective, scenario.insertion_bounds[1]))
+    (bounded, sized_bounded), (unbounded, sized_unbounded) = (
+        _searches_with_and_without_the_bound(monkeypatch, cases)
+    )
+    assert bounded == unbounded
+    assert sized_bounded < sized_unbounded
+
+
+@pytest.mark.parametrize("censor", [False, True])
+def test_the_insertion_walk_yields_increasing_keys(censor):
+    # A skeleton whose bound ties the incumbent is skipped: its larger key
+    # would lose the tie-break.
+    spaces = [(_counterexample()[0], _counterexample()[3])]
+    spaces += [_random_case(seed)[:2] for seed in range(20)]
+    for space, state in spaces:
+        space = replace(space, allow_censor=censor)
+        for reduction in (0, _SLEEP):
+            tree = _Tree(space, reduction, frozenset({"miner"}), state.contracts)
+            keys = [key for key, _ in tree.walk(None)]
+            assert len(keys) > 1
+            assert all(a < b for a, b in zip(keys, keys[1:]))

@@ -557,6 +557,46 @@ def test_the_workers_are_killed_when_the_parents_own_share_stops(monkeypatch):
     _assert_no_child_left()
 
 
+class _TwoArgumentError(Exception):
+    """Pickles, but cannot be rebuilt from its ``args``: ``pickle.loads``
+    calls ``__init__`` with the one formatted message."""
+
+    def __init__(self, where, why):
+        super().__init__(f"{where}: {why}")
+
+
+class _RaisesTwoArgumentError(_ExitsOutsideTheTestProcess):
+    def __init__(self, in_the_parent):
+        super().__init__()
+        self.in_the_parent = in_the_parent
+
+    def value(self, state):
+        if self.in_the_parent or os.getpid() != self.pid:
+            raise _TwoArgumentError("leaf", "refused")
+        return 0
+
+
+def test_a_worker_failure_that_cannot_be_unpickled_is_a_one_line_error(monkeypatch):
+    sp = OrderingSpace(mempool=_alternating(4))
+    state = mixed_state()
+    forks = _count_forks(monkeypatch)
+    # Every leaf fails: the lowest-indexed failing unit is the parent's own,
+    # and its exception is raised as it is at any worker count.
+    for workers in (1, 2):
+        with pytest.raises(_TwoArgumentError, match="^leaf: refused$"):
+            search(sp, SearchBudget(mode="exhaustive"), _RaisesTwoArgumentError(True), state,
+                   workers=workers)
+        _assert_no_child_left()
+    assert len(forks) == 1
+    # Only the worker's leaves fail: its error comes back as one line.
+    with pytest.raises(RuntimeError) as info:
+        search(sp, SearchBudget(mode="exhaustive"), _RaisesTwoArgumentError(False), state,
+               workers=2)
+    assert str(info.value) == "search worker raised _TwoArgumentError: leaf: refused"
+    assert len(forks) == 2
+    _assert_no_child_left()
+
+
 def test_importing_the_package_loads_no_process_pool():
     import mevsearch
 
