@@ -105,6 +105,27 @@ def _ev_report_json(report) -> dict:
     return doc
 
 
+def _size_insertion(scenario: Scenario) -> tuple[dict, InsertionProblem | None]:
+    """Size the scenario's open templates for its miner: the report, with
+    its ``alpha``, and the best skeleton's sizing problem (``None`` when no
+    size is feasible)."""
+    state = scenario.initial_state()
+    space = scenario.space()
+    objective = PlayerDelta.from_state(scenario.player().accounts, scenario.get_valuation(), state)
+    result = search_with_insertion(
+        space, scenario.budget, objective, state, *scenario.insertion_bounds
+    )
+    doc = _ev_report_json(result.report)
+    if result.alpha is None:
+        doc["alpha"] = None
+        return doc, None
+    doc["alpha"] = _report_int(result.alpha)
+    problem = InsertionProblem(
+        state, result.skeleton, *scenario.insertion_bounds, objective, space.fee_policy()
+    )
+    return doc, problem
+
+
 scenario_option = click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
 seed_option = click.option("--seed", type=int, default=None, help="Override the scenario's search seed.")
 workers_option = click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
@@ -197,22 +218,16 @@ def mev(scenario_path, seed, workers, budget, k, censor, insert, valuation, out)
                     "(the scenario has open-size templates)"
                 )
     scenario = _apply_overrides(scenario, seed, budget, k, _on_off(censor), _on_off(insert), valuation)
-    state = scenario.initial_state()
-    space = scenario.space()
-    val = scenario.get_valuation()
-    player = scenario.player()
     doc: dict
     if sizing:
         if scenario.insertion_bounds is None:
             raise click.ClickException("scenario has open templates but no insertion_bounds")
-        objective = PlayerDelta.from_state(player.accounts, val, state)
-        result = search_with_insertion(
-            space, scenario.budget, objective, state, *scenario.insertion_bounds
-        )
-        doc = _ev_report_json(result.report)
-        doc["alpha"] = None if result.alpha is None else _report_int(result.alpha)
+        doc, _ = _size_insertion(scenario)
     else:
-        report = ev(player, space, state, val, scenario.budget, workers=workers)
+        report = ev(
+            scenario.player(), scenario.space(), scenario.initial_state(),
+            scenario.get_valuation(), scenario.budget, workers=workers,
+        )
         doc = _ev_report_json(report)
     doc["miner"] = scenario.miner_account
     doc["seed"] = scenario.budget.seed
@@ -311,23 +326,11 @@ def optimize_insert(scenario_path, samples, valuation, out):
     scenario = _apply_overrides(load_scenario(scenario_path), None, None, None, None, None, valuation)
     if scenario.insertion_bounds is None:
         raise click.ClickException("scenario has no insertion_bounds section")
-    space = scenario.space()
-    if not any(has_unresolved_amount(tx) for tx in space.templates):
+    if not any(has_unresolved_amount(tx) for tx in scenario.templates):
         raise click.ClickException("no template has an unresolved amount")
-    state = scenario.initial_state()
-    val = scenario.get_valuation()
-    objective = PlayerDelta.from_state(frozenset((scenario.miner_account,)), val, state)
-    result = search_with_insertion(
-        space, scenario.budget, objective, state, *scenario.insertion_bounds
-    )
-    doc = _ev_report_json(result.report)
-    doc["alpha"] = None if result.alpha is None else _report_int(result.alpha)
-
+    doc, problem = _size_insertion(scenario)
     csvs = None
-    if result.alpha is not None:
-        problem = InsertionProblem(
-            state, result.skeleton, *scenario.insertion_bounds, objective, space.fee_policy()
-        )
+    if problem is not None:
         rows = ["alpha,profit"]
         rows += [
             f"{alpha},{'' if profit is None else profit}" for alpha, profit in profit_curve(problem, samples)
@@ -394,7 +397,7 @@ main.add_command(wmev_cmd, "wmev")
 @main.command("gen-corpus")
 @click.option("--seed", type=int, required=True)
 @click.option("--count", type=click.IntRange(min=1), default=100, show_default=True)
-@click.option("--txs", type=int, default=8, show_default=True)
+@click.option("--txs", type=click.IntRange(min=0), default=8, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def gen_corpus_cmd(seed, count, txs, out):
     """Write a seeded random scenario suite (byte-identical per seed)."""

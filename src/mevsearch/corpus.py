@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .contracts import AmmPool
 from .metrics import AccountBalanceValue, Valuation, value_spread
-from .ordering import _RUN, SearchBudget, _search
+from .ordering import _RUN, SearchBudget, _Tree, _exhaustive
 from .scenario import Scenario, TokenDecl
 from .state import Swap, Tx
 
@@ -171,8 +171,9 @@ def measure_convergence(
         valuation = scenario.get_valuation()
         assert scenario.beneficiary is not None
         objective = AccountBalanceValue(scenario.beneficiary, valuation)
-        exact = _search(space, SearchBudget(mode="exhaustive"), objective, state, _RUN, True, 1)
-        total = exact.paths_explored
+        tree = _Tree(space, _RUN, objective.tracked, state.contracts)
+        exact = _exhaustive(tree, state, objective, 1)
+        total = exact.paths
         budget = max(1, int(total * path_fraction))
         sampled = value_spread(
             scenario.beneficiary,
@@ -187,7 +188,7 @@ def measure_convergence(
                 index=i,
                 paths_total=total,
                 paths_sampled=sampled.paths_explored,
-                exhaustive_spread=exact.best_value - exact.worst_value,
+                exhaustive_spread=exact.best[0] - exact.worst[0],
                 sampled_spread=sampled.spread,
             )
         )

@@ -14,7 +14,8 @@ with a deterministic tie-break: among equal values the lexicographically
 smallest item-index sequence wins, so reports are identical for any worker
 count.  With ``workers > 1``, exhaustive searches (any ``k``) split the
 subtrees under the walker's depth-2 prefixes between forked workers, the
-parent folding one share itself.
+parent folding one share itself; if any part of that fails, the search is
+folded again in one process, so the report or error is the one-worker one.
 
 Two reductions cut the walk; both keep the values and witnesses exact.
 
@@ -79,7 +80,7 @@ import pickle
 import random
 import signal
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import chain, islice
 
 from . import contracts
 from .state import (
@@ -582,34 +583,6 @@ def _fold_walk(walk, objective) -> _Reducer:
     return reducer
 
 
-def _fold_share(tree: _Tree, state: State, objective, units, first: int, step: int):
-    """Fold the subtrees of ``units[first::step]`` into one reducer.  The
-    share stops at its first failing unit; the failure comes back as
-    ``(unit index, exception)`` in place of raising."""
-    reducer = _Reducer()
-    for index in range(first, len(units), step):
-        try:
-            reducer.merge(_fold_walk(tree.walk(state, units[index]), objective))
-        except Exception as e:
-            return reducer, (index, e)
-    return reducer, None
-
-
-def _portable(failure):
-    """A share's failure as a worker sends it: unchanged when its exception
-    survives a pickle round trip, else a one-line ``RuntimeError`` at the
-    same unit index that names the exception's type and message."""
-    if failure is None:
-        return None
-    index, e = failure
-    try:
-        pickle.loads(pickle.dumps(e))
-    except Exception:
-        message = " ".join(str(e).split())
-        return index, RuntimeError(f"search worker raised {type(e).__qualname__}: {message}")
-    return failure
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on, where the platform says."""
     if hasattr(os, "sched_getaffinity"):
@@ -620,70 +593,74 @@ def _usable_cpus() -> int:
 def _exhaustive(tree: _Tree, state: State, objective, workers: int) -> _Reducer:
     """Fold every construction of the tree.
 
-    With ``workers > 1`` the subtrees under the walk's depth-2 prefixes are
-    the work units, split over ``procs = min(workers, units, usable CPUs)``
-    processes: ``procs - 1`` forked workers, the parent folding one share
-    itself.  Process ``j`` folds the interleaved share ``units[j::procs]``,
-    and each worker pickles its reducer back over its own pipe, with its
-    failure made ``_portable``.  The merge
-    does not depend on the order of its folds, and after the short
-    sequences a failure re-raises the one of the lowest-indexed failing
-    unit, so neither reports nor errors depend on the number of processes.
-    Every worker is reaped before this returns or raises, and killed first
-    if the parent stops before it has the worker's result.
+    With ``workers > 1`` the tree is first folded by forked workers
+    (``_fold_forked``).  If anything in that attempt raises an
+    ``Exception`` (the objective, a fork, a pipe, or a worker that sends
+    nothing), the workers are killed and reaped and the tree is folded in
+    this process instead.  The outcome, report or exception, is then the
+    one-worker outcome by construction; a failed worker or fork costs time,
+    not the answer.  A ``BaseException`` such as ``KeyboardInterrupt``
+    propagates once the workers are killed.
     """
-    if workers <= 1:
-        return _fold_walk(tree.walk(state), objective)
+    if workers > 1:
+        try:
+            return _fold_forked(tree, state, objective, workers)
+        except Exception:
+            pass  # the one-process fold below raises the one-worker error, if any
+    return _fold_walk(tree.walk(state), objective)
 
+
+def _fold_forked(tree: _Tree, state: State, objective, workers: int) -> _Reducer:
+    """Fold every construction of the tree over forked workers.
+
+    The subtrees under the walk's depth-2 prefixes are the work units, split
+    over ``procs = min(workers, units, usable CPUs)`` processes:
+    ``procs - 1`` forked workers, the parent folding one share itself.
+    Process ``j`` folds the interleaved share ``units[j::procs]`` in one
+    ``_fold_walk``, and each worker pickles its reducer back over its own
+    pipe; a worker that raises exits without writing anything, so its empty
+    reply fails to unpickle here.  The merge does not depend on the order
+    of its folds, so the report does not depend on the number of processes.
+    Every worker is killed and reaped before this returns or raises.
+    """
     # Depth-2 prefixes load-balance far better than first items.  Sequences
-    # shorter than 2 are folded here; every longer one extends exactly one
-    # depth-2 prefix, whose subtree is one work unit.
+    # shorter than 2 are folded by the parent; every longer one extends
+    # exactly one depth-2 prefix, whose subtree is one work unit.
     shallow = list(tree.walk(state, max_len=2))
-    reducer = _fold_walk(((key, st) for key, st in shallow if len(key) < 2), objective)
     units = [key for key, _ in shallow if len(key) == 2]
     procs = max(1, min(workers, len(units), _usable_cpus()))
-    pids: list[int] = []  # forked and not yet reaped
+
+    def share(j):
+        return chain.from_iterable(tree.walk(state, unit) for unit in units[j::procs])
+
+    pids: list[int] = []
     pipes = []
     try:
-        for first in range(1, procs):
+        for j in range(1, procs):
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read_fd)
-                    reducer, failure = _fold_share(tree, state, objective, units, first, procs)
-                    data = pickle.dumps((reducer, _portable(failure)))
-                    with os.fdopen(write_fd, "wb") as pipe:
-                        pipe.write(data)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            pids.append(pid)
             pipes.append(os.fdopen(read_fd, "rb"))
-        shares = [_fold_share(tree, state, objective, units, 0, procs)]
+            with os.fdopen(write_fd, "wb") as writer:
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        writer.write(pickle.dumps(_fold_walk(share(j), objective)))
+                        writer.close()
+                        status = 0
+                    finally:
+                        os._exit(status)
+                pids.append(pid)
+        short = ((key, st) for key, st in shallow if len(key) < 2)
+        reducer = _fold_walk(chain(short, share(0)), objective)
         for pipe in pipes:
-            data = pipe.read()
-            pid = pids[0]
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del pids[0]
-            if code or not data:
-                how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-                raise RuntimeError(f"search worker {pid} {how} without sending its result")
-            shares.append(pickle.loads(data))
+            reducer.merge(pickle.loads(pipe.read()))
+        return reducer
     finally:
         for pipe in pipes:
             pipe.close()
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    failures = [failure for _, failure in shares if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    for share, _ in shares:
-        reducer.merge(share)
-    return reducer
 
 
 # ---------------------------------------------------------------------------
@@ -857,20 +834,10 @@ def search(
     otherwise seeded uniform sampling without replacement (greedy per-block
     search for ``k > 1``).  ``pruning`` turns both reductions on or off;
     under an exhaustive budget the values and witnesses do not depend on it.
-    Reports are bit-identical for any ``workers`` value.
+    Reports are bit-identical, and errors the same, for any ``workers``
+    value.
     """
-    return _search(space, budget, objective, state, _FULL if pruning else 0, want_worst, workers)
-
-
-def _search(
-    space: OrderingSpace,
-    budget: SearchBudget,
-    objective,
-    state: State,
-    reduction: int,
-    want_worst: bool,
-    workers: int,
-) -> EvReport:
+    reduction = _FULL if pruning else 0
     if space.k > 1 and budget.mode == "randomized":
         report, _ = _greedy_k_blocks(state, space, objective, budget, reduction, workers)
         return report

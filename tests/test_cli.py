@@ -460,6 +460,7 @@ def test_removed_options_are_usage_errors(runner, args):
         (["spread", "--scenario", str(DATA / "liquidation.json"), "--workers", "0"], "--workers"),
         (["compose-check", "--scenario", str(DATA / "pricebet_compose.json"), "--workers", "-2"], "--workers"),
         (["gen-corpus", "--seed", "7", "--count", "-1"], "--count"),
+        (["gen-corpus", "--seed", "7", "--txs", "-1"], "--txs"),
         (
             [
                 "replay",
@@ -471,7 +472,10 @@ def test_removed_options_are_usage_errors(runner, args):
             "--tolerance",
         ),
     ],
-    ids=["mev_workers", "spread_workers", "compose_check_workers", "gen_corpus_count", "replay_tolerance"],
+    ids=[
+        "mev_workers", "spread_workers", "compose_check_workers", "gen_corpus_count",
+        "gen_corpus_txs", "replay_tolerance",
+    ],
 )
 def test_out_of_range_integer_options_are_usage_errors(runner, tmp_path, args, option):
     out = tmp_path / "out"

@@ -519,17 +519,63 @@ class _ExitsOutsideTheTestProcess:
         return 0
 
 
-def test_a_worker_that_exits_without_a_result_is_a_one_line_error(monkeypatch):
+def test_a_worker_that_exits_without_a_result_gives_the_one_worker_report(monkeypatch):
+    sp = OrderingSpace(mempool=_alternating(4))
+    state = mixed_state()
+    serial = search(sp, SearchBudget(mode="exhaustive"), _ExitsOutsideTheTestProcess(), state)
     forks = _count_forks(monkeypatch)
-    with pytest.raises(RuntimeError) as info:
-        search(
-            OrderingSpace(mempool=_alternating(4)), SearchBudget(mode="exhaustive"),
-            _ExitsOutsideTheTestProcess(), mixed_state(), workers=2,
-        )
+    # The worker's empty reply sends the search back to one process.
+    assert search(
+        sp, SearchBudget(mode="exhaustive"), _ExitsOutsideTheTestProcess(), state, workers=2
+    ) == serial
     assert len(forks) == 1
-    assert re.fullmatch(
-        r"search worker \d+ exited with status 3 without sending its result", str(info.value)
-    )
+    _assert_no_child_left()
+
+
+class _RaisesAtTwoLeaves(_RaisesPastDepth2):
+    """Raises one message at the 1-item leaf ``(u2,)`` and another at the
+    depth-2 leaf ``(u0, u1)``; a one-worker walk reaches ``(u0, u1)``
+    first."""
+
+    def value(self, state):
+        actors = sorted({
+            actor for (actor, token), amount in state.balances.items()
+            if self.initial[actor, token] != amount
+        })
+        if actors in (["u2"], ["u0", "u1"]):
+            raise ValueError(f"leaf of {actors}")
+        return 0
+
+
+def test_a_failing_search_raises_the_one_worker_error(monkeypatch):
+    state = mixed_state()
+    sp = OrderingSpace(mempool=_alternating(4), allow_censor=True)
+    objective = _RaisesAtTwoLeaves(state)
+    _count_forks(monkeypatch)
+    for workers in (1, 2, 3):
+        with pytest.raises(ValueError, match=re.escape("leaf of ['u0', 'u1']")):
+            search(sp, SearchBudget(mode="exhaustive"), objective, state, workers=workers)
+        _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing_fork", [0, 1])
+def test_a_fork_that_fails_gives_the_one_worker_report(monkeypatch, failing_fork):
+    state = mixed_state()
+    sp = OrderingSpace(mempool=_alternating(4), allow_censor=True)
+    objective = AccountBalanceValue("u0", Valuation(primary="ETH"))
+    budget = SearchBudget(mode="exhaustive")
+    serial = search(sp, budget, objective, state, want_worst=True)
+    forks = _count_forks(monkeypatch)
+    counting_fork = os.fork
+
+    def fork():
+        if len(forks) == failing_fork:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return counting_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert search(sp, budget, objective, state, want_worst=True, workers=3) == serial
+    assert len(forks) == failing_fork
     _assert_no_child_left()
 
 
@@ -576,23 +622,21 @@ class _RaisesTwoArgumentError(_ExitsOutsideTheTestProcess):
         return 0
 
 
-def test_a_worker_failure_that_cannot_be_unpickled_is_a_one_line_error(monkeypatch):
+def test_a_worker_failure_that_cannot_be_unpickled_gives_the_one_worker_outcome(monkeypatch):
     sp = OrderingSpace(mempool=_alternating(4))
     state = mixed_state()
     forks = _count_forks(monkeypatch)
-    # Every leaf fails: the lowest-indexed failing unit is the parent's own,
-    # and its exception is raised as it is at any worker count.
+    # Every leaf fails: the exception is raised as it is at any worker count.
     for workers in (1, 2):
         with pytest.raises(_TwoArgumentError, match="^leaf: refused$"):
             search(sp, SearchBudget(mode="exhaustive"), _RaisesTwoArgumentError(True), state,
                    workers=workers)
         _assert_no_child_left()
     assert len(forks) == 1
-    # Only the worker's leaves fail: its error comes back as one line.
-    with pytest.raises(RuntimeError) as info:
-        search(sp, SearchBudget(mode="exhaustive"), _RaisesTwoArgumentError(False), state,
-               workers=2)
-    assert str(info.value) == "search worker raised _TwoArgumentError: leaf: refused"
+    # Only the worker's leaves fail: the one-process fold that follows does not.
+    serial = search(sp, SearchBudget(mode="exhaustive"), _RaisesTwoArgumentError(False), state)
+    assert search(sp, SearchBudget(mode="exhaustive"), _RaisesTwoArgumentError(False), state,
+                  workers=2) == serial
     assert len(forks) == 2
     _assert_no_child_left()
 
