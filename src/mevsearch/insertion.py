@@ -14,7 +14,12 @@ distinct evaluations, so ``search_with_insertion`` costs at most
 Nothing before a skeleton's first open template depends on the size, so an
 ``InsertionProblem`` applies that prefix once, the first time it is
 evaluated, and one evaluation binds and applies only the tail from the first
-open template on.
+open template on.  When no fee policy is set, the objective is a
+``PlayerDelta`` and every tail item is a ``Swap`` at a venue holding an
+``AmmPool``, the tail is compiled once into an integer kernel
+(``_SwapTail``): an evaluation then moves plain ints, with the contracts'
+rounding and bottom outcomes, and builds no ``State``.  Any other tail goes
+through ``apply_tx``, which is also the kernel's test oracle.
 
 Branch and bound (Land & Doig, 1960).  Once the search holds an incumbent,
 a skeleton is sized only when an integer upper bound on its value beats it;
@@ -35,8 +40,12 @@ without rounding.  The exact-input output is floored and the exact-output
 cost is floor + 1, so each token's delta is at most its no-rounding delta,
 and the value is at most the floor of the priced no-rounding value U.  U is
 concave (optimal arbitrage on constant-product pools is a convex problem:
-Angeris et al., arXiv 1911.03380), so a binary search on U(a+1) > U(a)
-finds its integer maximum.  A size must stay below an exact-output swap's
+Angeris et al., arXiv 1911.03380), so its integer maximum is at the first
+size k with U(k+1) <= U(k).  That size is seeded by bisecting a float
+estimate of U' and refined by Newton steps on the exact U', and it is kept
+only when U(k+1) <= U(k) and U(k) > U(k-1) hold exactly; otherwise, or when
+the estimate cannot be formed, a binary search on U(a+1) > U(a) finds it.
+No float decides the bound.  A size must stay below an exact-output swap's
 output reserve, and at most the trader's balance when the first template is
 exact-input; an empty range proves the skeleton infeasible.  A tail that
 trades twice on one pool has no bound: a later swap can profit from the
@@ -45,17 +54,26 @@ rounding of an earlier one, so the integer value can exceed U.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
-from .contracts import AmmPool, amm_in_given_out_exact, amm_out_given_in_exact
+from .contracts import (
+    FEE_DENOM,
+    AmmPool,
+    amm_in_given_out,
+    amm_in_given_out_exact,
+    amm_out_given_in,
+    amm_out_given_in_exact,
+)
 from .metrics import PlayerDelta, account_totals
 from .ordering import _SLEEP, EvReport, OrderingSpace, SearchBudget, _may_raise, _Tree, _labels_for
 from .state import MEMPOOL, FeePolicy, ScenarioError, State, Swap, Tx, UnknownVenueError, apply_tx
 
 LOCAL_SPAN = 2048
 GRID_POINTS = 1024
+NEWTON_STEPS = 8  # a cap: from its float seed the bound's maximiser takes 0 or 1 steps
 
 
 class EmptyFeasibleError(ValueError):
@@ -102,8 +120,9 @@ class InsertionProblem:
 
     The items before the first open template do not depend on the size: the
     first evaluation applies them once and keeps the state they leave, and
-    every evaluation applies only the tail.  The cached state lives as long
-    as the problem; a prefix that raises caches nothing and raises again.
+    every evaluation applies only the tail, on the integer kernel when the
+    tail has one.  The cached state and kernel live as long as the problem;
+    a prefix that raises caches nothing and raises again.
     """
 
     state: State
@@ -128,6 +147,107 @@ class InsertionProblem:
         when a template among them fails; the items from it on)."""
         first = next(i for i, tx in enumerate(self.skeleton) if has_unresolved_amount(tx))
         return _apply(self.state, self.skeleton[:first], self.fee_policy), self.skeleton[first:]
+
+    @cached_property
+    def _kernel(self) -> _SwapTail | None:
+        """The tail compiled to ints, or ``None`` when it needs ``_apply``:
+        a fee policy, an objective other than ``PlayerDelta``, or a tail
+        item other than a ``Swap`` at a venue holding an ``AmmPool``."""
+        state, tail = self._prefix
+        if state is None or self.fee_policy is not None or type(self.objective) is not PlayerDelta:
+            return None
+        for tx in tail:
+            if type(tx.action) is not Swap or type(state.contracts.get(tx.venue)) is not AmmPool:
+                return None
+        return _SwapTail(state, tail, self.objective)
+
+
+class _SwapTail:
+    """A swap-only tail on constant-product pools, evaluated on plain ints.
+
+    One evaluation applies the bound tail to the touched ``(actor, token)``
+    balances and each pool's ``(x, y)``, with the rounding of
+    ``amm_out_given_in``/``amm_in_given_out`` and every bottom outcome of
+    ``_exec_swap``: a foreign token or ``token_in == token_out``, a
+    non-positive amount, an empty reserve, an exact output of at least the
+    reserve, or too little balance.  A failing user swap is a no-op and a
+    failing template makes the size infeasible, as in ``_apply``.  The value
+    is the prefix's tracked totals plus the tail's deltas, floored per token
+    as ``PlayerDelta.value`` does.
+    """
+
+    def __init__(self, state: State, tail: tuple[Tx, ...], objective: PlayerDelta):
+        slots: dict[tuple[str, str], int] = {}
+        pools: dict[str, int] = {}
+        reserves: list[int] = []
+        steps = []
+        for tx in tail:
+            swap, pool = tx.action, state.contracts[tx.venue]
+            template = tx.origin != MEMPOOL
+            if (
+                not (pool.has_token(swap.token_in) and pool.has_token(swap.token_out))
+                or swap.token_in == swap.token_out
+            ):
+                steps.append((template, None))
+                continue
+            if tx.venue not in pools:
+                pools[tx.venue] = len(reserves)
+                reserves += (pool.reserve_x, pool.reserve_y)
+            at = pools[tx.venue]
+            # reserves[i] is the input side's reserve, reserves[o] the output's
+            i, o = (at, at + 1) if swap.token_in == pool.token_x else (at + 1, at)
+            pay = slots.setdefault((tx.actor, swap.token_in), len(slots))
+            get = slots.setdefault((tx.actor, swap.token_out), len(slots))
+            steps.append((template, (i, o, pool.fee_bps, swap.exact_out, pay, get)))
+        self.steps = tuple(steps)
+        self.reserves = reserves
+        self.balances = [state.balance(*key) for key in slots]
+
+        # value = constant + sum over touched tokens of token_value(token,
+        # offset + the token's tracked slots)
+        tracked = objective.tracked
+        deltas = account_totals(state, tracked)
+        for token, amount in objective.base:
+            deltas[token] = deltas.get(token, 0) - amount
+        touched: dict[str, list[int]] = {}
+        for (actor, token), slot in slots.items():
+            if actor in tracked:
+                touched.setdefault(token, []).append(slot)
+        token_value = objective.valuation.token_value
+        self.constant = sum(token_value(t, d) for t, d in deltas.items() if t not in touched)
+        self.tokens = tuple(
+            (token, deltas.get(token, 0) - sum(self.balances[s] for s in ss), tuple(ss))
+            for token, ss in touched.items()
+        )
+        self.token_value = token_value
+
+    def value(self, bound: tuple[Tx, ...]) -> int | None:
+        """Objective after the bound tail; ``None`` when a template fails."""
+        balances = self.balances.copy()
+        reserves = self.reserves.copy()
+        for (template, step), tx in zip(self.steps, bound):
+            if step is not None:
+                i, o, fee_bps, exact_out, pay, get = step
+                amount = tx.action.amount
+                r_in, r_out = reserves[i], reserves[o]
+                if amount > 0 and r_in > 0 and r_out > 0 and not (exact_out and amount >= r_out):
+                    if exact_out:
+                        cost, out = amm_in_given_out(r_in, r_out, amount, fee_bps), amount
+                    else:
+                        cost, out = amount, amm_out_given_in(r_in, r_out, amount, fee_bps)
+                    if balances[pay] >= cost:
+                        balances[pay] -= cost
+                        balances[get] += out
+                        reserves[i], reserves[o] = r_in + cost, r_out - out
+                        continue
+            if template:
+                return None
+        total = self.constant
+        for token, amount, slots in self.tokens:
+            for slot in slots:
+                amount += balances[slot]
+            total += self.token_value(token, amount)
+        return total
 
 
 def _apply(state: State, txs: tuple[Tx, ...], fee_policy) -> State | None:
@@ -154,12 +274,18 @@ def evaluate_alpha(problem: InsertionProblem, alpha: int) -> int | None:
     """Objective at one trade size; ``None`` when the size is infeasible.
 
     Only the tail from the first open template is bound and applied, to the
-    state the problem's α-free prefix left.
+    state the problem's α-free prefix left: by the problem's integer kernel
+    when it has one, else through ``apply_tx``.  Either way ``bind_alpha``
+    runs once per evaluation.
     """
     state, tail = problem._prefix
     if state is None:
         return None
-    return _evaluate(state, bind_alpha(tail, alpha), problem.objective, problem.fee_policy)
+    kernel = problem._kernel
+    bound = bind_alpha(tail, alpha)
+    if kernel is not None:
+        return kernel.value(bound)
+    return _evaluate(state, bound, problem.objective, problem.fee_policy)
 
 
 @dataclass(frozen=True)
@@ -339,18 +465,85 @@ def _value_bound(problem: InsertionProblem, tree: _Tree, key: tuple[int, ...]) -
     if lo > hi:
         raise EmptyFeasibleError("no feasible trade size in bounds")
 
+    @cache
     def upper(alpha: int) -> Fraction:
         return fixed + sum(_rational_gain(pool, swap, alpha, price) for pool, swap in open_swaps)
 
-    # U is concave: the first size where it stops rising is its maximum.
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if upper(mid + 1) > upper(mid):
-            lo = mid + 1
-        else:
-            hi = mid
-    best = upper(lo)
+    terms = [
+        (pool.reserve(swap.token_in), pool.reserve(swap.token_out), pool.fee_bps,
+         swap.exact_out, price(swap.token_in), price(swap.token_out))
+        for pool, swap in open_swaps
+    ]
+    alpha = _seeded_argmax(upper, terms, lo, hi)
+    if alpha is None:
+        # U is concave: the first size where it stops rising is its maximum.
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if upper(mid + 1) > upper(mid):
+                lo = mid + 1
+            else:
+                hi = mid
+        alpha = lo
+    best = upper(alpha)
     return best.numerator // best.denominator
+
+
+def _slope(terms, alpha: int):
+    """(U'(alpha), U''(alpha)) of the open swaps' no-rounding gains, one
+    ``(reserve_in, reserve_out, fee_bps, exact_out, price_in, price_out)``
+    per swap: exact with ``Fraction`` prices, an estimate with floats."""
+    slope = curvature = 0
+    for reserve_in, reserve_out, fee_bps, exact_out, price_in, price_out in terms:
+        scaled = FEE_DENOM - fee_bps
+        if exact_out:
+            rest = reserve_out - alpha
+            marginal = price_in * (reserve_in * FEE_DENOM * reserve_out) / (scaled * rest * rest)
+            slope += price_out - marginal
+            curvature -= 2 * marginal / rest
+        else:
+            den = reserve_in * FEE_DENOM + alpha * scaled
+            marginal = price_out * (scaled * reserve_out) / den * (reserve_in * FEE_DENOM) / den
+            slope += marginal - price_in
+            curvature -= 2 * marginal * scaled / den
+    return slope, curvature
+
+
+def _seeded_argmax(upper, terms, lo: int, hi: int) -> int | None:
+    """The size the bound's binary search returns, found from a seed: the
+    first size where a float estimate of U' stops being positive, refined by
+    Newton steps on the exact U'.  The steps are taken in ints, because near
+    10^21 a float cannot tell neighbouring sizes apart.  The size k is
+    returned only when U(k+1) <= U(k) (or k = hi) and U(k) > U(k-1) (or
+    k = lo) hold exactly, which on a concave U singles out the binary
+    search's answer; ``None`` when that check fails or the estimate cannot
+    be formed (a value beyond float range)."""
+    a, b = lo, hi
+    try:
+        estimate = [(*term[:4], float(term[4]), float(term[5])) for term in terms]
+        while a < b:
+            mid = (a + b) // 2
+            slope = _slope(estimate, mid)[0]
+            if not math.isfinite(slope):
+                return None
+            if slope > 0:
+                a = mid + 1
+            else:
+                b = mid
+    except (OverflowError, ZeroDivisionError):
+        return None
+    k = a
+    for _ in range(NEWTON_STEPS):
+        slope, curvature = _slope(terms, k)
+        if not curvature:
+            break
+        nxt = min(hi, max(lo, k - round(slope / curvature)))
+        if nxt == k:
+            break
+        k = nxt
+    value = upper(k)
+    if (k == hi or upper(k + 1) <= value) and (k == lo or value > upper(k - 1)):
+        return k
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,9 @@ from .state import (
 )
 
 SCHEMA_VERSION = 1
+# Insertion sizes are EVM words; the sizing grid also spaces its points in
+# floats, which a range beyond about 10^308 would overflow.
+MAX_TRADE_SIZE = 2**256 - 1
 
 
 class ParseError(ValueError):
@@ -454,9 +457,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
     insertion_bounds = None
     if doc.get("insertion_bounds") is not None:
         ib = _shaped(doc["insertion_bounds"], dict, "$.insertion_bounds")
-        insertion_bounds = (
-            _amount(_require(ib, "alpha_min", "$.insertion_bounds"), "$.insertion_bounds.alpha_min", 1),
-            _amount(_require(ib, "alpha_max", "$.insertion_bounds"), "$.insertion_bounds.alpha_max", 1),
+        insertion_bounds = tuple(
+            _amount(_require(ib, key, "$.insertion_bounds"), f"$.insertion_bounds.{key}", 1,
+                    MAX_TRADE_SIZE)
+            for key in ("alpha_min", "alpha_max")
         )
 
     epsilon = Fraction(0)

@@ -271,6 +271,25 @@ def test_pool_fee_of_the_whole_input_is_a_one_line_error(runner, tmp_path):
     assert result.stderr == "error: $.contracts[1].fee_bps: value 10000 above maximum 9999\n"
 
 
+@pytest.mark.parametrize("command", ["mev", "optimize-insert"])
+def test_an_insertion_size_beyond_a_word_is_a_one_line_error(runner, tmp_path, command):
+    from mevsearch.cli import EXIT_BAD_INPUT
+
+    doc = json.loads((DATA / "two_amm_counterexample.json").read_text())
+    path = tmp_path / "scn.json"
+    doc["insertion_bounds"]["alpha_max"] = str(2**256 - 1)
+    path.write_text(json.dumps(doc))
+    assert runner.invoke(main, [command, "--scenario", str(path)]).exit_code == 0
+    doc["insertion_bounds"]["alpha_max"] = str(10**400)
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, [command, "--scenario", str(path)])
+    assert result.exit_code == EXIT_BAD_INPUT
+    assert result.stdout == ""
+    assert result.stderr == (
+        f"error: $.insertion_bounds.alpha_max: value {10**400} above maximum {2**256 - 1}\n"
+    )
+
+
 def test_wrong_shaped_scenario_section_is_a_one_line_error(runner, tmp_path):
     from mevsearch.cli import EXIT_BAD_INPUT
 

@@ -23,7 +23,9 @@ from mevsearch.metrics import AccountBalanceValue, PlayerDelta, Valuation
 from mevsearch.ordering import _SLEEP, OrderingSpace, SearchBudget, _Tree
 from mevsearch.scenario import load_scenario
 from mevsearch.state import (
+    AddLiquidity,
     CdpManipulate,
+    FeePolicy,
     ScenarioError,
     State,
     Swap,
@@ -461,6 +463,168 @@ def test_bind_alpha_keeps_every_field_that_replace_keeps(exact_out):
 
 
 # ---------------------------------------------------------------------------
+# The integer tail kernel against a whole replay
+# ---------------------------------------------------------------------------
+
+
+def _swap_tail_case(seed):
+    """A skeleton of swaps only, in a random order, with its bounds: 1-3
+    pools (one sometimes with an empty reserve, and small reserves against
+    size-1 trades give zero outputs), 1-3 open miner templates, exact-in and
+    exact-out, that may share a pool and whose budget can run out mid-tail,
+    sometimes a concrete miner swap, and user swaps, exact-in or exact-out,
+    that succeed, fail on their balance, name a token the pool does not hold,
+    trade a token for itself or trade nothing; a user is sometimes tracked."""
+    rng = random.Random(seed)
+    contracts = {}
+    for i in range(rng.randint(1, 3)):
+        contracts[f"p{i}"] = AmmPool(
+            rng.choice(("BBT", "CCT")), "ETH",
+            rng.randint(5_000, 50_000), rng.randint(5_000, 50_000), fee_bps=rng.randint(0, 30),
+        )
+    pools = sorted(contracts)
+    if rng.random() < 0.2:
+        contracts["p0"] = replace(contracts["p0"], reserve_y=0)
+    balances = {
+        ("miner", "ETH"): rng.choice((10**6, rng.randint(100, 5_000))),
+        ("miner", "BBT"): rng.randint(0, 5_000),
+    }
+    txs = []
+    for u in range(rng.randint(1, 3)):
+        venue = rng.choice(pools)
+        token_in, token_out = rng.sample((contracts[venue].token_x, contracts[venue].token_y), 2)
+        odd = rng.random()
+        if odd < 0.1:
+            token_out = "DAI"
+        elif odd < 0.2:
+            token_in = "DAI"
+        elif odd < 0.3:
+            token_out = token_in
+        amount = 0 if rng.random() < 0.1 else rng.randint(1, 3_000)
+        balances[(f"u{u}", token_in)] = rng.choice((amount, amount // 2, 10**6))
+        txs.append(Tx(
+            f"u{u}", venue, Swap(token_in, token_out, amount, rng.random() < 0.3),
+            label=f"u{u}",
+        ))
+    for t in range(rng.randint(1, 3)):
+        venue = rng.choice(pools)
+        token_in, token_out = rng.sample((contracts[venue].token_x, contracts[venue].token_y), 2)
+        amount = rng.randint(1, 2_000) if t == 2 and rng.random() < 0.5 else None
+        txs.append(Tx(
+            "miner", venue, Swap(token_in, token_out, amount, rng.random() < 0.5),
+            origin="miner", label=f"t{t}",
+        ))
+    rng.shuffle(txs)
+    open_at = [i for i, tx in enumerate(txs) if has_unresolved_amount(tx)]
+    if not open_at:
+        txs.append(Tx("miner", pools[0], Swap("ETH", contracts[pools[0]].token_x, None),
+                      origin="miner", label="open"))
+    elif rng.random() < 0.5:
+        txs.insert(0, txs.pop(open_at[-1]))  # the whole skeleton is the tail
+    tracked = frozenset({"miner", "u0"} if rng.random() < 0.5 else {"miner"})
+    if rng.random() < 0.3:
+        valuation = Valuation("ETH")
+    else:
+        prices = {t: Fraction(rng.randint(0, 30), rng.randint(1, 10)) for t in ("BBT", "CCT")}
+        valuation = Valuation("ETH", "oracle_priced", prices)
+    state = State(balances, contracts, 0)
+    objective = PlayerDelta.from_state(tracked, valuation, state)
+    lo = rng.choice((1, rng.randint(1, 50)))
+    hi = rng.randint(lo, 300) if rng.random() < 0.3 else rng.randint(10**4, 10**6)
+    return InsertionProblem(state, tuple(txs), lo, hi, objective)
+
+
+def _odd_swaps_case():
+    """Both templates on pool a with user swaps between them on a that
+    must fail (a foreign token in or out, a token for itself, a zero
+    amount either way, too little balance), a tracked user's swap that
+    succeeds, and a zero-output trade."""
+    state = _pool_state()
+    users = [  # (token_in, token_out, amount, exact_out, balance)
+        ("DAI", "ETH", 500, False, 10**6), ("BBT", "DAI", 500, False, 10**6),
+        ("ETH", "ETH", 500, False, 10**6), ("BBT", "ETH", 0, True, 10**6),
+        ("ETH", "BBT", 0, False, 10**6), ("BBT", "ETH", 500, False, 100),
+        ("ETH", "BBT", 300, False, 10**6), ("BBT", "ETH", 1, False, 1),
+    ]
+    middle = []
+    for u, (token_in, token_out, amount, exact_out, balance) in enumerate(users):
+        state.balances[(f"u{u}", token_in)] = balance
+        middle.append(Tx(f"u{u}", "a", Swap(token_in, token_out, amount, exact_out)))
+    valuation = Valuation("ETH", "oracle_priced", {"BBT": Fraction(1, 3)})
+    objective = PlayerDelta.from_state(frozenset({"miner", "u6"}), valuation, state)
+    skeleton = (BUY, *middle, replace(SELL, venue="a"))
+    return InsertionProblem(state, skeleton, 1, 5_000, objective)
+
+
+def test_the_tail_kernel_equals_whole_replay():
+    infeasible = feasible = users_in_tail = shared_pools = 0
+    problems = [_swap_tail_case(seed) for seed in range(40)] + [_odd_swaps_case()]
+    for seed, problem in enumerate(problems):
+        lo, hi = problem.alpha_min, problem.alpha_max
+        rng = random.Random(seed)
+        center = rng.randint(lo, hi)
+        sizes = sorted(
+            {lo, hi}
+            | set(insertion._geometric_grid(lo, hi, insertion.GRID_POINTS))
+            | {rng.randint(lo, hi) for _ in range(64)}
+            | set(range(max(lo, center - insertion.LOCAL_SPAN),
+                        min(hi, center + insertion.LOCAL_SPAN) + 1))
+        )
+        got = [evaluate_alpha(problem, a) for a in sizes]
+        assert got == [whole_replay(problem, a) for a in sizes], seed
+        state, tail = problem._prefix
+        assert state is None or problem._kernel is not None
+        infeasible += None in got
+        feasible += got.count(None) < len(got)
+        users_in_tail += any(tx.origin == "mempool" for tx in tail)
+        shared_pools += len({tx.venue for tx in tail}) < len(tail)
+    assert min(infeasible, feasible, users_in_tail, shared_pools) >= 5
+
+
+def test_the_counterexample_takes_the_kernel(monkeypatch):
+    space, _, objective, state = _counterexample()
+    lo, hi = 1, 10**22 - 1
+    rng = random.Random(0)
+    sizes = [rng.randint(lo, hi) for _ in range(200)]
+    problems = [problem for _, _, problem in _open_problems(space, state, objective, hi)]
+    for problem in problems:
+        problem._prefix
+
+    def refuse(*args):
+        raise AssertionError("apply_tx called")
+
+    monkeypatch.setattr(insertion, "apply_tx", refuse)
+    for problem in problems:
+        assert problem._kernel is not None
+        assert [evaluate_alpha(problem, a) for a in sizes] == [
+            whole_replay(problem, a) for a in sizes
+        ]
+
+
+@pytest.mark.parametrize(
+    "case", ["fee_policy", "non_swap_item", "swap_at_a_book", "not_a_player_delta"]
+)
+def test_the_kernel_is_not_taken_outside_its_conditions(case):
+    state = _pool_state()
+    state.balances[("u", "BBT")] = 500
+    skeleton, fee_policy = (BUY, SELL), None
+    objective = PlayerDelta.from_state(frozenset({"miner"}), Valuation(primary="ETH"), state)
+    if case == "fee_policy":
+        skeleton = (replace(BUY, fee=3), replace(SELL, fee=3))
+        fee_policy = FeePolicy("collector", "ETH")
+    elif case == "non_swap_item":
+        skeleton = (BUY, Tx("miner", "a", AddLiquidity(100, 100), origin="miner"), SELL)
+    elif case == "swap_at_a_book":
+        skeleton = (BUY, Tx("u", "book", Swap("BBT", "ETH", 10)), SELL)
+    else:
+        objective = AccountBalanceValue("miner", Valuation(primary="ETH"))
+    problem = InsertionProblem(state, skeleton, 1, 5_000, objective, fee_policy)
+    sizes = range(1, 5_001, 7)
+    assert [evaluate_alpha(problem, a) for a in sizes] == [whole_replay(problem, a) for a in sizes]
+    assert problem._kernel is None
+
+
+# ---------------------------------------------------------------------------
 # The no-rounding bound
 # ---------------------------------------------------------------------------
 
@@ -546,6 +710,59 @@ def test_no_size_is_worth_more_than_the_bound():
                 value = evaluate_alpha(problem, a)
                 assert value is None or value <= bound, (seed, key, a)
     assert bounded >= 100 and infeasible >= 20 and with_dropped_users >= 10
+
+
+def _bound_outcome(problem, tree, key):
+    try:
+        return insertion._value_bound(problem, tree, key)
+    except EmptyFeasibleError:
+        return "infeasible"
+
+
+def test_the_seeded_bound_equals_the_binary_search(monkeypatch):
+    problems = []
+    for seed in range(60):
+        problems += _open_problems(*_random_case(seed))
+    for name in sorted(DIFFERENTIAL):
+        space, objective, state = _setup(DIFFERENTIAL[name]())
+        problems += _open_problems(space, state, objective, 10**22 - 1)
+    seeded = insertion._seeded_argmax
+    accepted = []
+
+    def recording(*args):
+        alpha = seeded(*args)
+        accepted.append(alpha is not None)
+        return alpha
+
+    monkeypatch.setattr(insertion, "_seeded_argmax", recording)
+    got = [_bound_outcome(problem, tree, key) for tree, key, problem in problems]
+    monkeypatch.setattr(insertion, "_seeded_argmax", lambda *args: None)
+    assert got == [_bound_outcome(problem, tree, key) for tree, key, problem in problems]
+    assert sum(isinstance(bound, int) for bound in got) >= 100
+    assert accepted.count(True) >= 100 and accepted.count(False) <= len(accepted) // 10
+
+
+def test_a_bound_beyond_float_range_falls_back_to_the_binary_search(monkeypatch):
+    # The first template is exact-input, so the range stays [1, 10^400]: no
+    # float estimate of U' can be formed there.
+    state = _pool_state()
+    state.balances[("miner", "ETH")] = 10**401
+    state.balances[("miner", "BBT")] = 10**6
+    sell = Tx("miner", "a", Swap("ETH", "BBT", None), origin="miner", label="sell-eth")
+    space = OrderingSpace(mempool=(), templates=(sell, SELL), allow_insert=True)
+    objective = PlayerDelta.from_state(frozenset({"miner"}), Valuation("ETH"), state)
+    tree = _Tree(space, _SLEEP, objective.tracked, state.contracts)
+    key = (0, 1)
+    problem = InsertionProblem(state, (sell, SELL), 1, 10**400, objective)
+    seeds = []
+    seeded = insertion._seeded_argmax
+    monkeypatch.setattr(insertion, "_seeded_argmax", lambda *args: seeds.append(seeded(*args)))
+    bound = insertion._value_bound(problem, tree, key)
+    assert seeds == [None]
+    assert isinstance(bound, int)
+    values = [evaluate_alpha(problem, a) for a in (1, 10, 10**3, 10**200, 10**400)]
+    assert all(value is None or value <= bound for value in values)
+    assert values[0] is not None
 
 
 def _bound_of(space, state, objective, labels):
