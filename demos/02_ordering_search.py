@@ -1,7 +1,7 @@
 """Walkthrough: the miner's feasible orderings and the pruned search.
 
 Counts the feasible sequences of a small mempool under the different miner
-powers, shows how same-direction runs collapse, and runs a best/worst search
+powers, shows how runs of identical trades collapse, and runs a best/worst search
 for a beneficiary.
 """
 
@@ -34,7 +34,7 @@ mempool = (
     Tx("u1", "amm", Swap("ETH", "TKN", 30_000), label="u1-buy"),
     Tx("u2", "amm", Swap("ETH", "TKN", 9_000), label="u2-buy"),
     Tx("u3", "amm", Swap("TKN", "ETH", 14_000), label="u3-sell"),
-    Tx("u4", "amm", Swap("ETH", "TKN", 11_000), label="u4-buy"),
+    Tx("u4", "amm", Swap("ETH", "TKN", 9_000), label="u4-buy"),
 )
 
 print("Sequence counts for 5 pending transactions:")
@@ -44,8 +44,9 @@ for reorder, censor in ((False, False), (True, False), (True, True)):
     pruned = count_sequences(sp, pruning=True, tracked=frozenset({"whale"}))
     print(f"  reorder={reorder!s:<5} censor={censor!s:<5} raw={raw:>6} pruned={pruned:>6}")
 
-print("\nSame-direction runs by untracked users collapse to one canonical")
-print("order; the tracked whale's position still varies freely.")
+print("\nu2 and u4 make the same trade (9,000 ETH for TKN) and neither is")
+print("tracked, so either order leaves the same pool and one order is kept;")
+print("distinct trades and the tracked whale's position still vary freely.")
 
 valuation = Valuation(primary="ETH")
 spread = value_spread("whale", OrderingSpace(mempool=mempool), state, valuation,

@@ -318,7 +318,7 @@ def compose_check(scenario_path, epsilon, seed, workers, budget, censor, insert,
 
 @main.command("optimize-insert")
 @scenario_option
-@click.option("--samples", type=int, default=64, show_default=True, help="Profit-curve grid size.")
+@click.option("--samples", type=click.IntRange(min=2), default=64, show_default=True, help="Profit-curve grid size.")
 @valuation_option
 @out_option
 def optimize_insert(scenario_path, samples, valuation, out):
@@ -341,7 +341,7 @@ def optimize_insert(scenario_path, samples, valuation, out):
 
 @main.command()
 @scenario_option
-@click.option("--horizon", type=int, default=64, show_default=True)
+@click.option("--horizon", type=click.IntRange(min=1), default=64, show_default=True)
 @click.option("--hash-fraction", "hash_fraction", type=str, default=None, metavar="N/D")
 @click.option("--increment", type=int, default=None, help="Constant per-block value (closed-form model).")
 @click.option("--mining-cost", "mining_cost", type=int, default=0,

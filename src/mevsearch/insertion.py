@@ -68,7 +68,7 @@ from .contracts import (
     amm_out_given_in_exact,
 )
 from .metrics import PlayerDelta, account_totals
-from .ordering import _SLEEP, EvReport, OrderingSpace, SearchBudget, _may_raise, _Tree, _labels_for
+from .ordering import _FULL, EvReport, OrderingSpace, SearchBudget, _may_raise, _Tree, _labels_for
 from .state import MEMPOOL, FeePolicy, ScenarioError, State, Swap, Tx, UnknownVenueError, apply_tx
 
 LOCAL_SPAN = 2048
@@ -582,10 +582,7 @@ def search_with_insertion(
         raise ScenarioError("need 1 <= alpha_min <= alpha_max")
     if space.k != 1:
         raise ScenarioError("insertion sizing searches single-block spaces (k = 1)")
-    # Footprints do not depend on the size, so equivalent skeletons have equal
-    # values at every size: sleep sets apply, but unverified run collapses
-    # would not.
-    tree = _Tree(space, _SLEEP, objective.tracked, state.contracts)
+    tree = _Tree(space, _FULL, objective.tracked, state.contracts)
     fee_policy = tree.space.fee_policy()
     best: tuple[int, tuple[int, ...], int | None] | None = None  # (value, key, alpha)
     paths = 0

@@ -34,19 +34,17 @@ independent items: the lexicographically smallest (its normal form,
 Anisimov & Knuth, 1979).  Without censoring, a node where some transaction
 can never wake up has no construction under it and is cut.
 
-Run collapse.  Within maximal runs of same-direction exact-input swaps on one
-pool, permutations collapse into one representative ordered by mempool
-index.  Constant-product math is only order-independent up to integer
-rounding, so the search verifies every collapse: an inversion is skipped only
-when swapping the adjacent pair provably leaves the pool state bit-identical
-and both actors are single-shot accounts the objective ignores (their own
-balances then never influence anything downstream).  Repeated identical
-trades always collapse; distinct wei-scale trades collapse exactly when the
-rounding happens to agree.  The stateless enumeration API applies the
-syntactic rule only.
+Run collapse.  Within maximal runs of identical exact-input swaps (one pool,
+direction and amount) by single-shot accounts the objective does not track,
+the miner excepted, permutations collapse into one representative ordered by
+mempool index.  Two such swaps commute from any state: each one's validity
+reads only its own actor's balances, and the pool sees the same amounts in
+either order (the miner collects the same fees, too).  The actors' outputs
+may trade places, but nothing reads their balances again.  The rule needs no
+state, so every walk prunes alike.
 
 Why the witnesses do not move: a skipped construction always has a smaller
-key with the same value (the sleeping item moved forward, or the verified
+key with the same value (the sleeping item moved forward, or the identical
 pair swapped).  So the smallest key among the best-valued constructions is
 never skipped, and the same holds for the worst.  Only ``paths_explored`` and
 ``paths_total`` change: they count the constructions left after reduction,
@@ -182,7 +180,7 @@ class EvReport:
 # ---------------------------------------------------------------------------
 
 # Reduction levels of the walker, as bit flags.
-_RUN = 1  # collapse verified same-direction swap runs
+_RUN = 1  # collapse runs of identical swaps
 _SLEEP = 2  # footprint sleep sets
 _FULL = _RUN | _SLEEP
 
@@ -281,29 +279,6 @@ def _step(state: State, tx: Tx, fee_policy: FeePolicy | None) -> State:
     return state if nxt is None else nxt
 
 
-def _commutes(state: State, tx_p: Tx, tx_c: Tx) -> bool:
-    """Would swapping this adjacent same-pool, same-direction pair leave the
-    pool bit-identical?
-
-    Both actors are single-shot and untracked, so only the pool's final
-    reserves can influence anything downstream; validity of either swap is
-    order-independent (neither touches the other's balance).  The swap math
-    is looked up on the module at call time, so tracing can wrap it.
-    """
-    pool0 = state.contracts.get(tx_p.venue)
-    if not isinstance(pool0, contracts.AmmPool):
-        return True  # both orders are no-ops on a non-pool venue
-
-    def step(pool, tx):
-        a = tx.action
-        if state.balances.get((tx.actor, a.token_in), 0) < a.amount:
-            return pool
-        res = contracts.amm_swap_exact_in(pool, a.token_in, a.amount)
-        return pool if res is None else res[0]
-
-    return step(step(pool0, tx_p), tx_c) == step(step(pool0, tx_c), tx_p)
-
-
 def _labels_for(items: tuple[Tx, ...], key: tuple[int, ...]) -> tuple[str, ...]:
     return tuple(BLOCK_BREAK_LABEL if i == BLOCK_BREAK else items[i].label for i in key)
 
@@ -319,14 +294,12 @@ class _Tree:
     in mempool order, followed by the templates; a construction's key is its
     tuple of item indices, with ``BLOCK_BREAK`` between blocks.
 
-    The one independence test has a static half and a dynamic half.  Static:
-    ``indep[i]`` is the bitmask of the items whose footprints are disjoint
-    from item ``i``'s (with reordering off, two mempool items never count as
-    independent).  Dynamic: ``runs[i]`` is item ``i``'s run key, and two
-    adjacent items of equal run key swap when ``_commutes`` verifies it.  Run
-    keys go to exact-input swaps by single-shot actors the objective does not
-    track: an account with several transactions can gate later guards through
-    its own balance.
+    Two items commute when ``indep[i]`` has bit ``j``, their footprints being
+    disjoint (with reordering off, two mempool items never count as
+    independent), or when they have the same run key ``runs[i]``.  Run keys go
+    to exact-input swaps of a bound amount by single-shot actors the objective
+    does not track, the miner excepted: an account with several transactions
+    can gate later guards through its own balance.
 
     ``relevant`` is the bitmask of the items the objective can see: those
     footprint-connected to a balance of a tracked account or to an item that
@@ -356,7 +329,7 @@ class _Tree:
         for tx in items:
             counts[tx.actor] = counts.get(tx.actor, 0) + 1
         self.runs = [
-            (tx.venue, tx.action.token_in, tx.action.token_out)
+            (tx.venue, tx.action.token_in, tx.action.token_out, tx.action.amount)
             if reduction & _RUN
             and type(tx.action) is Swap
             and not tx.action.exact_out
@@ -416,19 +389,18 @@ class _Tree:
         """Yield ``(key, state)`` once for every construction whose key
         extends ``prefix`` and survives the reduction.
 
-        Item ``b`` is skipped when it is asleep, or when it collapses with
-        the item before it.  After ``b`` the sleep mask becomes
-        ``(sleep | the choices below b) & indep[b]``; it resets at
-        ``BLOCK_BREAK``.  The mask does not depend on which siblings were
+        Item ``b`` is skipped when it is asleep, or when it has the run key
+        of the item before it and a smaller index.  After ``b`` the sleep
+        mask becomes ``(sleep | the choices below b) & indep[b]``; it resets
+        at ``BLOCK_BREAK``.  The mask does not depend on which siblings were
         walked, so a walk that follows ``prefix`` builds the same subtree as
         the full walk.  Without censoring, a node of the last block where
         some transaction can never wake up is cut.
 
-        With a state, each step is applied in skip-invalid mode and a run
-        collapse is taken only when ``_commutes`` verifies it; without one,
-        the yielded states are ``None`` and collapses are not verified.
-        With ``max_len`` the walk stops at that depth and also yields every
-        node there, complete or not: those nodes are work-unit prefixes.
+        With a state, each step is applied in skip-invalid mode; without one,
+        the yielded states are ``None``.  With ``max_len`` the walk stops at
+        that depth and also yields every node there, complete or not: those
+        nodes are work-unit prefixes.
         """
         items, runs, indep, waves, templates = (
             self.items, self.runs, self.indep, self.waves, self.templates,
@@ -442,7 +414,7 @@ class _Tree:
         n_prefix = len(prefix)
         seq: list[int] = []
 
-        def node(st, block, mem_rem, tpl_rem, prev_run, prev_idx, prev_state, sleep):
+        def node(st, block, mem_rem, tpl_rem, prev, sleep):
             depth = len(seq)
             if depth == max_len:
                 yield tuple(seq), st
@@ -460,7 +432,7 @@ class _Tree:
                 seq.append(BLOCK_BREAK)
                 yield from node(
                     None if st is None else st.with_block(st.block_number + 1),
-                    block + 1, mem_rem + waves[block + 1], templates, None, -1, None, 0,
+                    block + 1, mem_rem + waves[block + 1], templates, -1, 0,
                 )
                 seq.pop()
             mem_choices = mem_rem if free else mem_rem[:1]
@@ -476,12 +448,7 @@ class _Tree:
                 if sleep >> idx & 1:
                     continue
                 run = runs[idx]
-                if (
-                    run is not None
-                    and run == prev_run
-                    and idx < prev_idx
-                    and (st is None or _commutes(prev_state, items[prev_idx], items[idx]))
-                ):
+                if run is not None and idx < prev and run == runs[prev]:
                     continue
                 if pos < n_mem_choices:
                     # Without reordering, the skipped transactions are censored for good.
@@ -493,12 +460,12 @@ class _Tree:
                 nxt = None if st is None else _step(st, items[idx], fee_policy)
                 seq.append(idx)
                 yield from node(
-                    nxt, block, nxt_mem, nxt_tpl, run, idx, st,
+                    nxt, block, nxt_mem, nxt_tpl, idx,
                     (sleep | offered & ((1 << idx) - 1)) & indep[idx],
                 )
                 seq.pop()
 
-        return node(state, 0, waves[0], templates, None, -1, None, 0)
+        return node(state, 0, waves[0], templates, -1, 0)
 
 
 def iter_sequences(
@@ -509,10 +476,8 @@ def iter_sequences(
 
     With ``pruning``, keeps one sequence per class of swaps of adjacent
     independent items, where only swaps have footprints (there are no
-    contracts to read other actions' tokens from), and applies the syntactic
-    collapse rule (index-sorted runs of single-shot untracked same-direction
-    swaps); the stateful search additionally verifies each collapse against
-    the integer pool arithmetic.
+    contracts to read other actions' tokens from), and collapses runs of
+    identical swaps, as ``search`` does.
     """
     if space.k != 1:
         raise ScenarioError("iter_sequences enumerates single-block spaces")

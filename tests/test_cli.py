@@ -490,10 +490,19 @@ def test_removed_options_are_usage_errors(runner, args):
             ],
             "--tolerance",
         ),
+        (
+            ["optimize-insert", "--scenario", str(DATA / "two_amm_counterexample.json"), "--samples", "1"],
+            "--samples",
+        ),
+        (
+            ["wmev", "--scenario", str(DATA / "wmev_scenario.json"), "--hash-fraction", "1/2",
+             "--horizon", "0"],
+            "--horizon",
+        ),
     ],
     ids=[
         "mev_workers", "spread_workers", "compose_check_workers", "gen_corpus_count",
-        "gen_corpus_txs", "replay_tolerance",
+        "gen_corpus_txs", "replay_tolerance", "optimize_insert_samples", "wmev_horizon",
     ],
 )
 def test_out_of_range_integer_options_are_usage_errors(runner, tmp_path, args, option):

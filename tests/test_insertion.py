@@ -20,7 +20,7 @@ from mevsearch.insertion import (
     search_with_insertion,
 )
 from mevsearch.metrics import AccountBalanceValue, PlayerDelta, Valuation
-from mevsearch.ordering import _SLEEP, OrderingSpace, SearchBudget, _Tree
+from mevsearch.ordering import _FULL, _SLEEP, OrderingSpace, SearchBudget, _Tree
 from mevsearch.scenario import load_scenario
 from mevsearch.state import (
     AddLiquidity,
@@ -680,7 +680,7 @@ def _random_case(seed):
 
 def _open_problems(space, state, objective, hi):
     """(key, problem) for every open skeleton the insertion search walks."""
-    tree = _Tree(space, _SLEEP, objective.tracked, state.contracts)
+    tree = _Tree(space, _FULL, objective.tracked, state.contracts)
     for key, _ in tree.walk(None):
         txs = tuple(tree.items[i] for i in key)
         if any(has_unresolved_amount(tx) for tx in txs):

@@ -28,10 +28,12 @@ from mevsearch.state import State, Swap, Tx, apply_sequence
 from conftest import pool_state, simple_pool
 
 
-def swaps(n, venue="amm", token_in="BBT", actor=None):
+def swaps(n, venue="amm", token_in="BBT", actor=None, amount=None):
+    # Distinct amounts 10, 11, ... unless one ``amount`` is given for all.
     token_out = "ETH" if token_in == "BBT" else "BBT"
     return tuple(
-        Tx(actor or f"u{i}", venue, Swap(token_in, token_out, 10 + i)) for i in range(n)
+        Tx(actor or f"u{i}", venue, Swap(token_in, token_out, amount or 10 + i))
+        for i in range(n)
     )
 
 
@@ -48,6 +50,8 @@ def mixed_state(n_users=6, pools=("amm",)):
 def test_reorder_only_counts():
     sp = OrderingSpace(mempool=swaps(3))
     assert count_sequences(sp, pruning=False) == 6
+    # three distinct trades: no run collapses
+    assert count_sequences(sp, pruning=True) == 6
 
 
 def test_reorder_censor_counts():
@@ -56,7 +60,7 @@ def test_reorder_censor_counts():
 
 
 def test_same_direction_run_prunes_to_one():
-    sp = OrderingSpace(mempool=swaps(3))
+    sp = OrderingSpace(mempool=swaps(3, amount=10))
     assert count_sequences(sp, pruning=True) == 1
 
 
@@ -83,7 +87,7 @@ def test_insertion_weaves_templates():
 
 
 def test_miner_owned_swaps_are_not_collapsed():
-    mempool = swaps(2) + (Tx("miner", "amm", Swap("BBT", "ETH", 50)),)
+    mempool = swaps(2, amount=10) + (Tx("miner", "amm", Swap("BBT", "ETH", 50)),)
     sp = OrderingSpace(mempool=mempool)
     # classes are indexed by the set of user swaps before the miner's: 4
     assert count_sequences(sp, pruning=True) == 4
@@ -91,7 +95,7 @@ def test_miner_owned_swaps_are_not_collapsed():
 
 
 def test_tracked_actor_blocks_pruning():
-    sp = OrderingSpace(mempool=swaps(3))
+    sp = OrderingSpace(mempool=swaps(3, amount=10))
     # u1 tracked: classes indexed by the subset of {u0, u2} executed before it
     assert count_sequences(sp, pruning=True, tracked=frozenset({"u1"})) == 4
 

@@ -8,7 +8,9 @@ states; the reduced walk's keys are exactly the lexicographic normal forms of
 the unreduced keys; and on a corpus mixing pools, a CDP book, a price bet,
 fees, censoring, insertion, fixed order and two blocks, and on one of pools
 with liquidity adds and removes, reduced and unreduced search agree on every
-report field but the path counts.
+report field but the path counts.  Runs of identical trades collapse on
+repeated-trade instances without changing a report, and the walks with and
+without a state prune alike.
 
 The sampler evaluates only the objective's slice of each sample, sharing
 prefixes in sorted order.  On the same corpus, and on two-pool spreads where
@@ -343,9 +345,8 @@ def test_reduced_walk_keeps_exactly_the_lexicographic_normal_forms(case):
     reduced_keys = [key for key, _ in reduced.walk(state)]
     assert len(reduced_keys) == len(set(reduced_keys))
     assert set(reduced_keys) == _normal_forms(unreduced_keys, reduced.indep)
-    if not any(reduced.runs):
-        # the stateless walk cuts the same way
-        assert [key for key, _ in reduced.walk(None)] == reduced_keys
+    # the stateless walk cuts the same way
+    assert [key for key, _ in reduced.walk(None)] == reduced_keys
     if case == 0:
         assert len(reduced_keys) < len(unreduced_keys)
 
@@ -372,6 +373,96 @@ def test_reduced_and_unreduced_search_agree_on_the_mixed_corpus():
                 space, EXH, objective, state, want_worst=True, workers=2
             ) == reduced
     assert reduced_total < full_total
+
+
+def identical_trades_instance(seed: int, reorder: bool, censor: bool, k: int, fees: bool):
+    """Two pools and a mempool of five swaps drawn from three trades, so
+    that identical trades repeat, plus a miner swap template.
+
+    Each actor trades once and holds either enough or too little of what it
+    sells.  With k = 2 the last transaction arrives in the second block;
+    with fees some actors cannot pay theirs.
+    """
+    rng = random.Random(seed)
+    state = State(
+        {
+            **{(f"u{i}", tok): rng.choice((30, 400)) for i in range(5) for tok in ("ETH", "TKN")},
+            ("miner", "ETH"): 200,
+        },
+        {
+            "pool0": AmmPool("TKN", "ETH", rng.randint(900, 1_100), rng.randint(900, 1_100),
+                             fee_bps=rng.choice([0, 30])),
+            "pool1": AmmPool("TKN", "ETH", rng.randint(900, 1_100), rng.randint(900, 1_100),
+                             fee_bps=rng.choice([0, 30])),
+        },
+        0,
+    )
+    trades = [
+        (rng.choice(("pool0", "pool1")), *rng.choice((("TKN", "ETH"), ("ETH", "TKN"))),
+         rng.choice((50, 120)))
+        for _ in range(3)
+    ]
+    actors = [f"u{i}" for i in range(5)]
+    rng.shuffle(actors)
+    # The first two actors make the same trade.
+    picks = [trades[0], trades[0]] + [rng.choice(trades) for _ in range(3)]
+    mempool = tuple(
+        Tx(actor, venue, Swap(token_in, token_out, amount),
+           fee=rng.choice((0, 1, 5)) if fees else 0, arrival_block=int(k == 2 and i == 4))
+        for i, (actor, (venue, token_in, token_out, amount)) in enumerate(zip(actors, picks))
+    )
+    space = OrderingSpace(
+        mempool=mempool,
+        templates=(Tx("miner", "pool0", Swap("ETH", "TKN", 60), origin="miner"),),
+        allow_reorder=reorder,
+        allow_censor=censor,
+        allow_insert=True,
+        k=k,
+        charge_fees=fees,
+        fee_token="ETH",
+    )
+    return state, space
+
+
+def test_identical_trades_collapse_without_changing_the_report():
+    collapsed = 0
+    for i, flags in enumerate(itertools.product((True, False), (True, False), (1, 2), (False, True))):
+        state, space = identical_trades_instance(4_000 + i, *flags)
+        if i % 2:
+            objective = PlayerDelta.from_state(frozenset({"miner", f"u{i % 5}"}), VALUATION, state)
+        else:
+            objective = AccountBalanceValue(f"u{i % 5}", VALUATION)
+        reduced = search(space, EXH, objective, state, pruning=True, want_worst=True)
+        full = search(space, EXH, objective, state, pruning=False, want_worst=True)
+        assert replace(reduced, paths_explored=0, paths_total=0) == replace(
+            full, paths_explored=0, paths_total=0
+        ), (i, space)
+        sleep_only = _Tree(space, _SLEEP, objective.tracked, state.contracts)
+        collapsed += sum(1 for _ in sleep_only.walk(None)) - reduced.paths_explored
+    assert collapsed > 0
+
+
+@pytest.mark.parametrize("u4_buys", [11_000, 9_000])
+def test_the_walk_prunes_alike_with_and_without_a_state(u4_buys):
+    # Demo 02's pool and mempool, with u4 buying as much as u2 (9,000) or not.
+    state = State(
+        {("whale", "TKN"): 50_000, ("u1", "ETH"): 30_000, ("u2", "ETH"): 9_000,
+         ("u3", "TKN"): 14_000, ("u4", "ETH"): 11_000},
+        {"amm": AmmPool("TKN", "ETH", 1_000_000, 1_000_000, fee_bps=30)},
+        0,
+    )
+    mempool = (
+        Tx("whale", "amm", Swap("TKN", "ETH", 50_000)),
+        Tx("u1", "amm", Swap("ETH", "TKN", 30_000)),
+        Tx("u2", "amm", Swap("ETH", "TKN", 9_000)),
+        Tx("u3", "amm", Swap("TKN", "ETH", 14_000)),
+        Tx("u4", "amm", Swap("ETH", "TKN", u4_buys)),
+    )
+    objective = AccountBalanceValue("whale", Valuation(primary="ETH"))
+    for reorder, censor in ((False, False), (True, False), (True, True)):
+        space = OrderingSpace(mempool=mempool, allow_reorder=reorder, allow_censor=censor)
+        stateless = count_sequences(space, pruning=True, tracked=objective.tracked)
+        assert search(space, EXH, objective, state).paths_explored == stateless
 
 
 def test_insertion_skeletons_reduce_on_two_pools():
