@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .contracts import AmmPool
-from .metrics import AccountBalanceValue, Valuation, value_spread
-from .ordering import _RUN, SearchBudget, _Tree, _exhaustive
+from .metrics import Valuation, value_spread
+from .ordering import _RUN, SearchBudget, _Tree
 from .scenario import Scenario, TokenDecl
-from .state import Swap, Tx
+from .state import ScenarioError, Swap, Tx
 
 WAD = 10**18
 WHALE = "whale"
@@ -163,20 +163,21 @@ def measure_convergence(
 
     The paths are counted under the run rule alone: the experiment's budget
     is a fraction of the orderings, not of the sleep-set classes, which are
-    far fewer."""
+    far fewer.  The run rule reads no state, so the count walks the tree
+    without applying a transaction; the exact spread comes from the
+    search's own walk under both reductions.  Both are exact."""
     points = []
     for i, scenario in enumerate(instances):
-        state = scenario.initial_state()
-        space = scenario.space()
+        beneficiary = scenario.beneficiary
+        if beneficiary is None:
+            raise ScenarioError(f"convergence instance {i} has no beneficiary")
+        state, space = scenario.initial_state(), scenario.space()
         valuation = scenario.get_valuation()
-        assert scenario.beneficiary is not None
-        objective = AccountBalanceValue(scenario.beneficiary, valuation)
-        tree = _Tree(space, _RUN, objective.tracked, state.contracts)
-        exact = _exhaustive(tree, state, objective, 1)
-        total = exact.paths
+        total = sum(1 for _ in _Tree(space, _RUN, frozenset({beneficiary})).walk(None))
+        exact = value_spread(beneficiary, space, state, valuation, SearchBudget(mode="exhaustive"))
         budget = max(1, int(total * path_fraction))
         sampled = value_spread(
-            scenario.beneficiary,
+            beneficiary,
             space,
             state,
             valuation,
@@ -188,7 +189,7 @@ def measure_convergence(
                 index=i,
                 paths_total=total,
                 paths_sampled=sampled.paths_explored,
-                exhaustive_spread=exact.best[0] - exact.worst[0],
+                exhaustive_spread=exact.spread,
                 sampled_spread=sampled.spread,
             )
         )

@@ -555,26 +555,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _exhaustive(tree: _Tree, state: State, objective, workers: int) -> _Reducer:
-    """Fold every construction of the tree.
-
-    With ``workers > 1`` the tree is first folded by forked workers
-    (``_fold_forked``).  If anything in that attempt raises an
-    ``Exception`` (the objective, a fork, a pipe, or a worker that sends
-    nothing), the workers are killed and reaped and the tree is folded in
-    this process instead.  The outcome, report or exception, is then the
-    one-worker outcome by construction; a failed worker or fork costs time,
-    not the answer.  A ``BaseException`` such as ``KeyboardInterrupt``
-    propagates once the workers are killed.
-    """
-    if workers > 1:
-        try:
-            return _fold_forked(tree, state, objective, workers)
-        except Exception:
-            pass  # the one-process fold below raises the one-worker error, if any
-    return _fold_walk(tree.walk(state), objective)
-
-
 def _fold_forked(tree: _Tree, state: State, objective, workers: int) -> _Reducer:
     """Fold every construction of the tree over forked workers.
 
@@ -716,9 +696,24 @@ def _search_tree(
     """Fold the tree under the budget; also says whether the fold was
     exhaustive.  A randomized budget gives tractable trees one capped
     exhaustive attempt (exact when the pruned space fits in ``max_paths``)
-    and samples single-block orderings otherwise."""
+    and samples single-block orderings otherwise.
+
+    An exhaustive budget with ``workers > 1`` first folds the tree over
+    forked workers (``_fold_forked``).  If anything in that attempt raises
+    an ``Exception`` (the objective, a fork, a pipe, or a worker that sends
+    nothing), the workers are killed and reaped and the tree is folded in
+    this process instead.  The outcome, report or exception, is then the
+    one-worker outcome by construction; a failed worker or fork costs time,
+    not the answer.  A ``BaseException`` such as ``KeyboardInterrupt``
+    propagates once the workers are killed.
+    """
     if budget.mode == "exhaustive":
-        return _exhaustive(tree, state, objective, workers), True
+        if workers > 1:
+            try:
+                return _fold_forked(tree, state, objective, workers), True
+            except Exception:
+                pass  # the one-process fold below raises the one-worker error, if any
+        return _fold_walk(tree.walk(state), objective), True
     if len(tree.items) <= budget.tractability_threshold:
         # One construction past the cap tells a space that fits from one that does not.
         reducer = _fold_walk(islice(tree.walk(state), budget.max_paths + 1), objective)

@@ -885,7 +885,7 @@ def test_the_insertion_walk_yields_increasing_keys(censor):
     spaces += [_random_case(seed)[:2] for seed in range(20)]
     for space, state in spaces:
         space = replace(space, allow_censor=censor)
-        for reduction in (0, _SLEEP):
+        for reduction in (0, _SLEEP, _FULL):
             tree = _Tree(space, reduction, frozenset({"miner"}), state.contracts)
             keys = [key for key, _ in tree.walk(None)]
             assert len(keys) > 1

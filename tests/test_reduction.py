@@ -9,8 +9,9 @@ the unreduced keys; and on a corpus mixing pools, a CDP book, a price bet,
 fees, censoring, insertion, fixed order and two blocks, and on one of pools
 with liquidity adds and removes, reduced and unreduced search agree on every
 report field but the path counts.  Runs of identical trades collapse on
-repeated-trade instances without changing a report, and the walks with and
-without a state prune alike.
+repeated-trade instances without changing a report; a run of two distinct
+trades, whose order moves a tracked trade's output by a wei of rounding, is
+walked in both orders; and the walks with and without a state prune alike.
 
 The sampler evaluates only the objective's slice of each sample, sharing
 prefixes in sorted order.  On the same corpus, and on two-pool spreads where
@@ -442,6 +443,47 @@ def test_identical_trades_collapse_without_changing_the_report():
     assert collapsed > 0
 
 
+# (TKN reserve, ETH reserve, first sale, second sale, whale sale): after the
+# two sales in either order the TKN reserve is the same and the ETH reserves
+# differ by one wei, which moves the whale's output by one.
+ROUNDING_RUNS = (
+    (924, 1_024, 23, 52, 1_355),
+    (1_010, 1_055, 20, 43, 956),
+    (959, 1_073, 48, 73, 970),
+)
+
+
+@pytest.mark.parametrize("censor", (False, True))
+@pytest.mark.parametrize("pool", ROUNDING_RUNS)
+def test_a_run_of_distinct_trades_is_walked_in_both_orders(pool, censor):
+    rx, ry, first, second, whale_sells = pool
+    # Either account may hold the larger sale, so one of the two mempools
+    # puts the worse run order against the index order.
+    for a, b in ((first, second), (second, first)):
+        state = State(
+            {("u0", "TKN"): a, ("u1", "TKN"): b, ("whale", "TKN"): whale_sells},
+            {"amm": AmmPool("TKN", "ETH", rx, ry, fee_bps=30)},
+            0,
+        )
+        mempool = (
+            Tx("u0", "amm", Swap("TKN", "ETH", a)),
+            Tx("u1", "amm", Swap("TKN", "ETH", b)),
+            Tx("whale", "amm", Swap("TKN", "ETH", whale_sells)),
+        )
+        space = OrderingSpace(mempool=mempool, allow_reorder=True, allow_censor=censor)
+        objective = AccountBalanceValue("whale", VALUATION)
+        u0_first, u1_first = (
+            objective.value(apply_sequence(state, [mempool[i] for i in order]).state)
+            for order in ((0, 1, 2), (1, 0, 2))
+        )
+        assert u0_first != u1_first
+        reduced = search(space, EXH, objective, state, pruning=True, want_worst=True)
+        full = search(space, EXH, objective, state, pruning=False, want_worst=True)
+        assert replace(reduced, paths_explored=0, paths_total=0) == replace(
+            full, paths_explored=0, paths_total=0
+        ), (pool, a, b)
+
+
 @pytest.mark.parametrize("u4_buys", [11_000, 9_000])
 def test_the_walk_prunes_alike_with_and_without_a_state(u4_buys):
     # Demo 02's pool and mempool, with u4 buying as much as u2 (9,000) or not.
@@ -502,6 +544,13 @@ def test_convergence_budget_is_sized_by_the_run_rule_count():
         for p in result.points
     )
     assert got == CONVERGENCE_POINTS
+
+
+def test_a_convergence_instance_without_a_beneficiary_is_a_scenario_error():
+    instances = convergence_corpus(seed=0, count=2)
+    instances[1] = replace(instances[1], beneficiary=None)
+    with pytest.raises(ScenarioError, match="^convergence instance 1 has no beneficiary$"):
+        measure_convergence(instances, seed=0)
 
 
 # ---------------------------------------------------------------------------
