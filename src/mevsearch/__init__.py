@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .contracts import AmmPool, MakerBook, Pricebet
 from .metrics import MinerModel, Valuation, ValueSpread, ev, k_mev, value_spread, wmev
-from .ordering import EvReport, OrderingSpace, SearchBudget, count_sequences, iter_sequences, search
+from .ordering import EvReport, OrderingSpace, SearchBudget, count_sequences, search
 from .state import (
     AddLiquidity,
     Bet,
@@ -52,7 +52,6 @@ __all__ = [
     "apply_tx",
     "count_sequences",
     "ev",
-    "iter_sequences",
     "k_mev",
     "search",
     "total_supply",

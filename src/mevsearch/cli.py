@@ -75,10 +75,6 @@ def _apply_overrides(scenario: Scenario, seed, budget, k, censor, insert, valuat
     return scenario
 
 
-def _report_int(value: int) -> str:
-    return str(value)
-
-
 def _emit(report: dict, out: str | None, csvs: dict[str, list[str]] | None = None) -> None:
     text = dumps_canonical(report)
     click.echo(text, nl=False)
@@ -92,13 +88,13 @@ def _emit(report: dict, out: str | None, csvs: dict[str, list[str]] | None = Non
 
 def _ev_report_json(report) -> dict:
     doc = {
-        "best_value": _report_int(report.best_value),
+        "best_value": str(report.best_value),
         "best_ordering": list(report.best_ordering),
         "paths_explored": report.paths_explored,
         "exhaustive": report.exhaustive,
     }
     if report.worst_value is not None:
-        doc["worst_value"] = _report_int(report.worst_value)
+        doc["worst_value"] = str(report.worst_value)
         doc["worst_ordering"] = list(report.worst_ordering or ())
     if report.paths_total is not None:
         doc["paths_total"] = report.paths_total
@@ -119,7 +115,7 @@ def _size_insertion(scenario: Scenario) -> tuple[dict, InsertionProblem | None]:
     if result.alpha is None:
         doc["alpha"] = None
         return doc, None
-    doc["alpha"] = _report_int(result.alpha)
+    doc["alpha"] = str(result.alpha)
     problem = InsertionProblem(
         state, result.skeleton, *scenario.insertion_bounds, objective, space.fee_policy()
     )
@@ -181,11 +177,11 @@ def replay(scenario_path, log_path, expected_path, tolerance, out):
             {
                 "venue": d.venue,
                 "field": d.field,
-                "actual": _report_int(d.actual),
-                "expected": _report_int(d.expected),
-                "abs_diff": _report_int(d.abs_diff),
+                "actual": str(d.actual),
+                "expected": str(d.expected),
+                "abs_diff": str(d.abs_diff),
                 "rel_diff": None if d.rel_diff is None else f"{d.rel_diff.numerator}/{d.rel_diff.denominator}",
-                "tolerance": _report_int(d.tolerance),
+                "tolerance": str(d.tolerance),
                 "within": d.within,
             }
             for d in report.diffs
@@ -262,9 +258,9 @@ def spread(scenario_path, beneficiary, seed, workers, budget, censor, valuation,
     )
     doc = {
         "beneficiary": who,
-        "b_high": _report_int(result.b_high),
-        "b_low": _report_int(result.b_low),
-        "spread": _report_int(result.spread),
+        "b_high": str(result.b_high),
+        "b_low": str(result.b_low),
+        "spread": str(result.spread),
         "best_ordering": list(result.best_ordering),
         "worst_ordering": list(result.worst_ordering),
         "paths_explored": result.paths_explored,
@@ -305,8 +301,8 @@ def compose_check(scenario_path, epsilon, seed, workers, budget, censor, insert,
     doc = {
         "contract": scenario.new_contract[0],
         "epsilon": f"{eps.numerator}/{eps.denominator}",
-        "mev_before": _report_int(verdict.mev_before),
-        "mev_after": _report_int(verdict.mev_after),
+        "mev_before": str(verdict.mev_before),
+        "mev_after": str(verdict.mev_after),
         "composable": verdict.composable,
         "status": verdict.status,
         "witness": None if verdict.witness is None else list(verdict.witness),

@@ -1,9 +1,12 @@
 """Executable contract models: constant-product AMM, CDP book, price bet.
 
 All arithmetic is exact integer arithmetic.  Price comparisons are
-cross-multiplied (no division anywhere in a guard), swap outputs use the
-deployed-AMM rounding (floor on exact-input output, floor+1 on exact-output
-input), and every operation either returns a full successor state or ``None``.
+cross-multiplied (no division anywhere in a guard), and every operation
+either returns a full successor state or ``None``.  ``swap_amounts`` is the one
+swap rule: it holds the deployed-AMM rounding (floor on exact-input output,
+floor+1 on exact-output input) and the trade's bottom outcomes, for the
+search's ``State`` path (through ``amm_swap``) and for insertion's integer
+kernel alike.
 
 Each contract model is a frozen dataclass plus one transition rule per action
 it accepts.  A rule takes ``(state, tx, contract)``, checks its guards and
@@ -139,21 +142,21 @@ def holding(contract: object, token: str) -> int:
 # AMM math
 # ---------------------------------------------------------------------------
 
-def amm_out_given_in(reserve_in: int, reserve_out: int, amount_in: int, fee_bps: int) -> int:
-    """Exact-input output amount with fee and floor rounding.
-
-    With ``fee_bps == 0`` this is exactly the constant-product closed form
-    ``floor(y - x*y/(x + dx))``.
-    """
-    in_after_fee = amount_in * (FEE_DENOM - fee_bps)
-    return (in_after_fee * reserve_out) // (reserve_in * FEE_DENOM + in_after_fee)
-
-
-def amm_in_given_out(reserve_in: int, reserve_out: int, amount_out: int, fee_bps: int) -> int:
-    """Exact-output input amount (deployed rounding: floor + 1)."""
-    numerator = reserve_in * amount_out * FEE_DENOM
-    denominator = (reserve_out - amount_out) * (FEE_DENOM - fee_bps)
-    return numerator // denominator + 1
+def swap_amounts(
+    reserve_in: int, reserve_out: int, amount: int, fee_bps: int, exact_out: bool
+) -> tuple[int, int] | None:
+    """``(paid, received)`` of one constant-product trade: the one swap rule.
+    Exact input pays ``amount`` for the floored fee-adjusted output; exact
+    output receives ``amount`` for the deployed floor + 1.  ``None`` (bottom)
+    on a non-positive amount, an empty reserve, or an exact output of at
+    least the output reserve; a zero output is not bottom."""
+    if amount <= 0 or reserve_in <= 0 or reserve_out <= 0 or exact_out and amount >= reserve_out:
+        return None
+    if exact_out:
+        paid = reserve_in * amount * FEE_DENOM // ((reserve_out - amount) * (FEE_DENOM - fee_bps))
+        return paid + 1, amount
+    in_after_fee = amount * (FEE_DENOM - fee_bps)
+    return amount, in_after_fee * reserve_out // (reserve_in * FEE_DENOM + in_after_fee)
 
 
 def amm_out_given_in_exact(
@@ -173,47 +176,40 @@ def amm_in_given_out_exact(
     )
 
 
-def amm_swap_exact_in(pool: AmmPool, token_in: str, amount_in: int) -> tuple[AmmPool, int] | None:
-    """Swap ``amount_in`` of ``token_in`` into the pool.
-
-    Returns the updated pool and the output amount, or ``None`` when the
-    trade is malformed (non-positive input, foreign token, uninitialized
-    reserves).  A zero output is not an error: the trade still settles.
-    """
-    if amount_in <= 0 or not pool.has_token(token_in):
+def amm_swap(pool: AmmPool, swap: Swap) -> tuple[AmmPool, int, int] | None:
+    """Trade ``swap`` (bound amount, either mode) on ``pool``; returns the
+    successor pool and the trader's ``(paid, received)``, or ``None`` when a
+    token is foreign, the tokens are the same or ``swap_amounts`` fails."""
+    token_in, token_out = swap.token_in, swap.token_out
+    x, y = pool.reserve_x, pool.reserve_y
+    if token_in == token_out:
         return None
-    if pool.reserve_x <= 0 or pool.reserve_y <= 0:
+    if token_in == pool.token_x and token_out == pool.token_y:
+        amounts = swap_amounts(x, y, swap.amount, pool.fee_bps, swap.exact_out)
+        if amounts is None:
+            return None
+        paid, received = amounts
+        x, y = x + paid, y - received
+    elif token_in == pool.token_y and token_out == pool.token_x:
+        amounts = swap_amounts(y, x, swap.amount, pool.fee_bps, swap.exact_out)
+        if amounts is None:
+            return None
+        paid, received = amounts
+        x, y = x - received, y + paid
+    else:
         return None
     # The successor is built directly, not through ``replace``: this is the
     # search's hottest allocation.  It shares ``lp_shares``, as ``replace`` does.
-    x, y = pool.reserve_x, pool.reserve_y
-    if token_in == pool.token_x:
-        out = amm_out_given_in(x, y, amount_in, pool.fee_bps)
-        x, y = x + amount_in, y - out
-    else:
-        out = amm_out_given_in(y, x, amount_in, pool.fee_bps)
-        x, y = x - out, y + amount_in
-    return AmmPool(pool.token_x, pool.token_y, x, y, pool.fee_bps, pool.lp_total, pool.lp_shares), out
+    pool = AmmPool(pool.token_x, pool.token_y, x, y, pool.fee_bps, pool.lp_total, pool.lp_shares)
+    return pool, paid, received
 
 
-def amm_swap_exact_out(pool: AmmPool, token_out: str, amount_out: int) -> tuple[AmmPool, int] | None:
-    """Buy exactly ``amount_out`` of ``token_out``; returns (pool, input cost)."""
-    if amount_out <= 0 or not pool.has_token(token_out):
-        return None
-    if pool.reserve_x <= 0 or pool.reserve_y <= 0:
-        return None
-    x, y = pool.reserve_x, pool.reserve_y
-    if token_out == pool.token_y:
-        if amount_out >= y:
-            return None
-        cost = amm_in_given_out(x, y, amount_out, pool.fee_bps)
-        x, y = x + cost, y - amount_out
-    else:
-        if amount_out >= x:
-            return None
-        cost = amm_in_given_out(y, x, amount_out, pool.fee_bps)
-        x, y = x - amount_out, y + cost
-    return AmmPool(pool.token_x, pool.token_y, x, y, pool.fee_bps, pool.lp_total, pool.lp_shares), cost
+def amm_swap_exact_in(pool: AmmPool, token_in: str, amount_in: int) -> tuple[AmmPool, int] | None:
+    """Sell ``amount_in`` of ``token_in`` to the pool: ``amm_swap`` of an
+    exact-input trade for the pool's other token; returns (pool, output)."""
+    token_out = pool.token_y if token_in == pool.token_x else pool.token_x
+    res = amm_swap(pool, Swap(token_in, token_out, amount_in))
+    return None if res is None else (res[0], res[2])
 
 
 def amm_add_liquidity(pool: AmmPool, account: str, amount_x: int, amount_y: int) -> tuple[AmmPool, int] | None:
@@ -297,26 +293,11 @@ def _exec_swap(state: State, tx: Tx, pool: AmmPool) -> State | None:
     action = tx.action
     if action.amount is None:
         raise ScenarioError("swap has an unbound insertion-size parameter")
-    if not (pool.has_token(action.token_in) and pool.has_token(action.token_out)):
+    res = amm_swap(pool, action)
+    if res is None or state.balances.get((tx.actor, action.token_in), 0) < res[1]:
         return None
-    if action.token_in == action.token_out:
-        return None
-    if action.exact_out:
-        res = amm_swap_exact_out(pool, action.token_out, action.amount)
-        if res is None:
-            return None
-        new_pool, amount_in = res
-        amount_out = action.amount
-    else:
-        res = amm_swap_exact_in(pool, action.token_in, action.amount)
-        if res is None:
-            return None
-        new_pool, amount_out = res
-        amount_in = action.amount
-
-    if state.balances.get((tx.actor, action.token_in), 0) < amount_in:
-        return None
-    moves = ((tx.actor, action.token_in, -amount_in), (tx.actor, action.token_out, amount_out))
+    new_pool, paid, received = res
+    moves = ((tx.actor, action.token_in, -paid), (tx.actor, action.token_out, received))
     return state.settle(moves, tx.venue, new_pool)
 
 

@@ -15,7 +15,8 @@ columns per kind:
 
 ``reverted`` marks records the export knows failed on-chain; they are
 skipped.  Its cell is blank, ``0`` or ``false`` (not reverted), or ``1`` or
-``true``.  A ``price_update`` needs a ``price_den`` of at least 1.  Replay
+``true``.  A ``price_update`` needs a ``price_den`` of at least 1, and no
+integer cell may be negative: amounts, debts and prices never are.  Replay
 recomputes swap outputs from the model, so the final reserves measure model
 fidelity; actors are funded on demand (exports do not carry wallet
 balances).
@@ -65,6 +66,7 @@ class Record:
 
 
 _FIELDS = fields(Record)
+_INT_FIELDS = [f for f in _FIELDS if f.type == "int"]
 COLUMNS = [f.name for f in _FIELDS]
 
 # Record kind -> (action type, ((column, action field), ...)).
@@ -125,6 +127,12 @@ def read_event_log(path: str | Path) -> list[Record]:
                 record = Record(**{f.name: _cell_from_csv(row, f, line) for f in _FIELDS})
                 if kind == "price_update" and record.price_den < 1:
                     raise ParseError(f"line {line}", f"price_den {record.price_den} below minimum 1")
+                for f in _INT_FIELDS:
+                    value = getattr(record, f.name)
+                    if value < 0:
+                        raise ParseError(
+                            f"line {line}", f"column {f.name!r}: value {value} below minimum 0"
+                        )
                 records.append(record)
         except UnicodeDecodeError as e:
             raise ParseError(f"line {reader.line_num + 1}", f"not UTF-8 text: {e}") from None
@@ -174,23 +182,18 @@ def replay(state: State, records: list[Record]) -> tuple[State, list[ReplayFailu
             failures.append(ReplayFailure(i, record, "unknown venue"))
             continue
 
-        if record.kind == "price_update":
+        tx = record_to_tx(record)
+        if tx is None:  # a book-keeping record: price_update or fee_update
             if not isinstance(contract, MakerBook):
-                failures.append(ReplayFailure(i, record, "price_update on a non-book venue"))
-                continue
-            book = replace(contract, oracle_price=(record.price_num, record.price_den))
-            state = state.with_block(record.block_number).settle((), record.venue, book)
-            continue
-        if record.kind == "fee_update":
-            if not isinstance(contract, MakerBook):
-                failures.append(ReplayFailure(i, record, "fee_update on a non-book venue"))
-                continue
-            book = replace(contract, debt={**contract.debt, record.actor: record.debt_value})
-            state = state.with_block(record.block_number).settle((), record.venue, book)
+                failures.append(ReplayFailure(i, record, f"{record.kind} on a non-book venue"))
+            else:
+                if record.kind == "price_update":
+                    book = replace(contract, oracle_price=(record.price_num, record.price_den))
+                else:
+                    book = replace(contract, debt={**contract.debt, record.actor: record.debt_value})
+                state = state.with_block(record.block_number).settle((), record.venue, book)
             continue
 
-        tx = record_to_tx(record)
-        assert tx is not None
         state = _fund_for(state, record, contract).with_block(record.block_number)
         nxt = apply_tx(state, tx)
         if nxt is None:

@@ -17,9 +17,10 @@ evaluated, and one evaluation binds and applies only the tail from the first
 open template on.  When no fee policy is set, the objective is a
 ``PlayerDelta`` and every tail item is a ``Swap`` at a venue holding an
 ``AmmPool``, the tail is compiled once into an integer kernel
-(``_SwapTail``): an evaluation then moves plain ints, with the contracts'
-rounding and bottom outcomes, and builds no ``State``.  Any other tail goes
-through ``apply_tx``, which is also the kernel's test oracle.
+(``_SwapTail``): an evaluation then moves plain ints, pricing each step with
+``contracts.swap_amounts``, the one swap rule that ``apply_tx`` also runs, and
+builds no ``State``.  Any other tail goes through ``apply_tx``, which is also
+the kernel's test oracle.
 
 Branch and bound (Land & Doig, 1960).  Once the search holds an incumbent,
 a skeleton is sized only when an integer upper bound on its value beats it;
@@ -62,12 +63,11 @@ from functools import cache, cached_property
 from .contracts import (
     FEE_DENOM,
     AmmPool,
-    amm_in_given_out,
     amm_in_given_out_exact,
-    amm_out_given_in,
     amm_out_given_in_exact,
+    swap_amounts,
 )
-from .metrics import PlayerDelta, account_totals
+from .metrics import PlayerDelta
 from .ordering import _FULL, EvReport, OrderingSpace, SearchBudget, _may_raise, _Tree, _labels_for
 from .state import MEMPOOL, FeePolicy, ScenarioError, State, Swap, Tx, UnknownVenueError, apply_tx
 
@@ -166,14 +166,14 @@ class _SwapTail:
     """A swap-only tail on constant-product pools, evaluated on plain ints.
 
     One evaluation applies the bound tail to the touched ``(actor, token)``
-    balances and each pool's ``(x, y)``, with the rounding of
-    ``amm_out_given_in``/``amm_in_given_out`` and every bottom outcome of
-    ``_exec_swap``: a foreign token or ``token_in == token_out``, a
-    non-positive amount, an empty reserve, an exact output of at least the
-    reserve, or too little balance.  A failing user swap is a no-op and a
+    balances and each pool's ``(x, y)``, one ``swap_amounts`` call per step:
+    the contracts' one swap rule, so the rounding and the bottom outcomes of
+    the amounts are those of ``_exec_swap``.  A foreign token or
+    ``token_in == token_out`` fails when the tail is compiled, and too little
+    balance when the step runs.  A failing user swap is a no-op and a
     failing template makes the size infeasible, as in ``_apply``.  The value
-    is the prefix's tracked totals plus the tail's deltas, floored per token
-    as ``PlayerDelta.value`` does.
+    is the prefix's ``PlayerDelta.deltas`` plus the tail's moves, floored per
+    token as ``PlayerDelta.value`` does.
     """
 
     def __init__(self, state: State, tail: tuple[Tx, ...], objective: PlayerDelta):
@@ -184,10 +184,8 @@ class _SwapTail:
         for tx in tail:
             swap, pool = tx.action, state.contracts[tx.venue]
             template = tx.origin != MEMPOOL
-            if (
-                not (pool.has_token(swap.token_in) and pool.has_token(swap.token_out))
-                or swap.token_in == swap.token_out
-            ):
+            tokens = {swap.token_in, swap.token_out}
+            if swap.token_in == swap.token_out or tokens != {pool.token_x, pool.token_y}:
                 steps.append((template, None))
                 continue
             if tx.venue not in pools:
@@ -205,13 +203,10 @@ class _SwapTail:
 
         # value = constant + sum over touched tokens of token_value(token,
         # offset + the token's tracked slots)
-        tracked = objective.tracked
-        deltas = account_totals(state, tracked)
-        for token, amount in objective.base:
-            deltas[token] = deltas.get(token, 0) - amount
+        deltas = objective.deltas(state)
         touched: dict[str, list[int]] = {}
         for (actor, token), slot in slots.items():
-            if actor in tracked:
+            if actor in objective.tracked:
                 touched.setdefault(token, []).append(slot)
         token_value = objective.valuation.token_value
         self.constant = sum(token_value(t, d) for t, d in deltas.items() if t not in touched)
@@ -227,19 +222,15 @@ class _SwapTail:
         reserves = self.reserves.copy()
         for (template, step), tx in zip(self.steps, bound):
             if step is not None:
-                i, o, fee_bps, exact_out, pay, get = step
-                amount = tx.action.amount
-                r_in, r_out = reserves[i], reserves[o]
-                if amount > 0 and r_in > 0 and r_out > 0 and not (exact_out and amount >= r_out):
-                    if exact_out:
-                        cost, out = amm_in_given_out(r_in, r_out, amount, fee_bps), amount
-                    else:
-                        cost, out = amount, amm_out_given_in(r_in, r_out, amount, fee_bps)
-                    if balances[pay] >= cost:
-                        balances[pay] -= cost
-                        balances[get] += out
-                        reserves[i], reserves[o] = r_in + cost, r_out - out
-                        continue
+                i, o, fee, exact_out, pay, get = step
+                amounts = swap_amounts(reserves[i], reserves[o], tx.action.amount, fee, exact_out)
+                if amounts is not None and balances[pay] >= amounts[0]:
+                    paid, received = amounts
+                    balances[pay] -= paid
+                    balances[get] += received
+                    reserves[i] += paid
+                    reserves[o] -= received
+                    continue
             if template:
                 return None
         total = self.constant
@@ -443,11 +434,8 @@ def _value_bound(problem: InsertionProblem, tree: _Tree, key: tuple[int, ...]) -
 
     # Size-free terms: the tracked balances after the prefix, and the swaps
     # of concrete templates.
-    totals = account_totals(state, tracked)
-    base = dict(objective.base)
-    fixed = Fraction(0)
-    for token in totals.keys() | base.keys():
-        fixed += price(token) * (totals.get(token, 0) - base.get(token, 0))
+    deltas = objective.deltas(state)
+    fixed = sum((price(token) * delta for token, delta in deltas.items()), Fraction(0))
     open_swaps = []
     for pool, swap in swaps:
         if swap.amount is None:

@@ -88,13 +88,17 @@ class PlayerDelta:
     def tracked(self) -> frozenset[str]:
         return self.accounts
 
+    def deltas(self, state: State) -> dict[str, int]:
+        """Per token, the tracked accounts' total in ``state`` minus the base."""
+        deltas = account_totals(state, self.accounts)
+        for token, amount in self.base:
+            deltas[token] = deltas.get(token, 0) - amount
+        return deltas
+
     def value(self, state: State) -> int:
-        base = dict(self.base)
-        total = 0
-        for token, amount in account_totals(state, self.accounts).items():
-            total += self.valuation.token_value(token, amount - base.pop(token, 0))
-        for token, amount in base.items():
-            total += self.valuation.token_value(token, -amount)
+        total = 0  # floor per token
+        for token, delta in self.deltas(state).items():
+            total += self.valuation.token_value(token, delta)
         return total
 
 

@@ -468,28 +468,19 @@ class _Tree:
         return node(state, 0, waves[0], templates, -1, 0)
 
 
-def iter_sequences(
+def count_sequences(
     space: OrderingSpace, pruning: bool = True, tracked: frozenset[str] = frozenset()
-):
-    """Yield every feasible single-block sequence exactly once, as tuples of
-    item indices (mempool 0..n-1 in original order, then templates).
+) -> int:
+    """Number of feasible single-block sequences.
 
-    With ``pruning``, keeps one sequence per class of swaps of adjacent
+    With ``pruning``, counts one sequence per class of swaps of adjacent
     independent items, where only swaps have footprints (there are no
     contracts to read other actions' tokens from), and collapses runs of
     identical swaps, as ``search`` does.
     """
     if space.k != 1:
-        raise ScenarioError("iter_sequences enumerates single-block spaces")
-    for key, _ in _Tree(space, _FULL if pruning else 0, tracked).walk(None):
-        yield key
-
-
-def count_sequences(
-    space: OrderingSpace, pruning: bool = True, tracked: frozenset[str] = frozenset()
-) -> int:
-    """Number of feasible (pruned) sequences of a single-block space."""
-    return sum(1 for _ in iter_sequences(space, pruning, tracked))
+        raise ScenarioError("count_sequences counts single-block spaces")
+    return sum(1 for _ in _Tree(space, _FULL if pruning else 0, tracked).walk(None))
 
 
 # ---------------------------------------------------------------------------

@@ -403,6 +403,23 @@ def test_input_that_is_not_utf8_is_a_one_line_error(runner, tmp_path, which):
     assert result.stderr.count("\n") == 1
 
 
+def test_negative_log_cell_is_a_one_line_error(runner, tmp_path):
+    from mevsearch.cli import EXIT_BAD_INPUT
+
+    lines = (DATA / "pair_log.csv").read_text().splitlines(keepends=True)
+    assert ",u0,TKN,158611016607348817167," in lines[1]
+    lines[1] = lines[1].replace(",158611016607348817167,", ",-5,")
+    log = tmp_path / "pair_log.csv"
+    log.write_text("".join(lines))
+    result = runner.invoke(main, [
+        "replay", "--scenario", str(DATA / "pair_scenario.json"), "--log", str(log),
+        "--expected", str(DATA / "pair_expected.json"),
+    ])
+    assert result.exit_code == EXIT_BAD_INPUT
+    assert result.stdout == ""
+    assert result.stderr == "error: line 2: column 'amount_in': value -5 below minimum 0\n"
+
+
 def _set(doc, path, value):
     *parents, last = path
     for key in parents:

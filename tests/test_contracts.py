@@ -11,13 +11,12 @@ from mevsearch.contracts import (
     MakerBook,
     Pricebet,
     amm_add_liquidity,
-    amm_in_given_out,
     amm_in_given_out_exact,
-    amm_out_given_in,
     amm_out_given_in_exact,
     amm_remove_liquidity,
+    amm_swap,
     amm_swap_exact_in,
-    amm_swap_exact_out,
+    swap_amounts,
 )
 from mevsearch.state import (
     AddLiquidity,
@@ -40,13 +39,30 @@ amounts = st.integers(min_value=1, max_value=10**24)
 fees = st.sampled_from([0, 5, 30, 100])
 
 
+def out_given_in(reserve_in, reserve_out, amount_in, fee_bps):
+    """Output of an exact-input trade under the one swap rule; nothing
+    traded receives nothing, though ``swap_amounts`` calls that bottom."""
+    if amount_in == 0:
+        return 0
+    paid, received = swap_amounts(reserve_in, reserve_out, amount_in, fee_bps, False)
+    assert paid == amount_in
+    return received
+
+
+def in_given_out(reserve_in, reserve_out, amount_out, fee_bps):
+    """Input cost of an exact-output trade under the one swap rule."""
+    paid, received = swap_amounts(reserve_in, reserve_out, amount_out, fee_bps, True)
+    assert received == amount_out
+    return paid
+
+
 def test_equal_reserves_half_out():
-    assert amm_out_given_in(100, 100, 100, 0) == 50
+    assert out_given_in(100, 100, 100, 0) == 50
 
 
 def test_fee_formula_matches_rational_oracle_spec_point():
     # 1 ETH into a 100/100 WAD pool at 30 bps, evaluated without rounding.
-    out = amm_out_given_in(100 * WAD, 100 * WAD, 1 * WAD, 30)
+    out = out_given_in(100 * WAD, 100 * WAD, 1 * WAD, 30)
     oracle = amm_out_given_in_exact(100 * WAD, 100 * WAD, 1 * WAD, 30)
     assert out == oracle.numerator // oracle.denominator
     assert out == 997 * WAD * 100 * WAD // (100 * WAD * 1000 + 997 * WAD)
@@ -56,7 +72,7 @@ def test_counterexample_pool_sell_matches_oracle():
     # The two-AMM instance's user trade: 1300 COMP into the smaller pool.
     rx, ry = 5945498629669852264883, 2615599823603823616442
     amount = 1300 * WAD
-    out = amm_out_given_in(rx, ry, amount, 30)
+    out = out_given_in(rx, ry, amount, 30)
     oracle = amm_out_given_in_exact(rx, ry, amount, 30)
     assert out == oracle.numerator // oracle.denominator
     assert abs(out - 468 * WAD) < WAD  # ~468 ETH for 1300 COMP
@@ -65,7 +81,7 @@ def test_counterexample_pool_sell_matches_oracle():
 @given(rx=reserves, ry=reserves, amount=amounts, fee=fees)
 @settings(max_examples=200, deadline=None)
 def test_exact_in_floor_of_rational(rx, ry, amount, fee):
-    out = amm_out_given_in(rx, ry, amount, fee)
+    out = out_given_in(rx, ry, amount, fee)
     oracle = amm_out_given_in_exact(rx, ry, amount, fee)
     assert out == oracle.numerator // oracle.denominator
     assert 0 <= out < ry
@@ -77,7 +93,7 @@ def test_exact_out_floor_of_rational_plus_one(rx, ry, amount, fee):
     if amount >= ry:
         return
     oracle = amm_in_given_out_exact(rx, ry, amount, fee)
-    assert amm_in_given_out(rx, ry, amount, fee) == oracle.numerator // oracle.denominator + 1
+    assert in_given_out(rx, ry, amount, fee) == oracle.numerator // oracle.denominator + 1
 
 
 @given(rx=reserves, ry=reserves, amount=amounts, fee=fees)
@@ -95,21 +111,22 @@ def test_product_never_decreases_across_swaps(rx, ry, amount, fee):
 def test_exact_out_covers_requested_output(rx, ry, fee, data):
     pool = AmmPool("X", "Y", rx, ry, fee_bps=fee)
     want = data.draw(st.integers(min_value=1, max_value=ry - 1), label="want")
-    res = amm_swap_exact_out(pool, "Y", want)
+    res = amm_swap(pool, Swap("X", "Y", want, exact_out=True))
     assert res is not None
-    new_pool, cost = res
+    new_pool, cost, received = res
+    assert received == want
     assert new_pool.reserve_y == ry - want and new_pool.reserve_x == rx + cost
     # paying the computed cost through the forward formula yields >= want
-    assert amm_out_given_in(rx, ry, cost, fee) >= want
+    assert out_given_in(rx, ry, cost, fee) >= want
     # and one base unit less would not (deployed +1 rounding is tight to 1)
     if cost > 1:
-        assert amm_out_given_in(rx, ry, cost - 2, fee) < want
+        assert out_given_in(rx, ry, cost - 2, fee) < want
 
 
 def test_exact_out_requires_output_below_reserve():
     pool = simple_pool(100, 100)
-    assert amm_swap_exact_out(pool, "ETH", 100) is None
-    assert amm_swap_exact_out(pool, "ETH", 99) is not None
+    assert amm_swap(pool, Swap("BBT", "ETH", 100, exact_out=True)) is None
+    assert amm_swap(pool, Swap("BBT", "ETH", 99, exact_out=True)) is not None
 
 
 def test_zero_output_trade_still_settles():
@@ -118,6 +135,49 @@ def test_zero_output_trade_still_settles():
     assert res is not None
     new_pool, out = res
     assert out == 0 and new_pool.reserve_x == 10**12 + 10
+
+
+# (reserve_x, reserve_y, token_in, token_out, amount, modes) of every bottom
+# outcome of a swap, on a BBT/ETH pool.
+BOTTOM_SWAPS = {
+    "zero_amount": (1000, 1000, "BBT", "ETH", 0, (False, True)),
+    "negative_amount": (1000, 1000, "BBT", "ETH", -1, (False, True)),
+    "empty_input_reserve": (0, 1000, "BBT", "ETH", 10, (False, True)),
+    "empty_output_reserve": (1000, 0, "BBT", "ETH", 10, (False, True)),
+    "exact_output_equal_to_the_reserve": (1000, 1000, "BBT", "ETH", 1000, (True,)),
+    "foreign_token": (1000, 1000, "DAI", "ETH", 10, (False, True)),
+    "token_swapped_for_itself": (1000, 1000, "ETH", "ETH", 10, (False, True)),
+}
+
+
+@pytest.mark.parametrize("case", BOTTOM_SWAPS)
+def test_every_bottom_swap_is_none_on_every_path(case):
+    rx, ry, token_in, token_out, amount, modes = BOTTOM_SWAPS[case]
+    pool = simple_pool(rx, ry, fee_bps=30)
+    rich = pool_state({("u", token): 10**9 for token in ("BBT", "ETH", "DAI")}, {"amm": pool})
+    for exact_out in modes:
+        swap = Swap(token_in, token_out, amount, exact_out)
+        if pool.has_token(token_in) and pool.has_token(token_out) and token_in != token_out:
+            reserves = pool.reserve(token_in), pool.reserve(token_out)
+            assert swap_amounts(*reserves, amount, pool.fee_bps, exact_out) is None, exact_out
+        assert amm_swap(pool, swap) is None, exact_out
+        assert apply_tx(rich, Tx("u", "amm", swap)) is None, exact_out
+
+
+@given(rx=reserves, ry=reserves, fee=fees, forward=st.booleans(), exact_out=st.booleans(), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_amm_swap_moves_the_reserves_by_exactly_its_amounts(rx, ry, fee, forward, exact_out, data):
+    pool = AmmPool("X", "Y", rx, ry, fee_bps=fee)
+    token_in, token_out = ("X", "Y") if forward else ("Y", "X")
+    r_in, r_out = pool.reserve(token_in), pool.reserve(token_out)
+    amount = data.draw(st.integers(min_value=1, max_value=r_out - 1) if exact_out else amounts, label="amount")
+    res = amm_swap(pool, Swap(token_in, token_out, amount, exact_out))
+    assert res is not None
+    new_pool, paid, received = res
+    assert (received if exact_out else paid) == amount
+    assert new_pool.reserve(token_in) == r_in + paid
+    assert new_pool.reserve(token_out) == r_out - received
+    assert (new_pool.token_x, new_pool.token_y, new_pool.fee_bps) == ("X", "Y", fee)
 
 
 def test_path_independence_of_fee_less_rational_model():

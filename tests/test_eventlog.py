@@ -1,6 +1,7 @@
 """Event-log ingestion, replay fidelity, and diff reporting."""
 
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -286,3 +287,41 @@ def test_price_update_below_unit_denominator_rejected(tmp_path, den):
     )
     with pytest.raises(ParseError, match=f"^line 3: price_den {int(den or 0)} below minimum 1$"):
         read_event_log(path)
+
+
+@pytest.mark.parametrize(
+    "header, row, column",
+    [
+        ("actor,token_in,amount_in,token_out", "swap,a,TKN,-5,ETH", "amount_in"),
+        ("actor,debt_value", "fee_update,v,-7", "debt_value"),
+        ("price_num,price_den", "price_update,-3,2", "price_num"),
+    ],
+    ids=["amount_in", "debt_value", "price_num"],
+)
+def test_negative_integer_cells_rejected(tmp_path, header, row, column):
+    path = tmp_path / "log.csv"
+    path.write_text(f"venue,block_number,tx_index,kind,{header}\npair,1,0,{row}\n")
+    value = next(cell for cell in row.split(",") if cell.startswith("-"))
+    message = f"line 2: column '{column}': value {value} below minimum 0"
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        read_event_log(path)
+
+
+def test_book_keeping_records_update_only_a_book():
+    book = MakerBook(loan_token="DAI", collateral_token="ETH", price_source="pair", debt={"v": 5})
+    state = State({}, {"pair": AmmPool("DAI", "ETH", 100, 100), "book": book}, 0)
+    updates = [
+        Record(venue=venue, block_number=1, tx_index=i, kind=kind, actor="v",
+               price_num=3, price_den=2, debt_value=9)
+        for i, (venue, kind) in enumerate(
+            [("pair", "price_update"), ("pair", "fee_update"), ("book", "price_update"), ("book", "fee_update")]
+        )
+    ]
+    final, failures, counts = replay(state, updates)
+    assert [(f.index, f.reason) for f in failures] == [
+        (0, "price_update on a non-book venue"),
+        (1, "fee_update on a non-book venue"),
+    ]
+    assert counts == {} and final.contracts["pair"] == state.contracts["pair"]
+    assert final.contracts["book"] == replace(book, oracle_price=(3, 2), debt={"v": 9})
+    assert final.block_number == 1

@@ -18,7 +18,6 @@ from mevsearch.ordering import (
     OrderingSpace,
     SearchBudget,
     count_sequences,
-    iter_sequences,
     search,
     _FULL,
     _Tree,
@@ -66,12 +65,12 @@ def test_same_direction_run_prunes_to_one():
 
 def test_all_flags_off_is_identity_only():
     sp = OrderingSpace(mempool=swaps(3), allow_reorder=False)
-    assert list(iter_sequences(sp, pruning=False)) == [(0, 1, 2)]
+    assert [key for key, _ in _Tree(sp, 0, frozenset()).walk(None)] == [(0, 1, 2)]
 
 
 def test_censor_only_is_subsequences():
     sp = OrderingSpace(mempool=swaps(4), allow_reorder=False, allow_censor=True)
-    seqs = list(iter_sequences(sp, pruning=False))
+    seqs = [key for key, _ in _Tree(sp, 0, frozenset()).walk(None)]
     assert len(seqs) == 16
     assert all(list(s) == sorted(s) for s in seqs)
 
