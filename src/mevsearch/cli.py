@@ -397,9 +397,10 @@ main.add_command(wmev_cmd, "wmev")
 @click.option("--out", type=click.Path(), required=True)
 def gen_corpus_cmd(seed, count, txs, out):
     """Write a seeded random scenario suite (byte-identical per seed)."""
+    scenarios = gen_corpus(seed, count, txs)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for i, scenario in enumerate(gen_corpus(seed, count, txs)):
+    for i, scenario in enumerate(scenarios):
         save_scenario(scenario, out_dir / f"scenario_{i:03d}.json")
     click.echo(dumps_canonical({"count": count, "seed": seed, "txs": txs, "out": str(out_dir)}), nl=False)
 

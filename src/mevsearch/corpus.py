@@ -173,7 +173,7 @@ def measure_convergence(
             raise ScenarioError(f"convergence instance {i} has no beneficiary")
         state, space = scenario.initial_state(), scenario.space()
         valuation = scenario.get_valuation()
-        total = sum(1 for _ in _Tree(space, _RUN, frozenset({beneficiary})).walk(None))
+        total = sum(1 for _ in _Tree(space, _RUN, frozenset({beneficiary})).walk())
         exact = value_spread(beneficiary, space, state, valuation, SearchBudget(mode="exhaustive"))
         budget = max(1, int(total * path_fraction))
         sampled = value_spread(

@@ -372,17 +372,6 @@ def profit_curve(problem: InsertionProblem, samples: int) -> list[tuple[int, int
 # The no-rounding bound
 # ---------------------------------------------------------------------------
 
-def _rational_gain(pool: AmmPool, swap: Swap, amount: int, price) -> Fraction:
-    """Priced change of the trader's balances when ``swap`` trades ``amount``
-    on ``pool`` without rounding."""
-    reserves = pool.reserve(swap.token_in), pool.reserve(swap.token_out)
-    if swap.exact_out:
-        cost = amm_in_given_out_exact(*reserves, amount, pool.fee_bps)
-        return price(swap.token_out) * amount - price(swap.token_in) * cost
-    out = amm_out_given_in_exact(*reserves, amount, pool.fee_bps)
-    return price(swap.token_out) * out - price(swap.token_in) * amount
-
-
 def _value_bound(problem: InsertionProblem, tree: _Tree, key: tuple[int, ...]) -> int | None:
     """An integer that no size's value exceeds, or ``None`` when the tail
     has no such bound; ``key`` holds the skeleton's item indices in ``tree``.
@@ -403,6 +392,8 @@ def _value_bound(problem: InsertionProblem, tree: _Tree, key: tuple[int, ...]) -
     tracked = objective.tracked
     deployed = state.contracts
     tail_keys = key[len(key) - len(tail):]
+    # One (reserve_in, reserve_out, fee_bps, exact_out, price_in, price_out)
+    # term per kept swap, with its amount (None while open).
     swaps = []
     venues = set()
     later = 0
@@ -430,38 +421,31 @@ def _value_bound(problem: InsertionProblem, tree: _Tree, key: tuple[int, ...]) -
         ):
             return None
         venues.add(tx.venue)
-        swaps.append((pool, swap))
+        term = (pool.reserve(swap.token_in), pool.reserve(swap.token_out), pool.fee_bps,
+                swap.exact_out, price(swap.token_in), price(swap.token_out))
+        swaps.append((term, swap.amount))
 
     # Size-free terms: the tracked balances after the prefix, and the swaps
     # of concrete templates.
     deltas = objective.deltas(state)
     fixed = sum((price(token) * delta for token, delta in deltas.items()), Fraction(0))
-    open_swaps = []
-    for pool, swap in swaps:
-        if swap.amount is None:
-            open_swaps.append((pool, swap))
-        else:
-            fixed += _rational_gain(pool, swap, swap.amount, price)
+    fixed += sum(_gain(term, amount) for term, amount in swaps if amount is not None)
+    terms = [term for term, amount in swaps if amount is None]
 
     lo, hi = problem.alpha_min, problem.alpha_max
     first = tail[0]
     if not first.action.exact_out:
         hi = min(hi, state.balance(first.actor, first.action.token_in))
-    for pool, swap in open_swaps:
-        if swap.exact_out:
-            hi = min(hi, pool.reserve(swap.token_out) - 1)
+    for _, reserve_out, _, exact_out, _, _ in terms:
+        if exact_out:
+            hi = min(hi, reserve_out - 1)
     if lo > hi:
         raise EmptyFeasibleError("no feasible trade size in bounds")
 
     @cache
     def upper(alpha: int) -> Fraction:
-        return fixed + sum(_rational_gain(pool, swap, alpha, price) for pool, swap in open_swaps)
+        return fixed + sum(_gain(term, alpha) for term in terms)
 
-    terms = [
-        (pool.reserve(swap.token_in), pool.reserve(swap.token_out), pool.fee_bps,
-         swap.exact_out, price(swap.token_in), price(swap.token_out))
-        for pool, swap in open_swaps
-    ]
     alpha = _seeded_argmax(upper, terms, lo, hi)
     if alpha is None:
         # U is concave: the first size where it stops rising is its maximum.
@@ -474,6 +458,18 @@ def _value_bound(problem: InsertionProblem, tree: _Tree, key: tuple[int, ...]) -
         alpha = lo
     best = upper(alpha)
     return best.numerator // best.denominator
+
+
+def _gain(term, amount: int) -> Fraction:
+    """Priced change of the trader's balances when the swap of ``term``, a
+    ``(reserve_in, reserve_out, fee_bps, exact_out, price_in, price_out)``
+    tuple, trades ``amount`` without rounding."""
+    reserve_in, reserve_out, fee_bps, exact_out, price_in, price_out = term
+    if exact_out:
+        paid, received = amm_in_given_out_exact(reserve_in, reserve_out, amount, fee_bps), amount
+    else:
+        paid, received = amount, amm_out_given_in_exact(reserve_in, reserve_out, amount, fee_bps)
+    return price_out * received - price_in * paid
 
 
 def _slope(terms, alpha: int):
@@ -574,7 +570,7 @@ def search_with_insertion(
     fee_policy = tree.space.fee_policy()
     best: tuple[int, tuple[int, ...], int | None] | None = None  # (value, key, alpha)
     paths = 0
-    for key, _ in tree.walk(None):
+    for key in tree.walk():
         paths += 1
         if paths > MAX_SKELETONS:
             raise ScenarioError("insertion search needs a small ordering space")

@@ -252,9 +252,7 @@ def wmev(
             tail = Fraction(0)
     else:
         objective = PlayerDelta.from_state(player.accounts, valuation, state)
-        _, per_block = _greedy_k_blocks(
-            state, replace(space, k=horizon), objective, budget, _FULL, workers=1
-        )
+        _, per_block = _greedy_k_blocks(state, replace(space, k=horizon), objective, budget, _FULL)
         values = tuple(per_block)
         tail = Fraction(0) if player.block_probs is not None else None
 

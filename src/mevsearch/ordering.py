@@ -6,16 +6,18 @@ template transactions at arbitrary positions, per the space's flags, over
 ``k`` consecutive blocks.  One walker enumerates every feasible construction
 exactly once, depth-first: each step either closes the block (``BLOCK_BREAK``;
 the next block admits its arrival wave and re-offers the templates) or appends
-a transaction.  Given a state, it applies each step in skip-invalid mode,
-sharing state prefixes (a user transaction that fails under some ordering is
-censored-by-failure, not a dead branch); without one it yields index
-sequences only.  Searches reduce the objective's values to the best/worst
-with a deterministic tie-break: among equal values the lexicographically
-smallest item-index sequence wins, so reports are identical for any worker
-count.  With ``workers > 1``, exhaustive searches (any ``k``) split the
-subtrees under the walker's depth-2 prefixes between forked workers, the
-parent folding one share itself; if any part of that fails, the search is
-folded again in one process, so the report or error is the one-worker one.
+a transaction.  The walker yields keys (item-index sequences) only; one fold
+applies each key's steps in skip-invalid mode (a user transaction that fails
+under some ordering is censored-by-failure, not a dead branch), starting from
+the state of its longest common prefix with the key before, so states are
+built only along paths that end in a construction.  Searches reduce the
+objective's values to the best/worst with a deterministic tie-break: among
+equal values the lexicographically smallest item-index sequence wins, so
+reports are identical for any worker count.  With ``workers > 1``,
+exhaustive searches (any ``k``) split the subtrees under the walker's depth-2
+prefixes between forked workers, the parent folding one share itself; if any
+part of that fails, the search is folded again in one process, so the report
+or error is the one-worker one.
 
 Two reductions cut the walk; both keep the values and witnesses exact.
 
@@ -65,10 +67,9 @@ every relevant one, so it commutes with all of them and can move to the end
 of the sample, where it writes no balance the objective reads: the value of
 the relevant items alone is the sample's value, bit for bit.  Without
 footprints (the sleep sets off, or one item dependent on everything) every
-item is relevant.  The projections are evaluated in sorted order, each one
-starting from the state of its longest common prefix with the one before, so
-a prefix shared by many samples is applied once.  Each sample keeps its own
-key, so the reports do not change.
+item is relevant.  The projections are sorted and go through the same fold
+as paths, so a prefix shared by many samples is applied once.  Each sample
+keeps its own key, so the reports do not change.
 """
 
 from __future__ import annotations
@@ -160,6 +161,8 @@ class SearchBudget:
             raise ScenarioError(f"unknown budget mode: {self.mode!r}")
         if self.max_paths < 1:
             raise ScenarioError(f"budget max_paths must be >= 1, got {self.max_paths}")
+        if self.seed < 0:
+            raise ScenarioError(f"budget seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,7 +295,8 @@ class _Tree:
 
     Items are the mempool transactions that arrive within the ``k`` blocks,
     in mempool order, followed by the templates; a construction's key is its
-    tuple of item indices, with ``BLOCK_BREAK`` between blocks.
+    tuple of item indices, with ``BLOCK_BREAK`` between blocks.  ``walk``
+    yields the keys without reading a state; ``_fold`` applies them.
 
     Two items commute when ``indep[i]`` has bit ``j``, their footprints being
     disjoint (with reordering off, two mempool items never count as
@@ -385,9 +389,9 @@ class _Tree:
             reach |= woken
             asleep ^= woken
 
-    def walk(self, state: State | None, prefix: tuple[int, ...] = (), max_len: int | None = None):
-        """Yield ``(key, state)`` once for every construction whose key
-        extends ``prefix`` and survives the reduction.
+    def walk(self, prefix: tuple[int, ...] = (), max_len: int | None = None):
+        """Yield the key of every construction that extends ``prefix`` and
+        survives the reduction, once each, depth-first.
 
         Item ``b`` is skipped when it is asleep, or when it has the run key
         of the item before it and a smaller index.  After ``b`` the sleep
@@ -397,27 +401,22 @@ class _Tree:
         the full walk.  Without censoring, a node of the last block where
         some transaction can never wake up is cut.
 
-        With a state, each step is applied in skip-invalid mode; without one,
-        the yielded states are ``None``.  With ``max_len`` the walk stops at
-        that depth and also yields every node there, complete or not: those
-        nodes are work-unit prefixes.
+        With ``max_len`` the walk stops at that depth and also yields every
+        node there, complete or not: those nodes are work-unit prefixes.
         """
-        items, runs, indep, waves, templates = (
-            self.items, self.runs, self.indep, self.waves, self.templates,
-        )
+        runs, indep, waves, templates = self.runs, self.indep, self.waves, self.templates
         space = self.space
         reorder, censor, insert = space.allow_reorder, space.allow_censor, space.allow_insert
         free = reorder or censor
         last = space.k - 1
-        fee_policy = None if state is None else space.fee_policy()
         sleepy = any(indep)
         n_prefix = len(prefix)
         seq: list[int] = []
 
-        def node(st, block, mem_rem, tpl_rem, prev, sleep):
+        def node(block, mem_rem, tpl_rem, prev, sleep):
             depth = len(seq)
             if depth == max_len:
-                yield tuple(seq), st
+                yield tuple(seq)
                 return
             want = prefix[depth] if depth < n_prefix else None
             if block == last:
@@ -427,13 +426,10 @@ class _Tree:
                     return
                 # Without censoring, every admitted transaction is placed.
                 if want is None and (censor or not mem_rem):
-                    yield tuple(seq), st
+                    yield tuple(seq)
             elif want is None or want == BLOCK_BREAK:
                 seq.append(BLOCK_BREAK)
-                yield from node(
-                    None if st is None else st.with_block(st.block_number + 1),
-                    block + 1, mem_rem + waves[block + 1], templates, -1, 0,
-                )
+                yield from node(block + 1, mem_rem + waves[block + 1], templates, -1, 0)
                 seq.pop()
             mem_choices = mem_rem if free else mem_rem[:1]
             n_mem_choices = len(mem_choices)
@@ -457,15 +453,13 @@ class _Tree:
                 else:
                     pos -= n_mem_choices
                     nxt_mem, nxt_tpl = mem_rem, tpl_rem[:pos] + tpl_rem[pos + 1:]
-                nxt = None if st is None else _step(st, items[idx], fee_policy)
                 seq.append(idx)
                 yield from node(
-                    nxt, block, nxt_mem, nxt_tpl, idx,
-                    (sleep | offered & ((1 << idx) - 1)) & indep[idx],
+                    block, nxt_mem, nxt_tpl, idx, (sleep | offered & ((1 << idx) - 1)) & indep[idx]
                 )
                 seq.pop()
 
-        return node(state, 0, waves[0], templates, -1, 0)
+        return node(0, waves[0], templates, -1, 0)
 
 
 def count_sequences(
@@ -480,7 +474,7 @@ def count_sequences(
     """
     if space.k != 1:
         raise ScenarioError("count_sequences counts single-block spaces")
-    return sum(1 for _ in _Tree(space, _FULL if pruning else 0, tracked).walk(None))
+    return sum(1 for _ in _Tree(space, _FULL if pruning else 0, tracked).walk())
 
 
 # ---------------------------------------------------------------------------
@@ -529,13 +523,40 @@ class _Reducer:
         )
 
 
-def _fold_walk(walk, objective) -> _Reducer:
-    """Fold every ``(key, state)`` pair of ``walk``."""
+def _fold(tree: _Tree, state: State, objective, keys, paths=None) -> _Reducer:
+    """Fold the objective's value of every key into one reducer.
+
+    Key ``keys[i]`` is valued at the state its path (``paths[i]``, else the
+    key itself) reaches from ``state``: each item applied in skip-invalid
+    mode, each ``BLOCK_BREAK`` advancing the block number.  The states sit
+    on a stack, ``stack[d]`` being the state after the first ``d`` steps of
+    the previous path, so a path applies only the steps past its longest
+    common prefix with the one before it.  Fed the walk's depth-first keys,
+    or sorted paths, that is one ``apply_tx`` per distinct non-empty prefix.
+    The fold does not depend on the order of its offers.
+    """
+    items, fee_policy = tree.items, tree.space.fee_policy()
     reducer = _Reducer()
-    value_of = objective.value
-    offer = reducer.offer
-    for key, st in walk:
-        offer(value_of(st), key)
+    value_of, offer = objective.value, reducer.offer
+    stack = [state]
+    prev: tuple[int, ...] = ()
+    for key, path in zip(keys, paths) if paths is not None else ((key, key) for key in keys):
+        if path != prev:
+            common = 0
+            for a, b in zip(path, prev):
+                if a != b:
+                    break
+                common += 1
+            del stack[common + 1:]
+            st = stack[common]
+            for i in path[common:]:
+                if i == BLOCK_BREAK:
+                    st = st.with_block(st.block_number + 1)
+                else:
+                    st = _step(st, items[i], fee_policy)
+                stack.append(st)
+            prev = path
+        offer(value_of(stack[-1]), key)
     return reducer
 
 
@@ -552,22 +573,22 @@ def _fold_forked(tree: _Tree, state: State, objective, workers: int) -> _Reducer
     The subtrees under the walk's depth-2 prefixes are the work units, split
     over ``procs = min(workers, units, usable CPUs)`` processes:
     ``procs - 1`` forked workers, the parent folding one share itself.
-    Process ``j`` folds the interleaved share ``units[j::procs]`` in one
-    ``_fold_walk``, and each worker pickles its reducer back over its own
-    pipe; a worker that raises exits without writing anything, so its empty
-    reply fails to unpickle here.  The merge does not depend on the order
+    Process ``j`` walks the interleaved share ``units[j::procs]`` and folds
+    its keys in one ``_fold``, and each worker pickles its reducer back over
+    its own pipe; a worker that raises exits without writing anything, so its
+    empty reply fails to unpickle here.  The merge does not depend on the order
     of its folds, so the report does not depend on the number of processes.
     Every worker is killed and reaped before this returns or raises.
     """
     # Depth-2 prefixes load-balance far better than first items.  Sequences
     # shorter than 2 are folded by the parent; every longer one extends
     # exactly one depth-2 prefix, whose subtree is one work unit.
-    shallow = list(tree.walk(state, max_len=2))
-    units = [key for key, _ in shallow if len(key) == 2]
+    shallow = list(tree.walk(max_len=2))
+    units = [key for key in shallow if len(key) == 2]
     procs = max(1, min(workers, len(units), _usable_cpus()))
 
     def share(j):
-        return chain.from_iterable(tree.walk(state, unit) for unit in units[j::procs])
+        return chain.from_iterable(tree.walk(unit) for unit in units[j::procs])
 
     pids: list[int] = []
     pipes = []
@@ -580,14 +601,14 @@ def _fold_forked(tree: _Tree, state: State, objective, workers: int) -> _Reducer
                 if pid == 0:
                     status = 1
                     try:
-                        writer.write(pickle.dumps(_fold_walk(share(j), objective)))
+                        writer.write(pickle.dumps(_fold(tree, state, objective, share(j))))
                         writer.close()
                         status = 0
                     finally:
                         os._exit(status)
                 pids.append(pid)
-        short = ((key, st) for key, st in shallow if len(key) < 2)
-        reducer = _fold_walk(chain(short, share(0)), objective)
+        short = (key for key in shallow if len(key) < 2)
+        reducer = _fold(tree, state, objective, chain(short, share(0)))
         for pipe in pipes:
             reducer.merge(pickle.loads(pipe.read()))
         return reducer
@@ -643,44 +664,6 @@ def _sample_sequences(tree: _Tree, budget: SearchBudget) -> list[tuple[int, ...]
     return out
 
 
-def _evaluate_sequences(tree: _Tree, state: State, seqs: list[tuple[int, ...]]):
-    """Yield ``(key, state)`` for every sampled sequence, in the order of
-    their projections, where the state is that of the sequence's relevant
-    items alone, applied in skip-invalid mode.
-
-    The objective reads that state's tracked balances exactly as it would
-    read the whole sequence's (see the module docstring).  The projections
-    are walked in sorted order over a stack of states, ``stack[d]`` being
-    the state after the first ``d`` items of the previous projection, so a
-    projection applies only the items past its longest common prefix with
-    the one before it: one ``apply_tx`` per distinct non-empty prefix.  The
-    fold does not depend on the order of its offers.
-    """
-    items, relevant = tree.items, tree.relevant
-    fee_policy = tree.space.fee_policy()
-    # A projection is a string with one character, chr(index), per relevant
-    # item.  It sorts as the tuple of indices would, and it is freed when the
-    # fold ends, where thousands of tuples of assorted lengths would stay
-    # behind in the interpreter's tuple free lists.
-    code = [chr(i) if relevant >> i & 1 else "" for i in range(len(items))]
-    stack = [state]
-    prev = ""
-    for proj, seq in sorted(("".join([code[i] for i in seq]), seq) for seq in seqs):
-        if proj != prev:
-            common = 0
-            for a, b in zip(proj, prev):
-                if a != b:
-                    break
-                common += 1
-            del stack[common + 1:]
-            st = stack[common]
-            for c in proj[common:]:
-                st = _step(st, items[ord(c)], fee_policy)
-                stack.append(st)
-            prev = proj
-        yield seq, stack[-1]
-
-
 def _search_tree(
     tree: _Tree, state: State, objective, budget: SearchBudget, workers: int
 ) -> tuple[_Reducer, bool]:
@@ -704,14 +687,24 @@ def _search_tree(
                 return _fold_forked(tree, state, objective, workers), True
             except Exception:
                 pass  # the one-process fold below raises the one-worker error, if any
-        return _fold_walk(tree.walk(state), objective), True
+        return _fold(tree, state, objective, tree.walk()), True
     if len(tree.items) <= budget.tractability_threshold:
         # One construction past the cap tells a space that fits from one that does not.
-        reducer = _fold_walk(islice(tree.walk(state), budget.max_paths + 1), objective)
+        reducer = _fold(tree, state, objective, islice(tree.walk(), budget.max_paths + 1))
         if reducer.paths <= budget.max_paths:
             return reducer, True
+    # Each sample is valued at its slice, its relevant items alone, and the
+    # slices are folded in sorted order.  A slice is kept as a string with
+    # one character, chr(index), per relevant item: it sorts as the tuple of
+    # indices would, and it is freed when the fold ends, where thousands of
+    # tuples of assorted lengths would stay behind in the interpreter's tuple
+    # free lists.  Each path tuple is built at its exact size as it is folded.
+    relevant = tree.relevant
+    code = [chr(i) if relevant >> i & 1 else "" for i in range(len(tree.items))]
     seqs = _sample_sequences(tree, budget)
-    return _fold_walk(_evaluate_sequences(tree, state, seqs), objective), False
+    slices = sorted(("".join([code[i] for i in seq]), seq) for seq in seqs)
+    paths = (tuple([ord(c) for c in sliced]) for sliced, _ in slices)
+    return _fold(tree, state, objective, (seq for _, seq in slices), paths), False
 
 
 # ---------------------------------------------------------------------------
@@ -724,14 +717,14 @@ def _greedy_k_blocks(
     objective,
     budget: SearchBudget,
     reduction: int,
-    workers: int,
 ) -> tuple[EvReport, list[int]]:
     """Greedy per-block concatenation; returns the report and the cumulative
     objective value after each block (used by the weighted-MEV series).
 
     Each block is a one-block search over the transactions pending so far,
     including that block's arrivals; whatever its best construction leaves
-    out stays pending for the next block."""
+    out stays pending for the next block.  The budget is randomized, so
+    each block is folded in this process."""
     space = space.labeled()
     fee_policy = space.fee_policy()
     pending: tuple[Tx, ...] = ()
@@ -744,7 +737,7 @@ def _greedy_k_blocks(
         tree = _Tree(
             replace(space, mempool=pending, k=1), reduction, objective.tracked, current.contracts
         )
-        reducer, _ = _search_tree(tree, current, objective, budget, workers)
+        reducer, _ = _search_tree(tree, current, objective, budget, 1)
         paths += reducer.paths
         key = reducer.best[1]
         txs = [tree.items[i] for i in key]
@@ -790,7 +783,7 @@ def search(
     """
     reduction = _FULL if pruning else 0
     if space.k > 1 and budget.mode == "randomized":
-        report, _ = _greedy_k_blocks(state, space, objective, budget, reduction, workers)
+        report, _ = _greedy_k_blocks(state, space, objective, budget, reduction)
         return report
 
     tree = _Tree(space, reduction, objective.tracked, state.contracts)

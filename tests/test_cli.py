@@ -475,6 +475,28 @@ def test_budget_of_zero_paths_is_a_one_line_error(runner):
     assert result.stderr == "error: budget max_paths must be >= 1, got 0\n"
 
 
+def test_negative_seed_is_a_one_line_error(runner):
+    from mevsearch.cli import EXIT_BAD_INPUT
+
+    result = runner.invoke(main, ["mev", "--scenario", str(DATA / "liquidation.json"), "--seed", "-1"])
+    assert result.exit_code == EXIT_BAD_INPUT
+    assert result.stdout == ""
+    assert result.stderr == "error: budget seed must be >= 0, got -1\n"
+
+
+def test_gen_corpus_with_a_negative_seed_writes_no_scenario(runner, tmp_path):
+    from mevsearch.cli import EXIT_BAD_INPUT
+
+    out = tmp_path / "corpus"
+    result = runner.invoke(
+        main, ["gen-corpus", "--seed", "-1", "--count", "1", "--txs", "3", "--out", str(out)]
+    )
+    assert result.exit_code == EXIT_BAD_INPUT
+    assert result.stdout == ""
+    assert result.stderr == "error: budget seed must be >= 0, got -1\n"
+    assert not list(tmp_path.glob("**/scenario_*.json"))
+
+
 @pytest.mark.parametrize(
     "args",
     [

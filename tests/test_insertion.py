@@ -340,7 +340,7 @@ def test_prefix_once_evaluation_equals_whole_replay(name):
     sizes += [rng.randint(lo, hi) for _ in range(200)]
     tree = _Tree(space, _SLEEP, objective.tracked, state.contracts)
     open_skeletons = with_prefix = 0
-    for key, _ in tree.walk(None):
+    for key in tree.walk():
         txs = tuple(tree.items[i] for i in key)
         if not any(has_unresolved_amount(tx) for tx in txs):
             continue
@@ -681,7 +681,7 @@ def _random_case(seed):
 def _open_problems(space, state, objective, hi):
     """(key, problem) for every open skeleton the insertion search walks."""
     tree = _Tree(space, _FULL, objective.tracked, state.contracts)
-    for key, _ in tree.walk(None):
+    for key in tree.walk():
         txs = tuple(tree.items[i] for i in key)
         if any(has_unresolved_amount(tx) for tx in txs):
             yield tree, key, InsertionProblem(state, txs, 1, hi, objective, space.fee_policy())
@@ -887,6 +887,6 @@ def test_the_insertion_walk_yields_increasing_keys(censor):
         space = replace(space, allow_censor=censor)
         for reduction in (0, _SLEEP, _FULL):
             tree = _Tree(space, reduction, frozenset({"miner"}), state.contracts)
-            keys = [key for key, _ in tree.walk(None)]
+            keys = list(tree.walk())
             assert len(keys) > 1
             assert all(a < b for a, b in zip(keys, keys[1:]))

@@ -65,12 +65,12 @@ def test_same_direction_run_prunes_to_one():
 
 def test_all_flags_off_is_identity_only():
     sp = OrderingSpace(mempool=swaps(3), allow_reorder=False)
-    assert [key for key, _ in _Tree(sp, 0, frozenset()).walk(None)] == [(0, 1, 2)]
+    assert list(_Tree(sp, 0, frozenset()).walk()) == [(0, 1, 2)]
 
 
 def test_censor_only_is_subsequences():
     sp = OrderingSpace(mempool=swaps(4), allow_reorder=False, allow_censor=True)
-    seqs = [key for key, _ in _Tree(sp, 0, frozenset()).walk(None)]
+    seqs = list(_Tree(sp, 0, frozenset()).walk())
     assert len(seqs) == 16
     assert all(list(s) == sorted(s) for s in seqs)
 
@@ -104,13 +104,13 @@ def _split_covers_stream(sp, state=None):
     # from the walk cut at depth 2, plus the whole subtree under every
     # depth-2 node.  Together they must be the full stream, each sequence once.
     tree = _Tree(sp, _FULL, frozenset(), None if state is None else state.contracts)
-    full = [key for key, _ in tree.walk(state)]
+    full = list(tree.walk())
     units = []
-    for key, _ in tree.walk(state, max_len=2):
+    for key in tree.walk(max_len=2):
         if len(key) < 2:
             units.append(key)
         else:
-            sub = [k for k, _ in tree.walk(state, prefix=key)]
+            sub = list(tree.walk(prefix=key))
             assert all(k[:2] == key for k in sub)
             units.extend(sub)
     assert len(full) == len(set(full)) > 1
@@ -385,7 +385,7 @@ def _assert_no_child_left():
 
 def _units(sp, state, objective):
     tree = _Tree(sp, _FULL, objective.tracked, state.contracts)
-    return tree, [key for key, _ in tree.walk(state, max_len=2) if len(key) == 2]
+    return tree, [key for key in tree.walk(max_len=2) if len(key) == 2]
 
 
 def _k2_corpus_case():
@@ -484,7 +484,7 @@ class _RaisesPastDepth2:
 
 
 def test_a_failing_search_raises_the_lowest_indexed_units_error(monkeypatch):
-    from mevsearch.ordering import _fold_walk
+    from mevsearch.ordering import _fold
 
     state = mixed_state()
     sp = OrderingSpace(mempool=_alternating(5), allow_censor=True)
@@ -493,7 +493,7 @@ def test_a_failing_search_raises_the_lowest_indexed_units_error(monkeypatch):
     errors = {}
     for index, unit in enumerate(units):
         try:
-            _fold_walk(tree.walk(state, unit), objective)
+            _fold(tree, state, objective, tree.walk(unit))
         except ValueError as e:
             errors[index] = str(e)
     first = min(errors)

@@ -339,15 +339,13 @@ def _oracle_cases():
 @pytest.mark.parametrize("case", range(len(list(_oracle_cases()))))
 def test_reduced_walk_keeps_exactly_the_lexicographic_normal_forms(case):
     state, space, tracked = list(_oracle_cases())[case]
-    unreduced_keys = [key for key, _ in _Tree(space, 0, tracked, state.contracts).walk(state)]
+    unreduced_keys = list(_Tree(space, 0, tracked, state.contracts).walk())
     runs = _Tree(space, _RUN, tracked, state.contracts)
-    assert sum(1 for _ in runs.walk(state)) == len(unreduced_keys)  # nothing collapses
+    assert sum(1 for _ in runs.walk()) == len(unreduced_keys)  # nothing collapses
     reduced = _Tree(space, _FULL, tracked, state.contracts)
-    reduced_keys = [key for key, _ in reduced.walk(state)]
+    reduced_keys = list(reduced.walk())
     assert len(reduced_keys) == len(set(reduced_keys))
     assert set(reduced_keys) == _normal_forms(unreduced_keys, reduced.indep)
-    # the stateless walk cuts the same way
-    assert [key for key, _ in reduced.walk(None)] == reduced_keys
     if case == 0:
         assert len(reduced_keys) < len(unreduced_keys)
 
@@ -439,7 +437,7 @@ def test_identical_trades_collapse_without_changing_the_report():
             full, paths_explored=0, paths_total=0
         ), (i, space)
         sleep_only = _Tree(space, _SLEEP, objective.tracked, state.contracts)
-        collapsed += sum(1 for _ in sleep_only.walk(None)) - reduced.paths_explored
+        collapsed += sum(1 for _ in sleep_only.walk()) - reduced.paths_explored
     assert collapsed > 0
 
 
@@ -519,7 +517,7 @@ def test_insertion_skeletons_reduce_on_two_pools():
     assert count_sequences(space, pruning=False) == 8
     assert count_sequences(space, pruning=True) == 3
     tree = _Tree(space, _SLEEP, frozenset({"miner"}), state.contracts)
-    assert [key for key, _ in tree.walk(None)] == [(0, 1), (0, 1, 2), (1, 2, 0)]
+    assert list(tree.walk()) == [(0, 1), (0, 1, 2), (1, 2, 0)]
 
 
 # Criterion 4's first ten points, as the run rule alone counts the paths.
@@ -554,15 +552,73 @@ def test_a_convergence_instance_without_a_beneficiary_is_a_scenario_error():
 
 
 # ---------------------------------------------------------------------------
+# The fold builds states only along paths to a construction
+# ---------------------------------------------------------------------------
+
+def _dead_cut_spread():
+    scenario = make_spread_instance(1, 0, 7)
+    objective = AccountBalanceValue(scenario.beneficiary, scenario.get_valuation())
+    return scenario.initial_state(), scenario.space(), objective
+
+
+def _differential_case(index):
+    state, space = differential_corpus()[index]
+    return state, space, AccountBalanceValue("p" if index % 4 else "u0", VALUATION)
+
+
+@pytest.mark.parametrize(
+    "case, censor_and_k",
+    [
+        (_dead_cut_spread, (False, 1)),
+        (lambda: _differential_case(11), (True, 1)),
+        (lambda: _differential_case(14), (False, 2)),
+    ],
+    ids=["dead_cut_spread", "censor", "k2"],
+)
+def test_an_exhaustive_search_applies_each_prefix_of_its_keys_once(
+    monkeypatch, case, censor_and_k
+):
+    state, space, objective = case()
+    assert (space.allow_censor, space.k) == censor_and_k
+    keys = list(_Tree(space, _FULL, objective.tracked, state.contracts).walk())
+    prefixes = {
+        key[:d] for key in keys for d in range(1, len(key) + 1) if key[d - 1] != BLOCK_BREAK
+    }
+    calls = []
+    cuts = []
+    real_apply_tx, real_dead = ordering.apply_tx, _Tree._dead
+
+    def counting_apply_tx(st, tx, fee_policy=None):
+        calls.append(tx)
+        return real_apply_tx(st, tx, fee_policy)
+
+    def counting_dead(tree, *args):
+        cut = real_dead(tree, *args)
+        cuts.append(cut)
+        return cut
+
+    monkeypatch.setattr(ordering, "apply_tx", counting_apply_tx)
+    monkeypatch.setattr(_Tree, "_dead", counting_dead)
+    report = search(space, EXH, objective, state, want_worst=True)
+    assert report.paths_explored == len(keys)
+    # the walk cuts subtrees that hold no construction, except under censoring
+    assert any(cuts) != space.allow_censor
+    assert len(calls) == len(prefixes)
+
+
+# ---------------------------------------------------------------------------
 # Objective slicing in the sampler
 # ---------------------------------------------------------------------------
 
-def _whole_replay(tree, state, seqs):
-    """The sampler's evaluator without the slice or shared prefixes: every
-    sampled sequence replayed whole, in sample order."""
+def _whole_replay(tree, state, objective, keys, paths=None):
+    """``ordering._fold`` without slices or shared prefixes: every key
+    replayed whole, ``paths`` ignored.  Sampled keys hold no ``BLOCK_BREAK``."""
     items, fee_policy = tree.items, tree.space.fee_policy()
-    for seq in seqs:
-        yield seq, apply_sequence(state, [items[i] for i in seq], "skip_invalid", fee_policy).state
+    reducer = ordering._Reducer()
+    for key in keys:
+        txs = [items[i] for i in key]
+        reducer.offer(objective.value(apply_sequence(state, txs, "skip_invalid", fee_policy).state), key)
+    return reducer
 
 
 def _sampled(seed, max_paths=60):
@@ -592,7 +648,7 @@ def test_sliced_sampling_equals_whole_replay_on_the_mixed_corpus(monkeypatch):
     assert any(tree.relevant == 0 for tree in trees)
     # the corpus covers greedy blocks, fixed order, fees, censoring and insertion
     assert {space.k for _, space, _ in cases} == {1, 2}
-    monkeypatch.setattr(ordering, "_evaluate_sequences", _whole_replay)
+    monkeypatch.setattr(ordering, "_fold", _whole_replay)
     for i, (state, space, objective) in enumerate(cases):
         oracle = search(space, _sampled(i), objective, state, want_worst=True)
         assert sliced[i] == oracle, (i, space)
@@ -616,7 +672,7 @@ def test_sliced_sampling_equals_whole_replay_on_one_pool_whale_spreads(monkeypat
         tree = _Tree(space, _FULL, frozenset({sc.beneficiary}), sc.initial_state().contracts)
         cut += tree.relevant != _all_items(tree)
     assert cut == len(cases)  # the whale trades one of the two pools
-    monkeypatch.setattr(ordering, "_evaluate_sequences", _whole_replay)
+    monkeypatch.setattr(ordering, "_fold", _whole_replay)
     for i, (sc, space) in enumerate(cases):
         oracle = value_spread(
             sc.beneficiary, space, sc.initial_state(), sc.valuation, _sampled(i, 300)
@@ -668,7 +724,7 @@ def test_sampling_applies_each_shared_prefix_of_the_slice_once(monkeypatch, cens
     else:
         # some projection extends another, so a state on the stack is reused whole
         assert any(proj[:-1] in projections for proj in projections if proj)
-    monkeypatch.setattr(ordering, "_evaluate_sequences", _whole_replay)
+    monkeypatch.setattr(ordering, "_fold", _whole_replay)
     assert search(space, budget, objective, state, want_worst=True) == report
 
 
@@ -694,7 +750,7 @@ def test_a_contract_type_with_no_footprint_branch_disables_the_slice(monkeypatch
     # without footprints the sleep sets are off, and so is the slice
     assert _Tree(space, _RUN, objective.tracked, state.contracts).relevant == _all_items(tree)
     sliced = search(space, _sampled(1, 100), objective, state, want_worst=True)
-    monkeypatch.setattr(ordering, "_evaluate_sequences", _whole_replay)
+    monkeypatch.setattr(ordering, "_fold", _whole_replay)
     assert search(space, _sampled(1, 100), objective, state, want_worst=True) == sliced
 
 
