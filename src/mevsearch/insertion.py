@@ -16,11 +16,12 @@ Nothing before a skeleton's first open template depends on the size, so an
 evaluated, and one evaluation binds and applies only the tail from the first
 open template on.  When no fee policy is set, the objective is a
 ``PlayerDelta`` and every tail item is a ``Swap`` at a venue holding an
-``AmmPool``, the tail is compiled once into an integer kernel
-(``_SwapTail``): an evaluation then moves plain ints, pricing each step with
-``contracts.swap_amounts``, the one swap rule that ``apply_tx`` also runs, and
-builds no ``State``.  Any other tail goes through ``apply_tx``, which is also
-the kernel's test oracle.
+``AmmPool`` or nothing, the tail is compiled once into an integer kernel
+(``_SwapTail``), by the compiler that swap-only searches use
+(``ordering._SwapInts``): an evaluation then moves plain ints, pricing each
+step with ``contracts.swap_amounts``, the one swap rule that ``apply_tx``
+also runs, and builds no ``State``.  Any other tail goes through
+``apply_tx``, which is also the kernel's test oracle.
 
 Branch and bound (Land & Doig, 1960).  Once the search holds an incumbent,
 a skeleton is sized only when an integer upper bound on its value beats it;
@@ -68,7 +69,17 @@ from .contracts import (
     swap_amounts,
 )
 from .metrics import PlayerDelta
-from .ordering import _FULL, EvReport, OrderingSpace, SearchBudget, _may_raise, _Tree, _labels_for
+from .ordering import (
+    _FULL,
+    EvReport,
+    OrderingSpace,
+    SearchBudget,
+    _labels_for,
+    _may_raise,
+    _SwapInts,
+    _swaps_only,
+    _Tree,
+)
 from .state import MEMPOOL, FeePolicy, ScenarioError, State, Swap, Tx, UnknownVenueError, apply_tx
 
 LOCAL_SPAN = 2048
@@ -152,78 +163,42 @@ class InsertionProblem:
     def _kernel(self) -> _SwapTail | None:
         """The tail compiled to ints, or ``None`` when it needs ``_apply``:
         a fee policy, an objective other than ``PlayerDelta``, or a tail
-        item other than a ``Swap`` at a venue holding an ``AmmPool``."""
+        item other than a ``Swap`` at a venue holding an ``AmmPool`` or
+        nothing."""
         state, tail = self._prefix
         if state is None or self.fee_policy is not None or type(self.objective) is not PlayerDelta:
             return None
-        for tx in tail:
-            if type(tx.action) is not Swap or type(state.contracts.get(tx.venue)) is not AmmPool:
-                return None
-        return _SwapTail(state, tail, self.objective)
+        return _SwapTail(state, tail, self.objective) if _swaps_only(state, tail) else None
 
 
-class _SwapTail:
-    """A swap-only tail on constant-product pools, evaluated on plain ints.
+class _SwapTail(_SwapInts):
+    """A swap-only tail, compiled to plain ints by ``ordering._SwapInts``,
+    the compiler of swap-only search folds.
 
-    One evaluation applies the bound tail to the touched ``(actor, token)``
-    balances and each pool's ``(x, y)``, one ``swap_amounts`` call per step:
-    the contracts' one swap rule, so the rounding and the bottom outcomes of
-    the amounts are those of ``_exec_swap``.  A foreign token or
-    ``token_in == token_out`` fails when the tail is compiled, and too little
-    balance when the step runs.  A failing user swap is a no-op and a
-    failing template makes the size infeasible, as in ``_apply``.  The value
-    is the prefix's ``PlayerDelta.deltas`` plus the tail's moves, floored per
-    token as ``PlayerDelta.value`` does.
+    One evaluation copies the balances and reserves and makes one
+    ``swap_amounts`` call per step, with ``_exec_swap``'s balance guard, so
+    the rounding and the bottom outcomes are those of ``apply_tx``.  A failing
+    user swap is a no-op and a failing template makes the size infeasible,
+    as in ``_apply``; a step that never moves anything (no contract at the
+    venue, a foreign token, a token swapped for itself) fails.  The value is
+    ``value_at``'s: the prefix's ``PlayerDelta.deltas`` plus the tail's
+    moves, floored per token as ``PlayerDelta.value`` does.  ``value``
+    repeats ``value_at``'s loop, because one more call per evaluation shows
+    in sizing time.
     """
 
     def __init__(self, state: State, tail: tuple[Tx, ...], objective: PlayerDelta):
-        slots: dict[tuple[str, str], int] = {}
-        pools: dict[str, int] = {}
-        reserves: list[int] = []
-        steps = []
-        for tx in tail:
-            swap, pool = tx.action, state.contracts[tx.venue]
-            template = tx.origin != MEMPOOL
-            tokens = {swap.token_in, swap.token_out}
-            if swap.token_in == swap.token_out or tokens != {pool.token_x, pool.token_y}:
-                steps.append((template, None))
-                continue
-            if tx.venue not in pools:
-                pools[tx.venue] = len(reserves)
-                reserves += (pool.reserve_x, pool.reserve_y)
-            at = pools[tx.venue]
-            # reserves[i] is the input side's reserve, reserves[o] the output's
-            i, o = (at, at + 1) if swap.token_in == pool.token_x else (at + 1, at)
-            pay = slots.setdefault((tx.actor, swap.token_in), len(slots))
-            get = slots.setdefault((tx.actor, swap.token_out), len(slots))
-            steps.append((template, (i, o, pool.fee_bps, swap.exact_out, pay, get)))
-        self.steps = tuple(steps)
-        self.reserves = reserves
-        self.balances = [state.balance(*key) for key in slots]
-
-        # value = constant + sum over touched tokens of token_value(token,
-        # offset + the token's tracked slots)
-        deltas = objective.deltas(state)
-        touched: dict[str, list[int]] = {}
-        for (actor, token), slot in slots.items():
-            if actor in objective.tracked:
-                touched.setdefault(token, []).append(slot)
-        token_value = objective.valuation.token_value
-        self.constant = sum(token_value(t, d) for t, d in deltas.items() if t not in touched)
-        self.tokens = tuple(
-            (token, deltas.get(token, 0) - sum(self.balances[s] for s in ss), tuple(ss))
-            for token, ss in touched.items()
-        )
-        self.token_value = token_value
+        super().__init__(state, tail, objective)
+        self.templates = tuple(tx.origin != MEMPOOL for tx in tail)
 
     def value(self, bound: tuple[Tx, ...]) -> int | None:
         """Objective after the bound tail; ``None`` when a template fails."""
         balances = self.balances.copy()
         reserves = self.reserves.copy()
-        for (template, step), tx in zip(self.steps, bound):
+        for template, step, tx in zip(self.templates, self.steps, bound):
             if step is not None:
-                i, o, fee, exact_out, pay, get = step
-                amounts = swap_amounts(reserves[i], reserves[o], tx.action.amount, fee, exact_out)
+                i, o, _, fee_bps, exact_out, pay, get = step
+                amounts = swap_amounts(reserves[i], reserves[o], tx.action.amount, fee_bps, exact_out)
                 if amounts is not None and balances[pay] >= amounts[0]:
                     paid, received = amounts
                     balances[pay] -= paid

@@ -9,6 +9,11 @@ An objective (``PlayerDelta``, ``AccountBalanceValue``) names the accounts it
 balances.  The search relies on this contract: the sampler evaluates only the
 transactions whose footprints reach a tracked balance (see ``ordering``), so
 a ``value`` that read anything else could see a state missing the others.
+
+Both objectives value ``deltas(state)``, each token's tracked total minus
+the base (``AccountBalanceValue``'s base is empty), with ``valuation``.  The
+integer kernels of swap-only searches and insertion tails read only
+``tracked``, ``valuation`` and ``deltas``.
 """
 
 from __future__ import annotations
@@ -113,9 +118,13 @@ class AccountBalanceValue:
     def tracked(self) -> frozenset[str]:
         return frozenset((self.account,))
 
+    def deltas(self, state: State) -> dict[str, int]:
+        """Per token, the account's total in ``state`` (the base is empty)."""
+        return account_totals(state, self.tracked)
+
     def value(self, state: State) -> int:
         total = 0  # floor per token
-        for token, amount in account_totals(state, self.tracked).items():
+        for token, amount in self.deltas(state).items():
             total += self.valuation.token_value(token, amount)
         return total
 

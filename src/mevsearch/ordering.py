@@ -19,6 +19,17 @@ prefixes between forked workers, the parent folding one share itself; if any
 part of that fails, the search is folded again in one process, so the report
 or error is the one-worker one.
 
+Swap-only trees fold on plain ints.  When no fee is charged, the objective is
+a ``PlayerDelta`` or an ``AccountBalanceValue``, and every item is a ``Swap``
+of a bound size at a venue that holds an ``AmmPool`` or nothing, the fold
+compiles the items once (``_SwapInts``, the compiler that insertion's
+``_SwapTail`` also uses): each touched balance and each pool reserve is a
+slot of an int list, each step is one ``contracts.swap_amounts`` call with
+``_exec_swap``'s balance guard, and an undo log takes the lists back to each
+key's common prefix with the key before.  The values are bit for bit those of
+the ``State`` path, which every other tree takes and which is the kernel's
+test oracle.
+
 Two reductions cut the walk; both keep the values and witnesses exact.
 
 Sleep sets (Godefroid, LNCS 1032, 1996).  Every item has a static footprint:
@@ -287,6 +298,90 @@ def _labels_for(items: tuple[Tx, ...], key: tuple[int, ...]) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Swaps on plain ints
+# ---------------------------------------------------------------------------
+
+class _SwapInts:
+    """Swaps on constant-product pools, compiled to plain ints.
+
+    Each touched ``(actor, token)`` balance gets a slot of ``balances`` and
+    each pool an ``(x, y)`` pair of ``reserves``, as ``state`` holds them.
+    Transaction ``j`` becomes ``steps[j] = (i, o, amount, fee_bps, exact_out,
+    pay, get)``: the input and output sides' reserve slots, its size
+    (``None`` while open), the pool's fee, its mode, and the actor's paying
+    and receiving balance slots.  The step is ``None`` where ``apply_tx``
+    never moves anything: no contract at the venue, a token the pool does
+    not hold, or a token swapped for itself.
+
+    ``value_at(balances)`` is the objective's ``value`` at those balances: a
+    constant for the tokens no step moves, plus ``token_value(token, offset +
+    the token's tracked slots)`` per moved token, ``offset`` being the
+    token's ``deltas`` in ``state`` minus its tracked slots there.  So it
+    takes the floors ``value(state)`` takes.  The objective must offer
+    ``tracked``, ``valuation`` and ``deltas`` and read nothing else, and
+    ``txs`` must pass ``_swaps_only``.
+    """
+
+    def __init__(self, state: State, txs: tuple[Tx, ...], objective):
+        slots: dict[tuple[str, str], int] = {}
+        pools: dict[str, int] = {}
+        reserves: list[int] = []
+        steps = []
+        for tx in txs:
+            swap, pool = tx.action, state.contracts.get(tx.venue)
+            if (
+                pool is None
+                or swap.token_in == swap.token_out
+                or {swap.token_in, swap.token_out} != {pool.token_x, pool.token_y}
+            ):
+                steps.append(None)
+                continue
+            if tx.venue not in pools:
+                pools[tx.venue] = len(reserves)
+                reserves += (pool.reserve_x, pool.reserve_y)
+            at = pools[tx.venue]
+            i, o = (at, at + 1) if swap.token_in == pool.token_x else (at + 1, at)
+            pay = slots.setdefault((tx.actor, swap.token_in), len(slots))
+            get = slots.setdefault((tx.actor, swap.token_out), len(slots))
+            steps.append((i, o, swap.amount, pool.fee_bps, swap.exact_out, pay, get))
+        self.steps = tuple(steps)
+        self.reserves = reserves
+        self.balances = [state.balance(*key) for key in slots]
+
+        deltas = objective.deltas(state)
+        tracked = objective.tracked
+        touched: dict[str, list[int]] = {}
+        for (actor, token), slot in slots.items():
+            if actor in tracked:
+                touched.setdefault(token, []).append(slot)
+        token_value = objective.valuation.token_value
+        self.constant = sum(token_value(t, d) for t, d in deltas.items() if t not in touched)
+        self.tokens = tuple(
+            (token, deltas.get(token, 0) - sum(self.balances[s] for s in ss), tuple(ss))
+            for token, ss in touched.items()
+        )
+        self.token_value = token_value
+
+    def value_at(self, balances: list[int]) -> int:
+        total = self.constant
+        for token, amount, slots in self.tokens:
+            for slot in slots:
+                amount += balances[slot]
+            total += self.token_value(token, amount)
+        return total
+
+
+def _swaps_only(state: State, txs: tuple[Tx, ...]) -> bool:
+    """Is every transaction a ``Swap`` at a venue that holds an ``AmmPool``
+    or nothing?"""
+    for tx in txs:
+        pool = state.contracts.get(tx.venue)
+        if type(tx.action) is not Swap or pool is not None and type(pool) is not contracts.AmmPool:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # Enumeration
 # ---------------------------------------------------------------------------
 
@@ -523,22 +618,59 @@ class _Reducer:
         )
 
 
+def _compiled(tree: _Tree, state: State, objective, fee_policy) -> _SwapInts | None:
+    """The tree's items compiled to ints, when nothing but swaps and the
+    objective's balances can matter: no fee policy, a ``PlayerDelta`` or
+    ``AccountBalanceValue`` objective, and every item a ``Swap`` of a bound
+    size at a venue that holds an ``AmmPool`` or nothing.  An unbound size
+    raises on the ``State`` path, so such a tree does not compile."""
+    from .metrics import AccountBalanceValue, PlayerDelta  # metrics imports this module
+
+    items = tree.items
+    if (
+        fee_policy is not None
+        or type(objective) not in (PlayerDelta, AccountBalanceValue)
+        or not _swaps_only(state, items)
+        or any(tx.action.amount is None for tx in items)
+    ):
+        return None
+    return _SwapInts(state, items, objective)
+
+
 def _fold(tree: _Tree, state: State, objective, keys, paths=None) -> _Reducer:
     """Fold the objective's value of every key into one reducer.
 
     Key ``keys[i]`` is valued at the state its path (``paths[i]``, else the
     key itself) reaches from ``state``: each item applied in skip-invalid
-    mode, each ``BLOCK_BREAK`` advancing the block number.  The states sit
-    on a stack, ``stack[d]`` being the state after the first ``d`` steps of
-    the previous path, so a path applies only the steps past its longest
-    common prefix with the one before it.  Fed the walk's depth-first keys,
-    or sorted paths, that is one ``apply_tx`` per distinct non-empty prefix.
-    The fold does not depend on the order of its offers.
+    mode, each ``BLOCK_BREAK`` advancing the block number.  A path applies
+    only the steps past its longest common prefix with the one before it, so
+    fed the walk's depth-first keys, or sorted paths, the fold applies one
+    step per distinct non-empty prefix.  It does not depend on the order of
+    its offers.
+
+    When the tree compiles (``_compiled``), no ``State`` is built: each step
+    trades on the int lists of ``_SwapInts``, one ``swap_amounts`` call with
+    ``_exec_swap``'s balance guard, a failing swap moving nothing as in
+    skip-invalid mode.  An undo log, ``log[d]`` undoing step ``d`` of the
+    previous path (``None`` where it moved nothing), is popped back to the
+    common prefix.  A block break moves nothing, since no swap reads the
+    block number.  Otherwise the states sit on a stack, ``stack[d]`` being
+    the state after the first ``d`` steps of the previous path, and each
+    step is one ``_step``.
     """
     items, fee_policy = tree.items, tree.space.fee_policy()
+    ints = _compiled(tree, state, objective, fee_policy)
     reducer = _Reducer()
-    value_of, offer = objective.value, reducer.offer
-    stack = [state]
+    offer = reducer.offer
+    if ints is None:
+        value_of = objective.value
+        stack = [state]
+    else:
+        steps = ints.steps + (None,)  # steps[BLOCK_BREAK] moves nothing
+        balances, reserves, value = ints.balances, ints.reserves, ints.value_at
+        # Looked up at call time, so a test can count the steps.
+        swap_amounts = contracts.swap_amounts
+        log: list = []
     prev: tuple[int, ...] = ()
     for key, path in zip(keys, paths) if paths is not None else ((key, key) for key in keys):
         if path != prev:
@@ -547,16 +679,39 @@ def _fold(tree: _Tree, state: State, objective, keys, paths=None) -> _Reducer:
                 if a != b:
                     break
                 common += 1
-            del stack[common + 1:]
-            st = stack[common]
-            for i in path[common:]:
-                if i == BLOCK_BREAK:
-                    st = st.with_block(st.block_number + 1)
-                else:
-                    st = _step(st, items[i], fee_policy)
-                stack.append(st)
+            if ints is None:
+                del stack[common + 1:]
+                st = stack[common]
+                for i in path[common:]:
+                    if i == BLOCK_BREAK:
+                        st = st.with_block(st.block_number + 1)
+                    else:
+                        st = _step(st, items[i], fee_policy)
+                    stack.append(st)
+            else:
+                while len(log) > common:
+                    undo = log.pop()
+                    if undo is not None:
+                        pay, get, i, o, paid, received = undo
+                        balances[pay] += paid
+                        balances[get] -= received
+                        reserves[i] -= paid
+                        reserves[o] += received
+                for item in path[common:]:
+                    step, undo = steps[item], None
+                    if step is not None:
+                        i, o, amount, fee_bps, exact_out, pay, get = step
+                        amounts = swap_amounts(reserves[i], reserves[o], amount, fee_bps, exact_out)
+                        if amounts is not None and balances[pay] >= amounts[0]:
+                            paid, received = amounts
+                            balances[pay] -= paid
+                            balances[get] += received
+                            reserves[i] += paid
+                            reserves[o] -= received
+                            undo = pay, get, i, o, paid, received
+                    log.append(undo)
             prev = path
-        offer(value_of(stack[-1]), key)
+        offer(value_of(stack[-1]) if ints is None else value(balances), key)
     return reducer
 
 

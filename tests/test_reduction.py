@@ -17,6 +17,12 @@ The sampler evaluates only the objective's slice of each sample, sharing
 prefixes in sorted order.  On the same corpus, and on two-pool spreads where
 the beneficiary trades one pool, every sampled report equals the one of an
 evaluator that replays each sample whole.
+
+Swap-only trees fold on ints.  On the pruning corpus, seeded one- to
+three-pool spreads, and a space that meets every swap outcome, the compiled
+fold's best, worst and path count equal those of the same fold on the
+``State`` path, exhaustive and sampled, for both objectives; outside its
+conditions the kernel is not taken.
 """
 
 import itertools
@@ -28,7 +34,12 @@ import pytest
 
 from mevsearch import contracts, ordering
 from mevsearch.contracts import AmmPool, MakerBook, Pricebet
-from mevsearch.corpus import convergence_corpus, make_spread_instance, measure_convergence
+from mevsearch.corpus import (
+    convergence_corpus,
+    make_spread_instance,
+    measure_convergence,
+    pruning_corpus,
+)
 from mevsearch.metrics import AccountBalanceValue, PlayerDelta, Valuation, value_spread
 from mevsearch.ordering import (
     _FULL,
@@ -566,17 +577,37 @@ def _differential_case(index):
     return state, space, AccountBalanceValue("p" if index % 4 else "u0", VALUATION)
 
 
+def _count_steps(monkeypatch):
+    """Lists that collect every ``ordering.apply_tx`` call (a step on the
+    ``State`` path) and every ``contracts.swap_amounts`` call (a step of the
+    integer kernel, and every swap that ``apply_tx`` prices)."""
+    calls, swaps = [], []
+    real_apply_tx, real_swap_amounts = ordering.apply_tx, contracts.swap_amounts
+
+    def counting_apply_tx(st, tx, fee_policy=None):
+        calls.append(tx)
+        return real_apply_tx(st, tx, fee_policy)
+
+    def counting_swap_amounts(*args):
+        swaps.append(args)
+        return real_swap_amounts(*args)
+
+    monkeypatch.setattr(ordering, "apply_tx", counting_apply_tx)
+    monkeypatch.setattr(contracts, "swap_amounts", counting_swap_amounts)
+    return calls, swaps
+
+
 @pytest.mark.parametrize(
-    "case, censor_and_k",
+    "case, censor_and_k, compiles",
     [
-        (_dead_cut_spread, (False, 1)),
-        (lambda: _differential_case(11), (True, 1)),
-        (lambda: _differential_case(14), (False, 2)),
+        (_dead_cut_spread, (False, 1), True),
+        (lambda: _differential_case(11), (True, 1), False),
+        (lambda: _differential_case(14), (False, 2), False),
     ],
     ids=["dead_cut_spread", "censor", "k2"],
 )
 def test_an_exhaustive_search_applies_each_prefix_of_its_keys_once(
-    monkeypatch, case, censor_and_k
+    monkeypatch, case, censor_and_k, compiles
 ):
     state, space, objective = case()
     assert (space.allow_censor, space.k) == censor_and_k
@@ -584,26 +615,25 @@ def test_an_exhaustive_search_applies_each_prefix_of_its_keys_once(
     prefixes = {
         key[:d] for key in keys for d in range(1, len(key) + 1) if key[d - 1] != BLOCK_BREAK
     }
-    calls = []
     cuts = []
-    real_apply_tx, real_dead = ordering.apply_tx, _Tree._dead
-
-    def counting_apply_tx(st, tx, fee_policy=None):
-        calls.append(tx)
-        return real_apply_tx(st, tx, fee_policy)
+    real_dead = _Tree._dead
 
     def counting_dead(tree, *args):
         cut = real_dead(tree, *args)
         cuts.append(cut)
         return cut
 
-    monkeypatch.setattr(ordering, "apply_tx", counting_apply_tx)
+    calls, swaps = _count_steps(monkeypatch)
     monkeypatch.setattr(_Tree, "_dead", counting_dead)
     report = search(space, EXH, objective, state, want_worst=True)
     assert report.paths_explored == len(keys)
     # the walk cuts subtrees that hold no construction, except under censoring
     assert any(cuts) != space.allow_censor
-    assert len(calls) == len(prefixes)
+    if compiles:
+        # the swap-only tree folds on ints: one swap step per prefix, no State
+        assert (len(swaps), len(calls)) == (len(prefixes), 0)
+    else:
+        assert len(calls) == len(prefixes)
 
 
 # ---------------------------------------------------------------------------
@@ -708,17 +738,11 @@ def test_sampling_applies_each_shared_prefix_of_the_slice_once(monkeypatch, cens
     projections = {tuple(i for i in seq if tree.relevant >> i & 1) for seq in seqs}
     prefixes = {proj[:d] for proj in projections for d in range(1, len(proj) + 1)}
 
-    calls = []
-    real_apply_tx = ordering.apply_tx
-
-    def counting_apply_tx(st, tx, fee_policy=None):
-        calls.append(tx)
-        return real_apply_tx(st, tx, fee_policy)
-
-    monkeypatch.setattr(ordering, "apply_tx", counting_apply_tx)
+    calls, swaps = _count_steps(monkeypatch)
     report = search(space, budget, objective, state, want_worst=True)
-    assert len(calls) == len(prefixes)
-    assert len(calls) < sum(len(seq) for seq in seqs)  # the whole-replay count
+    # the swap-only tree folds on ints: one swap step per prefix, no State
+    assert (len(swaps), len(calls)) == (len(prefixes), 0)
+    assert len(swaps) < sum(len(seq) for seq in seqs)  # the whole-replay count
     if not censor:
         assert len(prefixes) == 3 + 6 + 6  # every ordering of the three pool0 swaps
     else:
@@ -786,3 +810,175 @@ def test_an_item_that_raises_still_raises_outside_the_objectives_reach(raiser):
     assert tree.relevant >> len(tree.items) - 1 & 1  # the raiser is the last item
     with pytest.raises(ScenarioError):
         search(space, _sampled(0), objective, state)
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against the State path
+# ---------------------------------------------------------------------------
+
+def _folded(tree, state, objective, budget):
+    """Best, worst, path count and exhaustiveness of one fold of the tree."""
+    reducer, exhaustive = ordering._search_tree(tree, state, objective, budget, 1)
+    return reducer.best, reducer.worst, reducer.paths, exhaustive
+
+
+def _assert_kernel_equals_state_path(monkeypatch, state, space, objective, budget):
+    """The compiled fold and the same fold with compilation forced off give
+    the same reducer; returns the number of constructions folded."""
+    tree = _Tree(space, _FULL, objective.tracked, state.contracts)
+    assert ordering._compiled(tree, state, objective, tree.space.fee_policy()) is not None
+    kernel = _folded(tree, state, objective, budget)
+    with monkeypatch.context() as patch:
+        patch.setattr(ordering, "_compiled", lambda *args: None)
+        assert _folded(tree, state, objective, budget) == kernel, space
+    return kernel[2]
+
+
+def _objectives(state, beneficiary, valuation):
+    return (
+        AccountBalanceValue(beneficiary, valuation),
+        PlayerDelta.from_state(frozenset({beneficiary}), valuation, state),
+    )
+
+
+def test_the_kernel_equals_the_state_path_on_the_pruning_corpus(monkeypatch):
+    for i, sc in enumerate(pruning_corpus(seed=5, count=24)):
+        state, space = sc.initial_state(), sc.space()
+        if i % 3 == 0:
+            space = replace(space, allow_censor=True)
+        for objective in _objectives(state, sc.beneficiary, sc.get_valuation()):
+            _assert_kernel_equals_state_path(monkeypatch, state, space, objective, EXH)
+
+
+@pytest.mark.parametrize("n_pools", (1, 2, 3))
+def test_the_kernel_equals_the_state_path_on_seeded_spreads(monkeypatch, n_pools):
+    for index in range(4):
+        sc = make_spread_instance(11, index, 5 + index % 3, n_pools=n_pools, fee_bps=30)
+        state, space = sc.initial_state(), sc.space()
+        for objective in _objectives(state, sc.beneficiary, sc.get_valuation()):
+            for budget in (EXH, _sampled(index, 40)):
+                _assert_kernel_equals_state_path(monkeypatch, state, space, objective, budget)
+
+
+def _edge_instance():
+    """Every swap outcome the kernel must reproduce.  The whale's second
+    trade sells tokens only its first one buys, and its third swaps ETH for
+    ETH at a pool that holds ETH on both sides, which no token check alone
+    would refuse; u4's exact output equals pool1's reserve until the whale's
+    sale refills it; the other swaps are at an unknown venue, in a token
+    pool0 does not hold, beyond u5's balance, of nothing, and beyond any
+    reserve."""
+    state = State(
+        {
+            ("whale", "ETH"): 30_000,
+            ("u1", "TKN"): 10_000,
+            ("u2", "DAI"): 500,
+            ("u3", "ETH"): 500,
+            ("u4", "ETH"): 10**8,
+            ("u5", "TKN"): 4_000,
+            ("miner", "ETH"): 20_000,
+        },
+        {
+            "pool0": AmmPool("TKN", "ETH", 1_000_000, 500_000, fee_bps=30),
+            "pool1": AmmPool("TKN", "ETH", 800_000, 420_000, fee_bps=0),
+            "flat": AmmPool("ETH", "ETH", 1_000, 1_000),
+        },
+        0,
+    )
+    mempool = (
+        Tx("whale", "pool0", Swap("ETH", "TKN", 20_000)),
+        Tx("whale", "pool1", Swap("TKN", "ETH", 30_000)),
+        Tx("u4", "pool1", Swap("ETH", "TKN", 800_000, exact_out=True)),
+        Tx("u1", "nowhere", Swap("TKN", "ETH", 1_000)),
+        Tx("u2", "pool0", Swap("DAI", "ETH", 100)),
+        Tx("whale", "flat", Swap("ETH", "ETH", 100)),
+        Tx("u5", "pool0", Swap("TKN", "ETH", 5_000)),
+        Tx("u3", "pool0", Swap("ETH", "TKN", 0), arrival_block=1),
+        Tx("u4", "pool0", Swap("ETH", "TKN", 2_000_000, exact_out=True), arrival_block=1),
+    )
+    templates = (Tx("miner", "pool1", Swap("ETH", "TKN", 9_000), origin="miner"),)
+    return state, OrderingSpace(mempool=mempool, templates=templates)
+
+
+def _two_blocks(space, **flags):
+    """The whale's trades and u4's exact output, then block 1's arrivals."""
+    return replace(space, k=2, mempool=space.mempool[:3] + space.mempool[-2:], **flags)
+
+
+EDGE_SPACES = {
+    "reorder": lambda space: space,
+    "censor": lambda space: replace(space, allow_censor=True),
+    "fixed_order_insert": lambda space: replace(
+        space, allow_reorder=False, allow_censor=True, allow_insert=True),
+    "k2": _two_blocks,
+    "k2_censor_insert": lambda space: _two_blocks(space, allow_censor=True, allow_insert=True),
+}
+
+
+@pytest.mark.parametrize("flags", EDGE_SPACES)
+@pytest.mark.parametrize("player", ("whale", "miner"))
+def test_the_kernel_equals_the_state_path_on_every_swap_outcome(monkeypatch, flags, player):
+    state, space = _edge_instance()
+    space = EDGE_SPACES[flags](space)
+    valuation = Valuation("ETH", "oracle_priced", {"TKN": Fraction(3, 7)})
+    for objective in _objectives(state, player, valuation):
+        budgets = [EXH] if space.k > 1 else [EXH, _sampled(3, 50)]
+        paths = [
+            _assert_kernel_equals_state_path(monkeypatch, state, space, objective, budget)
+            for budget in budgets
+        ]
+        assert paths[0] > 1
+
+
+def test_the_edge_instance_meets_each_outcome():
+    """The edge instance's swaps fail and succeed as its docstring says."""
+    state, space = _edge_instance()
+    whale_buy, whale_sell, u4_exact, *odd = space.mempool
+    assert _step(state, whale_sell, None) is state
+    after = _step(_step(state, whale_buy, None), whale_sell, None)
+    assert after.contracts["pool1"].reserve_x > 800_000
+    assert _step(state, u4_exact, None) is state
+    assert _step(after, u4_exact, None) is not after
+    for tx in odd:
+        assert _step(after, tx, None) is after, tx
+
+
+class _Scaled(AccountBalanceValue):
+    """An objective the kernel does not know: twice the balance's value."""
+
+    def value(self, state):
+        return 2 * super().value(state)
+
+
+NOT_COMPILED = {
+    "fee_policy": lambda state, space: (
+        state, replace(space, charge_fees=True, fee_token="ETH",
+                       mempool=tuple(replace(tx, fee=1) for tx in space.mempool))),
+    "non_swap_item": lambda state, space: (
+        state, replace(space, mempool=space.mempool + (Tx("u2", "pool0", AddLiquidity(10, 10)),))),
+    "swap_at_a_book": lambda state, space: (
+        State(state.balances, {**state.contracts, "book": MakerBook("TKN", "ETH", "pool1")}, 0),
+        replace(space, mempool=space.mempool + (Tx("u5", "book", Swap("TKN", "ETH", 10)),))),
+    "unbound_template": lambda state, space: (
+        state, replace(space, allow_insert=True,
+                       templates=(Tx("miner", "pool0", Swap("ETH", "TKN", None), origin="miner"),))),
+    "custom_objective": lambda state, space: (state, space),
+}
+
+
+@pytest.mark.parametrize("case", NOT_COMPILED)
+def test_a_tree_outside_the_kernels_conditions_folds_on_states(monkeypatch, case):
+    state, space = _two_pool_instance()
+    state, space = NOT_COMPILED[case](state, space)
+    objective = AccountBalanceValue("whale", VALUATION)
+    if case == "custom_objective":
+        objective = _Scaled("whale", VALUATION)
+    tree = _Tree(space, _FULL, objective.tracked, state.contracts)
+    assert ordering._compiled(tree, state, objective, tree.space.fee_policy()) is None
+    calls, _ = _count_steps(monkeypatch)
+    if case == "unbound_template":
+        with pytest.raises(ScenarioError, match="^swap has an unbound insertion-size parameter$"):
+            search(space, EXH, objective, state)
+    else:
+        search(space, EXH, objective, state)
+    assert calls  # the State path ran
