@@ -13,15 +13,14 @@ distinct evaluations, so ``search_with_insertion`` costs at most
 
 Nothing before a skeleton's first open template depends on the size, so an
 ``InsertionProblem`` applies that prefix once, the first time it is
-evaluated, and one evaluation binds and applies only the tail from the first
-open template on.  When no fee policy is set, the objective is a
-``PlayerDelta`` and every tail item is a ``Swap`` at a venue holding an
-``AmmPool`` or nothing, the tail is compiled once into an integer kernel
-(``_SwapTail``), by the compiler that swap-only searches use
-(``ordering._SwapInts``): an evaluation then moves plain ints, pricing each
-step with ``contracts.swap_amounts``, the one swap rule that ``apply_tx``
-also runs, and builds no ``State``.  Any other tail goes through
-``apply_tx``, which is also the kernel's test oracle.
+evaluated, and an evaluation applies only the tail from there on.  When no
+fee policy is set, the objective is a ``PlayerDelta`` and every tail item is
+a ``Swap`` at a venue holding an ``AmmPool`` or nothing, the tail compiles
+once to an integer kernel (``_SwapTail``, by ``ordering._SwapInts`` as for
+swap-only searches) that reads α directly: it moves plain ints, prices each
+step with ``contracts.swap_amounts``, the swap rule ``apply_tx`` runs too,
+and builds no ``Tx`` or ``State``.  Any other tail is bound by
+``bind_alpha`` and applied through ``apply_tx``, the kernel's test oracle.
 
 Branch and bound (Land & Doig, 1960).  Once the search holds an incumbent,
 a skeleton is sized only when an integer upper bound on its value beats it;
@@ -100,7 +99,8 @@ def bind_alpha(txs: tuple[Tx, ...], alpha: int) -> tuple[Tx, ...]:
 
     The bound ``Tx`` and ``Swap`` are built from their fields directly, which
     costs a fraction of ``dataclasses.replace``; a field added to either class
-    must be added here too.
+    must be added here too.  Its callers: ``evaluate_alpha``'s ``apply_tx``
+    path, ``bench/workloads.py``'s verifier and the tests.
     """
     return tuple(
         Tx(
@@ -172,33 +172,34 @@ class InsertionProblem:
 
 
 class _SwapTail(_SwapInts):
-    """A swap-only tail, compiled to plain ints by ``ordering._SwapInts``,
-    the compiler of swap-only search folds.
+    """A swap-only tail, compiled to plain ints by ``ordering._SwapInts``.
 
-    One evaluation copies the balances and reserves and makes one
-    ``swap_amounts`` call per step, with ``_exec_swap``'s balance guard, so
-    the rounding and the bottom outcomes are those of ``apply_tx``.  A failing
-    user swap is a no-op and a failing template makes the size infeasible,
-    as in ``_apply``; a step that never moves anything (no contract at the
-    venue, a foreign token, a token swapped for itself) fails.  The value is
-    ``value_at``'s: the prefix's ``PlayerDelta.deltas`` plus the tail's
-    moves, floored per token as ``PlayerDelta.value`` does.  ``value``
-    repeats ``value_at``'s loop, because one more call per evaluation shows
-    in sizing time.
+    An evaluation reads α itself and binds nothing: an open template's step
+    (compiled amount ``None``) trades α, any other step its own amount.  It
+    copies the balances and reserves and makes one ``swap_amounts`` call per
+    step, with ``_exec_swap``'s balance guard, so the rounding and the bottom
+    outcomes are those of ``apply_tx``.  A failing user swap is a no-op and a
+    failing template makes the size infeasible, as in ``_apply``; a step that
+    never moves anything (no contract at the venue, a foreign token, a token
+    swapped for itself) fails.  The value is ``value_at``'s: the prefix's
+    ``PlayerDelta.deltas`` plus the tail's moves, floored per token as
+    ``PlayerDelta.value`` does.  ``value`` repeats ``value_at``'s loop: one
+    more call per evaluation shows in sizing time.
     """
 
     def __init__(self, state: State, tail: tuple[Tx, ...], objective: PlayerDelta):
         super().__init__(state, tail, objective)
         self.templates = tuple(tx.origin != MEMPOOL for tx in tail)
 
-    def value(self, bound: tuple[Tx, ...]) -> int | None:
-        """Objective after the bound tail; ``None`` when a template fails."""
+    def value(self, alpha: int) -> int | None:
+        """Objective at size ``alpha``; ``None`` when a template fails."""
         balances = self.balances.copy()
         reserves = self.reserves.copy()
-        for template, step, tx in zip(self.templates, self.steps, bound):
+        for template, step in zip(self.templates, self.steps):
             if step is not None:
-                i, o, _, fee_bps, exact_out, pay, get = step
-                amounts = swap_amounts(reserves[i], reserves[o], tx.action.amount, fee_bps, exact_out)
+                i, o, amount, fee_bps, exact_out, pay, get = step
+                amounts = swap_amounts(reserves[i], reserves[o], alpha if amount is None else amount,
+                                       fee_bps, exact_out)
                 if amounts is not None and balances[pay] >= amounts[0]:
                     paid, received = amounts
                     balances[pay] -= paid
@@ -239,19 +240,17 @@ def _evaluate(state: State, txs: tuple[Tx, ...], objective, fee_policy) -> int |
 def evaluate_alpha(problem: InsertionProblem, alpha: int) -> int | None:
     """Objective at one trade size; ``None`` when the size is infeasible.
 
-    Only the tail from the first open template is bound and applied, to the
-    state the problem's α-free prefix left: by the problem's integer kernel
-    when it has one, else through ``apply_tx``.  Either way ``bind_alpha``
-    runs once per evaluation.
+    Only the tail from the first open template is applied, to the state the
+    α-free prefix left: on the problem's integer kernel, which reads α and
+    binds nothing, or else bound by ``bind_alpha`` and run by ``apply_tx``.
     """
     state, tail = problem._prefix
     if state is None:
         return None
     kernel = problem._kernel
-    bound = bind_alpha(tail, alpha)
     if kernel is not None:
-        return kernel.value(bound)
-    return _evaluate(state, bound, problem.objective, problem.fee_policy)
+        return kernel.value(alpha)
+    return _evaluate(state, bind_alpha(tail, alpha), problem.objective, problem.fee_policy)
 
 
 @dataclass(frozen=True)

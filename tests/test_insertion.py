@@ -557,8 +557,8 @@ def _odd_swaps_case():
 
 
 def test_the_tail_kernel_equals_whole_replay():
-    infeasible = feasible = users_in_tail = shared_pools = 0
-    problems = [_swap_tail_case(seed) for seed in range(40)] + [_odd_swaps_case()]
+    infeasible = feasible = users_in_tail = shared_pools = sized_templates = 0
+    problems = [_swap_tail_case(seed) for seed in range(60)] + [_odd_swaps_case()]
     for seed, problem in enumerate(problems):
         lo, hi = problem.alpha_min, problem.alpha_max
         rng = random.Random(seed)
@@ -578,7 +578,11 @@ def test_the_tail_kernel_equals_whole_replay():
         feasible += got.count(None) < len(got)
         users_in_tail += any(tx.origin == "mempool" for tx in tail)
         shared_pools += len({tx.venue for tx in tail}) < len(tail)
-    assert min(infeasible, feasible, users_in_tail, shared_pools) >= 5
+        # a template with its own size, which the kernel must not size with alpha
+        sized_templates += state is not None and any(
+            tx.origin != "mempool" and not has_unresolved_amount(tx) for tx in tail
+        )
+    assert min(infeasible, feasible, users_in_tail, shared_pools, sized_templates) >= 5
 
 
 def test_the_counterexample_takes_the_kernel(monkeypatch):
@@ -599,6 +603,25 @@ def test_the_counterexample_takes_the_kernel(monkeypatch):
         assert [evaluate_alpha(problem, a) for a in sizes] == [
             whole_replay(problem, a) for a in sizes
         ]
+
+
+def test_sizing_the_counterexample_evaluates_a_pinned_set_and_binds_nothing(monkeypatch):
+    space, budget, objective, state = _counterexample()
+    seen = []
+    evaluate = insertion.evaluate_alpha
+
+    def counting(problem, alpha):
+        seen.append(alpha)
+        return evaluate(problem, alpha)
+
+    def refuse(*args):
+        raise AssertionError("bind_alpha called")
+
+    monkeypatch.setattr(insertion, "evaluate_alpha", counting)
+    monkeypatch.setattr(insertion, "bind_alpha", refuse)
+    out = search_with_insertion(space, budget, objective, state, 1, 10**22 - 1)
+    assert (out.alpha, out.report.best_value) == (1361442650470666519273, 123061201464936859816)
+    assert len(seen) == len(set(seen)) == 5_288
 
 
 @pytest.mark.parametrize(
