@@ -161,11 +161,12 @@ def measure_convergence(
     paths.  A point "hits" when the sampled spread reaches ``target_ratio``
     of the exhaustive one.
 
-    The paths are counted under the run rule alone: the experiment's budget
-    is a fraction of the orderings, not of the sleep-set classes, which are
-    far fewer.  The run rule reads no state, so the count walks the tree
-    without applying a transaction; the exact spread comes from the
-    search's own walk under both reductions.  Both are exact."""
+    The paths are counted with identical swaps as the only independent
+    pairs (``_RUN``): the experiment's budget is a fraction of the
+    orderings, not of the footprint classes, which are far fewer.  Run keys
+    read no state, so the count walks the tree without applying a
+    transaction; the exact spread comes from the search's own walk, with
+    footprints too.  Both are exact."""
     points = []
     for i, scenario in enumerate(instances):
         beneficiary = scenario.beneficiary

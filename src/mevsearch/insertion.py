@@ -30,11 +30,12 @@ size infeasible.  The bound exists when:
 
 1. no fee policy is set, the objective is a ``PlayerDelta`` and every price
    is >= 0;
-2. after dropping every user transaction of the tail whose footprint is
-   disjoint from every later tail item's, that touches no tracked balance
-   and that cannot raise (it commutes to the end, where the objective cannot
-   see it), every item left is a constant-product swap by a tracked actor,
-   each on a pool of its own.
+2. after dropping every user transaction of the tail that commutes with
+   every later tail item under ``tree.indep`` (disjoint footprints, or an
+   identical swap), that touches no tracked balance and that cannot raise
+   (it commutes to the end, where the objective cannot see it), every item
+   left is a constant-product swap by a tracked actor, each on a pool of its
+   own.
 
 Then each swap trades against its pool's reserves after the prefix, with or
 without rounding.  The exact-input output is floored and the exact-output
@@ -59,6 +60,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import islice
 
 from .contracts import (
     FEE_DENOM,
@@ -149,7 +151,7 @@ class InsertionProblem:
         if not any(has_unresolved_amount(tx) for tx in self.skeleton):
             raise ScenarioError("skeleton has no unresolved trade size")
         for tx in self.skeleton:
-            if tx.origin == "mempool" and has_unresolved_amount(tx):
+            if tx.origin == MEMPOOL and has_unresolved_amount(tx):
                 raise ScenarioError("only miner templates may be unresolved")
 
     @cached_property
@@ -226,7 +228,7 @@ def _apply(state: State, txs: tuple[Tx, ...], fee_policy) -> State | None:
             nxt = None
         if nxt is not None:
             state = nxt
-        elif tx.origin != "mempool":
+        elif tx.origin != MEMPOOL:
             return None
     return state
 
@@ -532,7 +534,8 @@ def search_with_insertion(
     with the usual smallest-key tie-break.  A skipped skeleton still counts
     in ``paths_explored`` and toward ``MAX_SKELETONS``.
 
-    The skeletons are enumerated exhaustively (at most ``MAX_SKELETONS``).
+    The skeletons are enumerated exhaustively, and the search raises before
+    sizing any of them when there are more than ``MAX_SKELETONS``.
     ``budget`` is accepted but unused; callers pass it positionally, as they
     do to ``search``.
     """
@@ -542,12 +545,11 @@ def search_with_insertion(
         raise ScenarioError("insertion sizing searches single-block spaces (k = 1)")
     tree = _Tree(space, _FULL, objective.tracked, state.contracts)
     fee_policy = tree.space.fee_policy()
+    keys = list(islice(tree.walk(), MAX_SKELETONS + 1))
+    if len(keys) > MAX_SKELETONS:
+        raise ScenarioError("insertion search needs a small ordering space")
     best: tuple[int, tuple[int, ...], int | None] | None = None  # (value, key, alpha)
-    paths = 0
-    for key in tree.walk():
-        paths += 1
-        if paths > MAX_SKELETONS:
-            raise ScenarioError("insertion search needs a small ordering space")
+    for key in keys:
         txs = tuple(tree.items[i] for i in key)
         alpha: int | None = None
         if any(has_unresolved_amount(tx) for tx in txs):
@@ -574,7 +576,7 @@ def search_with_insertion(
     report = EvReport(
         best_value=value,
         best_ordering=_labels_for(tree.items, key),
-        paths_explored=paths,
+        paths_explored=len(keys),
         exhaustive=True,
     )
     return InsertionSearchResult(report, alpha, tuple(tree.items[i] for i in key))

@@ -30,38 +30,36 @@ key's common prefix with the key before.  The values are bit for bit those of
 the ``State`` path, which every other tree takes and which is the kernel's
 test oracle.
 
-Two reductions cut the walk; both keep the values and witnesses exact.
+Two sources of independence cut the walk; both keep the values and
+witnesses exact.
 
 Sleep sets (Godefroid, LNCS 1032, 1996).  Every item has a static footprint:
 its venue, the actor's balances in the tokens the action can move, a CDP
 book's price source or a claim's oracle pool, and the fee-token balances of
 the actor and the collector when fees are charged.  Two items with disjoint
 footprints commute bit for bit from any state, failures included, since
-neither can change what the other reads.  After item ``b`` the walk puts to
-sleep every item below ``b`` that was on offer, and keeps asleep every
-sleeper independent of ``b``; a sleeping item is not placed until an item it
-depends on wakes it, and a block break wakes all.  With reordering off, two
-mempool items never count as independent.  The walk then reaches exactly one
-construction per class of orderings that differ by swapping adjacent
-independent items: the lexicographically smallest (its normal form,
-Anisimov & Knuth, 1979).  Without censoring, a node where some transaction
-can never wake up has no construction under it and is cut.
-
-Run collapse.  Within maximal runs of identical exact-input swaps (one pool,
-direction and amount) by single-shot accounts the objective does not track,
-the miner excepted, permutations collapse into one representative ordered by
-mempool index.  Two such swaps commute from any state: each one's validity
-reads only its own actor's balances, and the pool sees the same amounts in
-either order (the miner collects the same fees, too).  The actors' outputs
-may trade places, but nothing reads their balances again.  The rule needs no
-state, so every walk prunes alike.
+neither can change what the other reads.  So do two identical exact-input
+swaps (one pool, direction and amount) by single-shot accounts the objective
+does not track, the miner excepted, except for their two actors' balances:
+each one's validity reads only its own actor's balances, and the pool sees
+the same amounts in either order (the miner collects the same fees, too).
+The outputs may trade places, but nothing reads those balances again.
+After item ``b`` the walk puts to sleep every item below ``b`` that was on
+offer, and keeps asleep every sleeper independent of ``b``; a sleeping item
+is not placed until an item it depends on wakes it, and a block break wakes
+all.  With reordering off, two mempool items never count as independent.
+The walk then reaches exactly one construction per class of orderings that
+differ by swapping adjacent independent items: the lexicographically
+smallest (its normal form, Anisimov & Knuth, 1979).  Without censoring, a
+node where some transaction can never wake up has no construction under it
+and is cut.
 
 Why the witnesses do not move: a skipped construction always has a smaller
-key with the same value (the sleeping item moved forward, or the identical
-pair swapped).  So the smallest key among the best-valued constructions is
-never skipped, and the same holds for the worst.  Only ``paths_explored`` and
-``paths_total`` change: they count the constructions left after reduction,
-one per equivalence class, not the raw orderings.
+key with the same value (the sleeping item moved forward).  So the smallest
+key among the best-valued constructions is never skipped, and the same holds
+for the worst.  Only ``paths_explored`` and ``paths_total`` change: they
+count the constructions left after reduction, one per equivalence class, not
+the raw orderings.
 
 Instances too large to enumerate fall back to seeded uniform sampling of
 orderings (Fisher-Yates shuffles, deduplicated); the original mempool order
@@ -193,9 +191,9 @@ class EvReport:
 # Item bookkeeping
 # ---------------------------------------------------------------------------
 
-# Reduction levels of the walker, as bit flags.
-_RUN = 1  # collapse runs of identical swaps
-_SLEEP = 2  # footprint sleep sets
+# The walker's sources of independence, as bit flags.
+_RUN = 1  # identical swaps
+_SLEEP = 2  # disjoint footprints
 _FULL = _RUN | _SLEEP
 
 
@@ -393,10 +391,10 @@ class _Tree:
     tuple of item indices, with ``BLOCK_BREAK`` between blocks.  ``walk``
     yields the keys without reading a state; ``_fold`` applies them.
 
-    Two items commute when ``indep[i]`` has bit ``j``, their footprints being
-    disjoint (with reordering off, two mempool items never count as
-    independent), or when they have the same run key ``runs[i]``.  Run keys go
-    to exact-input swaps of a bound amount by single-shot actors the objective
+    Two items commute when ``indep[i]`` has bit ``j``: under ``_SLEEP`` when
+    their footprints are disjoint, under ``_RUN`` when they have the same run
+    key, and with reordering off never for two mempool items.  Run keys go to
+    exact-input swaps of a bound amount by single-shot actors the objective
     does not track, the miner excepted: an account with several transactions
     can gate later guards through its own balance.
 
@@ -406,7 +404,7 @@ class _Tree:
     reads it.
     """
 
-    __slots__ = ("space", "items", "waves", "templates", "runs", "indep", "relevant")
+    __slots__ = ("space", "items", "waves", "templates", "indep", "relevant")
 
     def __init__(
         self, space: OrderingSpace, reduction: int, tracked: frozenset[str], deployed=None
@@ -427,7 +425,7 @@ class _Tree:
         counts: dict[str, int] = {}
         for tx in items:
             counts[tx.actor] = counts.get(tx.actor, 0) + 1
-        self.runs = [
+        runs = [
             (tx.venue, tx.action.token_in, tx.action.token_out, tx.action.amount)
             if reduction & _RUN
             and type(tx.action) is Swap
@@ -441,22 +439,19 @@ class _Tree:
         ]
 
         n = len(items)
+        prints = [_footprint(tx, deployed, space) if reduction & _SLEEP else None for tx in items]
+        self.relevant = (1 << n) - 1 if None in prints else _relevant(items, prints, tracked, deployed)
         self.indep = [0] * n
-        self.relevant = (1 << n) - 1
-        if reduction & _SLEEP:
-            prints = [_footprint(tx, deployed, space) for tx in items]
-            if None not in prints:
-                self.relevant = _relevant(items, prints, tracked, deployed)
-            for i in range(n):
-                for j in range(i):
-                    if (
-                        prints[i] is not None
-                        and prints[j] is not None
-                        and prints[i].isdisjoint(prints[j])
-                        and (space.allow_reorder or i >= len(mempool))
-                    ):
-                        self.indep[i] |= 1 << j
-                        self.indep[j] |= 1 << i
+        for i in range(n):
+            for j in range(i):
+                if (space.allow_reorder or i >= len(mempool)) and (
+                    runs[i] is not None and runs[i] == runs[j]
+                    or prints[i] is not None
+                    and prints[j] is not None
+                    and prints[i].isdisjoint(prints[j])
+                ):
+                    self.indep[i] |= 1 << j
+                    self.indep[j] |= 1 << i
 
     def _dead(self, sleep: int, mem_rem: tuple[int, ...], tpl_rem: tuple[int, ...]) -> bool:
         """Can some remaining mempool item never be placed?  Only the awake
@@ -488,18 +483,17 @@ class _Tree:
         """Yield the key of every construction that extends ``prefix`` and
         survives the reduction, once each, depth-first.
 
-        Item ``b`` is skipped when it is asleep, or when it has the run key
-        of the item before it and a smaller index.  After ``b`` the sleep
-        mask becomes ``(sleep | the choices below b) & indep[b]``; it resets
-        at ``BLOCK_BREAK``.  The mask does not depend on which siblings were
-        walked, so a walk that follows ``prefix`` builds the same subtree as
-        the full walk.  Without censoring, a node of the last block where
-        some transaction can never wake up is cut.
+        An item is skipped when it is asleep, and for no other reason.
+        After ``b`` the sleep mask becomes ``(sleep | the choices below b) &
+        indep[b]``; it resets at ``BLOCK_BREAK``.  The mask does not depend
+        on which siblings were walked, so a walk that follows ``prefix``
+        builds the same subtree as the full walk.  Without censoring, a node
+        of the last block where some transaction can never wake up is cut.
 
         With ``max_len`` the walk stops at that depth and also yields every
         node there, complete or not: those nodes are work-unit prefixes.
         """
-        runs, indep, waves, templates = self.runs, self.indep, self.waves, self.templates
+        indep, waves, templates = self.indep, self.waves, self.templates
         space = self.space
         reorder, censor, insert = space.allow_reorder, space.allow_censor, space.allow_insert
         free = reorder or censor
@@ -508,7 +502,7 @@ class _Tree:
         n_prefix = len(prefix)
         seq: list[int] = []
 
-        def node(block, mem_rem, tpl_rem, prev, sleep):
+        def node(block, mem_rem, tpl_rem, sleep):
             depth = len(seq)
             if depth == max_len:
                 yield tuple(seq)
@@ -524,7 +518,7 @@ class _Tree:
                     yield tuple(seq)
             elif want is None or want == BLOCK_BREAK:
                 seq.append(BLOCK_BREAK)
-                yield from node(block + 1, mem_rem + waves[block + 1], templates, -1, 0)
+                yield from node(block + 1, mem_rem + waves[block + 1], templates, 0)
                 seq.pop()
             mem_choices = mem_rem if free else mem_rem[:1]
             n_mem_choices = len(mem_choices)
@@ -538,9 +532,6 @@ class _Tree:
                     continue
                 if sleep >> idx & 1:
                     continue
-                run = runs[idx]
-                if run is not None and idx < prev and run == runs[prev]:
-                    continue
                 if pos < n_mem_choices:
                     # Without reordering, the skipped transactions are censored for good.
                     nxt_mem = mem_rem[:pos] + mem_rem[pos + 1:] if reorder else mem_rem[pos + 1:]
@@ -550,11 +541,11 @@ class _Tree:
                     nxt_mem, nxt_tpl = mem_rem, tpl_rem[:pos] + tpl_rem[pos + 1:]
                 seq.append(idx)
                 yield from node(
-                    block, nxt_mem, nxt_tpl, idx, (sleep | offered & ((1 << idx) - 1)) & indep[idx]
+                    block, nxt_mem, nxt_tpl, (sleep | offered & ((1 << idx) - 1)) & indep[idx]
                 )
                 seq.pop()
 
-        return node(0, waves[0], templates, -1, 0)
+        return node(0, waves[0], templates, 0)
 
 
 def count_sequences(
@@ -563,9 +554,9 @@ def count_sequences(
     """Number of feasible single-block sequences.
 
     With ``pruning``, counts one sequence per class of swaps of adjacent
-    independent items, where only swaps have footprints (there are no
-    contracts to read other actions' tokens from), and collapses runs of
-    identical swaps, as ``search`` does.
+    independent items, as ``search`` does: identical swaps, and items with
+    disjoint footprints, where only swaps have footprints (there are no
+    contracts to read other actions' tokens from).
     """
     if space.k != 1:
         raise ScenarioError("count_sequences counts single-block spaces")

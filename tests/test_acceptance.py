@@ -262,15 +262,15 @@ def test_criterion_8_parallel_performance():
 
     timings = {}
     reports = {}
-    for workers in (1, 2, 4, 8):
-        best_time = None
-        for _ in range(2):  # best-of-2 damps scheduler noise
+    # Seven interleaved rounds, each worker count timed once per round, and
+    # the minimum per count: a burst of scheduler noise hits every count alike.
+    for _ in range(7):
+        for workers in (1, 2, 4, 8):
             t0 = time.time()
             report = search(space, EXH, objective, state, want_worst=True, workers=workers)
             dt = time.time() - t0
-            best_time = dt if best_time is None else min(best_time, dt)
+            timings[workers] = min(timings.get(workers, dt), dt)
             reports[workers] = report
-        timings[workers] = best_time
 
     assert timings[1] < 30 * 60, "exhaustive 9-transaction search must finish within 30 minutes"
     assert all(reports[w] == reports[1] for w in (2, 4, 8)), "reports must be bit-identical"

@@ -249,6 +249,35 @@ def test_skeleton_cap_stops_the_enumeration(monkeypatch):
     assert len(walked) == MAX_SKELETONS + 1
 
 
+def test_skeleton_cap_is_checked_before_any_skeleton_is_sized(monkeypatch):
+    sized = []
+    optimize = insertion.optimize_alpha
+
+    def counting_optimize(problem):
+        sized.append(problem)
+        return optimize(problem)
+
+    monkeypatch.setattr(insertion, "MAX_SKELETONS", 100)
+    monkeypatch.setattr(insertion, "optimize_alpha", counting_optimize)
+    state = State(
+        {**{(f"u{i}", "BBT"): 1_000 for i in range(4)}, ("miner", "ETH"): 10**9},
+        {"a": AmmPool("BBT", "ETH", 100_000, 100_000, fee_bps=30)},
+        0,
+    )
+    # four user sales of distinct sizes and two open miner templates on one pool
+    mempool = tuple(Tx(f"u{i}", "a", Swap("BBT", "ETH", 100 + i)) for i in range(4))
+    templates = (
+        Tx("miner", "a", Swap("ETH", "BBT", None, exact_out=True), origin="miner"),
+        Tx("miner", "a", Swap("BBT", "ETH", None), origin="miner"),
+    )
+    space = OrderingSpace(mempool=mempool, templates=templates, allow_insert=True)
+    objective = PlayerDelta.from_state(frozenset({"miner"}), Valuation(primary="ETH"), state)
+    assert sum(1 for _ in _Tree(space, _FULL, objective.tracked, state.contracts).walk()) > 100
+    with pytest.raises(ScenarioError, match="small ordering space"):
+        search_with_insertion(space, SearchBudget(mode="exhaustive"), objective, state, 1, 10_000)
+    assert sized == []
+
+
 # ---------------------------------------------------------------------------
 # The prefix-once evaluator against a whole replay
 # ---------------------------------------------------------------------------

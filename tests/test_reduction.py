@@ -4,14 +4,16 @@ The sleep-set reduction keeps one construction per class of orderings that
 differ only by swapping adjacent independent items, the lexicographically
 smallest one.  These tests check the reduction three ways: every pair the
 static footprints call independent commutes bit for bit from reachable
-states; the reduced walk's keys are exactly the lexicographic normal forms of
-the unreduced keys; and on a corpus mixing pools, a CDP book, a price bet,
-fees, censoring, insertion, fixed order and two blocks, and on one of pools
-with liquidity adds and removes, reduced and unreduced search agree on every
-report field but the path counts.  Runs of identical trades collapse on
-repeated-trade instances without changing a report; a run of two distinct
-trades, whose order moves a tracked trade's output by a wei of rounding, is
-walked in both orders; and the walks with and without a state prune alike.
+states, and every pair of identical swaps commutes but for its two actors'
+balances; the reduced walk's keys are exactly the lexicographic normal forms
+of the unreduced keys, with and without identical swaps; and on a corpus
+mixing pools, a CDP book, a price bet, fees, censoring, insertion, fixed
+order and two blocks, and on one of pools with liquidity adds and removes,
+reduced and unreduced search agree on every report field but the path
+counts.  Identical trades collapse on repeated-trade instances, fees paid
+or not, without changing a report; a run of two distinct trades, whose
+order moves a tracked trade's output by a wei of rounding, is walked in both
+orders; and the walks with and without a state prune alike.
 
 The sampler evaluates only the objective's slice of each sample, sharing
 prefixes in sorted order.  On the same corpus, and on two-pool spreads where
@@ -155,6 +157,65 @@ def differential_corpus():
     ]
 
 
+def identical_trades_instance(seed: int, reorder: bool, censor: bool, k: int, fees: bool):
+    """Two pools and a mempool of five swaps drawn from three trades, so
+    that identical trades repeat, plus a miner swap template.
+
+    Each actor trades once and holds either enough or too little of what it
+    sells.  With k = 2 the last transaction arrives in the second block;
+    with fees some actors cannot pay theirs.
+    """
+    rng = random.Random(seed)
+    state = State(
+        {
+            **{(f"u{i}", tok): rng.choice((30, 400)) for i in range(5) for tok in ("ETH", "TKN")},
+            ("miner", "ETH"): 200,
+        },
+        {
+            "pool0": AmmPool("TKN", "ETH", rng.randint(900, 1_100), rng.randint(900, 1_100),
+                             fee_bps=rng.choice([0, 30])),
+            "pool1": AmmPool("TKN", "ETH", rng.randint(900, 1_100), rng.randint(900, 1_100),
+                             fee_bps=rng.choice([0, 30])),
+        },
+        0,
+    )
+    trades = [
+        (rng.choice(("pool0", "pool1")), *rng.choice((("TKN", "ETH"), ("ETH", "TKN"))),
+         rng.choice((50, 120)))
+        for _ in range(3)
+    ]
+    actors = [f"u{i}" for i in range(5)]
+    rng.shuffle(actors)
+    # The first two actors make the same trade.
+    picks = [trades[0], trades[0]] + [rng.choice(trades) for _ in range(3)]
+    mempool = tuple(
+        Tx(actor, venue, Swap(token_in, token_out, amount),
+           fee=rng.choice((0, 1, 5)) if fees else 0, arrival_block=int(k == 2 and i == 4))
+        for i, (actor, (venue, token_in, token_out, amount)) in enumerate(zip(actors, picks))
+    )
+    space = OrderingSpace(
+        mempool=mempool,
+        templates=(Tx("miner", "pool0", Swap("ETH", "TKN", 60), origin="miner"),),
+        allow_reorder=reorder,
+        allow_censor=censor,
+        allow_insert=True,
+        k=k,
+        charge_fees=fees,
+        fee_token="ETH",
+    )
+    return state, space
+
+
+# (reorder, censor, k, fees) of the identical-trades instances.
+IDENTICAL_FLAGS = list(itertools.product((True, False), (True, False), (1, 2), (False, True)))
+
+
+def identical_trades_tracked(i: int) -> frozenset[str]:
+    """The accounts the ``i``-th identical-trades case tracks: one user, and
+    the miner when the case pays fees."""
+    return frozenset({"miner", f"u{i % 5}"}) if i % 2 else frozenset({f"u{i % 5}"})
+
+
 def _step(state, tx, fee_policy):
     try:
         nxt = apply_tx(state, tx, fee_policy)
@@ -166,7 +227,7 @@ def _step(state, tx, fee_policy):
 def test_independent_items_commute_bit_for_bit():
     checked = 0
     for seed, (state, space) in enumerate(differential_corpus()):
-        tree = _Tree(space, _FULL, frozenset(), state.contracts)
+        tree = _Tree(space, _SLEEP, frozenset(), state.contracts)
         items, fee_policy = tree.items, tree.space.fee_policy()
         rng = random.Random(seed)
         for _ in range(4):
@@ -181,6 +242,39 @@ def test_independent_items_commute_bit_for_bit():
                     assert ij == ji, (seed, items[i], items[j])
                     checked += 1
     assert checked > 100
+
+
+def test_identical_swaps_commute_but_for_their_actors_balances():
+    checked = moved = 0
+    for i, flags in enumerate(IDENTICAL_FLAGS):
+        for seed in range(4_000 + 10 * i, 4_010 + 10 * i):
+            state, space = identical_trades_instance(seed, *flags)
+            tree = _Tree(space, _RUN, identical_trades_tracked(i), state.contracts)
+            items, fee_policy = tree.items, tree.space.fee_policy()
+            pairs = [(a, b) for a, b in itertools.combinations(range(len(items)), 2)
+                     if tree.indep[a] >> b & 1]
+            rng = random.Random(seed)
+            for _ in range(4):
+                # a state reached by a random prefix of the other items
+                prefix = rng.sample(range(len(items)), rng.randint(0, len(items)))
+                st = state
+                for j in prefix:
+                    st = _step(st, items[j], fee_policy)
+                for a, b in pairs:
+                    if a in prefix or b in prefix:
+                        continue
+                    ab = _step(_step(st, items[a], fee_policy), items[b], fee_policy)
+                    ba = _step(_step(st, items[b], fee_policy), items[a], fee_policy)
+                    actors = {items[a].actor, items[b].actor}
+                    assert (ab.contracts, ab.block_number) == (ba.contracts, ba.block_number)
+                    assert {k: v for k, v in ab.balances.items() if k[0] not in actors} == {
+                        k: v for k, v in ba.balances.items() if k[0] not in actors
+                    }, (seed, items[a], items[b])
+                    checked += 1
+                    moved += ab != ba
+    assert checked > 100
+    # the actors' outputs do trade places, so the exception is needed
+    assert moved > 0
 
 
 def liquidity_instance(seed: int, censor: bool):
@@ -335,25 +429,37 @@ def _normal_forms(keys, indep):
     return forms
 
 
-def _oracle_cases():
-    # Two pools with fees of 30 bps, where the run rule collapses nothing.
+def _oracle_spaces():
+    # Two pools with fees of 30 bps.
     spread = make_spread_instance(3, 1, 5, n_pools=2, fee_bps=30, whale_txs=1)
     yield spread.initial_state(), spread.space(), frozenset()
     yield spread.initial_state(), replace(spread.space(), allow_censor=True), frozenset()
-    # The mixed instances, every actor tracked so that no run key exists.
+    # The mixed instances, every actor tracked.
     for seed, flags in enumerate(FLAGS[::3]):
         state, space = mixed_instance(2_000 + seed, *flags, fees=seed % 2 == 0)
         actors = frozenset(tx.actor for tx in space.mempool + space.templates)
         yield state, space, actors
 
 
+def _oracle_cases():
+    """(state, space, tracked, reduction): the spaces above under ``_FULL``
+    and then ``_RUN``, and the identical-trades cases, whose actors are
+    untracked but for one user, under both."""
+    spaces = list(_oracle_spaces())
+    for reduction in (_FULL, _RUN):
+        for case in spaces:
+            yield *case, reduction
+    for i, flags in enumerate(IDENTICAL_FLAGS):
+        case = *identical_trades_instance(4_000 + i, *flags), identical_trades_tracked(i)
+        for reduction in (_RUN, _FULL):
+            yield *case, reduction
+
+
 @pytest.mark.parametrize("case", range(len(list(_oracle_cases()))))
 def test_reduced_walk_keeps_exactly_the_lexicographic_normal_forms(case):
-    state, space, tracked = list(_oracle_cases())[case]
+    state, space, tracked, reduction = list(_oracle_cases())[case]
     unreduced_keys = list(_Tree(space, 0, tracked, state.contracts).walk())
-    runs = _Tree(space, _RUN, tracked, state.contracts)
-    assert sum(1 for _ in runs.walk()) == len(unreduced_keys)  # nothing collapses
-    reduced = _Tree(space, _FULL, tracked, state.contracts)
+    reduced = _Tree(space, reduction, tracked, state.contracts)
     reduced_keys = list(reduced.walk())
     assert len(reduced_keys) == len(set(reduced_keys))
     assert set(reduced_keys) == _normal_forms(unreduced_keys, reduced.indep)
@@ -385,61 +491,12 @@ def test_reduced_and_unreduced_search_agree_on_the_mixed_corpus():
     assert reduced_total < full_total
 
 
-def identical_trades_instance(seed: int, reorder: bool, censor: bool, k: int, fees: bool):
-    """Two pools and a mempool of five swaps drawn from three trades, so
-    that identical trades repeat, plus a miner swap template.
-
-    Each actor trades once and holds either enough or too little of what it
-    sells.  With k = 2 the last transaction arrives in the second block;
-    with fees some actors cannot pay theirs.
-    """
-    rng = random.Random(seed)
-    state = State(
-        {
-            **{(f"u{i}", tok): rng.choice((30, 400)) for i in range(5) for tok in ("ETH", "TKN")},
-            ("miner", "ETH"): 200,
-        },
-        {
-            "pool0": AmmPool("TKN", "ETH", rng.randint(900, 1_100), rng.randint(900, 1_100),
-                             fee_bps=rng.choice([0, 30])),
-            "pool1": AmmPool("TKN", "ETH", rng.randint(900, 1_100), rng.randint(900, 1_100),
-                             fee_bps=rng.choice([0, 30])),
-        },
-        0,
-    )
-    trades = [
-        (rng.choice(("pool0", "pool1")), *rng.choice((("TKN", "ETH"), ("ETH", "TKN"))),
-         rng.choice((50, 120)))
-        for _ in range(3)
-    ]
-    actors = [f"u{i}" for i in range(5)]
-    rng.shuffle(actors)
-    # The first two actors make the same trade.
-    picks = [trades[0], trades[0]] + [rng.choice(trades) for _ in range(3)]
-    mempool = tuple(
-        Tx(actor, venue, Swap(token_in, token_out, amount),
-           fee=rng.choice((0, 1, 5)) if fees else 0, arrival_block=int(k == 2 and i == 4))
-        for i, (actor, (venue, token_in, token_out, amount)) in enumerate(zip(actors, picks))
-    )
-    space = OrderingSpace(
-        mempool=mempool,
-        templates=(Tx("miner", "pool0", Swap("ETH", "TKN", 60), origin="miner"),),
-        allow_reorder=reorder,
-        allow_censor=censor,
-        allow_insert=True,
-        k=k,
-        charge_fees=fees,
-        fee_token="ETH",
-    )
-    return state, space
-
-
 def test_identical_trades_collapse_without_changing_the_report():
     collapsed = 0
-    for i, flags in enumerate(itertools.product((True, False), (True, False), (1, 2), (False, True))):
+    for i, flags in enumerate(IDENTICAL_FLAGS):
         state, space = identical_trades_instance(4_000 + i, *flags)
         if i % 2:
-            objective = PlayerDelta.from_state(frozenset({"miner", f"u{i % 5}"}), VALUATION, state)
+            objective = PlayerDelta.from_state(identical_trades_tracked(i), VALUATION, state)
         else:
             objective = AccountBalanceValue(f"u{i % 5}", VALUATION)
         reduced = search(space, EXH, objective, state, pruning=True, want_worst=True)
@@ -450,6 +507,49 @@ def test_identical_trades_collapse_without_changing_the_report():
         sleep_only = _Tree(space, _SLEEP, objective.tracked, state.contracts)
         collapsed += sum(1 for _ in sleep_only.walk()) - reduced.paths_explored
     assert collapsed > 0
+
+
+def test_fee_paying_identical_swaps_prune_without_changing_the_report():
+    reduced_total = full_total = 0
+    for i, flags in enumerate(IDENTICAL_FLAGS):
+        if not flags[3]:
+            continue
+        for seed in range(4_100 + 10 * i, 4_103 + 10 * i):
+            state, space = identical_trades_instance(seed, *flags)
+            for objective in (
+                PlayerDelta.from_state(frozenset({"miner"}), VALUATION, state),
+                AccountBalanceValue(f"u{seed % 5}", VALUATION),
+            ):
+                reduced = search(space, EXH, objective, state, pruning=True, want_worst=True)
+                full = search(space, EXH, objective, state, pruning=False, want_worst=True)
+                assert replace(reduced, paths_explored=0, paths_total=0) == replace(
+                    full, paths_explored=0, paths_total=0
+                ), (seed, flags)
+                reduced_total += reduced.paths_explored
+                full_total += full.paths_explored
+    assert reduced_total < full_total
+    # Items 0 and 1 are identical pool1 swaps and only item 0 pays a fee:
+    # their footprints meet at the miner's fee balance, yet they commute, so
+    # (2, 0, 1) and (1, 2, 0) are one class.
+    state, space = identical_trades_instance(4_257, True, True, 1, True)
+    assert space.mempool[0].action == space.mempool[1].action
+    assert space.mempool[0].fee != space.mempool[1].fee
+    tree = _Tree(space, _FULL, frozenset({"miner"}), state.contracts)
+    assert sum(1 for _ in tree.walk()) == 777
+
+
+# _FULL key counts of the fee-free identical-trades cases (IDENTICAL_FLAGS[0::2]).
+FEE_FREE_IDENTICAL_KEYS = (472, 2512, 62, 428, 64, 748, 5, 90)
+
+
+def test_fee_free_identical_trades_walk_the_same_keys():
+    got = tuple(
+        sum(1 for _ in _Tree(space, _FULL, identical_trades_tracked(i), state.contracts).walk())
+        for i, flags in enumerate(IDENTICAL_FLAGS)
+        if not flags[3]
+        for state, space in [identical_trades_instance(4_000 + i, *flags)]
+    )
+    assert got == FEE_FREE_IDENTICAL_KEYS
 
 
 # (TKN reserve, ETH reserve, first sale, second sale, whale sale): after the
