@@ -20,7 +20,7 @@ transactions as dependent on every other).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .state import (
@@ -229,12 +229,9 @@ def amm_add_liquidity(pool: AmmPool, account: str, amount_x: int, amount_y: int)
         return None
     shares = dict(pool.lp_shares)
     shares[account] = shares.get(account, 0) + minted
-    new_pool = replace(
-        pool,
-        reserve_x=pool.reserve_x + amount_x,
-        reserve_y=pool.reserve_y + amount_y,
-        lp_total=pool.lp_total + minted,
-        lp_shares=shares,
+    new_pool = AmmPool(
+        pool.token_x, pool.token_y, pool.reserve_x + amount_x, pool.reserve_y + amount_y,
+        pool.fee_bps, pool.lp_total + minted, shares,
     )
     return new_pool, minted
 
@@ -251,12 +248,9 @@ def amm_remove_liquidity(pool: AmmPool, account: str, shares: int) -> tuple[AmmP
     new_shares[account] -= shares
     if new_shares[account] == 0:
         del new_shares[account]
-    new_pool = replace(
-        pool,
-        reserve_x=pool.reserve_x - out_x,
-        reserve_y=pool.reserve_y - out_y,
-        lp_total=pool.lp_total - shares,
-        lp_shares=new_shares,
+    new_pool = AmmPool(
+        pool.token_x, pool.token_y, pool.reserve_x - out_x, pool.reserve_y - out_y,
+        pool.fee_bps, pool.lp_total - shares, new_shares,
     )
     return new_pool, out_x, out_y
 
@@ -288,6 +282,22 @@ def maker_safe(price: tuple[int, int], book: MakerBook, collateral: int, debt: i
 # ---------------------------------------------------------------------------
 # Transition rules: each checks its guards, then settles its moves
 # ---------------------------------------------------------------------------
+
+# Successors are built directly, not through ``dataclasses.replace``, which
+# costs several times a constructor call on the search's paths.
+
+def _book(book: MakerBook, collateral: dict[str, int], debt: dict[str, int]) -> MakerBook:
+    return MakerBook(
+        book.loan_token, book.collateral_token, book.price_source, book.ratio_num,
+        book.ratio_den, collateral, debt, book.oracle_price, book.efficient_auction,
+    )
+
+
+def _bet(bet: Pricebet, pot: int, has_bet: bool, player: str | None, settled: bool) -> Pricebet:
+    return Pricebet(
+        bet.oracle, bet.token, bet.deadline, bet.stake, bet.reward, pot, has_bet, player, settled
+    )
+
 
 def _exec_swap(state: State, tx: Tx, pool: AmmPool) -> State | None:
     action = tx.action
@@ -339,27 +349,27 @@ def _exec_cdp(state: State, tx: Tx, book: MakerBook) -> State | None:
         if state.balances.get((actor, book.collateral_token), 0) < qty:
             return None
         move = (actor, book.collateral_token, -qty)
-        new_book = replace(book, collateral={**book.collateral, actor: coll + qty})
+        new_book = _book(book, {**book.collateral, actor: coll + qty}, book.debt)
 
     elif action.kind == "pay_loan":
         if state.balances.get((actor, book.loan_token), 0) < qty or debt < qty:
             return None
         move = (actor, book.loan_token, -qty)
-        new_book = replace(book, debt={**book.debt, actor: debt - qty})
+        new_book = _book(book, book.collateral, {**book.debt, actor: debt - qty})
 
     elif action.kind == "withdraw_collateral":
         price = maker_price(state, book)
         if coll < qty or not maker_safe(price, book, coll - qty, debt):
             return None
         move = (actor, book.collateral_token, qty)
-        new_book = replace(book, collateral={**book.collateral, actor: coll - qty})
+        new_book = _book(book, {**book.collateral, actor: coll - qty}, book.debt)
 
     else:  # withdraw_loan
         price = maker_price(state, book)
         if not maker_safe(price, book, coll, debt + qty):
             return None
         move = (actor, book.loan_token, qty)
-        new_book = replace(book, debt={**book.debt, actor: debt + qty})
+        new_book = _book(book, book.collateral, {**book.debt, actor: debt + qty})
 
     return state.settle((move,), tx.venue, new_book)
 
@@ -387,9 +397,7 @@ def _exec_liquidate(state: State, tx: Tx, book: MakerBook) -> State | None:
         seized = coll
         moves = ((tx.actor, book.collateral_token, coll),)
 
-    new_book = replace(
-        book, collateral={**book.collateral, victim: coll - seized}, debt={**book.debt, victim: 0}
-    )
+    new_book = _book(book, {**book.collateral, victim: coll - seized}, {**book.debt, victim: 0})
     return state.settle(moves, tx.venue, new_book)
 
 
@@ -398,7 +406,7 @@ def _exec_bet(state: State, tx: Tx, bet: Pricebet) -> State | None:
         return None
     if state.balances.get((tx.actor, bet.token), 0) < bet.stake:
         return None
-    new_bet = replace(bet, pot=bet.pot + bet.stake, has_bet=True, player=tx.actor)
+    new_bet = _bet(bet, bet.pot + bet.stake, True, tx.actor, bet.settled)
     return state.settle(((tx.actor, bet.token, -bet.stake),), tx.venue, new_bet)
 
 
@@ -417,7 +425,7 @@ def _exec_getreward(state: State, tx: Tx, bet: Pricebet) -> State | None:
     other_reserve = oracle.reserve(other_token)
     if primary_reserve <= other_reserve:
         return None
-    new_bet = replace(bet, pot=bet.pot - bet.reward, settled=True)
+    new_bet = _bet(bet, bet.pot - bet.reward, bet.has_bet, bet.player, True)
     return state.settle(((tx.actor, bet.token, bet.reward),), tx.venue, new_bet)
 
 

@@ -164,9 +164,10 @@ def measure_convergence(
     The paths are counted with identical swaps as the only independent
     pairs (``_RUN``): the experiment's budget is a fraction of the
     orderings, not of the footprint classes, which are far fewer.  Run keys
-    read no state, so the count walks the tree without applying a
-    transaction; the exact spread comes from the search's own walk, with
-    footprints too.  Both are exact."""
+    read no state, so the tree counts its constructions from its context
+    table without applying a transaction or enumerating a key; the exact
+    spread comes from the search's own fold, with footprints too.  Both are
+    exact."""
     points = []
     for i, scenario in enumerate(instances):
         beneficiary = scenario.beneficiary
@@ -174,7 +175,7 @@ def measure_convergence(
             raise ScenarioError(f"convergence instance {i} has no beneficiary")
         state, space = scenario.initial_state(), scenario.space()
         valuation = scenario.get_valuation()
-        total = sum(1 for _ in _Tree(space, _RUN, frozenset({beneficiary})).walk())
+        total = _Tree(space, _RUN, frozenset({beneficiary})).count()
         exact = value_spread(beneficiary, space, state, valuation, SearchBudget(mode="exhaustive"))
         budget = max(1, int(total * path_fraction))
         sampled = value_spread(

@@ -9,6 +9,8 @@ An objective (``PlayerDelta``, ``AccountBalanceValue``) names the accounts it
 balances.  The search relies on this contract: the sampler evaluates only the
 transactions whose footprints reach a tracked balance (see ``ordering``), so
 a ``value`` that read anything else could see a state missing the others.
+Nor may ``value`` depend on the order of the state's dicts: an exhaustive
+search values a state once for all the states equal to it up to that order.
 
 Both objectives value ``deltas(state)``, each token's tracked total minus
 the base (``AccountBalanceValue``'s base is empty), with ``valuation``.  The

@@ -6,18 +6,38 @@ template transactions at arbitrary positions, per the space's flags, over
 ``k`` consecutive blocks.  One walker enumerates every feasible construction
 exactly once, depth-first: each step either closes the block (``BLOCK_BREAK``;
 the next block admits its arrival wave and re-offers the templates) or appends
-a transaction.  The walker yields keys (item-index sequences) only; one fold
-applies each key's steps in skip-invalid mode (a user transaction that fails
-under some ordering is censored-by-failure, not a dead branch), starting from
-the state of its longest common prefix with the key before, so states are
-built only along paths that end in a construction.  Searches reduce the
-objective's values to the best/worst with a deterministic tie-break: among
-equal values the lexicographically smallest item-index sequence wins, so
-reports are identical for any worker count.  With ``workers > 1``,
-exhaustive searches (any ``k``) split the subtrees under the walker's depth-2
-prefixes between forked workers, the parent folding one share itself; if any
-part of that fails, the search is folded again in one process, so the report
-or error is the one-worker one.
+a transaction.  Searches reduce the objective's values to the best/worst with
+a deterministic tie-break: among equal values the lexicographically smallest
+item-index sequence wins, so reports are identical for any worker count.
+With ``workers > 1``, exhaustive searches (any ``k``) split the subtrees under
+the walker's depth-2 prefixes between forked workers, the parent folding one
+share itself; if any part of that fails, the search is folded again in one
+process, so the report or error is the one-worker one.
+
+One context table drives every walk and count.  The subtree under a walk
+node depends only on the node's context: the block, the remaining mempool
+items and templates, and the sleep mask (below).  ``_Tree.expand`` gives a
+context's leaf flag and children once, and the table keeps them: ``walk``
+yields keys from it, reading no state, and ``count`` sums it without
+enumerating a key.
+
+Folds apply items in skip-invalid mode (a user transaction that fails under
+some ordering is censored-by-failure, not a dead branch), and a step runs
+only on a path that ends in a construction, so the first error in walk order
+is the one a search raises.  The key-driven ``_fold`` applies each key from
+the state of its longest common prefix with the key before; the sampler and
+the capped attempt of a randomized budget use it.  An exhaustive fold of a
+tree that does not compile (below) folds the DAG instead of the tree: under a
+node, the keys depend only on the context and the values only on the state,
+and putting a prefix in front of suffixes keeps their order, so the number of
+constructions under a node and its best and worst values, each with its
+smallest suffix, depend only on the (context, state) pair (sleep sets with
+state caching: Godefroid, LNCS 1032, 1996; stateful partial-order reduction:
+Yang, Chen, Gopalakrishnan & Kirby, SPIN 2008).  ``_DagFold`` memoises that
+summary on the pair, visiting the children in walk order and stepping into a
+child only where its count is not zero, so the witnesses, path counts and
+errors are those of the tree fold.  Each process folds its share through one
+memo, freed when its fold returns.
 
 Swap-only trees fold on plain ints.  When no fee is charged, the objective is
 a ``PlayerDelta`` or an ``AccountBalanceValue``, and every item is a ``Swap``
@@ -87,8 +107,9 @@ import os
 import pickle
 import random
 import signal
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from itertools import chain, islice
+from operator import attrgetter, itemgetter
 
 from . import contracts
 from .state import (
@@ -108,6 +129,7 @@ from .state import (
 
 BLOCK_BREAK = -1  # sequence-key marker between blocks of a k-block construction
 BLOCK_BREAK_LABEL = "|"
+_UNSEEN = object()  # a cached entry not computed yet
 # The sampler gives up after this many draws in a row that it had seen before.
 MAX_DUPLICATE_RUN = 1000
 
@@ -391,6 +413,12 @@ class _Tree:
     tuple of item indices, with ``BLOCK_BREAK`` between blocks.  ``walk``
     yields the keys without reading a state; ``_fold`` applies them.
 
+    A walk node's subtree depends only on its *context*: the block, the
+    remaining mempool items and templates, and the sleep mask.  Contexts
+    are numbered as they are met, the root being 0, and ``expand`` computes
+    each one's branching once; ``walk``, ``count`` and the DAG fold all read
+    that table.
+
     Two items commute when ``indep[i]`` has bit ``j``: under ``_SLEEP`` when
     their footprints are disjoint, under ``_RUN`` when they have the same run
     key, and with reordering off never for two mempool items.  Run keys go to
@@ -404,7 +432,10 @@ class _Tree:
     reads it.
     """
 
-    __slots__ = ("space", "items", "waves", "templates", "indep", "relevant")
+    __slots__ = (
+        "space", "items", "waves", "templates", "indep", "relevant",
+        "_contexts", "_ids", "_rows", "_counts",
+    )
 
     def __init__(
         self, space: OrderingSpace, reduction: int, tracked: frozenset[str], deployed=None
@@ -453,6 +484,14 @@ class _Tree:
                     self.indep[i] |= 1 << j
                     self.indep[j] |= 1 << i
 
+        # Context i is _contexts[i]; _rows[i] is its expansion, _UNSEEN until
+        # it is needed; _counts maps a context to its number of constructions.
+        root = (0, self.waves[0], self.templates, 0)
+        self._contexts = [root]
+        self._ids = {root: 0}
+        self._rows: list = [_UNSEEN]
+        self._counts: dict[int, int] = {}
+
     def _dead(self, sleep: int, mem_rem: tuple[int, ...], tpl_rem: tuple[int, ...]) -> bool:
         """Can some remaining mempool item never be placed?  Only the awake
         remaining items, and the sleepers that depend on something
@@ -479,73 +518,106 @@ class _Tree:
             reach |= woken
             asleep ^= woken
 
+    def _number(self, context: tuple) -> int:
+        node = self._ids.get(context)
+        if node is None:
+            node = self._ids[context] = len(self._contexts)
+            self._contexts.append(context)
+            self._rows.append(_UNSEEN)
+        return node
+
+    def expand(self, node: int):
+        """``(leaf, ((item, child), ...))`` for context ``node``: whether
+        the node is a construction, and its children in walk order, each
+        with its own context's number.  ``None`` where the node is cut.
+
+        An item is skipped when it is asleep, and for no other reason.
+        After ``b`` the sleep mask becomes ``(sleep | the choices below b) &
+        indep[b]``; it resets at ``BLOCK_BREAK``, the first child of a node
+        before the last block.  Without censoring, a node of the last block
+        where some transaction can never wake up is cut, and a node of the
+        last block is a construction only once every admitted transaction is
+        placed.
+        """
+        row = self._rows[node]
+        if row is not _UNSEEN:
+            return row
+        block, mem_rem, tpl_rem, sleep = self._contexts[node]
+        space, indep, number = self.space, self.indep, self._number
+        reorder, censor, insert = space.allow_reorder, space.allow_censor, space.allow_insert
+        children = []
+        if block == space.k - 1:
+            if sleep and mem_rem and not censor and self._dead(
+                sleep, mem_rem, tpl_rem if insert else ()
+            ):
+                self._rows[node] = None
+                return None
+            leaf = censor or not mem_rem
+        else:
+            leaf = False
+            children.append(
+                (BLOCK_BREAK, number((block + 1, mem_rem + self.waves[block + 1], self.templates, 0)))
+            )
+        mem_choices = mem_rem if reorder or censor else mem_rem[:1]
+        n_mem_choices = len(mem_choices)
+        choices = mem_choices + tpl_rem if insert else mem_choices
+        offered = 0
+        for idx in choices:
+            offered |= 1 << idx
+        for pos, idx in enumerate(choices):
+            if sleep >> idx & 1:
+                continue
+            if pos < n_mem_choices:
+                # Without reordering, the skipped transactions are censored for good.
+                nxt_mem = mem_rem[:pos] + mem_rem[pos + 1:] if reorder else mem_rem[pos + 1:]
+                nxt_tpl = tpl_rem
+            else:
+                pos -= n_mem_choices
+                nxt_mem, nxt_tpl = mem_rem, tpl_rem[:pos] + tpl_rem[pos + 1:]
+            nxt_sleep = (sleep | offered & ((1 << idx) - 1)) & indep[idx]
+            children.append((idx, number((block, nxt_mem, nxt_tpl, nxt_sleep))))
+        row = self._rows[node] = (leaf, tuple(children))
+        return row
+
+    def count(self, node: int = 0) -> int:
+        """The number of constructions under context ``node``, without
+        enumerating them."""
+        n = self._counts.get(node)
+        if n is None:
+            row = self.expand(node)
+            n = 0 if row is None else row[0] + sum(self.count(child) for _, child in row[1])
+            self._counts[node] = n
+        return n
+
     def walk(self, prefix: tuple[int, ...] = (), max_len: int | None = None):
         """Yield the key of every construction that extends ``prefix`` and
         survives the reduction, once each, depth-first.
 
-        An item is skipped when it is asleep, and for no other reason.
-        After ``b`` the sleep mask becomes ``(sleep | the choices below b) &
-        indep[b]``; it resets at ``BLOCK_BREAK``.  The mask does not depend
-        on which siblings were walked, so a walk that follows ``prefix``
-        builds the same subtree as the full walk.  Without censoring, a node
-        of the last block where some transaction can never wake up is cut.
-
-        With ``max_len`` the walk stops at that depth and also yields every
-        node there, complete or not: those nodes are work-unit prefixes.
+        A walk that follows ``prefix`` builds the same subtree as the full
+        walk, since a node's children depend on its context alone.  With
+        ``max_len`` the walk stops at that depth and also yields every node
+        there, complete or not: those nodes are work-unit prefixes.
         """
-        indep, waves, templates = self.indep, self.waves, self.templates
-        space = self.space
-        reorder, censor, insert = space.allow_reorder, space.allow_censor, space.allow_insert
-        free = reorder or censor
-        last = space.k - 1
-        sleepy = any(indep)
-        n_prefix = len(prefix)
-        seq: list[int] = []
+        return self._walk(0, [], prefix, max_len)
 
-        def node(block, mem_rem, tpl_rem, sleep):
-            depth = len(seq)
-            if depth == max_len:
-                yield tuple(seq)
-                return
-            want = prefix[depth] if depth < n_prefix else None
-            if block == last:
-                if sleep and mem_rem and not censor and self._dead(
-                    sleep, mem_rem, tpl_rem if insert else ()
-                ):
-                    return
-                # Without censoring, every admitted transaction is placed.
-                if want is None and (censor or not mem_rem):
-                    yield tuple(seq)
-            elif want is None or want == BLOCK_BREAK:
-                seq.append(BLOCK_BREAK)
-                yield from node(block + 1, mem_rem + waves[block + 1], templates, 0)
-                seq.pop()
-            mem_choices = mem_rem if free else mem_rem[:1]
-            n_mem_choices = len(mem_choices)
-            choices = mem_choices + tpl_rem if insert else mem_choices
-            offered = 0
-            if sleepy:
-                for idx in choices:
-                    offered |= 1 << idx
-            for pos, idx in enumerate(choices):
-                if want is not None and idx != want:
-                    continue
-                if sleep >> idx & 1:
-                    continue
-                if pos < n_mem_choices:
-                    # Without reordering, the skipped transactions are censored for good.
-                    nxt_mem = mem_rem[:pos] + mem_rem[pos + 1:] if reorder else mem_rem[pos + 1:]
-                    nxt_tpl = tpl_rem
-                else:
-                    pos -= n_mem_choices
-                    nxt_mem, nxt_tpl = mem_rem, tpl_rem[:pos] + tpl_rem[pos + 1:]
-                seq.append(idx)
-                yield from node(
-                    block, nxt_mem, nxt_tpl, (sleep | offered & ((1 << idx) - 1)) & indep[idx]
-                )
-                seq.pop()
-
-        return node(0, waves[0], templates, 0)
+    def _walk(self, node: int, seq: list[int], prefix: tuple[int, ...], max_len: int | None):
+        depth = len(seq)
+        if depth == max_len:
+            yield tuple(seq)
+            return
+        row = self.expand(node)
+        if row is None:
+            return
+        leaf, children = row
+        if depth < len(prefix):
+            want = prefix[depth]
+            children = [child for child in children if child[0] == want]
+        elif leaf:
+            yield tuple(seq)
+        for item, child in children:
+            seq.append(item)
+            yield from self._walk(child, seq, prefix, max_len)
+            seq.pop()
 
 
 def count_sequences(
@@ -556,11 +628,12 @@ def count_sequences(
     With ``pruning``, counts one sequence per class of swaps of adjacent
     independent items, as ``search`` does: identical swaps, and items with
     disjoint footprints, where only swaps have footprints (there are no
-    contracts to read other actions' tokens from).
+    contracts to read other actions' tokens from).  The tree counts from its
+    context table, without enumerating a sequence.
     """
     if space.k != 1:
         raise ScenarioError("count_sequences counts single-block spaces")
-    return sum(1 for _ in _Tree(space, _FULL if pruning else 0, tracked).walk())
+    return _Tree(space, _FULL if pruning else 0, tracked).count()
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +650,9 @@ class _Reducer:
         self.worst = None
         self.paths = 0
 
-    def offer(self, value: int, key: tuple[int, ...]) -> None:
-        self.paths += 1
+    def offer(self, value: int, key: tuple[int, ...], paths: int = 1) -> None:
+        """Count ``paths`` constructions, ``key`` valued ``value`` among them."""
+        self.paths += paths
         b = self.best
         if b is None or value > b[0] or (value == b[0] and key < b[1]):
             self.best = (value, key)
@@ -588,11 +662,9 @@ class _Reducer:
 
     def merge(self, other: "_Reducer") -> None:
         """Fold in another reducer's extremes and path count."""
-        paths = self.paths + other.paths
         if other.best is not None:
-            self.offer(*other.best)
-            self.offer(*other.worst)
-        self.paths = paths
+            self.offer(*other.best, other.paths)
+            self.offer(*other.worst, 0)
 
     def report(self, items: tuple[Tx, ...], exhaustive: bool, want_worst: bool) -> EvReport:
         """The report, with witness labels built for the final keys only;
@@ -706,6 +778,152 @@ def _fold(tree: _Tree, state: State, objective, keys, paths=None) -> _Reducer:
     return reducer
 
 
+class _DagFold:
+    """One process's exhaustive fold of a tree that does not compile, over
+    the DAG of (context, state) pairs.
+
+    ``summary(node, state, key)`` is ``(paths, best, worst)`` for the
+    constructions under a walk node: their number, and the highest and the
+    lowest value, each with its smallest suffix of the key.  It is memoised
+    on ``(node, key)``, ``key`` being the state's.  A state's key is
+    ``(names, values, contents)``:
+
+    - ``names`` stands for its set of balance keys and its venues, one
+      ``itemgetter`` of the sorted balance keys per set;
+    - ``values`` is ``names(balances)``, the balances in that order;
+    - ``contents`` numbers each contract's content (``number``).
+
+    Equal keys are equal states up to the order of their dicts, which no
+    transition rule or objective reads; the block number is the context's.
+    ``State.settle`` adds balance keys and replaces a venue's contract in
+    place, so a step that keeps both counts keeps the names, and only the
+    contracts it replaced get a new content.  A failed step returns its own
+    state, which keeps its key.
+    """
+
+    __slots__ = (
+        "tree", "items", "fee_policy", "value", "memo", "names", "contents", "getters"
+    )
+
+    def __init__(self, tree: _Tree, objective):
+        self.tree = tree
+        self.items = tree.items
+        self.fee_policy = tree.space.fee_policy()
+        self.value = objective.value
+        self.memo: dict = {}
+        self.names: dict = {}
+        self.contents: dict = {}
+        self.getters: dict = {}
+
+    def number(self, contract) -> int:
+        """The number of a contract's content: its type and its fields'
+        values, each dict as its sorted items.  A contract that is not a
+        dataclass, or has no fields, stands for itself."""
+        kind = type(contract)
+        getter = self.getters.get(kind, _UNSEEN)
+        if getter is _UNSEEN:
+            names = [f.name for f in fields(kind)] if is_dataclass(kind) else ()
+            getter = self.getters[kind] = attrgetter("__class__", *names) if names else None
+        content = contract if getter is None else tuple(
+            [tuple(sorted(v.items())) if type(v) is dict else v for v in getter(contract)]
+        )
+        return self.contents.setdefault(content, len(self.contents))
+
+    def key(self, state: State, prev: State | None = None, prev_key: tuple = ()) -> tuple:
+        """The key of ``state``, reusing ``prev_key``, the key of the state
+        ``prev`` it was stepped from, where it can."""
+        balances, held, number = state.balances, state.contracts, self.number
+        if prev is None or len(held) != len(prev.contracts):
+            ids = tuple(number(c) for c in held.values())
+            names = None
+        else:
+            names, _, ids = prev_key
+            if held is not prev.contracts:
+                ids = tuple(
+                    i if c is old else number(c)
+                    for i, c, old in zip(ids, held.values(), prev.contracts.values())
+                )
+            if len(balances) != len(prev.balances):
+                names = None
+        if names is None:
+            order = tuple(sorted(balances))
+            names = self.names.get((order, tuple(held)))
+            if names is None:
+                names = itemgetter(*order) if order else lambda balances: ()
+                self.names[order, tuple(held)] = names
+        return names, names(balances), ids
+
+    def step(self, state: State, key: tuple, item: int) -> tuple[State, tuple]:
+        """The state after ``item``, and its key."""
+        if item == BLOCK_BREAK:
+            # The block number is the context's, which the memo key holds.
+            return state.with_block(state.block_number + 1), key
+        nxt = _step(state, self.items[item], self.fee_policy)
+        return (state, key) if nxt is state else (nxt, self.key(nxt, state, key))
+
+    def summary(self, node: int, state: State, key: tuple) -> tuple:
+        memo_key = (node, key)
+        done = self.memo.get(memo_key)
+        if done is not None:
+            return done
+        tree = self.tree
+        leaf, children = tree.expand(node)
+        if leaf:
+            value = self.value(state)
+            paths, best, worst = 1, (value, ()), (value, ())
+        else:
+            paths, best, worst = 0, None, None
+        for item, child in children:
+            # A step runs only on a path that ends in a construction.
+            if not tree.count(child):
+                continue
+            n, (high, high_key), (low, low_key) = self.summary(child, *self.step(state, key, item))
+            paths += n
+            if best is None or high >= best[0]:
+                high_key = (item,) + high_key
+                if best is None or high > best[0] or high_key < best[1]:
+                    best = (high, high_key)
+            if worst is None or low <= worst[0]:
+                low_key = (item,) + low_key
+                if worst is None or low < worst[0] or low_key < worst[1]:
+                    worst = (low, low_key)
+        done = self.memo[memo_key] = (paths, best, worst)
+        return done
+
+
+def _fold_units(tree: _Tree, state: State, objective, units, leaves=()) -> _Reducer:
+    """Fold every construction under each prefix of ``units``, and the
+    constructions ``leaves``, into one reducer.
+
+    A tree that compiles folds the keys of their walks on ints (``_fold``).
+    Any other tree folds through one ``_DagFold``: each unit's prefix is
+    applied, where a construction lies under it, and its summary offered
+    with the prefix in front; each leaf is valued at the state its key
+    reaches.
+    """
+    if _compiled(tree, state, objective, tree.space.fee_policy()) is not None:
+        keys = chain(leaves, chain.from_iterable(tree.walk(unit) for unit in units))
+        return _fold(tree, state, objective, keys)
+    dag, reducer = _DagFold(tree, objective), _Reducer()
+    root = dag.key(state)
+    for prefix, whole in [(key, False) for key in leaves] + [(unit, True) for unit in units]:
+        node = 0
+        for item in prefix:
+            node = dict(tree.expand(node)[1])[item]
+        if whole and not tree.count(node):
+            continue
+        st, key = state, root
+        for item in prefix:
+            st, key = dag.step(st, key, item)
+        if whole:
+            paths, (high, high_key), (low, low_key) = dag.summary(node, st, key)
+            reducer.offer(high, prefix + high_key, paths)
+            reducer.offer(low, prefix + low_key, 0)
+        else:
+            reducer.offer(dag.value(st), prefix)
+    return reducer
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on, where the platform says."""
     if hasattr(os, "sched_getaffinity"):
@@ -719,11 +937,11 @@ def _fold_forked(tree: _Tree, state: State, objective, workers: int) -> _Reducer
     The subtrees under the walk's depth-2 prefixes are the work units, split
     over ``procs = min(workers, units, usable CPUs)`` processes:
     ``procs - 1`` forked workers, the parent folding one share itself.
-    Process ``j`` walks the interleaved share ``units[j::procs]`` and folds
-    its keys in one ``_fold``, and each worker pickles its reducer back over
-    its own pipe; a worker that raises exits without writing anything, so its
-    empty reply fails to unpickle here.  The merge does not depend on the order
-    of its folds, so the report does not depend on the number of processes.
+    Process ``j`` folds the interleaved share ``units[j::procs]`` in one
+    ``_fold_units``, and each worker pickles its reducer back over its own
+    pipe; a worker that raises exits without writing anything, so its empty
+    reply fails to unpickle here.  The merge does not depend on the order of
+    its folds, so the report does not depend on the number of processes.
     Every worker is killed and reaped before this returns or raises.
     """
     # Depth-2 prefixes load-balance far better than first items.  Sequences
@@ -732,9 +950,6 @@ def _fold_forked(tree: _Tree, state: State, objective, workers: int) -> _Reducer
     shallow = list(tree.walk(max_len=2))
     units = [key for key in shallow if len(key) == 2]
     procs = max(1, min(workers, len(units), _usable_cpus()))
-
-    def share(j):
-        return chain.from_iterable(tree.walk(unit) for unit in units[j::procs])
 
     pids: list[int] = []
     pipes = []
@@ -747,14 +962,16 @@ def _fold_forked(tree: _Tree, state: State, objective, workers: int) -> _Reducer
                 if pid == 0:
                     status = 1
                     try:
-                        writer.write(pickle.dumps(_fold(tree, state, objective, share(j))))
+                        writer.write(pickle.dumps(
+                            _fold_units(tree, state, objective, units[j::procs])
+                        ))
                         writer.close()
                         status = 0
                     finally:
                         os._exit(status)
                 pids.append(pid)
-        short = (key for key in shallow if len(key) < 2)
-        reducer = _fold(tree, state, objective, chain(short, share(0)))
+        short = [key for key in shallow if len(key) < 2]
+        reducer = _fold_units(tree, state, objective, units[::procs], short)
         for pipe in pipes:
             reducer.merge(pickle.loads(pipe.read()))
         return reducer
@@ -833,7 +1050,7 @@ def _search_tree(
                 return _fold_forked(tree, state, objective, workers), True
             except Exception:
                 pass  # the one-process fold below raises the one-worker error, if any
-        return _fold(tree, state, objective, tree.walk()), True
+        return _fold_units(tree, state, objective, ((),)), True
     if len(tree.items) <= budget.tractability_threshold:
         # One construction past the cap tells a space that fits from one that does not.
         reducer = _fold(tree, state, objective, islice(tree.walk(), budget.max_paths + 1))

@@ -1,5 +1,6 @@
 """Contract models against the closed forms and a no-rounding oracle."""
 
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from mevsearch.contracts import (
     _EXECUTORS,
     AmmPool,
+    _bet,
+    _book,
     MakerBook,
     Pricebet,
     amm_add_liquidity,
@@ -409,3 +412,28 @@ def test_actions_without_a_rule_are_bottom_and_unknown_contracts_raise():
     odd = state.deploy("odd", object())
     with pytest.raises(ScenarioError, match="unknown contract type at venue 'odd'"):
         apply_tx(odd, Tx("alice", "odd", Bet()))
+
+
+def test_successors_are_built_field_for_field_as_replace_builds_them():
+    """The successor builders keep every field they are not given: each
+    field of these contracts differs from its default, so a field added to
+    a contract and left out of its builder fails here."""
+    pool = AmmPool("DAI", "ETH", 1_000, 2_000, fee_bps=5, lp_total=7, lp_shares={"lp": 7})
+    book = MakerBook("DAI", "ETH", "pool", 5, 3, {"v": 9}, {"v": 4}, (3, 2), True)
+    bet = Pricebet("pool", "ETH", 9, 7, 11, 13, has_bet=True, player="p", settled=True)
+    for contract in (pool, book, bet):
+        assert all(
+            getattr(contract, f.name) != f.default_factory() if callable(f.default_factory)
+            else getattr(contract, f.name) != f.default
+            for f in fields(contract)
+        ), contract
+    assert _book(book, {"w": 1}, {"w": 2}) == replace(book, collateral={"w": 1}, debt={"w": 2})
+    assert _bet(bet, 17, False, None, False) == replace(
+        bet, pot=17, has_bet=False, player=None, settled=False
+    )
+    added, minted = amm_add_liquidity(pool, "lp", 1_000, 2_000)
+    assert minted == 7 and added == replace(
+        pool, reserve_x=2_000, reserve_y=4_000, lp_total=14, lp_shares={"lp": 14}
+    )
+    removed, _, _ = amm_remove_liquidity(pool, "lp", 7)
+    assert removed == replace(pool, reserve_x=0, reserve_y=0, lp_total=0, lp_shares={})

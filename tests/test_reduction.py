@@ -25,6 +25,14 @@ three-pool spreads, and a space that meets every swap outcome, the compiled
 fold's best, worst and path count equal those of the same fold on the
 ``State`` path, exhaustive and sampled, for both objectives; outside its
 conditions the kernel is not taken.
+
+Every tree counts from its context table as many constructions as its walk
+yields, under each reduction, at one to three blocks.  On the mixed corpus,
+three-block spreads, the demo scenarios and spaces whose two orderings
+leave equal balances but different contracts, the fold over (context, state)
+pairs gives the key-driven fold's best, worst, witnesses and path count,
+whole and in forked shares, and raises the same error; an item that raises
+only where no construction lies is never applied.
 """
 
 import itertools
@@ -698,16 +706,18 @@ def _count_steps(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "case, censor_and_k, compiles",
+    "case, censor_and_k, dag_steps",
     [
-        (_dead_cut_spread, (False, 1), True),
-        (lambda: _differential_case(11), (True, 1), False),
-        (lambda: _differential_case(14), (False, 2), False),
+        (_dead_cut_spread, (False, 1), None),
+        # 145 and 66 prefixes: the DAG fold steps once per (context, state)
+        # edge that leads to a construction, and shares the rest.
+        (lambda: _differential_case(11), (True, 1), 93),
+        (lambda: _differential_case(14), (False, 2), 31),
     ],
     ids=["dead_cut_spread", "censor", "k2"],
 )
 def test_an_exhaustive_search_applies_each_prefix_of_its_keys_once(
-    monkeypatch, case, censor_and_k, compiles
+    monkeypatch, case, censor_and_k, dag_steps
 ):
     state, space, objective = case()
     assert (space.allow_censor, space.k) == censor_and_k
@@ -729,11 +739,12 @@ def test_an_exhaustive_search_applies_each_prefix_of_its_keys_once(
     assert report.paths_explored == len(keys)
     # the walk cuts subtrees that hold no construction, except under censoring
     assert any(cuts) != space.allow_censor
-    if compiles:
+    if dag_steps is None:
         # the swap-only tree folds on ints: one swap step per prefix, no State
         assert (len(swaps), len(calls)) == (len(prefixes), 0)
     else:
-        assert len(calls) == len(prefixes)
+        # a tree that does not compile folds over (context, state) pairs
+        assert len(calls) == dag_steps < len(prefixes)
 
 
 # ---------------------------------------------------------------------------
@@ -1082,3 +1093,224 @@ def test_a_tree_outside_the_kernels_conditions_folds_on_states(monkeypatch, case
     else:
         search(space, EXH, objective, state)
     assert calls  # the State path ran
+
+
+# ---------------------------------------------------------------------------
+# The context table: counts, and the fold over (context, state) pairs
+# ---------------------------------------------------------------------------
+
+def _three_block_cuts():
+    """Mixed instances cut to three transactions, one arriving per block,
+    and a liquidation template, with fees and insertion, censored or not."""
+    for seed, censor in enumerate((False, True)):
+        state, space = mixed_instance(6_100 + seed, True, censor, True, 3, fees=True)
+        mempool = tuple(replace(tx, arrival_block=i % 3) for i, tx in enumerate(space.mempool[:3]))
+        yield state, replace(space, mempool=mempool, templates=space.templates[:1])
+
+
+def _wave_spreads():
+    """(state, space, beneficiary): pruning-corpus spreads dealt over one to
+    three blocks, so that later waves hold lower indices and the walk's
+    order is not the keys' order; half of them censored."""
+    for i, sc in enumerate(pruning_corpus(11, 12, max_txs=5)):
+        space, k = sc.space(), 1 + i % 3
+        mempool = tuple(replace(tx, arrival_block=j % k) for j, tx in enumerate(space.mempool))
+        space = replace(space, mempool=mempool, k=k, allow_censor=i % 2 == 0)
+        yield sc.initial_state(), space, sc.beneficiary
+
+
+def _count_cases():
+    """(state, space, tracked): the mixed corpus's flags at k = 1 and 2, its
+    three-block cuts, the identical-trade instances and the wave spreads."""
+    for seed, flags in enumerate(FLAGS):
+        yield *mixed_instance(6_000 + seed, *flags, fees=seed % 2 == 0), frozenset({"miner"})
+    for state, space in _three_block_cuts():
+        yield state, space, frozenset({"miner"})
+    for i, flags in enumerate(IDENTICAL_FLAGS):
+        yield *identical_trades_instance(6_200 + i, *flags), identical_trades_tracked(i)
+    for state, space, beneficiary in _wave_spreads():
+        yield state, space, frozenset({beneficiary})
+
+
+def test_the_context_table_counts_what_the_walk_yields():
+    seen = set()
+    for state, space, tracked in _count_cases():
+        seen.add((space.k, space.allow_censor, space.allow_insert))
+        for reduction in (0, _RUN, _SLEEP, _FULL):
+            tree = _Tree(space, reduction, tracked, state.contracts)
+            assert tree.count() == sum(1 for _ in tree.walk()), (space, reduction)
+    assert {(k, True, True) for k in (1, 2, 3)} <= seen
+
+
+def _fold_outcome(fold):
+    """A fold's best, worst and path count, or the type and the message of
+    the exception it raised: a pair."""
+    try:
+        reducer = fold()
+    except Exception as e:
+        return type(e), str(e)
+    return reducer.best, reducer.worst, reducer.paths
+
+
+def _assert_dag_equals_tree_fold(tree, state, objective):
+    """The fold over (context, state) pairs, whole and split into the
+    forked search's depth-2 shares, against the key-driven fold of the same
+    tree; returns the outcome."""
+    dag = _fold_outcome(lambda: ordering._fold_units(tree, state, objective, ((),)))
+    assert dag == _fold_outcome(lambda: ordering._fold(tree, state, objective, tree.walk()))
+    if len(dag) == 3:
+        shallow = list(tree.walk(max_len=2))
+        units = [key for key in shallow if len(key) == 2]
+        shares = ordering._fold_units(
+            tree, state, objective, units[::2], [key for key in shallow if len(key) < 2]
+        )
+        shares.merge(ordering._fold_units(tree, state, objective, units[1::2]))
+        assert (shares.best, shares.worst, shares.paths) == dag
+    return dag
+
+
+class _RaisesOnSomeLeaves(AccountBalanceValue):
+    """Raises at the leaves where every balance together sums to 1 modulo
+    11, naming the balances, so that leaves raise different errors, and
+    most searches raise only past their first leaves."""
+
+    def value(self, state):
+        if sum(state.balances.values()) % 11 == 1:
+            raise ValueError(f"leaf of {sorted(state.balances.items())}")
+        return super().value(state)
+
+
+def _dag_cases():
+    """(state, space, objective): the mixed corpus at k = 1 and 2 with both
+    objectives, and again with one of ``RAISERS`` or an objective that
+    raises at some leaves; its three-block cuts; the wave spreads; and the
+    twins."""
+    for i, (state, space) in enumerate(differential_corpus()):
+        if i % 2:
+            objective = PlayerDelta.from_state(frozenset({"miner"}), VALUATION, state)
+        else:
+            objective = AccountBalanceValue("p" if i % 4 else "u0", VALUATION)
+        yield state, space, objective
+        if i % 4 == 0:
+            yield state, space, _RaisesOnSomeLeaves(objective.account, VALUATION)
+        tx, deployed = list(RAISERS.values())[i % len(RAISERS)]
+        raising = State(state.balances, {**state.contracts, **deployed}, 0)
+        if tx.origin == "miner":
+            yield raising, replace(space, templates=(tx,), allow_insert=True), objective
+        else:
+            yield raising, replace(space, mempool=space.mempool[:3] + (tx,)), objective
+    for state, space in _three_block_cuts():
+        yield state, space, PlayerDelta.from_state(frozenset({"miner"}), VALUATION, state)
+    for state, space, beneficiary in _wave_spreads():
+        yield state, space, AccountBalanceValue(beneficiary, VALUATION)
+    yield from _twins()
+
+
+def _twins():
+    """u0 can afford one of two equal actions at twin contracts: either
+    order leaves the same balances, but a different twin changed, and a
+    third transaction then reads one twin.  The twins are pools, where their
+    reserves differ, and CDP books, where their collateral dicts do."""
+    pool = AmmPool("TKN", "ETH", 1_000, 1_000, fee_bps=30)
+    state = State({("u0", "ETH"): 10, ("u2", "ETH"): 50}, {"p": pool, "q": pool}, 0)
+    mempool = (
+        Tx("u0", "p", Swap("ETH", "TKN", 10)),
+        Tx("u0", "q", Swap("ETH", "TKN", 10)),
+        Tx("u2", "p", Swap("ETH", "TKN", 50)),
+    )
+    yield state, OrderingSpace(mempool=mempool), AccountBalanceValue("u2", VALUATION)
+    book = MakerBook("DAI", "ETH", "pool")
+    prices = AmmPool("DAI", "ETH", 2_000, 1_000, fee_bps=0)
+    state = State({("u0", "ETH"): 10}, {"pool": prices, "b": book, "c": book}, 0)
+    mempool = (
+        Tx("u0", "b", CdpManipulate("deposit_collateral", 10)),
+        Tx("u0", "c", CdpManipulate("deposit_collateral", 10)),
+        Tx("u0", "c", CdpManipulate("withdraw_collateral", 10)),
+    )
+    yield state, OrderingSpace(mempool=mempool), AccountBalanceValue("u0", VALUATION)
+
+
+def test_the_dag_fold_equals_the_tree_fold_on_the_mixed_corpus(monkeypatch):
+    # Every tree takes the State path, swap-only ones too.
+    monkeypatch.setattr(ordering, "_compiled", lambda *args: None)
+    failed = []
+    real_apply_tx = ordering.apply_tx
+
+    def recording_apply_tx(st, tx, fee_policy=None):
+        nxt = real_apply_tx(st, tx, fee_policy)
+        failed.append(nxt is None)
+        return nxt
+
+    monkeypatch.setattr(ordering, "apply_tx", recording_apply_tx)
+    errors, spaces = set(), []
+    for state, space, objective in _dag_cases():
+        tree = _Tree(space, _FULL, objective.tracked, state.contracts)
+        outcome = _assert_dag_equals_tree_fold(tree, state, objective)
+        if len(outcome) == 2:
+            errors.add(outcome[0])
+        spaces.append(space)
+    # failing transactions, fees, censoring, insertion and one to three blocks
+    assert any(failed) and not all(failed)
+    assert {(sp.charge_fees, sp.allow_censor, sp.allow_insert) for sp in spaces} >= {
+        (True, True, True), (False, False, False)}
+    assert {sp.k for sp in spaces} == {1, 2, 3}
+    # the raisers, and the objective that raises, raise the same error both ways
+    assert errors == {ScenarioError, ValueError}
+
+
+@pytest.mark.parametrize("name", ["pricebet_compose", "liquidation"])
+def test_the_dag_fold_equals_the_tree_fold_on_the_demo_scenarios(name):
+    from pathlib import Path
+
+    from mevsearch.scenario import load_scenario
+
+    sc = load_scenario(Path(__file__).resolve().parent.parent / "demos" / "data" / f"{name}.json")
+    states = [sc.initial_state()]
+    if sc.new_contract is not None:
+        states.append(states[0].deploy(*sc.new_contract))
+    for k in (1, 2, 3):
+        space = replace(sc.space(), k=k)
+        for state in states:
+            objective = PlayerDelta.from_state(sc.player().accounts, sc.get_valuation(), state)
+            tree = _Tree(space, _FULL, objective.tracked, state.contracts)
+            assert ordering._compiled(tree, state, objective, tree.space.fee_policy()) is None
+            paths = _assert_dag_equals_tree_fold(tree, state, objective)[2]
+            assert paths == tree.count() > 1
+
+
+def test_an_item_that_raises_only_where_no_construction_lies_is_never_applied(monkeypatch):
+    @dataclass(frozen=True)
+    class Trap:
+        pass
+
+    pool0 = AmmPool("DAI", "ETH", 1_000, 1_000, fee_bps=0)
+    pool1 = AmmPool("TKN", "ETH", 1_000, 1_000, fee_bps=0)
+
+    def spring(state, tx, trap):
+        if state.contracts["pool0"] is pool0 and state.contracts["pool1"] is not pool1:
+            raise ScenarioError("sprung")
+        return None
+
+    monkeypatch.setitem(contracts._EXECUTORS, Trap, {Bet: spring})
+    state = State(
+        {("u0", "DAI"): 100, ("u1", "TKN"): 100, ("u2", "DAI"): 100},
+        {"pool0": pool0, "pool1": pool1, "trap": Trap()},
+        0,
+    )
+    m0, m1 = Tx("u0", "pool0", Swap("DAI", "ETH", 50)), Tx("u1", "pool1", Swap("TKN", "ETH", 50))
+    w, trap = Tx("u2", "pool0", Swap("DAI", "ETH", 30)), Tx("t", "trap", Bet())
+    with pytest.raises(ScenarioError, match="^sprung$"):
+        _step(_step(state, m1, None), trap, None)
+    objective = AccountBalanceValue("u0", VALUATION)
+    tree = _Tree(OrderingSpace(mempool=(m0, m1, w, trap)), _FULL, objective.tracked, state.contracts)
+    # Told that the trap commutes with both pool0 trades, the walk applies
+    # it only after them: after m1 and the trap, m0 and w sleep for good.
+    for i in (0, 2):
+        tree.indep[i] |= 1 << 3
+        tree.indep[3] |= 1 << i
+    node = dict(tree.expand(dict(tree.expand(0)[1])[1])[1])[3]
+    assert (1, 3) in list(tree.walk(max_len=2)) and tree.count(node) == 0
+    assert all(key.index(3) > key.index(0) for key in tree.walk())
+    # Neither fold applies the trap where it springs.
+    best, worst, paths = _assert_dag_equals_tree_fold(tree, state, objective)
+    assert paths == tree.count() > 1
