@@ -9,10 +9,10 @@ the next block admits its arrival wave and re-offers the templates) or appends
 a transaction.  Searches reduce the objective's values to the best/worst with
 a deterministic tie-break: among equal values the lexicographically smallest
 item-index sequence wins, so reports are identical for any worker count.
-With ``workers > 1``, exhaustive searches (any ``k``) split the subtrees under
-the walker's depth-2 prefixes between forked workers, the parent folding one
-share itself; if any part of that fails, the search is folded again in one
-process, so the report or error is the one-worker one.
+With ``workers > 1``, exact searches (any ``k``) split the subtrees under the
+walker's depth-2 prefixes between forked workers, the parent folding one share
+itself; if any part of that fails, the search is folded again in one process,
+so the report or error is the one-worker one.
 
 One context table drives every walk and count.  The subtree under a walk
 node depends only on the node's context: the block, the remaining mempool
@@ -26,16 +26,16 @@ some ordering is censored-by-failure, not a dead branch), and a step runs
 only on a path that ends in a construction, so the first error in walk order
 is the one a search raises.  The key-driven ``_fold`` applies each key from
 the state of its longest common prefix with the key before; the sampler and
-the capped attempt of a randomized budget use it.  An exhaustive fold of a
-tree that does not compile (below) folds the DAG instead of the tree: under a
-node, the keys depend only on the context and the values only on the state,
-and putting a prefix in front of suffixes keeps their order, so the number of
-constructions under a node and its best and worst values, each with its
-smallest suffix, depend only on the (context, state) pair (sleep sets with
-state caching: Godefroid, LNCS 1032, 1996; stateful partial-order reduction:
-Yang, Chen, Gopalakrishnan & Kirby, SPIN 2008).  ``_DagFold`` memoises that
-summary on the pair, visiting the children in walk order and stepping into a
-child only where its count is not zero, so the witnesses, path counts and
+the exact fold of a tree that compiles (below) use it.  The exact fold of any
+other tree folds the DAG instead of the tree: under a node, the keys depend
+only on the context and the values only on the state, and putting a prefix in
+front of suffixes keeps their order, so the number of constructions under a
+node and its best and worst values, each with its smallest suffix, depend
+only on the (context, state) pair (sleep sets with state caching: Godefroid,
+LNCS 1032, 1996; stateful partial-order reduction: Yang, Chen, Gopalakrishnan
+& Kirby, SPIN 2008).  ``_DagFold`` memoises that summary, a ``_Reducer`` of
+suffixes, on the pair, visiting the children in walk order and stepping into
+a child only where its count is not zero, so the witnesses, path counts and
 errors are those of the tree fold.  Each process folds its share through one
 memo, freed when its fold returns.
 
@@ -81,11 +81,12 @@ for the worst.  Only ``paths_explored`` and ``paths_total`` change: they
 count the constructions left after reduction, one per equivalence class, not
 the raw orderings.
 
-Instances too large to enumerate fall back to seeded uniform sampling of
-orderings (Fisher-Yates shuffles, deduplicated); the original mempool order
-is always evaluated first, so the reported best is never below the untouched
-ordering's value.  Multi-block spaces under a randomized budget are searched
-greedily, one block at a time.
+A randomized budget folds a tree of at most ``tractability_threshold`` items
+exactly when the context table counts at most ``max_paths`` constructions, and
+otherwise samples orderings before any step (seeded uniform Fisher-Yates
+shuffles, deduplicated); the original mempool order is always evaluated first,
+so the reported best is never below the untouched ordering's value.
+Multi-block spaces under a randomized budget are searched greedily.
 
 Sampling evaluates only the objective's slice of each sample (cone of
 influence: Clarke, Grumberg & Peled, 1999; Weiser, 1984).  An item is
@@ -108,7 +109,7 @@ import pickle
 import random
 import signal
 from dataclasses import dataclass, fields, is_dataclass, replace
-from itertools import chain, islice
+from itertools import chain
 from operator import attrgetter, itemgetter
 
 from . import contracts
@@ -178,8 +179,10 @@ class SearchBudget:
     """Exhaustive coverage when the pruned space fits, else seeded sampling.
 
     ``tractability_threshold`` is the transaction count up to which the
-    pruned space is counted (and fully explored when it fits in
-    ``max_paths``); above it the engine samples ``max_paths`` orderings.
+    pruned space is counted (and folded exactly when it fits in
+    ``max_paths``); above it the engine samples ``max_paths`` orderings.  The
+    count visits each context once, up to 2^n of them for n mutually
+    dependent transactions, but stops once it passes ``max_paths``.
     """
 
     mode: str = "randomized"  # "exhaustive" forces full enumeration
@@ -579,13 +582,18 @@ class _Tree:
         row = self._rows[node] = (leaf, tuple(children))
         return row
 
-    def count(self, node: int = 0) -> int:
+    def count(self, node: int = 0, cap: float = float("inf")) -> int:
         """The number of constructions under context ``node``, without
-        enumerating them."""
+        enumerating them; once the sum passes ``cap`` it stops there and
+        returns the partial sum.  Only exact counts are kept."""
         n = self._counts.get(node)
         if n is None:
-            row = self.expand(node)
-            n = 0 if row is None else row[0] + sum(self.count(child) for _, child in row[1])
+            leaf, children = self.expand(node) or (False, ())
+            n = int(leaf)
+            for _, child in children:
+                n += self.count(child, cap - n)
+                if n > cap:
+                    return n
             self._counts[node] = n
         return n
 
@@ -660,11 +668,19 @@ class _Reducer:
         if w is None or value < w[0] or (value == w[0] and key < w[1]):
             self.worst = (value, key)
 
-    def merge(self, other: "_Reducer") -> None:
-        """Fold in another reducer's extremes and path count."""
-        if other.best is not None:
-            self.offer(*other.best, other.paths)
-            self.offer(*other.worst, 0)
+    def merge(self, other: "_Reducer", prefix: tuple[int, ...] = ()) -> None:
+        """Fold in another reducer's path count and extremes, its keys put
+        behind ``prefix``.  ``offer``'s tie-break, inlined: a key is built
+        only where its value can win (calling ``offer`` cost 3-8%)."""
+        self.paths += other.paths
+        if other.best is None:
+            return
+        (high, high_key), (low, low_key) = other.best, other.worst
+        b, w = self.best, self.worst
+        if b is None or high > b[0] or high == b[0] and prefix + high_key < b[1]:
+            self.best = (high, prefix + high_key)
+        if w is None or low < w[0] or low == w[0] and prefix + low_key < w[1]:
+            self.worst = (low, prefix + low_key)
 
     def report(self, items: tuple[Tx, ...], exhaustive: bool, want_worst: bool) -> EvReport:
         """The report, with witness labels built for the final keys only;
@@ -700,7 +716,7 @@ def _compiled(tree: _Tree, state: State, objective, fee_policy) -> _SwapInts | N
     return _SwapInts(state, items, objective)
 
 
-def _fold(tree: _Tree, state: State, objective, keys, paths=None) -> _Reducer:
+def _fold(tree: _Tree, state: State, objective, ints: _SwapInts | None, keys, paths=None) -> _Reducer:
     """Fold the objective's value of every key into one reducer.
 
     Key ``keys[i]`` is valued at the state its path (``paths[i]``, else the
@@ -711,18 +727,17 @@ def _fold(tree: _Tree, state: State, objective, keys, paths=None) -> _Reducer:
     step per distinct non-empty prefix.  It does not depend on the order of
     its offers.
 
-    When the tree compiles (``_compiled``), no ``State`` is built: each step
-    trades on the int lists of ``_SwapInts``, one ``swap_amounts`` call with
-    ``_exec_swap``'s balance guard, a failing swap moving nothing as in
-    skip-invalid mode.  An undo log, ``log[d]`` undoing step ``d`` of the
-    previous path (``None`` where it moved nothing), is popped back to the
-    common prefix.  A block break moves nothing, since no swap reads the
-    block number.  Otherwise the states sit on a stack, ``stack[d]`` being
-    the state after the first ``d`` steps of the previous path, and each
-    step is one ``_step``.
+    When the tree compiles (``ints``, the caller's ``_compiled``), no
+    ``State`` is built: each step trades on the int lists of ``_SwapInts``,
+    one ``swap_amounts`` call with ``_exec_swap``'s balance guard, a failing
+    swap moving nothing as in skip-invalid mode.  An undo log, ``log[d]``
+    undoing step ``d`` of the previous path (``None`` where it moved
+    nothing), is popped back to the common prefix.  A block break moves
+    nothing, since no swap reads the block number.  Otherwise the states
+    sit on a stack, ``stack[d]`` being the state after the first ``d``
+    steps of the previous path, and each step is one ``_step``.
     """
     items, fee_policy = tree.items, tree.space.fee_policy()
-    ints = _compiled(tree, state, objective, fee_policy)
     reducer = _Reducer()
     offer = reducer.offer
     if ints is None:
@@ -779,14 +794,13 @@ def _fold(tree: _Tree, state: State, objective, keys, paths=None) -> _Reducer:
 
 
 class _DagFold:
-    """One process's exhaustive fold of a tree that does not compile, over
-    the DAG of (context, state) pairs.
+    """One process's exact fold of a tree that does not compile, over the
+    DAG of (context, state) pairs.
 
-    ``summary(node, state, key)`` is ``(paths, best, worst)`` for the
-    constructions under a walk node: their number, and the highest and the
-    lowest value, each with its smallest suffix of the key.  It is memoised
-    on ``(node, key)``, ``key`` being the state's.  A state's key is
-    ``(names, values, contents)``:
+    ``summary(node, state, key)`` is a ``_Reducer`` of the constructions
+    under a walk node, keyed by their suffixes: each child's summary merged
+    behind the child's item, memoised on ``(node, key)``, ``key`` being the
+    state's.  A state's key is ``(names, values, contents)``:
 
     - ``names`` stands for its set of balance keys and its venues, one
       ``itemgetter`` of the sorted balance keys per set;
@@ -861,33 +875,20 @@ class _DagFold:
         nxt = _step(state, self.items[item], self.fee_policy)
         return (state, key) if nxt is state else (nxt, self.key(nxt, state, key))
 
-    def summary(self, node: int, state: State, key: tuple) -> tuple:
-        memo_key = (node, key)
-        done = self.memo.get(memo_key)
+    def summary(self, node: int, state: State, key: tuple) -> _Reducer:
+        done = self.memo.get((node, key))
         if done is not None:
             return done
         tree = self.tree
         leaf, children = tree.expand(node)
+        done = _Reducer()
         if leaf:
-            value = self.value(state)
-            paths, best, worst = 1, (value, ()), (value, ())
-        else:
-            paths, best, worst = 0, None, None
+            done.offer(self.value(state), ())
         for item, child in children:
             # A step runs only on a path that ends in a construction.
-            if not tree.count(child):
-                continue
-            n, (high, high_key), (low, low_key) = self.summary(child, *self.step(state, key, item))
-            paths += n
-            if best is None or high >= best[0]:
-                high_key = (item,) + high_key
-                if best is None or high > best[0] or high_key < best[1]:
-                    best = (high, high_key)
-            if worst is None or low <= worst[0]:
-                low_key = (item,) + low_key
-                if worst is None or low < worst[0] or low_key < worst[1]:
-                    worst = (low, low_key)
-        done = self.memo[memo_key] = (paths, best, worst)
+            if tree.count(child):
+                done.merge(self.summary(child, *self.step(state, key, item)), (item,))
+        self.memo[node, key] = done
         return done
 
 
@@ -895,15 +896,15 @@ def _fold_units(tree: _Tree, state: State, objective, units, leaves=()) -> _Redu
     """Fold every construction under each prefix of ``units``, and the
     constructions ``leaves``, into one reducer.
 
-    A tree that compiles folds the keys of their walks on ints (``_fold``).
+    A tree that compiles, once, folds its walks' keys on ints (``_fold``).
     Any other tree folds through one ``_DagFold``: each unit's prefix is
-    applied, where a construction lies under it, and its summary offered
-    with the prefix in front; each leaf is valued at the state its key
-    reaches.
+    applied where a construction lies under it and its summary merged behind
+    it; each leaf is valued at the state its key reaches.
     """
-    if _compiled(tree, state, objective, tree.space.fee_policy()) is not None:
+    ints = _compiled(tree, state, objective, tree.space.fee_policy())
+    if ints is not None:
         keys = chain(leaves, chain.from_iterable(tree.walk(unit) for unit in units))
-        return _fold(tree, state, objective, keys)
+        return _fold(tree, state, objective, ints, keys)
     dag, reducer = _DagFold(tree, objective), _Reducer()
     root = dag.key(state)
     for prefix, whole in [(key, False) for key in leaves] + [(unit, True) for unit in units]:
@@ -916,9 +917,7 @@ def _fold_units(tree: _Tree, state: State, objective, units, leaves=()) -> _Redu
         for item in prefix:
             st, key = dag.step(st, key, item)
         if whole:
-            paths, (high, high_key), (low, low_key) = dag.summary(node, st, key)
-            reducer.offer(high, prefix + high_key, paths)
-            reducer.offer(low, prefix + low_key, 0)
+            reducer.merge(dag.summary(node, st, key), prefix)
         else:
             reducer.offer(dag.value(st), prefix)
     return reducer
@@ -1031,31 +1030,30 @@ def _search_tree(
     tree: _Tree, state: State, objective, budget: SearchBudget, workers: int
 ) -> tuple[_Reducer, bool]:
     """Fold the tree under the budget; also says whether the fold was
-    exhaustive.  A randomized budget gives tractable trees one capped
-    exhaustive attempt (exact when the pruned space fits in ``max_paths``)
-    and samples single-block orderings otherwise.
+    exhaustive.  The fold is exact under an exhaustive budget, and under a
+    randomized one when the tree has at most ``tractability_threshold`` items
+    and counts at most ``max_paths`` constructions (``_Tree.count`` capped,
+    which applies no step); otherwise it samples single-block orderings.
 
-    An exhaustive budget with ``workers > 1`` first folds the tree over
-    forked workers (``_fold_forked``).  If anything in that attempt raises
-    an ``Exception`` (the objective, a fork, a pipe, or a worker that sends
+    An exact fold with ``workers > 1`` first folds the tree over forked
+    workers (``_fold_forked``).  If anything in that attempt raises an
+    ``Exception`` (the objective, a fork, a pipe, or a worker that sends
     nothing), the workers are killed and reaped and the tree is folded in
     this process instead.  The outcome, report or exception, is then the
     one-worker outcome by construction; a failed worker or fork costs time,
     not the answer.  A ``BaseException`` such as ``KeyboardInterrupt``
     propagates once the workers are killed.
     """
-    if budget.mode == "exhaustive":
+    if budget.mode == "exhaustive" or (
+        len(tree.items) <= budget.tractability_threshold
+        and tree.count(0, budget.max_paths) <= budget.max_paths
+    ):
         if workers > 1:
             try:
                 return _fold_forked(tree, state, objective, workers), True
             except Exception:
                 pass  # the one-process fold below raises the one-worker error, if any
         return _fold_units(tree, state, objective, ((),)), True
-    if len(tree.items) <= budget.tractability_threshold:
-        # One construction past the cap tells a space that fits from one that does not.
-        reducer = _fold(tree, state, objective, islice(tree.walk(), budget.max_paths + 1))
-        if reducer.paths <= budget.max_paths:
-            return reducer, True
     # Each sample is valued at its slice, its relevant items alone, and the
     # slices are folded in sorted order.  A slice is kept as a string with
     # one character, chr(index), per relevant item: it sorts as the tuple of
@@ -1067,7 +1065,8 @@ def _search_tree(
     seqs = _sample_sequences(tree, budget)
     slices = sorted(("".join([code[i] for i in seq]), seq) for seq in seqs)
     paths = (tuple([ord(c) for c in sliced]) for sliced, _ in slices)
-    return _fold(tree, state, objective, (seq for _, seq in slices), paths), False
+    ints = _compiled(tree, state, objective, tree.space.fee_policy())
+    return _fold(tree, state, objective, ints, (seq for _, seq in slices), paths), False
 
 
 # ---------------------------------------------------------------------------
@@ -1086,8 +1085,8 @@ def _greedy_k_blocks(
 
     Each block is a one-block search over the transactions pending so far,
     including that block's arrivals; whatever its best construction leaves
-    out stays pending for the next block.  The budget is randomized, so
-    each block is folded in this process."""
+    out stays pending for the next block.  Each block is folded in this
+    process."""
     space = space.labeled()
     fee_policy = space.fee_policy()
     pending: tuple[Tx, ...] = ()

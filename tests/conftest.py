@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from mevsearch.contracts import AmmPool, MakerBook, Pricebet
 from mevsearch.metrics import Valuation
-from mevsearch.state import State
+from mevsearch.ordering import OrderingSpace
+from mevsearch.state import Bet, CdpManipulate, GetReward, Liquidate, State, Swap, Tx
 
 WAD = 10**18
 
@@ -56,3 +59,80 @@ def pricebet_state(reserve_eth=101, reserve_bbt=100, player_eth=100, deadline=5,
     pool = AmmPool("BBT", "ETH", reserve_bbt, reserve_eth, fee_bps=0)
     bet = Pricebet(oracle="pool", token="ETH", deadline=deadline)
     return State({("alice", "ETH"): player_eth}, {"pool": pool, "bet": bet}, block_number)
+
+
+VALUATION = Valuation(primary="ETH", mode="oracle_priced",
+                      prices={"DAI": Fraction(1, 2), "TKN": Fraction(1, 1)})
+
+
+def mixed_instance(seed: int, reorder: bool, censor: bool, insert: bool, k: int, fees: bool):
+    """Two pools, a CDP book priced by pool0, a price bet on pool1, and
+    optionally fees paid to the miner in ETH.
+
+    The mempool holds one swap on each pool and then, drawn from swaps, CDP
+    actions, the bet and its claim, three more transactions (two when k = 2);
+    some actors trade twice.
+    Templates are a miner liquidation and a miner swap.  With k = 2 one
+    transaction arrives in the second block.
+    """
+    rng = random.Random(seed)
+    state = State(
+        {
+            **{(u, tok): 400 for u in ("u0", "u1", "u2") for tok in ("ETH", "DAI", "TKN")},
+            ("v", "DAI"): 300,
+            ("v", "ETH"): 50,
+            ("p", "ETH"): 120,
+            ("miner", "ETH"): 200,
+        },
+        {
+            "pool0": AmmPool("DAI", "ETH", rng.randint(2_000, 4_000), rng.randint(1_000, 2_000),
+                             fee_bps=rng.choice([0, 30])),
+            "pool1": AmmPool("TKN", "ETH", rng.randint(900, 1_100), rng.randint(900, 1_100),
+                             fee_bps=rng.choice([0, 30])),
+            "book": MakerBook("DAI", "ETH", "pool0", collateral={"v": 900},
+                              debt={"v": rng.randint(1_000, 1_400)}),
+            "bet": Pricebet(oracle="pool1", token="ETH", deadline=rng.randint(0, 1)),
+        },
+        0,
+    )
+
+    def swap(actor):
+        venue = rng.choice(("pool0", "pool1"))
+        other = "DAI" if venue == "pool0" else "TKN"
+        token_in, token_out = rng.choice(((other, "ETH"), ("ETH", other)))
+        return Tx(actor, venue, Swap(token_in, token_out, rng.randint(20, 300)))
+
+    extras = [
+        lambda: swap(rng.choice(("u0", "u1", "u2", "p"))),
+        lambda: Tx("v", "book", CdpManipulate(
+            rng.choice(("withdraw_loan", "deposit_collateral", "pay_loan")), rng.randint(10, 200))),
+        lambda: Tx("p", "bet", Bet()),
+        lambda: Tx("p", "bet", GetReward()),
+    ]
+    first = swap("u0")
+    second = replace(swap("u1"), venue="pool1" if first.venue == "pool0" else "pool0")
+    second = replace(second, action=Swap(
+        *(("DAI", "ETH") if second.venue == "pool0" else ("TKN", "ETH")), 150))
+    n_extra = 2 if k == 2 else 3
+    mempool = [first, second] + [rng.choice(extras)() for _ in range(n_extra)]
+    rng.shuffle(mempool)
+    mempool = [
+        replace(tx, fee=rng.choice((0, 0, 1, 5)) if fees else 0,
+                arrival_block=int(k == 2 and i == len(mempool) - 1))
+        for i, tx in enumerate(mempool)
+    ]
+    templates = (
+        Tx("miner", "book", Liquidate("v"), origin="miner"),
+        Tx("miner", "pool1", Swap("ETH", "TKN", 60), origin="miner"),
+    )[: 1 if k == 2 else 2]
+    space = OrderingSpace(
+        mempool=tuple(mempool),
+        templates=templates if insert else (),
+        allow_reorder=reorder,
+        allow_censor=censor,
+        allow_insert=insert,
+        k=k,
+        charge_fees=fees,
+        fee_token="ETH",
+    )
+    return state, space

@@ -3,9 +3,10 @@
 Each case runs one CLI command and compares its stdout and exit code, byte
 for byte, with the copy saved under ``tests/golden/``.  The cases are the
 README commands on ``demos/data/``, worker/k/censor variants of them, and
-``mev``/``spread`` on a small seeded corpus, including randomized-budget
-copies that reach the capped exhaustive attempt, the sampler and the greedy
-multi-block search.
+``mev``/``spread`` on a small seeded corpus.  Randomized-budget copies of
+corpus scenario 0 and of ``liquidation.json`` reach the exact fold of a
+budget whose counted space fits (at 1 and 2 workers), the sampler and the
+greedy multi-block search.
 
 To re-record after a change that is meant to alter output:
 
@@ -31,9 +32,9 @@ EXIT_CODES = GOLDEN / "exit_codes.json"
 CORPUS_COUNT = 5
 # Randomized budgets laid over corpus scenario 0: (name, max_paths, threshold).
 RANDOMIZED = (
-    ("capped", 400_000, 9),  # small enough for the capped exhaustive attempt
-    ("overcap", 100, 9),  # the reduced space (96) fits: the capped attempt is exact
-    ("overflow", 50, 9),  # the capped attempt overflows, then sampling
+    ("capped", 400_000, 9),  # the count (96) fits far under the cap: exact
+    ("overcap", 100, 9),  # the count (96) just fits: exact
+    ("overflow", 50, 9),  # the count (96) is over the cap: sampling
     ("sampled", 200, 0),  # straight to sampling
 )
 
@@ -76,6 +77,12 @@ def _cases(work: Path) -> dict[str, list[str]]:
         scn = str(work / f"{name}.json")
         cases[f"spread_{name}"] = ["spread", "--scenario", scn]
         cases[f"mev_{name}_k2"] = ["mev", "--scenario", scn, "--k", "2"]
+    cases["spread_capped_workers2"] = ["spread", "--scenario", str(work / "capped.json"),
+                                       "--workers", "2"]
+    liq_randomized = str(work / "liquidation_randomized.json")
+    cases["mev_liquidation_randomized"] = ["mev", "--scenario", liq_randomized]
+    cases["mev_liquidation_randomized_workers2"] = ["mev", "--scenario", liq_randomized,
+                                                    "--workers", "2"]
     return cases
 
 
@@ -91,6 +98,11 @@ def _prepare(work: Path) -> None:
         doc["budget"] = {"mode": "randomized", "max_paths": max_paths, "seed": 5,
                          "tractability_threshold": threshold}
         (work / f"{name}.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    # liquidation.json's trees do not compile, so they fold on the State path.
+    doc = json.loads((DATA / "liquidation.json").read_text())
+    doc["budget"] = {"mode": "randomized", "max_paths": 400_000, "seed": 5,
+                     "tractability_threshold": 9}
+    (work / "liquidation_randomized.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _run(args: list[str]) -> tuple[str, int]:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -21,10 +22,14 @@ from mevsearch.ordering import (
     search,
     _FULL,
     _Tree,
+    _compiled,
 )
+from mevsearch.scenario import load_scenario
 from mevsearch.state import State, Swap, Tx, apply_sequence
 
-from conftest import pool_state, simple_pool
+from conftest import VALUATION, mixed_instance, pool_state, simple_pool
+
+DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 def swaps(n, venue="amm", token_in="BBT", actor=None, amount=None):
@@ -237,23 +242,45 @@ def test_randomized_determinism_and_soundness():
     assert full.exhaustive and full.best_value == exact.best_value
 
 
-def test_capped_attempt_is_exact_when_the_classes_just_fit():
+def _just_fitting_cases():
+    """(state, space, objective): six swaps on two pools, which compile to
+    ints, and three trees that do not: the liquidation scenario, the price
+    bet after its deployment, and a mixed instance with fees and censoring."""
     state = mixed_state(pools=("amm", "amm2"))
     directions = (("ETH", "BBT"), ("BBT", "ETH"))
     mempool = tuple(
         Tx(f"u{i}", "amm" if i < 3 else "amm2", Swap(*directions[i % 2], 400 + 53 * i)) for i in range(5)
     ) + (Tx("whale", "amm", Swap("BBT", "ETH", 6_000)),)
-    sp = OrderingSpace(mempool=mempool)
-    objective = AccountBalanceValue("whale", Valuation(primary="ETH"))
-    exact = search(sp, SearchBudget(mode="exhaustive"), objective, state, want_worst=True)
-    classes = exact.paths_total
-    assert classes < 720  # the sleep sets reduce the 6! orderings
-    fits = SearchBudget(mode="randomized", max_paths=classes, seed=5)
-    assert search(sp, fits, objective, state, want_worst=True) == exact
-    over = search(sp, replace(fits, max_paths=classes - 1), objective, state, want_worst=True)
-    assert not over.exhaustive and over.paths_total is None
-    assert over.paths_explored == classes - 1
-    assert over.worst_value >= exact.worst_value and over.best_value <= exact.best_value
+    yield state, OrderingSpace(mempool=mempool), AccountBalanceValue("whale", Valuation(primary="ETH"))
+    for name in ("liquidation", "pricebet_compose"):
+        sc = load_scenario(DATA / f"{name}.json")
+        state = sc.initial_state()
+        if sc.new_contract is not None:
+            state = state.deploy(*sc.new_contract)
+        yield state, sc.space(), PlayerDelta.from_state(sc.player().accounts, sc.get_valuation(), state)
+    state, space = mixed_instance(1_009, True, True, True, 1, fees=True)
+    yield state, space, PlayerDelta.from_state(frozenset({"miner"}), VALUATION, state)
+
+
+def test_capped_attempt_is_exact_when_the_classes_just_fit():
+    # The capped attempt of the name is now the count gate: a randomized
+    # budget whose max_paths the tree's count fits folds exactly, through the
+    # exhaustive dispatch, at any worker count.
+    for case, (state, sp, objective) in enumerate(_just_fitting_cases()):
+        tree = _Tree(sp, _FULL, objective.tracked, state.contracts)
+        assert len(tree.items) <= SearchBudget().tractability_threshold
+        assert (_compiled(tree, state, objective, sp.fee_policy()) is None) == (case > 0)
+        exact = search(sp, SearchBudget(mode="exhaustive"), objective, state, want_worst=True)
+        classes = exact.paths_total
+        fits = SearchBudget(mode="randomized", max_paths=classes, seed=5)
+        for workers in (1, 2):
+            assert search(sp, fits, objective, state, want_worst=True, workers=workers) == exact, case
+        over = search(sp, replace(fits, max_paths=classes - 1), objective, state, want_worst=True)
+        assert not over.exhaustive and over.paths_total is None
+        assert over.paths_explored == classes - 1
+        assert over.worst_value >= exact.worst_value and over.best_value <= exact.best_value
+        if case == 0:
+            assert classes < 720  # the sleep sets reduce the 6! orderings
 
 
 def test_best_value_at_least_identity_order():
@@ -490,10 +517,11 @@ def test_a_failing_search_raises_the_lowest_indexed_units_error(monkeypatch):
     sp = OrderingSpace(mempool=_alternating(5), allow_censor=True)
     objective = _RaisesPastDepth2(state)
     tree, units = _units(sp, state, objective)
+    ints = _compiled(tree, state, objective, sp.fee_policy())
     errors = {}
     for index, unit in enumerate(units):
         try:
-            _fold(tree, state, objective, tree.walk(unit))
+            _fold(tree, state, objective, ints, tree.walk(unit))
         except ValueError as e:
             errors[index] = str(e)
     first = min(errors)

@@ -79,84 +79,11 @@ from mevsearch.state import (
     apply_tx,
 )
 
+from conftest import VALUATION, mixed_instance
+
 EXH = SearchBudget(mode="exhaustive")
-VALUATION = Valuation(primary="ETH", mode="oracle_priced",
-                      prices={"DAI": Fraction(1, 2), "TKN": Fraction(1, 1)})
 # (reorder, censor, insert, k): every combination, the hardest one first.
 FLAGS = list(itertools.product((False, True), (True, False), (True, False), (2, 1)))
-
-
-def mixed_instance(seed: int, reorder: bool, censor: bool, insert: bool, k: int, fees: bool):
-    """Two pools, a CDP book priced by pool0, a price bet on pool1, and
-    optionally fees paid to the miner in ETH.
-
-    The mempool holds one swap on each pool and then, drawn from swaps, CDP
-    actions, the bet and its claim, three more transactions (two when k = 2);
-    some actors trade twice.
-    Templates are a miner liquidation and a miner swap.  With k = 2 one
-    transaction arrives in the second block.
-    """
-    rng = random.Random(seed)
-    state = State(
-        {
-            **{(u, tok): 400 for u in ("u0", "u1", "u2") for tok in ("ETH", "DAI", "TKN")},
-            ("v", "DAI"): 300,
-            ("v", "ETH"): 50,
-            ("p", "ETH"): 120,
-            ("miner", "ETH"): 200,
-        },
-        {
-            "pool0": AmmPool("DAI", "ETH", rng.randint(2_000, 4_000), rng.randint(1_000, 2_000),
-                             fee_bps=rng.choice([0, 30])),
-            "pool1": AmmPool("TKN", "ETH", rng.randint(900, 1_100), rng.randint(900, 1_100),
-                             fee_bps=rng.choice([0, 30])),
-            "book": MakerBook("DAI", "ETH", "pool0", collateral={"v": 900},
-                              debt={"v": rng.randint(1_000, 1_400)}),
-            "bet": Pricebet(oracle="pool1", token="ETH", deadline=rng.randint(0, 1)),
-        },
-        0,
-    )
-
-    def swap(actor):
-        venue = rng.choice(("pool0", "pool1"))
-        other = "DAI" if venue == "pool0" else "TKN"
-        token_in, token_out = rng.choice(((other, "ETH"), ("ETH", other)))
-        return Tx(actor, venue, Swap(token_in, token_out, rng.randint(20, 300)))
-
-    extras = [
-        lambda: swap(rng.choice(("u0", "u1", "u2", "p"))),
-        lambda: Tx("v", "book", CdpManipulate(
-            rng.choice(("withdraw_loan", "deposit_collateral", "pay_loan")), rng.randint(10, 200))),
-        lambda: Tx("p", "bet", Bet()),
-        lambda: Tx("p", "bet", GetReward()),
-    ]
-    first = swap("u0")
-    second = replace(swap("u1"), venue="pool1" if first.venue == "pool0" else "pool0")
-    second = replace(second, action=Swap(
-        *(("DAI", "ETH") if second.venue == "pool0" else ("TKN", "ETH")), 150))
-    n_extra = 2 if k == 2 else 3
-    mempool = [first, second] + [rng.choice(extras)() for _ in range(n_extra)]
-    rng.shuffle(mempool)
-    mempool = [
-        replace(tx, fee=rng.choice((0, 0, 1, 5)) if fees else 0,
-                arrival_block=int(k == 2 and i == len(mempool) - 1))
-        for i, tx in enumerate(mempool)
-    ]
-    templates = (
-        Tx("miner", "book", Liquidate("v"), origin="miner"),
-        Tx("miner", "pool1", Swap("ETH", "TKN", 60), origin="miner"),
-    )[: 1 if k == 2 else 2]
-    space = OrderingSpace(
-        mempool=tuple(mempool),
-        templates=templates if insert else (),
-        allow_reorder=reorder,
-        allow_censor=censor,
-        allow_insert=insert,
-        k=k,
-        charge_fees=fees,
-        fee_token="ETH",
-    )
-    return state, space
 
 
 def differential_corpus():
@@ -751,9 +678,10 @@ def test_an_exhaustive_search_applies_each_prefix_of_its_keys_once(
 # Objective slicing in the sampler
 # ---------------------------------------------------------------------------
 
-def _whole_replay(tree, state, objective, keys, paths=None):
-    """``ordering._fold`` without slices or shared prefixes: every key
-    replayed whole, ``paths`` ignored.  Sampled keys hold no ``BLOCK_BREAK``."""
+def _whole_replay(tree, state, objective, ints, keys, paths=None):
+    """``ordering._fold`` without slices, shared prefixes or ints: every key
+    replayed whole on the ``State`` path, ``ints`` and ``paths`` ignored.
+    Sampled keys hold no ``BLOCK_BREAK``."""
     items, fee_policy = tree.items, tree.space.fee_policy()
     reducer = ordering._Reducer()
     for key in keys:
@@ -861,6 +789,59 @@ def test_sampling_applies_each_shared_prefix_of_the_slice_once(monkeypatch, cens
         assert any(proj[:-1] in projections for proj in projections if proj)
     monkeypatch.setattr(ordering, "_fold", _whole_replay)
     assert search(space, budget, objective, state, want_worst=True) == report
+
+
+@pytest.mark.parametrize("compiled", (True, False), ids=["kernel", "state_path"])
+def test_an_over_cap_search_applies_no_step_before_it_samples(monkeypatch, compiled):
+    sc = make_spread_instance(900, 2, 9)
+    state, space = sc.initial_state(), replace(sc.space(), allow_censor=True)
+    budget = SearchBudget(max_paths=1_000, seed=3)
+    tree = _Tree(space, _FULL, frozenset({sc.beneficiary}), state.contracts)
+    assert len(tree.items) == budget.tractability_threshold
+    assert tree.count() > budget.max_paths
+    if not compiled:
+        monkeypatch.setattr(ordering, "_compiled", lambda *args: None)
+    calls, swaps = _count_steps(monkeypatch)
+    outcomes = []
+    for threshold in (9, 0):
+        before = len(calls), len(swaps)
+        report = value_spread(
+            sc.beneficiary, space, state, sc.valuation,
+            replace(budget, tractability_threshold=threshold),
+        )
+        outcomes.append((report, len(calls) - before[0], len(swaps) - before[1]))
+    # The count tells the tree is over the cap; then only the samples run.
+    assert outcomes[0] == outcomes[1]
+    report, steps, swap_steps = outcomes[0]
+    assert not report.exhaustive and swap_steps > 0
+    assert (steps > 0) != compiled
+
+
+def test_the_count_gate_stops_once_it_passes_max_paths(monkeypatch):
+    # Sixteen swaps on two pools: the full count builds 65,536 contexts.
+    # Under a threshold above the item count the gate counts only until it
+    # passes max_paths, so the search reaches the sampler after a few
+    # hundred contexts, with the report of a threshold of 0.
+    sc = make_spread_instance(900, 1, 16)
+    state = sc.initial_state()
+    budget = SearchBudget(max_paths=1_000, seed=3, tractability_threshold=30)
+    trees = []
+
+    class Recorded(_Tree):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            trees.append(self)
+
+    monkeypatch.setattr(ordering, "_Tree", Recorded)
+    reports = [
+        value_spread(sc.beneficiary, sc.space(), state, sc.valuation,
+                     replace(budget, tractability_threshold=threshold))
+        for threshold in (30, 0)
+    ]
+    assert reports[0] == reports[1] and not reports[0].exhaustive
+    assert len(trees[0]._contexts) < 2_000
+    assert trees[0].count(0, budget.max_paths) > budget.max_paths
+    assert trees[0].count() == 2_612_736_000 and len(trees[0]._contexts) == 65_536
 
 
 def test_a_contract_type_with_no_footprint_branch_disables_the_slice(monkeypatch):
@@ -1157,7 +1138,8 @@ def _assert_dag_equals_tree_fold(tree, state, objective):
     forked search's depth-2 shares, against the key-driven fold of the same
     tree; returns the outcome."""
     dag = _fold_outcome(lambda: ordering._fold_units(tree, state, objective, ((),)))
-    assert dag == _fold_outcome(lambda: ordering._fold(tree, state, objective, tree.walk()))
+    ints = ordering._compiled(tree, state, objective, tree.space.fee_policy())
+    assert dag == _fold_outcome(lambda: ordering._fold(tree, state, objective, ints, tree.walk()))
     if len(dag) == 3:
         shallow = list(tree.walk(max_len=2))
         units = [key for key in shallow if len(key) == 2]
