@@ -60,7 +60,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import islice
 
 from .contracts import (
     FEE_DENOM,
@@ -534,8 +533,10 @@ def search_with_insertion(
     with the usual smallest-key tie-break.  A skipped skeleton still counts
     in ``paths_explored`` and toward ``MAX_SKELETONS``.
 
-    The skeletons are enumerated exhaustively, and the search raises before
-    sizing any of them when there are more than ``MAX_SKELETONS``.
+    The skeletons are enumerated exhaustively.  The tree counts them first
+    (``_Tree.count``, capped at ``MAX_SKELETONS``, which walks no key), and
+    the search raises before walking or sizing any of them when there are
+    more than ``MAX_SKELETONS``.
     ``budget`` is accepted but unused; callers pass it positionally, as they
     do to ``search``.
     """
@@ -545,11 +546,11 @@ def search_with_insertion(
         raise ScenarioError("insertion sizing searches single-block spaces (k = 1)")
     tree = _Tree(space, _FULL, objective.tracked, state.contracts)
     fee_policy = tree.space.fee_policy()
-    keys = list(islice(tree.walk(), MAX_SKELETONS + 1))
-    if len(keys) > MAX_SKELETONS:
+    skeletons = tree.count(0, MAX_SKELETONS)
+    if skeletons > MAX_SKELETONS:
         raise ScenarioError("insertion search needs a small ordering space")
     best: tuple[int, tuple[int, ...], int | None] | None = None  # (value, key, alpha)
-    for key in keys:
+    for key in tree.walk():
         txs = tuple(tree.items[i] for i in key)
         alpha: int | None = None
         if any(has_unresolved_amount(tx) for tx in txs):
@@ -576,7 +577,7 @@ def search_with_insertion(
     report = EvReport(
         best_value=value,
         best_ordering=_labels_for(tree.items, key),
-        paths_explored=len(keys),
+        paths_explored=skeletons,
         exhaustive=True,
     )
     return InsertionSearchResult(report, alpha, tuple(tree.items[i] for i in key))

@@ -9,10 +9,11 @@ the next block admits its arrival wave and re-offers the templates) or appends
 a transaction.  Searches reduce the objective's values to the best/worst with
 a deterministic tie-break: among equal values the lexicographically smallest
 item-index sequence wins, so reports are identical for any worker count.
-With ``workers > 1``, exact searches (any ``k``) split the subtrees under the
-walker's depth-2 prefixes between forked workers, the parent folding one share
-itself; if any part of that fails, the search is folded again in one process,
-so the report or error is the one-worker one.
+With ``workers > 1``, the exact search of a tree that compiles (below), at
+any ``k``, splits the subtrees under its depth-2 nodes between forked
+workers, the parent folding one share itself; if any part of that fails, the
+search is folded again in one process, so the report or error is the
+one-worker one.  Every other exact search folds in one process.
 
 One context table drives every walk and count.  The subtree under a walk
 node depends only on the node's context: the block, the remaining mempool
@@ -36,8 +37,9 @@ LNCS 1032, 1996; stateful partial-order reduction: Yang, Chen, Gopalakrishnan
 & Kirby, SPIN 2008).  ``_DagFold`` memoises that summary, a ``_Reducer`` of
 suffixes, on the pair, visiting the children in walk order and stepping into
 a child only where its count is not zero, so the witnesses, path counts and
-errors are those of the tree fold.  Each process folds its share through one
-memo, freed when its fold returns.
+errors are those of the tree fold.  The memo pays only where it is shared,
+so this fold runs in one process at any worker count (split over forked
+workers, each process would build its own memo and apply more steps in all).
 
 Swap-only trees fold on plain ints.  When no fee is charged, the objective is
 a ``PlayerDelta`` or an ``AccountBalanceValue``, and every item is a ``Swap``
@@ -597,35 +599,18 @@ class _Tree:
             self._counts[node] = n
         return n
 
-    def walk(self, prefix: tuple[int, ...] = (), max_len: int | None = None):
-        """Yield the key of every construction that extends ``prefix`` and
-        survives the reduction, once each, depth-first.
-
-        A walk that follows ``prefix`` builds the same subtree as the full
-        walk, since a node's children depend on its context alone.  With
-        ``max_len`` the walk stops at that depth and also yields every node
-        there, complete or not: those nodes are work-unit prefixes.
-        """
-        return self._walk(0, [], prefix, max_len)
-
-    def _walk(self, node: int, seq: list[int], prefix: tuple[int, ...], max_len: int | None):
-        depth = len(seq)
-        if depth == max_len:
-            yield tuple(seq)
-            return
+    def walk(self, node: int = 0, prefix: tuple[int, ...] = ()):
+        """Yield the key of every construction under context ``node`` that
+        survives the reduction, once each, depth-first, each behind
+        ``prefix``."""
         row = self.expand(node)
         if row is None:
             return
         leaf, children = row
-        if depth < len(prefix):
-            want = prefix[depth]
-            children = [child for child in children if child[0] == want]
-        elif leaf:
-            yield tuple(seq)
+        if leaf:
+            yield prefix
         for item, child in children:
-            seq.append(item)
-            yield from self._walk(child, seq, prefix, max_len)
-            seq.pop()
+            yield from self.walk(child, prefix + (item,))
 
 
 def count_sequences(
@@ -745,7 +730,8 @@ def _fold(tree: _Tree, state: State, objective, ints: _SwapInts | None, keys, pa
         stack = [state]
     else:
         steps = ints.steps + (None,)  # steps[BLOCK_BREAK] moves nothing
-        balances, reserves, value = ints.balances, ints.reserves, ints.value_at
+        # Copies, so a fold leaves ``ints`` as it found it, even if it raises.
+        balances, reserves, value = ints.balances[:], ints.reserves[:], ints.value_at
         # Looked up at call time, so a test can count the steps.
         swap_amounts = contracts.swap_amounts
         log: list = []
@@ -794,8 +780,9 @@ def _fold(tree: _Tree, state: State, objective, ints: _SwapInts | None, keys, pa
 
 
 class _DagFold:
-    """One process's exact fold of a tree that does not compile, over the
-    DAG of (context, state) pairs.
+    """The exact fold of a tree that does not compile, over the DAG of
+    (context, state) pairs, in one process whatever the worker count: one
+    memo serves the whole tree.
 
     ``summary(node, state, key)`` is a ``_Reducer`` of the constructions
     under a walk node, keyed by their suffixes: each child's summary merged
@@ -892,37 +879,6 @@ class _DagFold:
         return done
 
 
-def _fold_units(tree: _Tree, state: State, objective, units, leaves=()) -> _Reducer:
-    """Fold every construction under each prefix of ``units``, and the
-    constructions ``leaves``, into one reducer.
-
-    A tree that compiles, once, folds its walks' keys on ints (``_fold``).
-    Any other tree folds through one ``_DagFold``: each unit's prefix is
-    applied where a construction lies under it and its summary merged behind
-    it; each leaf is valued at the state its key reaches.
-    """
-    ints = _compiled(tree, state, objective, tree.space.fee_policy())
-    if ints is not None:
-        keys = chain(leaves, chain.from_iterable(tree.walk(unit) for unit in units))
-        return _fold(tree, state, objective, ints, keys)
-    dag, reducer = _DagFold(tree, objective), _Reducer()
-    root = dag.key(state)
-    for prefix, whole in [(key, False) for key in leaves] + [(unit, True) for unit in units]:
-        node = 0
-        for item in prefix:
-            node = dict(tree.expand(node)[1])[item]
-        if whole and not tree.count(node):
-            continue
-        st, key = state, root
-        for item in prefix:
-            st, key = dag.step(st, key, item)
-        if whole:
-            reducer.merge(dag.summary(node, st, key), prefix)
-        else:
-            reducer.offer(dag.value(st), prefix)
-    return reducer
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on, where the platform says."""
     if hasattr(os, "sched_getaffinity"):
@@ -930,25 +886,43 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fold_forked(tree: _Tree, state: State, objective, workers: int) -> _Reducer:
-    """Fold every construction of the tree over forked workers.
+def _work_units(tree: _Tree) -> tuple[list, list]:
+    """The keys shorter than 2 items, and the work units: the depth-2 nodes
+    as (prefix, context) pairs, in walk order, read off the context table.
+    Every longer key lies under exactly one unit's node.  Depth-2 prefixes
+    load-balance far better than first items."""
+    short, units = [], [((), 0)]
+    for _ in range(2):
+        level, units = units, []
+        for prefix, node in level:
+            row = tree.expand(node)
+            if row is not None:
+                if row[0]:
+                    short.append(prefix)
+                units += [(prefix + (item,), child) for item, child in row[1]]
+    return short, units
 
-    The subtrees under the walk's depth-2 prefixes are the work units, split
-    over ``procs = min(workers, units, usable CPUs)`` processes:
-    ``procs - 1`` forked workers, the parent folding one share itself.
-    Process ``j`` folds the interleaved share ``units[j::procs]`` in one
-    ``_fold_units``, and each worker pickles its reducer back over its own
-    pipe; a worker that raises exits without writing anything, so its empty
-    reply fails to unpickle here.  The merge does not depend on the order of
-    its folds, so the report does not depend on the number of processes.
-    Every worker is killed and reaped before this returns or raises.
+
+def _fold_forked(tree: _Tree, state: State, objective, ints: _SwapInts, workers: int) -> _Reducer:
+    """Fold every construction of a compiled tree over forked workers.
+
+    The work units (``_work_units``) are split over ``procs = min(workers,
+    units, usable CPUs)`` processes: ``procs - 1`` forked workers, the
+    parent folding one share itself, after the keys shorter than 2.
+    Process ``j`` folds the interleaved share ``units[j::procs]``, each
+    unit's subtree walked from its context, in one ``_fold`` on ints.  Each
+    worker pickles its reducer back over its own pipe; a worker that raises
+    exits without writing anything, so its empty reply fails to unpickle
+    here.  The merge does not depend on the order of its folds, so the
+    report does not depend on the number of processes.  Every worker is
+    killed and reaped before this returns or raises.
     """
-    # Depth-2 prefixes load-balance far better than first items.  Sequences
-    # shorter than 2 are folded by the parent; every longer one extends
-    # exactly one depth-2 prefix, whose subtree is one work unit.
-    shallow = list(tree.walk(max_len=2))
-    units = [key for key in shallow if len(key) == 2]
+    short, units = _work_units(tree)
     procs = max(1, min(workers, len(units), _usable_cpus()))
+
+    def share(j, keys=()):
+        walks = (tree.walk(node, prefix) for prefix, node in units[j::procs])
+        return _fold(tree, state, objective, ints, chain(keys, chain.from_iterable(walks)))
 
     pids: list[int] = []
     pipes = []
@@ -961,16 +935,13 @@ def _fold_forked(tree: _Tree, state: State, objective, workers: int) -> _Reducer
                 if pid == 0:
                     status = 1
                     try:
-                        writer.write(pickle.dumps(
-                            _fold_units(tree, state, objective, units[j::procs])
-                        ))
+                        writer.write(pickle.dumps(share(j)))
                         writer.close()
                         status = 0
                     finally:
                         os._exit(status)
                 pids.append(pid)
-        short = [key for key in shallow if len(key) < 2]
-        reducer = _fold_units(tree, state, objective, units[::procs], short)
+        reducer = share(0, short)
         for pipe in pipes:
             reducer.merge(pickle.loads(pipe.read()))
         return reducer
@@ -1035,25 +1006,31 @@ def _search_tree(
     and counts at most ``max_paths`` constructions (``_Tree.count`` capped,
     which applies no step); otherwise it samples single-block orderings.
 
-    An exact fold with ``workers > 1`` first folds the tree over forked
-    workers (``_fold_forked``).  If anything in that attempt raises an
-    ``Exception`` (the objective, a fork, a pipe, or a worker that sends
-    nothing), the workers are killed and reaped and the tree is folded in
-    this process instead.  The outcome, report or exception, is then the
+    The tree is compiled once (``_compiled``), for either fold.  An exact
+    fold of a tree that does not compile is one ``_DagFold``, in this
+    process.  A compiled tree with ``workers > 1`` is first folded over
+    forked workers (``_fold_forked``).  If anything in that attempt raises
+    an ``Exception`` (a step, the objective, a fork, a pipe, or a worker
+    that sends nothing), the workers are killed and reaped and the tree is
+    folded in this process instead.  The outcome, report or exception, is then the
     one-worker outcome by construction; a failed worker or fork costs time,
     not the answer.  A ``BaseException`` such as ``KeyboardInterrupt``
     propagates once the workers are killed.
     """
+    ints = _compiled(tree, state, objective, tree.space.fee_policy())
     if budget.mode == "exhaustive" or (
         len(tree.items) <= budget.tractability_threshold
         and tree.count(0, budget.max_paths) <= budget.max_paths
     ):
+        if ints is None:
+            dag = _DagFold(tree, objective)
+            return dag.summary(0, state, dag.key(state)), True
         if workers > 1:
             try:
-                return _fold_forked(tree, state, objective, workers), True
+                return _fold_forked(tree, state, objective, ints, workers), True
             except Exception:
                 pass  # the one-process fold below raises the one-worker error, if any
-        return _fold_units(tree, state, objective, ((),)), True
+        return _fold(tree, state, objective, ints, tree.walk()), True
     # Each sample is valued at its slice, its relevant items alone, and the
     # slices are folded in sorted order.  A slice is kept as a string with
     # one character, chr(index), per relevant item: it sorts as the tuple of
@@ -1065,7 +1042,6 @@ def _search_tree(
     seqs = _sample_sequences(tree, budget)
     slices = sorted(("".join([code[i] for i in seq]), seq) for seq in seqs)
     paths = (tuple([ord(c) for c in sliced]) for sliced, _ in slices)
-    ints = _compiled(tree, state, objective, tree.space.fee_policy())
     return _fold(tree, state, objective, ints, (seq for _, seq in slices), paths), False
 
 

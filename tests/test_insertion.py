@@ -224,7 +224,6 @@ def test_joint_search_orders_insertion_after_user_dump():
 
 def test_skeleton_cap_stops_the_enumeration(monkeypatch):
     from mevsearch import ordering
-    from mevsearch.insertion import MAX_SKELETONS
     from mevsearch.state import ScenarioError
 
     walked = []
@@ -245,8 +244,8 @@ def test_skeleton_cap_stops_the_enumeration(monkeypatch):
         search_with_insertion(
             OrderingSpace(mempool=mempool), SearchBudget(mode="exhaustive"), objective, state, 1, 10
         )
-    # the enumeration is lazy: it stops at the first skeleton over the cap
-    assert len(walked) == MAX_SKELETONS + 1
+    # the capped count finds the space over the cap before the walk yields a key
+    assert walked == []
 
 
 def test_skeleton_cap_is_checked_before_any_skeleton_is_sized(monkeypatch):

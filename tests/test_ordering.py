@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from mevsearch.contracts import AmmPool
+from mevsearch import contracts
+from mevsearch.contracts import AmmPool, swap_amounts
 from mevsearch.corpus import make_spread_instance
 from mevsearch.metrics import AccountBalanceValue, PlayerDelta, Valuation
 from mevsearch.ordering import (
@@ -23,6 +24,7 @@ from mevsearch.ordering import (
     _FULL,
     _Tree,
     _compiled,
+    _work_units,
 )
 from mevsearch.scenario import load_scenario
 from mevsearch.state import State, Swap, Tx, apply_sequence
@@ -105,21 +107,20 @@ def test_tracked_actor_blocks_pruning():
 
 
 def _split_covers_stream(sp, state=None):
-    # The work units of a parallel search: the sequences shorter than 2 items
-    # from the walk cut at depth 2, plus the whole subtree under every
-    # depth-2 node.  Together they must be the full stream, each sequence once.
+    # The work units of a parallel search: the sequences shorter than 2 items,
+    # plus the whole subtree under every depth-2 node, walked from its
+    # context.  Together they must be the full stream, each sequence once.
     tree = _Tree(sp, _FULL, frozenset(), None if state is None else state.contracts)
     full = list(tree.walk())
-    units = []
-    for key in tree.walk(max_len=2):
-        if len(key) < 2:
-            units.append(key)
-        else:
-            sub = list(tree.walk(prefix=key))
-            assert all(k[:2] == key for k in sub)
-            units.extend(sub)
+    short, units = _work_units(tree)
+    assert all(len(key) < 2 for key in short)
+    keys = list(short)
+    for prefix, node in units:
+        sub = list(tree.walk(node, prefix))
+        assert len(prefix) == 2 and all(k[:2] == prefix for k in sub)
+        keys.extend(sub)
     assert len(full) == len(set(full)) > 1
-    assert sorted(units) == sorted(full)
+    assert sorted(keys) == sorted(full)
     return tree
 
 
@@ -412,7 +413,7 @@ def _assert_no_child_left():
 
 def _units(sp, state, objective):
     tree = _Tree(sp, _FULL, objective.tracked, state.contracts)
-    return tree, [key for key in tree.walk(max_len=2) if len(key) == 2]
+    return tree, _work_units(tree)[1]
 
 
 def _k2_corpus_case():
@@ -483,31 +484,56 @@ def test_workers_are_capped_by_the_cpus_the_process_may_use(monkeypatch):
 
 
 def _alternating(n):
-    """Swaps on one pool in alternating directions: no two of them commute."""
+    """Swaps on one pool in alternating directions: no two of them commute.
+    Their sizes grow unevenly, so on ``mixed_state``'s pool no two sets of
+    them leave the same reserves."""
+    sizes = (300 + 41 * i + 7 * i * i for i in range(n))
     return tuple(
-        Tx(f"u{i}", "amm", Swap("BBT" if i % 2 else "ETH", "ETH" if i % 2 else "BBT", 300 + 41 * i))
-        for i in range(n)
+        Tx(f"u{i}", "amm", Swap("BBT" if i % 2 else "ETH", "ETH" if i % 2 else "BBT", size))
+        for i, size in enumerate(sizes)
     )
 
 
-class _RaisesPastDepth2:
-    """Raises at every leaf that applied 3 or more swaps, none of them u0's;
-    the message names the balances the leaf moved, so it tells leaves
+def _u0():
+    return AccountBalanceValue("u0", Valuation(primary="ETH"))
+
+
+class _SwapsOnPaths:
+    """``contracts.swap_amounts`` for ``_alternating`` swaps on the pool of
+    ``mixed_state``, calling ``check(items, reserves)`` before each trade:
+    ``items`` is the set of swaps on the path the trade ends, and
+    ``reserves`` the pool's ``(x, y)`` before it.  The set is recovered from
+    the reserves, recorded after each trade: two orders of one set may
+    leave the same reserves, two sets do not.  The int fold looks the rule
+    up at call time, so a test can make a step raise, stall or exit."""
+
+    def __init__(self, check):
+        self.check = check
+        self.items = {tx.action.amount: i for i, tx in enumerate(_alternating(5))}
+        self.moved = {(100_000, 100_000): frozenset()}
+
+    def __call__(self, reserve_in, reserve_out, amount, fee_bps, exact_out):
+        item = self.items[amount]
+        # Odd items sell BBT, the pool's x token.
+        xy = (lambda a, b: (a, b)) if item % 2 else (lambda a, b: (b, a))
+        before = xy(reserve_in, reserve_out)
+        items = self.moved[before] | {item}
+        self.check(items, before)
+        paid, received = swap_amounts(reserve_in, reserve_out, amount, fee_bps, exact_out)
+        assert self.moved.setdefault(xy(reserve_in + paid, reserve_out - received), items) == items
+        return paid, received
+
+
+def _leaf_of(items, reserves):
+    return ValueError(f"leaf of {[f'u{i}' for i in sorted(items)]} from {reserves}")
+
+
+def _raises_past_depth2(items, reserves):
+    """Raises on the third swap of every path without u0's; the message
+    names the swaps and the reserves they start from, so it tells the paths
     apart."""
-
-    tracked = frozenset()
-
-    def __init__(self, state):
-        self.initial = state.balances
-
-    def value(self, state):
-        moved = sorted(
-            (key, amount) for key, amount in state.balances.items() if self.initial[key] != amount
-        )
-        actors = {actor for (actor, _), _ in moved}
-        if len(actors) >= 3 and "u0" not in actors:
-            raise ValueError(f"leaf moved {moved}")
-        return 0
+    if len(items) == 3 and 0 not in items:
+        raise _leaf_of(items, reserves)
 
 
 def test_a_failing_search_raises_the_lowest_indexed_units_error(monkeypatch):
@@ -515,13 +541,14 @@ def test_a_failing_search_raises_the_lowest_indexed_units_error(monkeypatch):
 
     state = mixed_state()
     sp = OrderingSpace(mempool=_alternating(5), allow_censor=True)
-    objective = _RaisesPastDepth2(state)
+    objective = _u0()
     tree, units = _units(sp, state, objective)
     ints = _compiled(tree, state, objective, sp.fee_policy())
+    monkeypatch.setattr(contracts, "swap_amounts", _SwapsOnPaths(_raises_past_depth2))
     errors = {}
-    for index, unit in enumerate(units):
+    for index, (prefix, node) in enumerate(units):
         try:
-            _fold(tree, state, objective, ints, tree.walk(unit))
+            _fold(tree, state, objective, ints, tree.walk(node, prefix))
         except ValueError as e:
             errors[index] = str(e)
     first = min(errors)
@@ -538,54 +565,44 @@ def test_a_failing_search_raises_the_lowest_indexed_units_error(monkeypatch):
         _assert_no_child_left()
 
 
-class _ExitsOutsideTheTestProcess:
-    tracked = frozenset()
+def _exit_outside(pid):
+    """A check that exits every process but ``pid`` without a result."""
 
-    def __init__(self):
-        self.pid = os.getpid()
-
-    def value(self, state):
-        if os.getpid() != self.pid:
+    def check(items, reserves):
+        if os.getpid() != pid:
             os._exit(3)
-        return 0
+
+    return check
 
 
 def test_a_worker_that_exits_without_a_result_gives_the_one_worker_report(monkeypatch):
     sp = OrderingSpace(mempool=_alternating(4))
     state = mixed_state()
-    serial = search(sp, SearchBudget(mode="exhaustive"), _ExitsOutsideTheTestProcess(), state)
+    serial = search(sp, SearchBudget(mode="exhaustive"), _u0(), state)
+    monkeypatch.setattr(contracts, "swap_amounts", _SwapsOnPaths(_exit_outside(os.getpid())))
     forks = _count_forks(monkeypatch)
     # The worker's empty reply sends the search back to one process.
-    assert search(
-        sp, SearchBudget(mode="exhaustive"), _ExitsOutsideTheTestProcess(), state, workers=2
-    ) == serial
+    assert search(sp, SearchBudget(mode="exhaustive"), _u0(), state, workers=2) == serial
     assert len(forks) == 1
     _assert_no_child_left()
 
 
-class _RaisesAtTwoLeaves(_RaisesPastDepth2):
+def _raises_at_two_leaves(items, reserves):
     """Raises one message at the 1-item leaf ``(u2,)`` and another at the
     depth-2 leaf ``(u0, u1)``; a one-worker walk reaches ``(u0, u1)``
     first."""
-
-    def value(self, state):
-        actors = sorted({
-            actor for (actor, token), amount in state.balances.items()
-            if self.initial[actor, token] != amount
-        })
-        if actors in (["u2"], ["u0", "u1"]):
-            raise ValueError(f"leaf of {actors}")
-        return 0
+    if items in ({2}, {0, 1}):
+        raise _leaf_of(items, reserves)
 
 
 def test_a_failing_search_raises_the_one_worker_error(monkeypatch):
     state = mixed_state()
     sp = OrderingSpace(mempool=_alternating(4), allow_censor=True)
-    objective = _RaisesAtTwoLeaves(state)
+    monkeypatch.setattr(contracts, "swap_amounts", _SwapsOnPaths(_raises_at_two_leaves))
     _count_forks(monkeypatch)
     for workers in (1, 2, 3):
         with pytest.raises(ValueError, match=re.escape("leaf of ['u0', 'u1']")):
-            search(sp, SearchBudget(mode="exhaustive"), objective, state, workers=workers)
+            search(sp, SearchBudget(mode="exhaustive"), _u0(), state, workers=workers)
         _assert_no_child_left()
 
 
@@ -593,7 +610,7 @@ def test_a_failing_search_raises_the_one_worker_error(monkeypatch):
 def test_a_fork_that_fails_gives_the_one_worker_report(monkeypatch, failing_fork):
     state = mixed_state()
     sp = OrderingSpace(mempool=_alternating(4), allow_censor=True)
-    objective = AccountBalanceValue("u0", Valuation(primary="ETH"))
+    objective = _u0()
     budget = SearchBudget(mode="exhaustive")
     serial = search(sp, budget, objective, state, want_worst=True)
     forks = _count_forks(monkeypatch)
@@ -614,20 +631,26 @@ class _Interrupted(BaseException):
     pass
 
 
-class _StallsOutsideTheTestProcess(_ExitsOutsideTheTestProcess):
-    def value(self, state):
-        if os.getpid() != self.pid:
+def _stall_outside(pid):
+    """A check that stalls in every process but ``pid``, and then raises
+    ``_Interrupted``, as it does at once in ``pid``."""
+
+    def check(items, reserves):
+        if os.getpid() != pid:
             time.sleep(60)
         raise _Interrupted
 
+    return check
+
 
 def test_the_workers_are_killed_when_the_parents_own_share_stops(monkeypatch):
+    monkeypatch.setattr(contracts, "swap_amounts", _SwapsOnPaths(_stall_outside(os.getpid())))
     forks = _count_forks(monkeypatch)
     t0 = time.monotonic()
     with pytest.raises(_Interrupted):
         search(
             OrderingSpace(mempool=_alternating(4)), SearchBudget(mode="exhaustive"),
-            _StallsOutsideTheTestProcess(), mixed_state(), workers=3,
+            _u0(), mixed_state(), workers=3,
         )
     assert len(forks) == 2
     assert time.monotonic() - t0 < 30
@@ -642,34 +665,49 @@ class _TwoArgumentError(Exception):
         super().__init__(f"{where}: {why}")
 
 
-class _RaisesTwoArgumentError(_ExitsOutsideTheTestProcess):
-    def __init__(self, in_the_parent):
-        super().__init__()
-        self.in_the_parent = in_the_parent
+def _refuse(in_the_parent, pid):
+    """A check that raises ``_TwoArgumentError`` outside ``pid``, and in
+    ``pid`` too when ``in_the_parent``."""
 
-    def value(self, state):
-        if self.in_the_parent or os.getpid() != self.pid:
+    def check(items, reserves):
+        if in_the_parent or os.getpid() != pid:
             raise _TwoArgumentError("leaf", "refused")
-        return 0
+
+    return check
 
 
 def test_a_worker_failure_that_cannot_be_unpickled_gives_the_one_worker_outcome(monkeypatch):
     sp = OrderingSpace(mempool=_alternating(4))
     state = mixed_state()
+    budget = SearchBudget(mode="exhaustive")
+    serial = search(sp, budget, _u0(), state)
     forks = _count_forks(monkeypatch)
-    # Every leaf fails: the exception is raised as it is at any worker count.
+    # Every step fails: the exception is raised as it is at any worker count.
+    monkeypatch.setattr(contracts, "swap_amounts", _SwapsOnPaths(_refuse(True, os.getpid())))
     for workers in (1, 2):
         with pytest.raises(_TwoArgumentError, match="^leaf: refused$"):
-            search(sp, SearchBudget(mode="exhaustive"), _RaisesTwoArgumentError(True), state,
-                   workers=workers)
+            search(sp, budget, _u0(), state, workers=workers)
         _assert_no_child_left()
     assert len(forks) == 1
-    # Only the worker's leaves fail: the one-process fold that follows does not.
-    serial = search(sp, SearchBudget(mode="exhaustive"), _RaisesTwoArgumentError(False), state)
-    assert search(sp, SearchBudget(mode="exhaustive"), _RaisesTwoArgumentError(False), state,
-                  workers=2) == serial
+    # Only the worker's steps fail: the one-process fold that follows does not.
+    monkeypatch.setattr(contracts, "swap_amounts", _SwapsOnPaths(_refuse(False, os.getpid())))
+    assert search(sp, budget, _u0(), state, workers=2) == serial
     assert len(forks) == 2
     _assert_no_child_left()
+
+
+def test_a_tree_that_does_not_compile_folds_in_one_process(monkeypatch):
+    # The DAG fold's memo pays only where it is shared, so it is never split.
+    forks = _count_forks(monkeypatch)
+    for state, sp, objective in list(_just_fitting_cases())[1:3]:
+        tree = _Tree(sp, _FULL, objective.tracked, state.contracts)
+        assert _compiled(tree, state, objective, sp.fee_policy()) is None
+        assert len(_work_units(tree)[1]) > 1
+        budget = SearchBudget(mode="exhaustive")
+        one = search(sp, budget, objective, state, want_worst=True)
+        for workers in (2, 3, 8):
+            assert search(sp, budget, objective, state, want_worst=True, workers=workers) == one
+        assert forks == []
 
 
 def test_importing_the_package_loads_no_process_pool():

@@ -31,8 +31,8 @@ yields, under each reduction, at one to three blocks.  On the mixed corpus,
 three-block spreads, the demo scenarios and spaces whose two orderings
 leave equal balances but different contracts, the fold over (context, state)
 pairs gives the key-driven fold's best, worst, witnesses and path count,
-whole and in forked shares, and raises the same error; an item that raises
-only where no construction lies is never applied.
+and raises the same error; an item that raises only where no construction
+lies is never applied.
 """
 
 import itertools
@@ -1134,20 +1134,16 @@ def _fold_outcome(fold):
 
 
 def _assert_dag_equals_tree_fold(tree, state, objective):
-    """The fold over (context, state) pairs, whole and split into the
-    forked search's depth-2 shares, against the key-driven fold of the same
-    tree; returns the outcome."""
-    dag = _fold_outcome(lambda: ordering._fold_units(tree, state, objective, ((),)))
+    """The fold over (context, state) pairs against the key-driven fold of
+    the same tree; returns the outcome."""
+
+    def dag_fold():
+        dag = ordering._DagFold(tree, objective)
+        return dag.summary(0, state, dag.key(state))
+
+    dag = _fold_outcome(dag_fold)
     ints = ordering._compiled(tree, state, objective, tree.space.fee_policy())
     assert dag == _fold_outcome(lambda: ordering._fold(tree, state, objective, ints, tree.walk()))
-    if len(dag) == 3:
-        shallow = list(tree.walk(max_len=2))
-        units = [key for key in shallow if len(key) == 2]
-        shares = ordering._fold_units(
-            tree, state, objective, units[::2], [key for key in shallow if len(key) < 2]
-        )
-        shares.merge(ordering._fold_units(tree, state, objective, units[1::2]))
-        assert (shares.best, shares.worst, shares.paths) == dag
     return dag
 
 
@@ -1291,7 +1287,7 @@ def test_an_item_that_raises_only_where_no_construction_lies_is_never_applied(mo
         tree.indep[i] |= 1 << 3
         tree.indep[3] |= 1 << i
     node = dict(tree.expand(dict(tree.expand(0)[1])[1])[1])[3]
-    assert (1, 3) in list(tree.walk(max_len=2)) and tree.count(node) == 0
+    assert tree.count(node) == 0
     assert all(key.index(3) > key.index(0) for key in tree.walk())
     # Neither fold applies the trap where it springs.
     best, worst, paths = _assert_dag_equals_tree_fold(tree, state, objective)
