@@ -37,9 +37,15 @@ LNCS 1032, 1996; stateful partial-order reduction: Yang, Chen, Gopalakrishnan
 & Kirby, SPIN 2008).  ``_DagFold`` memoises that summary, a ``_Reducer`` of
 suffixes, on the pair, visiting the children in walk order and stepping into
 a child only where its count is not zero, so the witnesses, path counts and
-errors are those of the tree fold.  The memo pays only where it is shared,
-so this fold runs in one process at any worker count (split over forked
-workers, each process would build its own memo and apply more steps in all).
+errors are those of the tree fold.  It numbers each state once, by its block
+number and its content, and keeps the number each (state, item) pair steps
+to and the value of each leaf state, so a step runs once per distinct
+(state, item) pair and the objective once per distinct leaf state, however
+many contexts reach them.  The number holds the block number because a claim
+reads it (a price bet's deadline), and a block break changes nothing else.
+The memo pays only where it is shared, so this fold runs in one process at
+any worker count (split over forked workers, each process would build its
+own memo and apply more steps in all).
 
 Swap-only trees fold on plain ints.  When no fee is charged, the objective is
 a ``PlayerDelta`` or an ``AccountBalanceValue``, and every item is a ``Swap``
@@ -784,10 +790,23 @@ class _DagFold:
     (context, state) pairs, in one process whatever the worker count: one
     memo serves the whole tree.
 
-    ``summary(node, state, key)`` is a ``_Reducer`` of the constructions
-    under a walk node, keyed by their suffixes: each child's summary merged
-    behind the child's item, memoised on ``(node, key)``, ``key`` being the
-    state's.  A state's key is ``(names, values, contents)``:
+    Three tables make each distinct thing happen once:
+
+    - the state table numbers each state by ``(block_number, key)``
+      (``intern``) and keeps ``(state, key)`` per number;
+    - the transition table ``moves[sid, item]`` holds the number of the
+      state after ``item`` from state ``sid`` (``step``), so each distinct
+      (state, item) pair is stepped and keyed once; a failed step maps a
+      number to itself;
+    - the leaf-value table ``values[sid]`` holds the objective's value of a
+      state, so each distinct leaf state is valued once.
+
+    ``summary(node, sid)`` is a ``_Reducer`` of the constructions under a
+    walk node, keyed by their suffixes: each child's summary merged behind
+    the child's item, memoised on ``(node, sid)``.  The number carries the
+    block number because a claim reads it (a price bet's deadline), and a
+    ``BLOCK_BREAK`` changes nothing else.  A state's key is ``(names,
+    values, contents)``:
 
     - ``names`` stands for its set of balance keys and its venues, one
       ``itemgetter`` of the sorted balance keys per set;
@@ -795,15 +814,15 @@ class _DagFold:
     - ``contents`` numbers each contract's content (``number``).
 
     Equal keys are equal states up to the order of their dicts, which no
-    transition rule or objective reads; the block number is the context's.
-    ``State.settle`` adds balance keys and replaces a venue's contract in
-    place, so a step that keeps both counts keeps the names, and only the
-    contracts it replaced get a new content.  A failed step returns its own
-    state, which keeps its key.
+    transition rule or objective reads.  ``State.settle`` adds balance keys
+    and replaces a venue's contract in place, so a step that keeps both
+    counts keeps the names, and only the contracts it replaced get a new
+    content.
     """
 
     __slots__ = (
-        "tree", "items", "fee_policy", "value", "memo", "names", "contents", "getters"
+        "tree", "items", "fee_policy", "value", "memo", "names", "contents", "getters",
+        "ids", "states", "moves", "values",
     )
 
     def __init__(self, tree: _Tree, objective):
@@ -815,6 +834,14 @@ class _DagFold:
         self.names: dict = {}
         self.contents: dict = {}
         self.getters: dict = {}
+        self.ids: dict = {}
+        self.states: list = []
+        self.moves: dict = {}
+        self.values: dict = {}
+
+    def fold(self, state: State) -> _Reducer:
+        """The summary of every construction from ``state``."""
+        return self.summary(0, self.intern(state, self.key(state)))
 
     def number(self, contract) -> int:
         """The number of a contract's content: its type and its fields'
@@ -854,28 +881,46 @@ class _DagFold:
                 self.names[order, tuple(held)] = names
         return names, names(balances), ids
 
-    def step(self, state: State, key: tuple, item: int) -> tuple[State, tuple]:
-        """The state after ``item``, and its key."""
-        if item == BLOCK_BREAK:
-            # The block number is the context's, which the memo key holds.
-            return state.with_block(state.block_number + 1), key
-        nxt = _step(state, self.items[item], self.fee_policy)
-        return (state, key) if nxt is state else (nxt, self.key(nxt, state, key))
+    def intern(self, state: State, key: tuple) -> int:
+        """The number of ``state``, whose key is ``key``."""
+        ids = self.ids
+        ident = state.block_number, key
+        sid = ids.get(ident)
+        if sid is None:
+            sid = ids[ident] = len(self.states)
+            self.states.append((state, key))
+        return sid
 
-    def summary(self, node: int, state: State, key: tuple) -> _Reducer:
-        done = self.memo.get((node, key))
+    def step(self, sid: int, item: int) -> int:
+        """The number of the state after ``item`` from state ``sid``."""
+        nxt = self.moves.get((sid, item))
+        if nxt is None:
+            state, key = self.states[sid]
+            if item == BLOCK_BREAK:
+                nxt = self.intern(state.with_block(state.block_number + 1), key)
+            else:
+                after = _step(state, self.items[item], self.fee_policy)
+                nxt = sid if after is state else self.intern(after, self.key(after, state, key))
+            self.moves[sid, item] = nxt
+        return nxt
+
+    def summary(self, node: int, sid: int) -> _Reducer:
+        done = self.memo.get((node, sid))
         if done is not None:
             return done
         tree = self.tree
         leaf, children = tree.expand(node)
         done = _Reducer()
         if leaf:
-            done.offer(self.value(state), ())
+            value = self.values.get(sid)
+            if value is None:
+                value = self.values[sid] = self.value(self.states[sid][0])
+            done.offer(value, ())
         for item, child in children:
             # A step runs only on a path that ends in a construction.
             if tree.count(child):
-                done.merge(self.summary(child, *self.step(state, key, item)), (item,))
-        self.memo[node, key] = done
+                done.merge(self.summary(child, self.step(sid, item)), (item,))
+        self.memo[node, sid] = done
         return done
 
 
@@ -1023,8 +1068,7 @@ def _search_tree(
         and tree.count(0, budget.max_paths) <= budget.max_paths
     ):
         if ints is None:
-            dag = _DagFold(tree, objective)
-            return dag.summary(0, state, dag.key(state)), True
+            return _DagFold(tree, objective).fold(state), True
         if workers > 1:
             try:
                 return _fold_forked(tree, state, objective, ints, workers), True

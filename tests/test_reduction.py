@@ -28,11 +28,13 @@ conditions the kernel is not taken.
 
 Every tree counts from its context table as many constructions as its walk
 yields, under each reduction, at one to three blocks.  On the mixed corpus,
-three-block spreads, the demo scenarios and spaces whose two orderings
-leave equal balances but different contracts, the fold over (context, state)
-pairs gives the key-driven fold's best, worst, witnesses and path count,
-and raises the same error; an item that raises only where no construction
-lies is never applied.
+three-block spreads, the demo scenarios, spaces whose two orderings
+leave equal balances but different contracts, and a claim whose states
+before and after a block break differ only in their block, the fold over
+(context, state) pairs gives the key-driven fold's best, worst, witnesses
+and path count, and raises the same error; it steps each distinct (state,
+item) pair once and values each distinct leaf state once; an item that
+raises only where no construction lies is never applied.
 """
 
 import itertools
@@ -632,26 +634,87 @@ def _count_steps(monkeypatch):
     return calls, swaps
 
 
+def _deadline_claim():
+    """k = 2: u0's trade wins the miner's bet, whose deadline is the start
+    block, and the miner may claim it in either block; u1 trades at another
+    pool.  After u0's trade the claim pays in block 0 and fails in block 1,
+    from the same balances and contracts: only the block number tells the
+    two states apart."""
+    oracle = AmmPool("TKN", "ETH", 900, 1_000, fee_bps=0)
+    other = AmmPool("DAI", "ETH", 1_000, 1_000, fee_bps=0)
+    bet = Pricebet("oracle", "TKN", deadline=0, pot=200, has_bet=True, player="miner")
+    state = State(
+        {("u0", "TKN"): 300, ("u1", "ETH"): 50},
+        {"oracle": oracle, "pool1": other, "bet": bet},
+        0,
+    )
+    space = OrderingSpace(
+        mempool=(
+            Tx("u0", "oracle", Swap("TKN", "ETH", 300)),
+            Tx("u1", "pool1", Swap("ETH", "DAI", 50)),
+        ),
+        templates=(Tx("miner", "bet", GetReward(), origin="miner"),),
+        allow_insert=True,
+        k=2,
+    )
+    return state, space, AccountBalanceValue("miner", VALUATION)
+
+
+def _replayed(state, items, key, fee_policy):
+    """The state that ``key`` reaches from ``state``: each block replayed
+    whole by ``apply_sequence`` in skip-invalid mode, each ``BLOCK_BREAK``
+    advancing the block number."""
+    blocks = [[]]
+    for i in key:
+        if i == BLOCK_BREAK:
+            blocks.append([])
+        else:
+            blocks[-1].append(items[i])
+    for b, txs in enumerate(blocks):
+        if b:
+            state = state.with_block(state.block_number + 1)
+        state = apply_sequence(state, txs, "skip_invalid", fee_policy).state
+    return state
+
+
+def _distinct(values):
+    """How many distinct values, compared by ``==``: a state's contracts may
+    hold dicts, which do not hash."""
+    seen = []
+    for value in values:
+        if value not in seen:
+            seen.append(value)
+    return len(seen)
+
+
 @pytest.mark.parametrize(
-    "case, censor_and_k, dag_steps",
+    "case, censor_and_k, compiles",
     [
-        (_dead_cut_spread, (False, 1), None),
-        # 145 and 66 prefixes: the DAG fold steps once per (context, state)
-        # edge that leads to a construction, and shares the rest.
-        (lambda: _differential_case(11), (True, 1), 93),
-        (lambda: _differential_case(14), (False, 2), 31),
+        (_dead_cut_spread, (False, 1), True),
+        (lambda: _differential_case(11), (True, 1), False),
+        (lambda: _differential_case(14), (False, 2), False),
+        (_deadline_claim, (False, 2), False),
     ],
-    ids=["dead_cut_spread", "censor", "k2"],
+    ids=["dead_cut_spread", "censor", "k2", "deadline"],
 )
 def test_an_exhaustive_search_applies_each_prefix_of_its_keys_once(
-    monkeypatch, case, censor_and_k, dag_steps
+    monkeypatch, case, censor_and_k, compiles
 ):
     state, space, objective = case()
     assert (space.allow_censor, space.k) == censor_and_k
-    keys = list(_Tree(space, _FULL, objective.tracked, state.contracts).walk())
+    tree = _Tree(space, _FULL, objective.tracked, state.contracts)
+    keys = list(tree.walk())
     prefixes = {
         key[:d] for key in keys for d in range(1, len(key) + 1) if key[d - 1] != BLOCK_BREAK
     }
+    # The oracle of the DAG fold: the distinct (state, item) pairs over the
+    # prefixes that end in a construction, and the distinct leaf states,
+    # each state compared by value and block number.
+    items, fee_policy = tree.items, space.fee_policy()
+    edges = _distinct(
+        (_replayed(state, items, prefix[:-1], fee_policy), prefix[-1]) for prefix in prefixes
+    )
+    leaves = _distinct(_replayed(state, items, key, fee_policy) for key in keys)
     cuts = []
     real_dead = _Tree._dead
 
@@ -660,18 +723,28 @@ def test_an_exhaustive_search_applies_each_prefix_of_its_keys_once(
         cuts.append(cut)
         return cut
 
+    values = []
+    real_value = AccountBalanceValue.value
+
+    def counting_value(objective, st):
+        values.append(st)
+        return real_value(objective, st)
+
     calls, swaps = _count_steps(monkeypatch)
     monkeypatch.setattr(_Tree, "_dead", counting_dead)
+    monkeypatch.setattr(AccountBalanceValue, "value", counting_value)
     report = search(space, EXH, objective, state, want_worst=True)
     assert report.paths_explored == len(keys)
     # the walk cuts subtrees that hold no construction, except under censoring
     assert any(cuts) != space.allow_censor
-    if dag_steps is None:
+    if compiles:
         # the swap-only tree folds on ints: one swap step per prefix, no State
-        assert (len(swaps), len(calls)) == (len(prefixes), 0)
+        assert (len(swaps), len(calls), len(values)) == (len(prefixes), 0, 0)
     else:
-        # a tree that does not compile folds over (context, state) pairs
-        assert len(calls) == dag_steps < len(prefixes)
+        # a tree that does not compile steps each distinct (state, item) pair
+        # once and values each distinct leaf state once
+        assert (len(calls), len(values)) == (edges, leaves)
+        assert edges < len(prefixes) and leaves < len(keys)
 
 
 # ---------------------------------------------------------------------------
@@ -1137,11 +1210,7 @@ def _assert_dag_equals_tree_fold(tree, state, objective):
     """The fold over (context, state) pairs against the key-driven fold of
     the same tree; returns the outcome."""
 
-    def dag_fold():
-        dag = ordering._DagFold(tree, objective)
-        return dag.summary(0, state, dag.key(state))
-
-    dag = _fold_outcome(dag_fold)
+    dag = _fold_outcome(lambda: ordering._DagFold(tree, objective).fold(state))
     ints = ordering._compiled(tree, state, objective, tree.space.fee_policy())
     assert dag == _fold_outcome(lambda: ordering._fold(tree, state, objective, ints, tree.walk()))
     return dag
@@ -1254,6 +1323,23 @@ def test_the_dag_fold_equals_the_tree_fold_on_the_demo_scenarios(name):
             assert ordering._compiled(tree, state, objective, tree.space.fee_policy()) is None
             paths = _assert_dag_equals_tree_fold(tree, state, objective)[2]
             assert paths == tree.count() > 1
+
+
+def test_the_dag_fold_tells_apart_states_that_differ_only_in_their_block():
+    state, space, objective = _deadline_claim()
+    tree = _Tree(space, _FULL, objective.tracked, state.contracts)
+    trade, claim = tree.items[0], tree.items[2]
+    won = _step(state, trade, None)
+    late = won.with_block(1)
+    assert _step(won, claim, None) is not won and _step(late, claim, None) is late
+    keys = set(tree.walk())
+    assert {(0, 1, 2, BLOCK_BREAK), (0, BLOCK_BREAK, 1, 2)} <= keys
+    # The claim pays only in block 0.  A fold that numbered states without
+    # their block would let a claim in block 1 pay as it does in block 0,
+    # and pick a smaller key, (|, 0, 1, 2), as the best witness.
+    best, worst, paths = _assert_dag_equals_tree_fold(tree, state, objective)
+    assert best == (200, (0, 1, 2, BLOCK_BREAK)) and worst[0] == 0
+    assert paths == tree.count() == len(keys)
 
 
 def test_an_item_that_raises_only_where_no_construction_lies_is_never_applied(monkeypatch):
