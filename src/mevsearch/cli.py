@@ -93,9 +93,6 @@ def _ev_report_json(report) -> dict:
         "paths_explored": report.paths_explored,
         "exhaustive": report.exhaustive,
     }
-    if report.worst_value is not None:
-        doc["worst_value"] = str(report.worst_value)
-        doc["worst_ordering"] = list(report.worst_ordering or ())
     if report.paths_total is not None:
         doc["paths_total"] = report.paths_total
     return doc
@@ -136,13 +133,23 @@ out_option = click.option("--out", type=click.Path(), default=None, help="Direct
 
 
 class _Main(click.Group):
-    """Reports invalid input as one line on stderr, never as a traceback."""
+    """Reports invalid input, and a search too deep to run, as one line on
+    stderr, never as a traceback."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except (ParseError, ScenarioError) as e:
             click.echo(f"error: {e}", err=True)
+            ctx.exit(EXIT_BAD_INPUT)
+        except RecursionError:
+            # The walk, the count and the fold recurse once per item and
+            # block break of a construction.
+            click.echo(
+                "error: the search nests deeper than the recursion limit of "
+                f"{sys.getrecursionlimit()} frames; lower k or the number of transactions",
+                err=True,
+            )
             ctx.exit(EXIT_BAD_INPUT)
 
 

@@ -118,7 +118,7 @@ import random
 import signal
 from dataclasses import dataclass, fields, is_dataclass, replace
 from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 
 from . import contracts
 from .state import (
@@ -805,24 +805,18 @@ class _DagFold:
     walk node, keyed by their suffixes: each child's summary merged behind
     the child's item, memoised on ``(node, sid)``.  The number carries the
     block number because a claim reads it (a price bet's deadline), and a
-    ``BLOCK_BREAK`` changes nothing else.  A state's key is ``(names,
-    values, contents)``:
-
-    - ``names`` stands for its set of balance keys and its venues, one
-      ``itemgetter`` of the sorted balance keys per set;
-    - ``values`` is ``names(balances)``, the balances in that order;
-    - ``contents`` numbers each contract's content (``number``).
-
-    Equal keys are equal states up to the order of their dicts, which no
-    transition rule or objective reads.  ``State.settle`` adds balance keys
-    and replaces a venue's contract in place, so a step that keeps both
-    counts keeps the names, and only the contracts it replaced get a new
-    content.
+    ``BLOCK_BREAK`` changes nothing else.  A state's key is the frozenset
+    of its balances' items and the number of each contract's content
+    (``number``), venue by venue: equal keys are equal states up to the
+    order of their dicts, which no transition rule or objective reads.  A
+    step never adds or removes a venue (``apply_tx`` raises where the venue
+    holds no contract, and every rule settles at that venue, in place), so
+    only the contracts it replaced get a new number.
     """
 
     __slots__ = (
-        "tree", "items", "fee_policy", "value", "memo", "names", "contents", "getters",
-        "ids", "states", "moves", "values",
+        "tree", "items", "fee_policy", "value", "memo", "contents", "getters", "ids",
+        "states", "moves", "values",
     )
 
     def __init__(self, tree: _Tree, objective):
@@ -831,7 +825,6 @@ class _DagFold:
         self.fee_policy = tree.space.fee_policy()
         self.value = objective.value
         self.memo: dict = {}
-        self.names: dict = {}
         self.contents: dict = {}
         self.getters: dict = {}
         self.ids: dict = {}
@@ -858,28 +851,19 @@ class _DagFold:
         return self.contents.setdefault(content, len(self.contents))
 
     def key(self, state: State, prev: State | None = None, prev_key: tuple = ()) -> tuple:
-        """The key of ``state``, reusing ``prev_key``, the key of the state
-        ``prev`` it was stepped from, where it can."""
-        balances, held, number = state.balances, state.contracts, self.number
-        if prev is None or len(held) != len(prev.contracts):
-            ids = tuple(number(c) for c in held.values())
-            names = None
+        """The key of ``state``, reusing the contract numbers of
+        ``prev_key``, the key of the state ``prev`` it was stepped from."""
+        held = state.contracts
+        if prev is None:
+            ids = tuple(map(self.number, held.values()))
         else:
-            names, _, ids = prev_key
+            ids = prev_key[1]
             if held is not prev.contracts:
                 ids = tuple(
-                    i if c is old else number(c)
+                    i if c is old else self.number(c)
                     for i, c, old in zip(ids, held.values(), prev.contracts.values())
                 )
-            if len(balances) != len(prev.balances):
-                names = None
-        if names is None:
-            order = tuple(sorted(balances))
-            names = self.names.get((order, tuple(held)))
-            if names is None:
-                names = itemgetter(*order) if order else lambda balances: ()
-                self.names[order, tuple(held)] = names
-        return names, names(balances), ids
+        return frozenset(state.balances.items()), ids
 
     def intern(self, state: State, key: tuple) -> int:
         """The number of ``state``, whose key is ``key``."""

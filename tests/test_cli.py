@@ -9,6 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from mevsearch.cli import main
+from mevsearch.scenario import load_scenario
 
 DATA = Path(__file__).parent.parent / "demos" / "data"
 WAD = 10**18
@@ -249,6 +250,19 @@ def test_mev_k0_is_a_one_line_error(runner):
     assert result.stderr == "error: k must be >= 1\n"
 
 
+def test_a_search_deeper_than_the_recursion_limit_is_a_one_line_error(runner):
+    from mevsearch.cli import EXIT_BAD_INPUT
+
+    args = ["mev", "--scenario", str(DATA / "liquidation.json"), "--k", "1000"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == EXIT_BAD_INPUT
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: the search nests deeper than the recursion limit of "
+        f"{sys.getrecursionlimit()} frames; lower k or the number of transactions\n"
+    )
+
+
 def test_open_size_templates_over_k_blocks_is_a_one_line_error(runner):
     from mevsearch.cli import EXIT_BAD_INPUT
 
@@ -349,6 +363,49 @@ def test_seed_and_budget_overrides_keep_the_rest_of_the_budget():
     scenario.budget = SearchBudget(mode="randomized", max_paths=50, seed=1, tractability_threshold=3)
     out = _apply_overrides(scenario, 5, 7, None, None, None, None)
     assert out.budget == SearchBudget(mode="randomized", max_paths=7, seed=5, tractability_threshold=3)
+
+
+def test_insert_override_matches_the_library(runner):
+    from mevsearch.metrics import ev
+
+    args = ["mev", "--scenario", str(DATA / "liquidation.json"), "--insert", "off"]
+    doc = json.loads(invoke(runner, args).output)
+    scenario = load_scenario(DATA / "liquidation.json")
+    scenario.allow_insert = False
+    report = ev(
+        scenario.player(), scenario.space(), scenario.initial_state(),
+        scenario.get_valuation(), scenario.budget,
+    )
+    assert (doc["best_value"], doc["best_ordering"]) == ("0", ["push-down", "push-up"])
+    assert (int(doc["best_value"]), tuple(doc["best_ordering"])) == (
+        report.best_value, report.best_ordering
+    )
+
+
+def test_valuation_override_matches_the_library(runner, tmp_path):
+    from mevsearch.metrics import ORACLE_PRICED, PRIMARY_ONLY, Valuation, ev
+
+    # liquidation.json with DAI as the primary token: the miner's 900 ETH of
+    # collateral is then worth 1,800 priced and nothing counted alone.
+    doc = json.loads((DATA / "liquidation.json").read_text())
+    for token in doc["tokens"]:
+        token["primary"] = token["id"] == "DAI"
+    doc["valuation"]["prices"] = {"ETH": {"num": "2", "den": "1"}}
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(doc))
+    scenario = load_scenario(path)
+    values = {}
+    for option, mode in (("primary", PRIMARY_ONLY), ("oracle", ORACLE_PRICED)):
+        out = json.loads(invoke(runner, ["mev", "--scenario", str(path), "--valuation", option]).output)
+        valuation = Valuation(primary="DAI", mode=mode, prices=scenario.get_valuation().prices)
+        report = ev(
+            scenario.player(), scenario.space(), scenario.initial_state(), valuation, scenario.budget
+        )
+        assert (int(out["best_value"]), tuple(out["best_ordering"])) == (
+            report.best_value, report.best_ordering
+        )
+        values[option] = report.best_value
+    assert values == {"primary": 0, "oracle": 1_800}
 
 
 @pytest.mark.parametrize(

@@ -251,6 +251,28 @@ def test_reverted_records_are_skipped():
     assert contract_snapshot(final.contracts["pair"]) == {"reserve_x": 1_000, "reserve_y": 1_000}
 
 
+def test_replay_skips_a_record_it_cannot_apply_and_goes_on():
+    state = fresh_amm_state(1_000, 1_000, fee=0)
+    records = [
+        Record(venue="nowhere", block_number=1, tx_index=0, kind="swap", actor="a",
+               token_in="TKN", amount_in=100, token_out="ETH"),
+        # the pool holds no DAI
+        Record(venue="pair", block_number=1, tx_index=1, kind="swap", actor="b",
+               token_in="DAI", amount_in=100, token_out="ETH"),
+        Record(venue="pair", block_number=2, tx_index=0, kind="swap", actor="c",
+               token_in="TKN", amount_in=1_000, token_out="ETH"),
+    ]
+    final, failures, counts = replay(state, records)
+    assert [(f.index, f.reason) for f in failures] == [
+        (0, "unknown venue"),
+        (1, "transaction invalid at replay state"),
+    ]
+    assert counts == {"pair": 1}
+    assert contract_snapshot(final.contracts["pair"]) == {"reserve_x": 2_000, "reserve_y": 500}
+    assert (final.balance("a", "ETH"), final.balance("b", "ETH"), final.balance("c", "ETH")) == (0, 0, 500)
+    assert final.block_number == 2
+
+
 @pytest.mark.parametrize(
     "cell, reverted",
     [("", False), ("0", False), ("false", False), ("1", True), ("true", True)],

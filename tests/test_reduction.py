@@ -742,7 +742,9 @@ def test_an_exhaustive_search_applies_each_prefix_of_its_keys_once(
         assert (len(swaps), len(calls), len(values)) == (len(prefixes), 0, 0)
     else:
         # a tree that does not compile steps each distinct (state, item) pair
-        # once and values each distinct leaf state once
+        # once and values each distinct leaf state once; in ``deadline`` the
+        # two trades create their balances in either order, so a state key
+        # that read the balances' dict order would step 18 pairs, not 16
         assert (len(calls), len(values)) == (edges, leaves)
         assert edges < len(prefixes) and leaves < len(keys)
 
