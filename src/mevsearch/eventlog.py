@@ -170,7 +170,8 @@ def replay(state: State, records: list[Record]) -> tuple[State, list[ReplayFailu
     """Apply a log in order; returns (final state, failures, swaps per venue).
 
     An actor's input balance is topped up before each transfer-in, since
-    chain exports carry no wallet balances.
+    chain exports carry no wallet balances; the top-up is kept only when
+    the transaction applies.
     """
     failures: list[ReplayFailure] = []
     swap_counts: dict[str, int] = {}
@@ -194,8 +195,8 @@ def replay(state: State, records: list[Record]) -> tuple[State, list[ReplayFailu
                 state = state.with_block(record.block_number).settle((), record.venue, book)
             continue
 
-        state = _fund_for(state, record, contract).with_block(record.block_number)
-        nxt = apply_tx(state, tx)
+        state = state.with_block(record.block_number)
+        nxt = apply_tx(_fund_for(state, record, contract), tx)
         if nxt is None:
             failures.append(ReplayFailure(i, record, "transaction invalid at replay state"))
             continue

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
-from .ordering import _FULL, EvReport, OrderingSpace, SearchBudget, _greedy_k_blocks, search
+from .ordering import EvReport, OrderingSpace, SearchBudget, _greedy_k_blocks, search
 from .state import ScenarioError, State
 
 PRIMARY_ONLY = "primary_only"
@@ -263,7 +263,7 @@ def wmev(
             tail = Fraction(0)
     else:
         objective = PlayerDelta.from_state(player.accounts, valuation, state)
-        _, per_block = _greedy_k_blocks(state, replace(space, k=horizon), objective, budget, _FULL)
+        _, per_block = _greedy_k_blocks(state, replace(space, k=horizon), objective, budget)
         values = tuple(per_block)
         tail = Fraction(0) if player.block_probs is not None else None
 
@@ -293,7 +293,7 @@ def value_spread(
         # the greedy multi-block search tracks no worst ordering
         raise ScenarioError("value_spread over k > 1 blocks needs an exhaustive budget")
     objective = AccountBalanceValue(beneficiary, valuation)
-    report = search(space, budget, objective, state, want_worst=True, workers=workers)
+    report = search(space, budget, objective, state, workers=workers)
     return ValueSpread(
         beneficiary=beneficiary,
         b_high=report.best_value,

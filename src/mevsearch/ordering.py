@@ -209,7 +209,9 @@ class SearchBudget:
 
 @dataclass(frozen=True, slots=True)
 class EvReport:
-    """Search outcome: best (and optionally worst) value with witnesses."""
+    """Search outcome: best and worst value with witnesses.  Only the greedy
+    multi-block report (``k > 1`` under a randomized budget) and insertion
+    sizing's report carry no worst."""
 
     best_value: int
     best_ordering: tuple[str, ...]
@@ -673,17 +675,16 @@ class _Reducer:
         if w is None or low < w[0] or low == w[0] and prefix + low_key < w[1]:
             self.worst = (low, prefix + low_key)
 
-    def report(self, items: tuple[Tx, ...], exhaustive: bool, want_worst: bool) -> EvReport:
-        """The report, with witness labels built for the final keys only;
-        the worst is left out unless the caller asked for it."""
+    def report(self, items: tuple[Tx, ...], exhaustive: bool) -> EvReport:
+        """The report, with witness labels built for the final keys only."""
         (best_value, best_key), (worst_value, worst_key) = self.best, self.worst
         return EvReport(
             best_value=best_value,
             best_ordering=_labels_for(items, best_key),
             paths_explored=self.paths,
             exhaustive=exhaustive,
-            worst_value=worst_value if want_worst else None,
-            worst_ordering=_labels_for(items, worst_key) if want_worst else None,
+            worst_value=worst_value,
+            worst_ordering=_labels_for(items, worst_key),
             paths_total=self.paths if exhaustive else None,
         )
 
@@ -1082,7 +1083,6 @@ def _greedy_k_blocks(
     space: OrderingSpace,
     objective,
     budget: SearchBudget,
-    reduction: int,
 ) -> tuple[EvReport, list[int]]:
     """Greedy per-block concatenation; returns the report and the cumulative
     objective value after each block (used by the weighted-MEV series).
@@ -1100,9 +1100,7 @@ def _greedy_k_blocks(
     current = state
     for b in range(space.k):
         pending += tuple(replace(tx, arrival_block=0) for tx in space.mempool if tx.arrival_block == b)
-        tree = _Tree(
-            replace(space, mempool=pending, k=1), reduction, objective.tracked, current.contracts
-        )
+        tree = _Tree(replace(space, mempool=pending, k=1), _FULL, objective.tracked, current.contracts)
         reducer, _ = _search_tree(tree, current, objective, budget, 1)
         paths += reducer.paths
         key = reducer.best[1]
@@ -1134,24 +1132,21 @@ def search(
     budget: SearchBudget,
     objective,
     state: State,
-    pruning: bool = True,
-    want_worst: bool = False,
     workers: int = 1,
 ) -> EvReport:
-    """Best (and optionally worst) objective value over the feasible space.
+    """Best and worst objective value over the feasible space.
 
     Exhaustive whenever ``budget`` allows full coverage of the reduced space;
     otherwise seeded uniform sampling without replacement (greedy per-block
-    search for ``k > 1``).  ``pruning`` turns both reductions on or off;
-    under an exhaustive budget the values and witnesses do not depend on it.
-    Reports are bit-identical, and errors the same, for any ``workers``
-    value.
+    search for ``k > 1``, whose report alone carries no worst).  The
+    reductions are exact: under an exhaustive budget the values and
+    witnesses are those of the unreduced space.  Reports are bit-identical,
+    and errors the same, for any ``workers`` value.
     """
-    reduction = _FULL if pruning else 0
     if space.k > 1 and budget.mode == "randomized":
-        report, _ = _greedy_k_blocks(state, space, objective, budget, reduction)
+        report, _ = _greedy_k_blocks(state, space, objective, budget)
         return report
 
-    tree = _Tree(space, reduction, objective.tracked, state.contracts)
+    tree = _Tree(space, _FULL, objective.tracked, state.contracts)
     reducer, exhaustive = _search_tree(tree, state, objective, budget, workers)
-    return reducer.report(tree.items, exhaustive, want_worst)
+    return reducer.report(tree.items, exhaustive)

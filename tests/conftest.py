@@ -10,7 +10,7 @@ import pytest
 
 from mevsearch.contracts import AmmPool, MakerBook, Pricebet
 from mevsearch.metrics import Valuation
-from mevsearch.ordering import OrderingSpace
+from mevsearch.ordering import OrderingSpace, _search_tree, _Tree
 from mevsearch.state import Bet, CdpManipulate, GetReward, Liquidate, State, Swap, Tx
 
 WAD = 10**18
@@ -22,6 +22,14 @@ def simple_pool(reserve_x=1000, reserve_y=1000, fee_bps=0, token_x="BBT", token_
 
 def pool_state(balances=None, pools=None, block_number=0):
     return State(dict(balances or {}), dict(pools or {}), block_number)
+
+
+def unpruned_search(space, budget, objective, state):
+    """``search`` of the unreduced tree, in one process: the oracle that
+    the reductions must match under an exhaustive budget."""
+    tree = _Tree(space, 0, objective.tracked, state.contracts)
+    reducer, exhaustive = _search_tree(tree, state, objective, budget, 1)
+    return reducer.report(tree.items, exhaustive)
 
 
 @pytest.fixture

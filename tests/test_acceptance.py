@@ -56,6 +56,8 @@ from mevsearch.state import (
     total_supply,
 )
 
+from conftest import unpruned_search
+
 WAD = 10**18
 EXH = SearchBudget(mode="exhaustive")
 
@@ -145,8 +147,8 @@ def test_criterion_3_pruning_losslessness():
         state = scenario.initial_state()
         space = scenario.space()
         objective = AccountBalanceValue(scenario.beneficiary, scenario.get_valuation())
-        pruned = search(space, EXH, objective, state, pruning=True, want_worst=True)
-        full = search(space, EXH, objective, state, pruning=False, want_worst=True)
+        pruned = search(space, EXH, objective, state)
+        full = unpruned_search(space, EXH, objective, state)
         assert pruned.best_value == full.best_value
         assert pruned.worst_value == full.worst_value
         collapsed_any = collapsed_any or pruned.paths_explored < full.paths_explored
@@ -267,7 +269,7 @@ def test_criterion_8_parallel_performance():
     for _ in range(7):
         for workers in (1, 2, 4, 8):
             t0 = time.time()
-            report = search(space, EXH, objective, state, want_worst=True, workers=workers)
+            report = search(space, EXH, objective, state, workers=workers)
             dt = time.time() - t0
             timings[workers] = min(timings.get(workers, dt), dt)
             reports[workers] = report

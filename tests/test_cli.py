@@ -56,6 +56,26 @@ def test_optimize_insert_emits_curve(runner, tmp_path):
     assert len(curve) >= 16
 
 
+def test_sizing_that_inserts_nothing_reports_no_alpha_and_no_curve(runner, tmp_path):
+    # With no user trade and both pools at one price, every inserted round
+    # trip loses its fees: the best skeleton inserts nothing.
+    doc = json.loads((DATA / "two_amm_counterexample.json").read_text())
+    doc["mempool"] = []
+    sushi, uni = doc["contracts"]
+    uni["reserve_x"], uni["reserve_y"] = sushi["reserve_x"], sushi["reserve_y"]
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(runner, ["mev", "--scenario", str(path)])
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    assert report["alpha"] is None and report["best_value"] == "0"
+    out = tmp_path / "out"
+    result = invoke(runner, ["optimize-insert", "--scenario", str(path), "--out", str(out)])
+    assert result.exit_code == 0
+    assert json.loads((out / "report.json").read_text()) == json.loads(result.output)
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+
 def test_compose_check_exit_code(runner):
     from mevsearch.cli import EXIT_NOT_COMPOSABLE
 

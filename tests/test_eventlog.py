@@ -252,7 +252,8 @@ def test_reverted_records_are_skipped():
 
 
 def test_replay_skips_a_record_it_cannot_apply_and_goes_on():
-    state = fresh_amm_state(1_000, 1_000, fee=0)
+    book = MakerBook(loan_token="DAI", collateral_token="ETH", price_source="pair", debt={"d": 40})
+    state = State({}, {**fresh_amm_state(1_000, 1_000, fee=0).contracts, "book": book}, 0)
     records = [
         Record(venue="nowhere", block_number=1, tx_index=0, kind="swap", actor="a",
                token_in="TKN", amount_in=100, token_out="ETH"),
@@ -261,15 +262,25 @@ def test_replay_skips_a_record_it_cannot_apply_and_goes_on():
                token_in="DAI", amount_in=100, token_out="ETH"),
         Record(venue="pair", block_number=2, tx_index=0, kind="swap", actor="c",
                token_in="TKN", amount_in=1_000, token_out="ETH"),
+        Record(venue="book", block_number=2, tx_index=1, kind="cdp", actor="d",
+               sub_kind="pay_loan", qty=40),
+        # e owes nothing
+        Record(venue="book", block_number=2, tx_index=2, kind="cdp", actor="e",
+               sub_kind="pay_loan", qty=10),
     ]
     final, failures, counts = replay(state, records)
     assert [(f.index, f.reason) for f in failures] == [
         (0, "unknown venue"),
         (1, "transaction invalid at replay state"),
+        (4, "transaction invalid at replay state"),
     ]
     assert counts == {"pair": 1}
     assert contract_snapshot(final.contracts["pair"]) == {"reserve_x": 2_000, "reserve_y": 500}
+    assert contract_snapshot(final.contracts["book"]) == {"debt:d": 0}
     assert (final.balance("a", "ETH"), final.balance("b", "ETH"), final.balance("c", "ETH")) == (0, 0, 500)
+    # a failed record keeps no top-up; d's top-up paid its loan
+    assert final.balance("b", "DAI") == 0
+    assert (final.balance("d", "DAI"), final.balance("e", "DAI")) == (0, 0)
     assert final.block_number == 2
 
 

@@ -15,8 +15,10 @@ from mevsearch.metrics import (
     value_spread,
     wmev,
 )
-from mevsearch.ordering import OrderingSpace, SearchBudget, search
+from mevsearch.ordering import OrderingSpace, SearchBudget
 from mevsearch.state import Bet, GetReward, State, Swap, Tx, apply_sequence
+
+from conftest import unpruned_search
 
 EXH = SearchBudget(mode="exhaustive")
 
@@ -49,7 +51,7 @@ def test_ev_arbitrage_matches_hand_enumeration():
     space = OrderingSpace(mempool=(user,), templates=(t_buy, t_sell), allow_insert=True)
     valuation = Valuation(primary="ETH", mode="oracle_priced", prices={"BBT": Fraction(1)})
     objective = PlayerDelta.from_state(miner().accounts, valuation, state)
-    report = search(space, EXH, objective, state, pruning=False)
+    report = unpruned_search(space, EXH, objective, state)
 
     def value(seq):
         res = apply_sequence(state, list(seq), "skip_invalid")

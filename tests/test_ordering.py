@@ -29,7 +29,7 @@ from mevsearch.ordering import (
 from mevsearch.scenario import load_scenario
 from mevsearch.state import State, Swap, Tx, apply_sequence
 
-from conftest import VALUATION, mixed_instance, pool_state, simple_pool
+from conftest import VALUATION, mixed_instance, pool_state, simple_pool, unpruned_search
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -197,8 +197,8 @@ def test_exhaustive_search_matches_brute_force():
         best = v if best is None else max(best, v)
         worst = v if worst is None else min(worst, v)
 
-    for pruning in (False, True):
-        rep = search(sp, SearchBudget(mode="exhaustive"), objective, state, pruning=pruning, want_worst=True)
+    for fold in (unpruned_search, search):
+        rep = fold(sp, SearchBudget(mode="exhaustive"), objective, state)
         assert rep.exhaustive
         assert rep.best_value == best
         assert rep.worst_value == worst
@@ -217,7 +217,7 @@ def test_parallel_reports_are_identical():
     sp = OrderingSpace(mempool=mempool)
     objective = AccountBalanceValue("whale", Valuation(primary="ETH"))
     reports = [
-        search(sp, SearchBudget(mode="exhaustive"), objective, state, want_worst=True, workers=w)
+        search(sp, SearchBudget(mode="exhaustive"), objective, state, workers=w)
         for w in (1, 2, 3, 4)
     ]
     assert all(r == reports[0] for r in reports[1:])
@@ -271,12 +271,12 @@ def test_capped_attempt_is_exact_when_the_classes_just_fit():
         tree = _Tree(sp, _FULL, objective.tracked, state.contracts)
         assert len(tree.items) <= SearchBudget().tractability_threshold
         assert (_compiled(tree, state, objective, sp.fee_policy()) is None) == (case > 0)
-        exact = search(sp, SearchBudget(mode="exhaustive"), objective, state, want_worst=True)
+        exact = search(sp, SearchBudget(mode="exhaustive"), objective, state)
         classes = exact.paths_total
         fits = SearchBudget(mode="randomized", max_paths=classes, seed=5)
         for workers in (1, 2):
-            assert search(sp, fits, objective, state, want_worst=True, workers=workers) == exact, case
-        over = search(sp, replace(fits, max_paths=classes - 1), objective, state, want_worst=True)
+            assert search(sp, fits, objective, state, workers=workers) == exact, case
+        over = search(sp, replace(fits, max_paths=classes - 1), objective, state)
         assert not over.exhaustive and over.paths_total is None
         assert over.paths_explored == classes - 1
         assert over.worst_value >= exact.worst_value and over.best_value <= exact.best_value
@@ -323,7 +323,7 @@ def test_tie_break_is_lexicographic_smallest():
     mempool = (Tx("a", "amm", Swap("BBT", "ETH", 5)), Tx("b", "amm", Swap("BBT", "ETH", 6)))
     sp = OrderingSpace(mempool=mempool)
     objective = PlayerDelta.from_state(frozenset({"miner"}), Valuation(primary="ETH"), state)
-    rep = search(sp, SearchBudget(mode="exhaustive"), objective, state, pruning=False, want_worst=True)
+    rep = unpruned_search(sp, SearchBudget(mode="exhaustive"), objective, state)
     assert rep.best_ordering == ("m0", "m1")
     assert rep.worst_ordering == ("m0", "m1")
 
@@ -339,7 +339,7 @@ def test_skip_invalid_semantics_in_search():
     )
     sp = OrderingSpace(mempool=mempool)
     objective = AccountBalanceValue("u0", Valuation(primary="ETH"))
-    rep = search(sp, SearchBudget(mode="exhaustive"), objective, state, pruning=False)
+    rep = unpruned_search(sp, SearchBudget(mode="exhaustive"), objective, state)
     assert rep.paths_explored == 2
     assert rep.best_value == 0
 
@@ -354,8 +354,8 @@ def test_pruning_equivalence_small_instances():
         space = scenario.space()
         valuation = scenario.get_valuation()
         objective = AccountBalanceValue(scenario.beneficiary, valuation)
-        pruned = search(space, SearchBudget(mode="exhaustive"), objective, state, pruning=True, want_worst=True)
-        full = search(space, SearchBudget(mode="exhaustive"), objective, state, pruning=False, want_worst=True)
+        pruned = search(space, SearchBudget(mode="exhaustive"), objective, state)
+        full = unpruned_search(space, SearchBudget(mode="exhaustive"), objective, state)
         assert pruned.best_value == full.best_value
         assert pruned.worst_value == full.worst_value
         assert pruned.paths_explored <= full.paths_explored
@@ -459,7 +459,7 @@ def test_reports_are_the_same_at_any_worker_count(monkeypatch, case, has_units):
     for workers in (1, 2, 3, 8):
         del forks[:]
         reports[workers] = search(
-            sp, SearchBudget(mode="exhaustive"), objective, state, want_worst=True, workers=workers
+            sp, SearchBudget(mode="exhaustive"), objective, state, workers=workers
         )
         assert len(forks) == max(1, min(workers, len(units))) - 1
         _assert_no_child_left()
@@ -612,7 +612,7 @@ def test_a_fork_that_fails_gives_the_one_worker_report(monkeypatch, failing_fork
     sp = OrderingSpace(mempool=_alternating(4), allow_censor=True)
     objective = _u0()
     budget = SearchBudget(mode="exhaustive")
-    serial = search(sp, budget, objective, state, want_worst=True)
+    serial = search(sp, budget, objective, state)
     forks = _count_forks(monkeypatch)
     counting_fork = os.fork
 
@@ -622,7 +622,7 @@ def test_a_fork_that_fails_gives_the_one_worker_report(monkeypatch, failing_fork
         return counting_fork()
 
     monkeypatch.setattr(os, "fork", fork)
-    assert search(sp, budget, objective, state, want_worst=True, workers=3) == serial
+    assert search(sp, budget, objective, state, workers=3) == serial
     assert len(forks) == failing_fork
     _assert_no_child_left()
 
@@ -704,9 +704,9 @@ def test_a_tree_that_does_not_compile_folds_in_one_process(monkeypatch):
         assert _compiled(tree, state, objective, sp.fee_policy()) is None
         assert len(_work_units(tree)[1]) > 1
         budget = SearchBudget(mode="exhaustive")
-        one = search(sp, budget, objective, state, want_worst=True)
+        one = search(sp, budget, objective, state)
         for workers in (2, 3, 8):
-            assert search(sp, budget, objective, state, want_worst=True, workers=workers) == one
+            assert search(sp, budget, objective, state, workers=workers) == one
         assert forks == []
 
 

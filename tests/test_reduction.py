@@ -81,7 +81,7 @@ from mevsearch.state import (
     apply_tx,
 )
 
-from conftest import VALUATION, mixed_instance
+from conftest import VALUATION, mixed_instance, unpruned_search
 
 EXH = SearchBudget(mode="exhaustive")
 # (reorder, censor, insert, k): every combination, the hardest one first.
@@ -271,8 +271,8 @@ def test_liquidity_actions_commute_and_reduce_losslessly():
                             items[j].action
                         ) is not Swap
             objective = PlayerDelta.from_state(frozenset({"u0"}), VALUATION, state)
-            reduced = search(space, EXH, objective, state, pruning=True, want_worst=True)
-            full = search(space, EXH, objective, state, pruning=False, want_worst=True)
+            reduced = search(space, EXH, objective, state)
+            full = unpruned_search(space, EXH, objective, state)
             assert replace(reduced, paths_explored=0, paths_total=0) == replace(
                 full, paths_explored=0, paths_total=0
             ), (seed, censor)
@@ -411,8 +411,8 @@ def test_reduced_and_unreduced_search_agree_on_the_mixed_corpus():
             objective = PlayerDelta.from_state(frozenset({"miner"}), VALUATION, state)
         else:
             objective = AccountBalanceValue("p" if i % 4 else "u0", VALUATION)
-        reduced = search(space, EXH, objective, state, pruning=True, want_worst=True)
-        full = search(space, EXH, objective, state, pruning=False, want_worst=True)
+        reduced = search(space, EXH, objective, state)
+        full = unpruned_search(space, EXH, objective, state)
         assert replace(reduced, paths_explored=0, paths_total=0) == replace(
             full, paths_explored=0, paths_total=0
         ), (i, space)
@@ -423,7 +423,7 @@ def test_reduced_and_unreduced_search_agree_on_the_mixed_corpus():
             assert space.k == 2 and space.allow_censor and space.allow_insert
             assert not space.allow_reorder and space.charge_fees
             assert search(
-                space, EXH, objective, state, want_worst=True, workers=2
+                space, EXH, objective, state, workers=2
             ) == reduced
     assert reduced_total < full_total
 
@@ -436,8 +436,8 @@ def test_identical_trades_collapse_without_changing_the_report():
             objective = PlayerDelta.from_state(identical_trades_tracked(i), VALUATION, state)
         else:
             objective = AccountBalanceValue(f"u{i % 5}", VALUATION)
-        reduced = search(space, EXH, objective, state, pruning=True, want_worst=True)
-        full = search(space, EXH, objective, state, pruning=False, want_worst=True)
+        reduced = search(space, EXH, objective, state)
+        full = unpruned_search(space, EXH, objective, state)
         assert replace(reduced, paths_explored=0, paths_total=0) == replace(
             full, paths_explored=0, paths_total=0
         ), (i, space)
@@ -457,8 +457,8 @@ def test_fee_paying_identical_swaps_prune_without_changing_the_report():
                 PlayerDelta.from_state(frozenset({"miner"}), VALUATION, state),
                 AccountBalanceValue(f"u{seed % 5}", VALUATION),
             ):
-                reduced = search(space, EXH, objective, state, pruning=True, want_worst=True)
-                full = search(space, EXH, objective, state, pruning=False, want_worst=True)
+                reduced = search(space, EXH, objective, state)
+                full = unpruned_search(space, EXH, objective, state)
                 assert replace(reduced, paths_explored=0, paths_total=0) == replace(
                     full, paths_explored=0, paths_total=0
                 ), (seed, flags)
@@ -523,8 +523,8 @@ def test_a_run_of_distinct_trades_is_walked_in_both_orders(pool, censor):
             for order in ((0, 1, 2), (1, 0, 2))
         )
         assert u0_first != u1_first
-        reduced = search(space, EXH, objective, state, pruning=True, want_worst=True)
-        full = search(space, EXH, objective, state, pruning=False, want_worst=True)
+        reduced = search(space, EXH, objective, state)
+        full = unpruned_search(space, EXH, objective, state)
         assert replace(reduced, paths_explored=0, paths_total=0) == replace(
             full, paths_explored=0, paths_total=0
         ), (pool, a, b)
@@ -733,7 +733,7 @@ def test_an_exhaustive_search_applies_each_prefix_of_its_keys_once(
     calls, swaps = _count_steps(monkeypatch)
     monkeypatch.setattr(_Tree, "_dead", counting_dead)
     monkeypatch.setattr(AccountBalanceValue, "value", counting_value)
-    report = search(space, EXH, objective, state, want_worst=True)
+    report = search(space, EXH, objective, state)
     assert report.paths_explored == len(keys)
     # the walk cuts subtrees that hold no construction, except under censoring
     assert any(cuts) != space.allow_censor
@@ -780,7 +780,7 @@ def test_sliced_sampling_equals_whole_replay_on_the_mixed_corpus(monkeypatch):
         for i, (state, space) in enumerate(differential_corpus())
     ]
     sliced = [
-        search(space, _sampled(i), objective, state, want_worst=True)
+        search(space, _sampled(i), objective, state)
         for i, (state, space, objective) in enumerate(cases)
     ]
     trees = [
@@ -794,7 +794,7 @@ def test_sliced_sampling_equals_whole_replay_on_the_mixed_corpus(monkeypatch):
     assert {space.k for _, space, _ in cases} == {1, 2}
     monkeypatch.setattr(ordering, "_fold", _whole_replay)
     for i, (state, space, objective) in enumerate(cases):
-        oracle = search(space, _sampled(i), objective, state, want_worst=True)
+        oracle = search(space, _sampled(i), objective, state)
         assert sliced[i] == oracle, (i, space)
 
 
@@ -853,7 +853,7 @@ def test_sampling_applies_each_shared_prefix_of_the_slice_once(monkeypatch, cens
     prefixes = {proj[:d] for proj in projections for d in range(1, len(proj) + 1)}
 
     calls, swaps = _count_steps(monkeypatch)
-    report = search(space, budget, objective, state, want_worst=True)
+    report = search(space, budget, objective, state)
     # the swap-only tree folds on ints: one swap step per prefix, no State
     assert (len(swaps), len(calls)) == (len(prefixes), 0)
     assert len(swaps) < sum(len(seq) for seq in seqs)  # the whole-replay count
@@ -863,7 +863,7 @@ def test_sampling_applies_each_shared_prefix_of_the_slice_once(monkeypatch, cens
         # some projection extends another, so a state on the stack is reused whole
         assert any(proj[:-1] in projections for proj in projections if proj)
     monkeypatch.setattr(ordering, "_fold", _whole_replay)
-    assert search(space, budget, objective, state, want_worst=True) == report
+    assert search(space, budget, objective, state) == report
 
 
 @pytest.mark.parametrize("compiled", (True, False), ids=["kernel", "state_path"])
@@ -940,9 +940,9 @@ def test_a_contract_type_with_no_footprint_branch_disables_the_slice(monkeypatch
     assert tree.relevant == _all_items(tree)
     # without footprints the sleep sets are off, and so is the slice
     assert _Tree(space, _RUN, objective.tracked, state.contracts).relevant == _all_items(tree)
-    sliced = search(space, _sampled(1, 100), objective, state, want_worst=True)
+    sliced = search(space, _sampled(1, 100), objective, state)
     monkeypatch.setattr(ordering, "_fold", _whole_replay)
-    assert search(space, _sampled(1, 100), objective, state, want_worst=True) == sliced
+    assert search(space, _sampled(1, 100), objective, state) == sliced
 
 
 # Items whose application raises, each reaching no tracked balance.

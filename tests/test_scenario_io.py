@@ -33,7 +33,8 @@ from mevsearch.state import (
 
 
 def full_scenario() -> Scenario:
-    pool = AmmPool("BBT", "ETH", 10**21, 9 * 10**20, fee_bps=30)
+    pool = AmmPool("BBT", "ETH", 10**21, 9 * 10**20, fee_bps=30,
+                   lp_total=10**20, lp_shares={"lp": 6 * 10**19, "alice": 4 * 10**19})
     book = MakerBook(
         loan_token="BBT",
         collateral_token="ETH",
@@ -41,8 +42,10 @@ def full_scenario() -> Scenario:
         collateral={"v": 10**18},
         debt={"v": 10**18},
         oracle_price=(3, 2),
+        efficient_auction=True,
     )
-    bet = Pricebet(oracle="amm", token="ETH", deadline=12, stake=100, reward=200, pot=100)
+    bet = Pricebet(oracle="amm", token="ETH", deadline=12, stake=100, reward=200, pot=100,
+                   has_bet=True, player="bob", settled=True)
     return Scenario(
         tokens=(TokenDecl("ETH", primary=True), TokenDecl("BBT")),
         balances={("alice", "BBT"): 5 * 10**18, ("miner", "ETH"): 10**20},
@@ -151,6 +154,33 @@ def test_wrong_shaped_section_rejected(keys, value, message):
     for key in parents:
         section = section[key]
     section[last] = value
+    with pytest.raises(ParseError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value) == message
+
+
+REJECTED_DOCS = [
+    ("duplicate token", lambda d: d["tokens"].append({"id": "BBT"}),
+     "$.tokens: duplicate token ids"),
+    ("unknown account token", lambda d: d["accounts"]["u"].update(DAI="1"),
+     "$.accounts.u: unknown token 'DAI'"),
+    ("duplicate contract", lambda d: d["contracts"].append(dict(d["contracts"][0])),
+     "$.contracts[1]: duplicate contract id 'amm'"),
+    ("new contract deployed", lambda d: d.update(new_contract=d["contracts"][0]),
+     "$.new_contract: contract id 'amm' already deployed"),
+    ("unknown priced token", lambda d: d["valuation"].update(prices={"DAI": "1"}),
+     "$.valuation.prices: unknown token 'DAI'"),
+    ("unknown contract type", lambda d: d["contracts"][0].update(type="vault"),
+     "$.contracts[0]: unknown contract type 'vault'"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, message", [r[1:] for r in REJECTED_DOCS], ids=[r[0] for r in REJECTED_DOCS]
+)
+def test_inconsistent_document_rejected(edit, message):
+    doc = shaped_doc()
+    edit(doc)
     with pytest.raises(ParseError) as err:
         scenario_from_dict(doc)
     assert str(err.value) == message
