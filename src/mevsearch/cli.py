@@ -31,6 +31,7 @@ from .corpus import gen_corpus
 from .eventlog import load_expected, read_event_log, replay_validate
 from .insertion import has_unresolved_amount, profit_curve, search_with_insertion, InsertionProblem
 from .metrics import MinerModel, PlayerDelta, Valuation, ev, value_spread, wmev
+from .ordering import too_deep
 from .scenario import ParseError, Scenario, dumps_canonical, load_scenario, save_scenario
 from .state import ScenarioError
 
@@ -143,13 +144,9 @@ class _Main(click.Group):
             click.echo(f"error: {e}", err=True)
             ctx.exit(EXIT_BAD_INPUT)
         except RecursionError:
-            # The walk, the count and the fold recurse once per item and
-            # block break of a construction.
-            click.echo(
-                "error: the search nests deeper than the recursion limit of "
-                f"{sys.getrecursionlimit()} frames; lower k or the number of transactions",
-                err=True,
-            )
+            # ``search`` and ``count_sequences`` raise ``too_deep`` themselves;
+            # insertion sizing and the greedy series walk trees too.
+            click.echo(f"error: {too_deep()}", err=True)
             ctx.exit(EXIT_BAD_INPUT)
 
 

@@ -11,7 +11,8 @@ a deterministic tie-break: among equal values the lexicographically smallest
 item-index sequence wins, so reports are identical for any worker count.
 With ``workers > 1``, the exact search of a tree that compiles (below), at
 any ``k``, splits the subtrees under its depth-2 nodes between forked
-workers, the parent folding one share itself; if any part of that fails, the
+workers, the parent folding one share itself, when the tree has more than
+``FORK_CROSSOVER`` collapsed offers (below); if any part of that fails, the
 search is folded again in one process, so the report or error is the
 one-worker one.  Every other exact search folds in one process.
 
@@ -46,6 +47,26 @@ reads it (a price bet's deadline), and a block break changes nothing else.
 The memo pays only where it is shared, so this fold runs in one process at
 any worker count (split over forked workers, each process would build its
 own memo and apply more steps in all).
+
+Every exact fold collapses quiet suffixes (the suffix case of the cone of
+influence, below; where a branch-and-bound bound is tight: Land & Doig,
+1960).  An item is quiet when it has a footprint (below) holding no balance
+of a tracked account and cannot raise; a context is quiet when every item
+still placeable under it is: the remaining mempool items and templates, the
+later waves, and the templates re-offered before the last block.  Every
+construction under a quiet node then has the value of the node's state,
+since the objective reads only tracked balances (``metrics``), so the fold
+offers that value once, weighted by the node's count of constructions and
+keyed by its least key, and applies no step past the node: the best, worst,
+witnesses and path counts are those of the uncollapsed fold.  The least key
+is a true minimum over the subtree, not its first walked key: the walk is
+not in lexicographic order at ``k > 1``, where a block break puts a later
+wave's items after the remaining ones, a larger index before a smaller.
+The collapse needs footprints and the deployed contracts, so the unreduced
+tree never collapses, and it trusts only the package's own objectives, by
+exact type.  A fork costs more than a small fold saves, so a compiled tree
+forks only when its count of collapsed offers, a capped count of the
+context table that stops at quiet nodes, passes ``FORK_CROSSOVER``.
 
 Swap-only trees fold on plain ints.  When no fee is charged, the objective is
 a ``PlayerDelta`` or an ``AccountBalanceValue``, and every item is a ``Swap``
@@ -116,8 +137,9 @@ import os
 import pickle
 import random
 import signal
+import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 
 from . import contracts
@@ -141,6 +163,12 @@ BLOCK_BREAK_LABEL = "|"
 _UNSEEN = object()  # a cached entry not computed yet
 # The sampler gives up after this many draws in a row that it had seen before.
 MAX_DUPLICATE_RUN = 1000
+# An exact search forks workers only for a compiled tree with more collapsed
+# offers than this (``_Tree.count_offers``).  On a 2-CPU host, two-pool
+# spreads of 360-930 offers mostly folded slower at 2 workers than at 1 (a
+# fork costs a few ms), and from about 1,000 offers (8-12 ms in one process)
+# mostly faster.
+FORK_CROSSOVER = 1_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -292,20 +320,26 @@ def _may_raise(tx: Tx, deployed) -> bool:
     return False
 
 
-def _relevant(items: tuple[Tx, ...], prints: list[frozenset], tracked, deployed) -> int:
-    """Bitmask of the items whose footprint-connected component holds a
-    balance of a ``tracked`` account or an item that may raise."""
-    holders: dict = {}
-    for i, keys in enumerate(prints):
-        for key in keys:
-            holders[key] = holders.get(key, 0) | 1 << i
-    todo = 0
+def _seeds(items: tuple[Tx, ...], prints: list[frozenset], tracked, deployed) -> int:
+    """Bitmask of the items that touch a balance of a ``tracked`` account
+    or may raise: the items the objective can see directly."""
+    seeds = 0
     for i, tx in enumerate(items):
         if _may_raise(tx, deployed) or any(
             type(key) is tuple and key[0] in tracked for key in prints[i]
         ):
-            todo |= 1 << i
-    relevant = 0
+            seeds |= 1 << i
+    return seeds
+
+
+def _relevant(prints: list[frozenset], seeds: int) -> int:
+    """Bitmask of the items whose footprint-connected component holds one
+    of ``seeds``."""
+    holders: dict = {}
+    for i, keys in enumerate(prints):
+        for key in keys:
+            holders[key] = holders.get(key, 0) | 1 << i
+    todo, relevant = seeds, 0
     while todo:
         low = todo & -todo
         relevant |= low
@@ -424,7 +458,8 @@ class _Tree:
     Items are the mempool transactions that arrive within the ``k`` blocks,
     in mempool order, followed by the templates; a construction's key is its
     tuple of item indices, with ``BLOCK_BREAK`` between blocks.  ``walk``
-    yields the keys without reading a state; ``_fold`` applies them.
+    yields the keys without reading a state, and ``offers`` the same with
+    quiet subtrees collapsed; ``_fold`` applies them.
 
     A walk node's subtree depends only on its *context*: the block, the
     remaining mempool items and templates, and the sleep mask.  Contexts
@@ -442,12 +477,15 @@ class _Tree:
     ``relevant`` is the bitmask of the items the objective can see: those
     footprint-connected to a balance of a tracked account or to an item that
     may raise.  Without footprints every item is relevant.  Only the sampler
-    reads it.
+    reads it.  ``quiet`` is the bitmask of the items that touch no tracked
+    balance and cannot raise; it is 0 without footprints or without the
+    deployed contracts.  A context is quiet when every item still placeable
+    under it is quiet (``expand``).
     """
 
     __slots__ = (
-        "space", "items", "waves", "templates", "indep", "relevant",
-        "_contexts", "_ids", "_rows", "_counts",
+        "space", "items", "waves", "templates", "indep", "relevant", "quiet",
+        "_later", "_contexts", "_ids", "_rows", "_counts", "_offers", "_least",
     )
 
     def __init__(
@@ -484,7 +522,18 @@ class _Tree:
 
         n = len(items)
         prints = [_footprint(tx, deployed, space) if reduction & _SLEEP else None for tx in items]
-        self.relevant = (1 << n) - 1 if None in prints else _relevant(items, prints, tracked, deployed)
+        if None in prints:
+            self.relevant, self.quiet = (1 << n) - 1, 0
+        else:
+            seeds = _seeds(items, prints, tracked, deployed)
+            self.relevant = _relevant(prints, seeds)
+            self.quiet = 0 if deployed is None else (1 << n) - 1 & ~seeds
+        # _later[block]: the items that the block breaks after ``block`` offer.
+        offered = sum(1 << i for i in self.templates) if space.allow_insert else 0
+        self._later = [
+            sum(1 << i for i in chain(*self.waves[block + 1:])) | offered
+            for block in range(space.k - 1)
+        ] + [0]
         self.indep = [0] * n
         for i in range(n):
             for j in range(i):
@@ -498,12 +547,15 @@ class _Tree:
                     self.indep[j] |= 1 << i
 
         # Context i is _contexts[i]; _rows[i] is its expansion, _UNSEEN until
-        # it is needed; _counts maps a context to its number of constructions.
+        # it is needed; _counts maps a context to its number of constructions,
+        # _offers to its number of collapsed offers, _least to its least key.
         root = (0, self.waves[0], self.templates, 0)
         self._contexts = [root]
         self._ids = {root: 0}
         self._rows: list = [_UNSEEN]
         self._counts: dict[int, int] = {}
+        self._offers: dict[int, int] = {}
+        self._least: dict[int, tuple[int, ...]] = {}
 
     def _dead(self, sleep: int, mem_rem: tuple[int, ...], tpl_rem: tuple[int, ...]) -> bool:
         """Can some remaining mempool item never be placed?  Only the awake
@@ -540,9 +592,10 @@ class _Tree:
         return node
 
     def expand(self, node: int):
-        """``(leaf, ((item, child), ...))`` for context ``node``: whether
-        the node is a construction, and its children in walk order, each
-        with its own context's number.  ``None`` where the node is cut.
+        """``(leaf, ((item, child), ...), quiet)`` for context ``node``:
+        whether the node is a construction, its children in walk order, each
+        with its own context's number, and whether the node is quiet.
+        ``None`` where the node is cut.
 
         An item is skipped when it is asleep, and for no other reason.
         After ``b`` the sleep mask becomes ``(sleep | the choices below b) &
@@ -550,7 +603,9 @@ class _Tree:
         before the last block.  Without censoring, a node of the last block
         where some transaction can never wake up is cut, and a node of the
         last block is a construction only once every admitted transaction is
-        placed.
+        placed.  The items still placeable are the remaining mempool items,
+        the remaining templates when inserting, and what later block breaks
+        offer (``_later``); the node is quiet when all of them are.
         """
         row = self._rows[node]
         if row is not _UNSEEN:
@@ -589,7 +644,13 @@ class _Tree:
                 nxt_mem, nxt_tpl = mem_rem, tpl_rem[:pos] + tpl_rem[pos + 1:]
             nxt_sleep = (sleep | offered & ((1 << idx) - 1)) & indep[idx]
             children.append((idx, number((block, nxt_mem, nxt_tpl, nxt_sleep))))
-        row = self._rows[node] = (leaf, tuple(children))
+        quiet = False
+        if self.quiet:
+            placeable = self._later[block]
+            for idx in chain(mem_rem, tpl_rem) if insert else mem_rem:
+                placeable |= 1 << idx
+            quiet = not placeable & ~self.quiet
+        row = self._rows[node] = (leaf, tuple(children), quiet)
         return row
 
     def count(self, node: int = 0, cap: float = float("inf")) -> int:
@@ -598,7 +659,7 @@ class _Tree:
         returns the partial sum.  Only exact counts are kept."""
         n = self._counts.get(node)
         if n is None:
-            leaf, children = self.expand(node) or (False, ())
+            leaf, children, _ = self.expand(node) or (False, (), False)
             n = int(leaf)
             for _, child in children:
                 n += self.count(child, cap - n)
@@ -614,11 +675,61 @@ class _Tree:
         row = self.expand(node)
         if row is None:
             return
-        leaf, children = row
+        leaf, children, _ = row
         if leaf:
             yield prefix
         for item, child in children:
             yield from self.walk(child, prefix + (item,))
+
+    def least(self, node: int) -> tuple[int, ...]:
+        """The smallest key under context ``node``, which holds a
+        construction: ``()`` at a construction, else the smallest of each
+        child's item followed by its least key, over the children that hold
+        a construction.  The walk's first key need not be the smallest:
+        past a block break, a later wave's item can come after a larger
+        index."""
+        key = self._least.get(node)
+        if key is None:
+            leaf, children, _ = self.expand(node)
+            key = () if leaf else min(
+                (item,) + self.least(child) for item, child in children if self.count(child)
+            )
+            self._least[node] = key
+        return key
+
+    def offers(self, node: int = 0, prefix: tuple[int, ...] = ()):
+        """``walk`` with each quiet subtree collapsed: yield ``(key, path,
+        weight)`` for every construction, and once for every quiet node that
+        holds ``weight`` constructions, all of them valued at the state that
+        ``path`` (the node's prefix) reaches, keyed by the node's least
+        key."""
+        leaf, children, quiet = self.expand(node) or (False, (), False)
+        if quiet:
+            n = self.count(node)
+            if n:
+                yield prefix + self.least(node), prefix, n
+            return
+        if leaf:
+            yield prefix, prefix, 1
+        for item, child in children:
+            yield from self.offers(child, prefix + (item,))
+
+    def count_offers(self, node: int = 0, cap: float = float("inf")) -> int:
+        """The number of tuples ``offers`` yields under context ``node``,
+        capped as ``count`` is: ``count`` stopping at quiet nodes."""
+        n = self._offers.get(node)
+        if n is None:
+            leaf, children, quiet = self.expand(node) or (False, (), False)
+            if quiet:
+                n = int(self.count(node) > 0)
+            else:
+                n = int(leaf)
+                for _, child in children:
+                    n += self.count_offers(child, cap - n)
+                    if n > cap:
+                        return n
+            self._offers[node] = n
+        return n
 
 
 def count_sequences(
@@ -634,7 +745,20 @@ def count_sequences(
     """
     if space.k != 1:
         raise ScenarioError("count_sequences counts single-block spaces")
-    return _Tree(space, _FULL if pruning else 0, tracked).count()
+    try:
+        return _Tree(space, _FULL if pruning else 0, tracked).count()
+    except RecursionError:
+        raise too_deep() from None
+
+
+def too_deep() -> ScenarioError:
+    """The error of a search or count that nests deeper than the recursion
+    limit: the walk, the counts, the least key and the DAG fold recurse once
+    per item and block break of a construction."""
+    return ScenarioError(
+        f"the search nests deeper than the recursion limit of {sys.getrecursionlimit()} "
+        "frames; lower k or the number of transactions"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -689,18 +813,27 @@ class _Reducer:
         )
 
 
-def _compiled(tree: _Tree, state: State, objective, fee_policy) -> _SwapInts | None:
-    """The tree's items compiled to ints, when nothing but swaps and the
-    objective's balances can matter: no fee policy, a ``PlayerDelta`` or
-    ``AccountBalanceValue`` objective, and every item a ``Swap`` of a bound
-    size at a venue that holds an ``AmmPool`` or nothing.  An unbound size
-    raises on the ``State`` path, so such a tree does not compile."""
+def _own_objective(objective) -> bool:
+    """Is the objective exactly a ``PlayerDelta`` or an
+    ``AccountBalanceValue``, whose ``value`` reads nothing but the tracked
+    balances, through ``valuation`` and ``deltas``?  The integer kernel and
+    the collapse of quiet subtrees trust no other objective, subclasses
+    included."""
     from .metrics import AccountBalanceValue, PlayerDelta  # metrics imports this module
 
+    return type(objective) in (PlayerDelta, AccountBalanceValue)
+
+
+def _compiled(tree: _Tree, state: State, objective, fee_policy) -> _SwapInts | None:
+    """The tree's items compiled to ints, when nothing but swaps and the
+    objective's balances can matter: no fee policy, an ``_own_objective``,
+    and every item a ``Swap`` of a bound size at a venue that holds an
+    ``AmmPool`` or nothing.  An unbound size raises on the ``State`` path,
+    so such a tree does not compile."""
     items = tree.items
     if (
         fee_policy is not None
-        or type(objective) not in (PlayerDelta, AccountBalanceValue)
+        or not _own_objective(objective)
         or not _swaps_only(state, items)
         or any(tx.action.amount is None for tx in items)
     ):
@@ -708,16 +841,17 @@ def _compiled(tree: _Tree, state: State, objective, fee_policy) -> _SwapInts | N
     return _SwapInts(state, items, objective)
 
 
-def _fold(tree: _Tree, state: State, objective, ints: _SwapInts | None, keys, paths=None) -> _Reducer:
-    """Fold the objective's value of every key into one reducer.
+def _fold(tree: _Tree, state: State, objective, ints: _SwapInts | None, offers) -> _Reducer:
+    """Fold the objective's value of every offer into one reducer.
 
-    Key ``keys[i]`` is valued at the state its path (``paths[i]``, else the
-    key itself) reaches from ``state``: each item applied in skip-invalid
-    mode, each ``BLOCK_BREAK`` advancing the block number.  A path applies
-    only the steps past its longest common prefix with the one before it, so
-    fed the walk's depth-first keys, or sorted paths, the fold applies one
-    step per distinct non-empty prefix.  It does not depend on the order of
-    its offers.
+    Each offer is a ``(key, path, weight)`` triple: ``weight``
+    constructions, keyed ``key`` and valued at the state ``path`` reaches
+    from ``state``, each item applied in skip-invalid mode, each
+    ``BLOCK_BREAK`` advancing the block number.  A path applies only the
+    steps past its longest common prefix with the one before it, so fed the
+    offers of a walk (``_Tree.offers``), or sorted paths, the fold applies
+    one step per distinct non-empty prefix.  It does not depend on the order
+    of its offers.
 
     When the tree compiles (``ints``, the caller's ``_compiled``), no
     ``State`` is built: each step trades on the int lists of ``_SwapInts``,
@@ -743,7 +877,7 @@ def _fold(tree: _Tree, state: State, objective, ints: _SwapInts | None, keys, pa
         swap_amounts = contracts.swap_amounts
         log: list = []
     prev: tuple[int, ...] = ()
-    for key, path in zip(keys, paths) if paths is not None else ((key, key) for key in keys):
+    for key, path, weight in offers:
         if path != prev:
             common = 0
             for a, b in zip(path, prev):
@@ -782,7 +916,7 @@ def _fold(tree: _Tree, state: State, objective, ints: _SwapInts | None, keys, pa
                             undo = pay, get, i, o, paid, received
                     log.append(undo)
             prev = path
-        offer(value_of(stack[-1]) if ints is None else value(balances), key)
+        offer(value_of(stack[-1]) if ints is None else value(balances), key, weight)
     return reducer
 
 
@@ -804,9 +938,11 @@ class _DagFold:
 
     ``summary(node, sid)`` is a ``_Reducer`` of the constructions under a
     walk node, keyed by their suffixes: each child's summary merged behind
-    the child's item, memoised on ``(node, sid)``.  The number carries the
-    block number because a claim reads it (a price bet's deadline), and a
-    ``BLOCK_BREAK`` changes nothing else.  A state's key is the frozenset
+    the child's item, memoised on ``(node, sid)``; for an
+    ``_own_objective``, a quiet node's summary is one offer of its state's
+    value, keyed by the node's least key and weighted by its count.  The
+    number carries the block number because a claim reads it (a price bet's
+    deadline), and a ``BLOCK_BREAK`` changes nothing else.  A state's key is the frozenset
     of its balances' items and the number of each contract's content
     (``number``), venue by venue: equal keys are equal states up to the
     order of their dicts, which no transition rule or objective reads.  A
@@ -816,8 +952,8 @@ class _DagFold:
     """
 
     __slots__ = (
-        "tree", "items", "fee_policy", "value", "memo", "contents", "getters", "ids",
-        "states", "moves", "values",
+        "tree", "items", "fee_policy", "value", "collapse", "memo", "contents", "getters",
+        "ids", "states", "moves", "values",
     )
 
     def __init__(self, tree: _Tree, objective):
@@ -825,6 +961,7 @@ class _DagFold:
         self.items = tree.items
         self.fee_policy = tree.space.fee_policy()
         self.value = objective.value
+        self.collapse = _own_objective(objective)
         self.memo: dict = {}
         self.contents: dict = {}
         self.getters: dict = {}
@@ -894,13 +1031,17 @@ class _DagFold:
         if done is not None:
             return done
         tree = self.tree
-        leaf, children = tree.expand(node)
+        leaf, children, quiet = tree.expand(node)
         done = _Reducer()
+        key, weight = (), 1
+        if quiet and self.collapse and tree.count(node):
+            # Every construction below has this state's value.
+            leaf, children, key, weight = True, (), tree.least(node), tree.count(node)
         if leaf:
             value = self.values.get(sid)
             if value is None:
                 value = self.values[sid] = self.value(self.states[sid][0])
-            done.offer(value, ())
+            done.offer(value, key, weight)
         for item, child in children:
             # A step runs only on a path that ends in a construction.
             if tree.count(child):
@@ -917,19 +1058,25 @@ def _usable_cpus() -> int:
 
 
 def _work_units(tree: _Tree) -> tuple[list, list]:
-    """The keys shorter than 2 items, and the work units: the depth-2 nodes
-    as (prefix, context) pairs, in walk order, read off the context table.
-    Every longer key lies under exactly one unit's node.  Depth-2 prefixes
-    load-balance far better than first items."""
+    """The keys shorter than 2 items, and the work units, in walk order,
+    read off the context table as (prefix, context) pairs: the depth-2
+    nodes, and the quiet nodes above them, each of which ``_Tree.offers``
+    folds whole.  Every other key lies under exactly one unit's node.
+    Depth-2 prefixes load-balance far better than first items."""
     short, units = [], [((), 0)]
     for _ in range(2):
         level, units = units, []
         for prefix, node in level:
             row = tree.expand(node)
-            if row is not None:
-                if row[0]:
-                    short.append(prefix)
-                units += [(prefix + (item,), child) for item, child in row[1]]
+            if row is None:
+                continue
+            leaf, children, quiet = row
+            if quiet:
+                units.append((prefix, node))
+                continue
+            if leaf:
+                short.append(prefix)
+            units += [(prefix + (item,), child) for item, child in children]
     return short, units
 
 
@@ -940,7 +1087,8 @@ def _fold_forked(tree: _Tree, state: State, objective, ints: _SwapInts, workers:
     units, usable CPUs)`` processes: ``procs - 1`` forked workers, the
     parent folding one share itself, after the keys shorter than 2.
     Process ``j`` folds the interleaved share ``units[j::procs]``, each
-    unit's subtree walked from its context, in one ``_fold`` on ints.  Each
+    unit's offers (``_Tree.offers``) walked from its context, in one
+    ``_fold`` on ints.  Each
     worker pickles its reducer back over its own pipe; a worker that raises
     exits without writing anything, so its empty reply fails to unpickle
     here.  The merge does not depend on the order of its folds, so the
@@ -951,8 +1099,9 @@ def _fold_forked(tree: _Tree, state: State, objective, ints: _SwapInts, workers:
     procs = max(1, min(workers, len(units), _usable_cpus()))
 
     def share(j, keys=()):
-        walks = (tree.walk(node, prefix) for prefix, node in units[j::procs])
-        return _fold(tree, state, objective, ints, chain(keys, chain.from_iterable(walks)))
+        walks = (tree.offers(node, prefix) for prefix, node in units[j::procs])
+        offers = ((key, key, 1) for key in keys)
+        return _fold(tree, state, objective, ints, chain(offers, chain.from_iterable(walks)))
 
     pids: list[int] = []
     pipes = []
@@ -1038,8 +1187,9 @@ def _search_tree(
 
     The tree is compiled once (``_compiled``), for either fold.  An exact
     fold of a tree that does not compile is one ``_DagFold``, in this
-    process.  A compiled tree with ``workers > 1`` is first folded over
-    forked workers (``_fold_forked``).  If anything in that attempt raises
+    process.  A compiled tree with ``workers > 1`` and more than
+    ``FORK_CROSSOVER`` collapsed offers is first folded over forked workers
+    (``_fold_forked``); a smaller one folds in this process.  If anything in that attempt raises
     an ``Exception`` (a step, the objective, a fork, a pipe, or a worker
     that sends nothing), the workers are killed and reaped and the tree is
     folded in this process instead.  The outcome, report or exception, is then the
@@ -1054,12 +1204,12 @@ def _search_tree(
     ):
         if ints is None:
             return _DagFold(tree, objective).fold(state), True
-        if workers > 1:
+        if workers > 1 and tree.count_offers(0, FORK_CROSSOVER) > FORK_CROSSOVER:
             try:
                 return _fold_forked(tree, state, objective, ints, workers), True
             except Exception:
                 pass  # the one-process fold below raises the one-worker error, if any
-        return _fold(tree, state, objective, ints, tree.walk()), True
+        return _fold(tree, state, objective, ints, tree.offers()), True
     # Each sample is valued at its slice, its relevant items alone, and the
     # slices are folded in sorted order.  A slice is kept as a string with
     # one character, chr(index), per relevant item: it sorts as the tuple of
@@ -1071,7 +1221,8 @@ def _search_tree(
     seqs = _sample_sequences(tree, budget)
     slices = sorted(("".join([code[i] for i in seq]), seq) for seq in seqs)
     paths = (tuple([ord(c) for c in sliced]) for sliced, _ in slices)
-    return _fold(tree, state, objective, ints, (seq for _, seq in slices), paths), False
+    offers = zip((seq for _, seq in slices), paths, repeat(1))
+    return _fold(tree, state, objective, ints, offers), False
 
 
 # ---------------------------------------------------------------------------
@@ -1141,12 +1292,15 @@ def search(
     search for ``k > 1``, whose report alone carries no worst).  The
     reductions are exact: under an exhaustive budget the values and
     witnesses are those of the unreduced space.  Reports are bit-identical,
-    and errors the same, for any ``workers`` value.
+    and errors the same, for any ``workers`` value.  A space deeper than the
+    recursion limit is a ``ScenarioError`` (``too_deep``).
     """
-    if space.k > 1 and budget.mode == "randomized":
-        report, _ = _greedy_k_blocks(state, space, objective, budget)
-        return report
-
-    tree = _Tree(space, _FULL, objective.tracked, state.contracts)
-    reducer, exhaustive = _search_tree(tree, state, objective, budget, workers)
-    return reducer.report(tree.items, exhaustive)
+    try:
+        if space.k > 1 and budget.mode == "randomized":
+            report, _ = _greedy_k_blocks(state, space, objective, budget)
+            return report
+        tree = _Tree(space, _FULL, objective.tracked, state.contracts)
+        reducer, exhaustive = _search_tree(tree, state, objective, budget, workers)
+        return reducer.report(tree.items, exhaustive)
+    except RecursionError:
+        raise too_deep() from None

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mevsearch import contracts
+from mevsearch import contracts, ordering
 from mevsearch.contracts import AmmPool, swap_amounts
 from mevsearch.corpus import make_spread_instance
 from mevsearch.metrics import AccountBalanceValue, PlayerDelta, Valuation
@@ -27,7 +27,7 @@ from mevsearch.ordering import (
     _work_units,
 )
 from mevsearch.scenario import load_scenario
-from mevsearch.state import State, Swap, Tx, apply_sequence
+from mevsearch.state import ScenarioError, State, Swap, Tx, apply_sequence
 
 from conftest import VALUATION, mixed_instance, pool_state, simple_pool, unpruned_search
 
@@ -106,21 +106,24 @@ def test_tracked_actor_blocks_pruning():
     assert count_sequences(sp, pruning=True, tracked=frozenset({"u1"})) == 4
 
 
-def _split_covers_stream(sp, state=None):
+def _split_covers_stream(sp, state=None, tracked=frozenset()):
     # The work units of a parallel search: the sequences shorter than 2 items,
-    # plus the whole subtree under every depth-2 node, walked from its
-    # context.  Together they must be the full stream, each sequence once.
-    tree = _Tree(sp, _FULL, frozenset(), None if state is None else state.contracts)
+    # plus the whole subtree under every depth-2 node, and under every quiet
+    # node above depth 2, walked from its context.  Together they must be the
+    # full stream, each sequence once, and so must the units' offers.
+    tree = _Tree(sp, _FULL, tracked, None if state is None else state.contracts)
     full = list(tree.walk())
     short, units = _work_units(tree)
     assert all(len(key) < 2 for key in short)
-    keys = list(short)
+    keys, weight = list(short), len(short)
     for prefix, node in units:
         sub = list(tree.walk(node, prefix))
-        assert len(prefix) == 2 and all(k[:2] == prefix for k in sub)
+        assert len(prefix) == 2 or len(prefix) < 2 and tree.expand(node)[2]
+        assert all(k[:len(prefix)] == prefix for k in sub)
         keys.extend(sub)
+        weight += sum(w for _, _, w in tree.offers(node, prefix))
     assert len(full) == len(set(full)) > 1
-    assert sorted(keys) == sorted(full)
+    assert sorted(keys) == sorted(full) and weight == len(full)
     return tree
 
 
@@ -131,6 +134,13 @@ def test_work_units_cover_stream_exactly_once():
     )
     mixed = swaps(2) + swaps(2, token_in="ETH", actor="w")
     _split_covers_stream(OrderingSpace(mempool=swaps(4), allow_censor=True))
+    # Quiet nodes above depth 2: with nothing tracked the root is quiet, and
+    # with u0 tracked every node past u0's trade is.
+    censored = OrderingSpace(mempool=swaps(4), allow_censor=True)
+    tree = _split_covers_stream(censored, mixed_state())
+    assert _work_units(tree) == ([], [((), 0)])
+    tree = _split_covers_stream(censored, mixed_state(), frozenset({"u0"}))
+    assert [prefix for prefix, _ in _work_units(tree)[1]][:2] == [(0,), (1, 0)]
     _split_covers_stream(OrderingSpace(mempool=mixed, allow_reorder=False, allow_censor=True))
     _split_covers_stream(OrderingSpace(mempool=mixed, templates=tpl, allow_insert=True))
     _split_covers_stream(
@@ -156,9 +166,10 @@ def test_work_units_cover_stream_exactly_once():
             assert any(tree.indep)
 
 
-def test_exact_k_block_search_same_at_any_worker_count():
+def test_exact_k_block_search_same_at_any_worker_count(monkeypatch):
     from mevsearch.metrics import MinerModel, k_mev
 
+    monkeypatch.setattr(ordering, "FORK_CROSSOVER", 0)  # fork this small tree too
     state = mixed_state()
     mempool = (
         Tx("whale", "amm", Swap("BBT", "ETH", 5_000)),
@@ -204,7 +215,8 @@ def test_exhaustive_search_matches_brute_force():
         assert rep.worst_value == worst
 
 
-def test_parallel_reports_are_identical():
+def test_parallel_reports_are_identical(monkeypatch):
+    monkeypatch.setattr(ordering, "FORK_CROSSOVER", 0)  # fork this small tree too
     state = mixed_state()
     mempool = (
         Tx("whale", "amm", Swap("BBT", "ETH", 5_000)),
@@ -263,10 +275,11 @@ def _just_fitting_cases():
     yield state, space, PlayerDelta.from_state(frozenset({"miner"}), VALUATION, state)
 
 
-def test_capped_attempt_is_exact_when_the_classes_just_fit():
+def test_capped_attempt_is_exact_when_the_classes_just_fit(monkeypatch):
     # The capped attempt of the name is now the count gate: a randomized
     # budget whose max_paths the tree's count fits folds exactly, through the
-    # exhaustive dispatch, at any worker count.
+    # exhaustive dispatch, at any worker count, forked if the tree compiles.
+    monkeypatch.setattr(ordering, "FORK_CROSSOVER", 0)
     for case, (state, sp, objective) in enumerate(_just_fitting_cases()):
         tree = _Tree(sp, _FULL, objective.tracked, state.contracts)
         assert len(tree.items) <= SearchBudget().tractability_threshold
@@ -365,8 +378,6 @@ def test_sampler_stops_after_a_run_of_duplicate_draws(monkeypatch):
     import random
     from types import SimpleNamespace
 
-    from mevsearch import ordering
-
     draws = []
 
     class CountingRandom(random.Random):
@@ -386,11 +397,11 @@ def test_sampler_stops_after_a_run_of_duplicate_draws(monkeypatch):
 
 # -- forked workers ------------------------------------------------------------
 
-def _count_forks(monkeypatch, cpus=8):
-    """Let ``cpus`` CPUs be usable, and record the pid of every worker that
-    ``os.fork`` starts from this process."""
-    from mevsearch import ordering
-
+def _count_forks(monkeypatch, cpus=8, crossover=0):
+    """Let ``cpus`` CPUs be usable, fork every compiled tree with more than
+    ``crossover`` collapsed offers (``None`` keeps the module's crossover),
+    and record the pid of every worker that ``os.fork`` starts from this
+    process."""
     forks = []
     real_fork = os.fork
 
@@ -403,6 +414,8 @@ def _count_forks(monkeypatch, cpus=8):
     monkeypatch.setattr(os, "fork", fork)
     if cpus is not None:
         monkeypatch.setattr(ordering, "_usable_cpus", lambda: cpus)
+    if crossover is not None:
+        monkeypatch.setattr(ordering, "FORK_CROSSOVER", crossover)
     return forks
 
 
@@ -541,14 +554,18 @@ def test_a_failing_search_raises_the_lowest_indexed_units_error(monkeypatch):
 
     state = mixed_state()
     sp = OrderingSpace(mempool=_alternating(5), allow_censor=True)
-    objective = _u0()
+    # u4 tracked: the only quiet node above depth 2 is the one past u4's
+    # trade, the last unit, so the units before it are the depth-2 nodes in
+    # walk order, as the interleaved shares below assume.
+    objective = AccountBalanceValue("u4", Valuation(primary="ETH"))
     tree, units = _units(sp, state, objective)
     ints = _compiled(tree, state, objective, sp.fee_policy())
+    assert units[-1][0] == (4,) and tree.expand(units[-1][1])[2]
     monkeypatch.setattr(contracts, "swap_amounts", _SwapsOnPaths(_raises_past_depth2))
     errors = {}
     for index, (prefix, node) in enumerate(units):
         try:
-            _fold(tree, state, objective, ints, tree.walk(node, prefix))
+            _fold(tree, state, objective, ints, tree.offers(node, prefix))
         except ValueError as e:
             errors[index] = str(e)
     first = min(errors)
@@ -708,6 +725,46 @@ def test_a_tree_that_does_not_compile_folds_in_one_process(monkeypatch):
         for workers in (2, 3, 8):
             assert search(sp, budget, objective, state, workers=workers) == one
         assert forks == []
+
+
+def _spread_case(seed, n):
+    scenario = make_spread_instance(seed, 2, n, n_pools=2, fee_bps=30, whale_txs=2)
+    objective = AccountBalanceValue(scenario.beneficiary, scenario.get_valuation())
+    return scenario.space(), scenario.initial_state(), objective
+
+
+def test_only_a_tree_above_the_crossover_forks(monkeypatch):
+    # Criterion 8's tree collapses to a few hundred offers, below the
+    # crossover: it folds in one process at every worker count, so the
+    # criterion compares like with like.  A 10-swap spread forks.
+    forks = _count_forks(monkeypatch, crossover=None)
+    for (seed, n), forked in (((900, 9), False), ((900, 10), True)):
+        sp, state, objective = _spread_case(seed, n)
+        tree = _Tree(sp, _FULL, objective.tracked, state.contracts)
+        assert (tree.count_offers() > ordering.FORK_CROSSOVER) == forked
+        one = search(sp, SearchBudget(mode="exhaustive"), objective, state)
+        for workers in (2, 4, 8):
+            del forks[:]
+            assert search(sp, SearchBudget(mode="exhaustive"), objective, state, workers=workers) == one
+            assert len(forks) == (workers - 1 if forked else 0)
+            _assert_no_child_left()
+
+
+def test_a_search_deeper_than_the_recursion_limit_is_a_scenario_error():
+    message = (
+        f"the search nests deeper than the recursion limit of {sys.getrecursionlimit()} "
+        "frames; lower k or the number of transactions"
+    )
+    sc = load_scenario(DATA / "liquidation.json")
+    state = sc.initial_state()
+    objective = PlayerDelta.from_state(sc.player().accounts, sc.get_valuation(), state)
+    assert sc.budget.mode == "exhaustive"
+    with pytest.raises(ScenarioError) as info:
+        search(replace(sc.space(), k=1000), sc.budget, objective, state)
+    assert str(info.value) == message and info.value.__suppress_context__
+    with pytest.raises(ScenarioError) as info:
+        count_sequences(OrderingSpace(mempool=swaps(1_100), allow_reorder=False))
+    assert str(info.value) == message
 
 
 def test_importing_the_package_loads_no_process_pool():

@@ -32,9 +32,17 @@ three-block spreads, the demo scenarios, spaces whose two orderings
 leave equal balances but different contracts, and a claim whose states
 before and after a block break differ only in their block, the fold over
 (context, state) pairs gives the key-driven fold's best, worst, witnesses
-and path count, and raises the same error; it steps each distinct (state,
-item) pair once and values each distinct leaf state once; an item that
-raises only where no construction lies is never applied.
+and path count, and raises the same error; an item that raises only where
+no construction lies is never applied.
+
+Every exact fold collapses quiet suffixes.  On that corpus, and on a space
+whose fee payer is untracked but pays the tracked miner, the reduced search
+gives the unreduced one's report, path counts aside, or raises its error.
+Each fold applies each key only up to the first context where nothing
+placeable touches a tracked balance or may raise, derived here from the
+footprints: the compiled fold one swap step per prefix of those paths, the
+fold over (context, state) pairs one step per distinct (state, item) pair
+and one objective call per distinct state that a path reaches.
 """
 
 import itertools
@@ -609,9 +617,9 @@ def _dead_cut_spread():
     return scenario.initial_state(), scenario.space(), objective
 
 
-def _differential_case(index):
+def _differential_case(index, account=None):
     state, space = differential_corpus()[index]
-    return state, space, AccountBalanceValue("p" if index % 4 else "u0", VALUATION)
+    return state, space, AccountBalanceValue(account or ("p" if index % 4 else "u0"), VALUATION)
 
 
 def _count_steps(monkeypatch):
@@ -677,6 +685,35 @@ def _replayed(state, items, key, fee_policy):
     return state
 
 
+def _quiet_after(state, space, tracked):
+    """A predicate on key prefixes of a space with reordering on: can
+    nothing still placeable after the prefix touch a ``tracked`` balance or
+    raise?  The
+    placeable items are the mempool items the prefix has not placed, the
+    templates it has not placed in its last block when inserting, and every
+    template while a block follows."""
+    tree = _Tree(space, 0, tracked, state.contracts)
+    items, n_mem, deployed = tree.items, len(tree.items) - len(tree.templates), state.contracts
+
+    def loud(tx):
+        prints = ordering._footprint(tx, deployed, space)
+        return (
+            prints is None
+            or any(type(key) is tuple and key[0] in tracked for key in prints)
+            or ordering._may_raise(tx, deployed)
+        )
+
+    def quiet(prefix):
+        block = prefix.count(BLOCK_BREAK)
+        last = prefix[len(prefix) - prefix[::-1].index(BLOCK_BREAK):] if block else prefix
+        placeable = [i for i in range(n_mem) if i not in prefix]
+        if space.allow_insert:
+            placeable += [i for i in tree.templates if block < space.k - 1 or i not in last]
+        return not any(loud(items[i]) for i in placeable)
+
+    return quiet
+
+
 def _distinct(values):
     """How many distinct values, compared by ``==``: a state's contracts may
     hold dicts, which do not hash."""
@@ -692,7 +729,8 @@ def _distinct(values):
     [
         (_dead_cut_spread, (False, 1), True),
         (lambda: _differential_case(11), (True, 1), False),
-        (lambda: _differential_case(14), (False, 2), False),
+        # No item of case 14 reaches p, but one pays the miner a fee.
+        (lambda: _differential_case(14, "miner"), (False, 2), False),
         (_deadline_claim, (False, 2), False),
     ],
     ids=["dead_cut_spread", "censor", "k2", "deadline"],
@@ -701,20 +739,25 @@ def test_an_exhaustive_search_applies_each_prefix_of_its_keys_once(
     monkeypatch, case, censor_and_k, compiles
 ):
     state, space, objective = case()
-    assert (space.allow_censor, space.k) == censor_and_k
+    assert (space.allow_censor, space.k, space.allow_reorder) == (*censor_and_k, True)
     tree = _Tree(space, _FULL, objective.tracked, state.contracts)
     keys = list(tree.walk())
+    # Each key is applied up to its first quiet context: every construction
+    # past it has the value of the state there.
+    quiet = _quiet_after(state, space, objective.tracked)
+    paths = {next(key[:d] for d in range(len(key) + 1) if d == len(key) or quiet(key[:d]))
+             for key in keys}
     prefixes = {
-        key[:d] for key in keys for d in range(1, len(key) + 1) if key[d - 1] != BLOCK_BREAK
+        path[:d] for path in paths for d in range(1, len(path) + 1) if path[d - 1] != BLOCK_BREAK
     }
-    # The oracle of the DAG fold: the distinct (state, item) pairs over the
-    # prefixes that end in a construction, and the distinct leaf states,
-    # each state compared by value and block number.
+    # The oracle of the DAG fold: the distinct (state, item) pairs over those
+    # prefixes, and the distinct states the paths reach, each state compared
+    # by value and block number.
     items, fee_policy = tree.items, space.fee_policy()
     edges = _distinct(
         (_replayed(state, items, prefix[:-1], fee_policy), prefix[-1]) for prefix in prefixes
     )
-    leaves = _distinct(_replayed(state, items, key, fee_policy) for key in keys)
+    leaves = _distinct(_replayed(state, items, path, fee_policy) for path in paths)
     cuts = []
     real_dead = _Tree._dead
 
@@ -738,13 +781,15 @@ def test_an_exhaustive_search_applies_each_prefix_of_its_keys_once(
     # the walk cuts subtrees that hold no construction, except under censoring
     assert any(cuts) != space.allow_censor
     if compiles:
-        # the swap-only tree folds on ints: one swap step per prefix, no State
+        # the swap-only tree folds on ints: one swap step per prefix of the
+        # paths, no State
         assert (len(swaps), len(calls), len(values)) == (len(prefixes), 0, 0)
     else:
         # a tree that does not compile steps each distinct (state, item) pair
-        # once and values each distinct leaf state once; in ``deadline`` the
-        # two trades create their balances in either order, so a state key
-        # that read the balances' dict order would step 18 pairs, not 16
+        # once and values each distinct state a path reaches once; in
+        # ``deadline`` the two trades create their balances in either order,
+        # so a state key that read the balances' dict order would step 18
+        # pairs, not 16
         assert (len(calls), len(values)) == (edges, leaves)
         assert edges < len(prefixes) and leaves < len(keys)
 
@@ -753,15 +798,16 @@ def test_an_exhaustive_search_applies_each_prefix_of_its_keys_once(
 # Objective slicing in the sampler
 # ---------------------------------------------------------------------------
 
-def _whole_replay(tree, state, objective, ints, keys, paths=None):
+def _whole_replay(tree, state, objective, ints, offers):
     """``ordering._fold`` without slices, shared prefixes or ints: every key
-    replayed whole on the ``State`` path, ``ints`` and ``paths`` ignored.
-    Sampled keys hold no ``BLOCK_BREAK``."""
+    replayed whole on the ``State`` path, ``ints`` and the offers' paths
+    ignored.  Sampled keys hold no ``BLOCK_BREAK``."""
     items, fee_policy = tree.items, tree.space.fee_policy()
     reducer = ordering._Reducer()
-    for key in keys:
+    for key, _, weight in offers:
         txs = [items[i] for i in key]
-        reducer.offer(objective.value(apply_sequence(state, txs, "skip_invalid", fee_policy).state), key)
+        state_after = apply_sequence(state, txs, "skip_invalid", fee_policy).state
+        reducer.offer(objective.value(state_after), key, weight)
     return reducer
 
 
@@ -1214,7 +1260,8 @@ def _assert_dag_equals_tree_fold(tree, state, objective):
 
     dag = _fold_outcome(lambda: ordering._DagFold(tree, objective).fold(state))
     ints = ordering._compiled(tree, state, objective, tree.space.fee_policy())
-    assert dag == _fold_outcome(lambda: ordering._fold(tree, state, objective, ints, tree.walk()))
+    offers = ((key, key, 1) for key in tree.walk())
+    assert dag == _fold_outcome(lambda: ordering._fold(tree, state, objective, ints, offers))
     return dag
 
 
@@ -1305,6 +1352,51 @@ def test_the_dag_fold_equals_the_tree_fold_on_the_mixed_corpus(monkeypatch):
     assert {sp.k for sp in spaces} == {1, 2, 3}
     # the raisers, and the objective that raises, raise the same error both ways
     assert errors == {ScenarioError, ValueError}
+
+
+def _fees_to_the_tracked_miner():
+    """The miner's swap, u0's swap paying the miner a fee, and u1's swap:
+    with the miner tracked, u0's swap is not quiet though u0 is not
+    tracked, so a context where it is still placeable is not quiet."""
+    pool = AmmPool("TKN", "ETH", 2_000, 1_000, fee_bps=30)  # TKN cheap against VALUATION
+    state = State({("u0", "ETH"): 100, ("u1", "TKN"): 100, ("miner", "ETH"): 200}, {"pool": pool}, 0)
+    space = OrderingSpace(
+        mempool=(
+            Tx("u0", "pool", Swap("ETH", "TKN", 50), fee=5),
+            Tx("u1", "pool", Swap("TKN", "ETH", 40)),
+        ),
+        templates=(Tx("miner", "pool", Swap("ETH", "TKN", 60), origin="miner"),),
+        allow_censor=True,
+        allow_insert=True,
+        charge_fees=True,
+        fee_token="ETH",
+    )
+    return state, space, PlayerDelta.from_state(frozenset({"miner"}), VALUATION, state)
+
+
+def _search_outcome(fold, state, space, objective):
+    """A search's report, path counts aside, or the type and the message of
+    the exception it raised."""
+    try:
+        report = fold(space, EXH, objective, state)
+    except Exception as e:
+        return type(e), str(e)
+    return replace(report, paths_explored=0, paths_total=0)
+
+
+def test_the_reduced_search_equals_the_unreduced_one_on_the_dag_corpus():
+    # The unreduced tree has no footprints, so it collapses no subtree.
+    cases = [*_dag_cases(), _fees_to_the_tracked_miner()]
+    state, space, objective = cases[-1]
+    assert _Tree(space, _FULL, objective.tracked, state.contracts).quiet == 0b010
+    quiet = errors = 0
+    for state, space, objective in cases:
+        assert _Tree(space, 0, objective.tracked, state.contracts).quiet == 0
+        quiet += _Tree(space, _FULL, objective.tracked, state.contracts).quiet != 0
+        outcome = _search_outcome(search, state, space, objective)
+        assert outcome == _search_outcome(unpruned_search, state, space, objective), space
+        errors += type(outcome) is tuple
+    assert quiet > len(cases) // 2 and errors > 10
 
 
 @pytest.mark.parametrize("name", ["pricebet_compose", "liquidation"])
