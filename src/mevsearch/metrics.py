@@ -8,13 +8,16 @@ An objective (``PlayerDelta``, ``AccountBalanceValue``) names the accounts it
 ``tracked`` and its ``value(state)`` reads nothing but those accounts'
 balances.  The search relies on this contract, the sampler and the exhaustive
 search alike: the sampler evaluates only the transactions whose footprints
-reach a tracked balance, and an exhaustive search values every construction
+reach a tracked balance, and only up to the last one that touches a tracked
+balance or may raise, and an exhaustive search values every construction
 under a node whose remaining transactions touch no tracked balance at that
 node's state (see ``ordering``), so a ``value`` that read anything else could
-see a state missing the others.  The exhaustive search collapses only for
-these two classes, by exact type: under a subclass it values every
-construction.  Nor may ``value`` depend on the order of the state's dicts: an exhaustive
-search values a state once for all the states equal to it up to that order.
+see a state missing the others.  The exhaustive search collapses, and the
+sampler stops at that last transaction, only for these two classes, by exact
+type: under a subclass the exhaustive search values every construction and
+the sampler applies each slice whole.  Nor may ``value`` depend on the order of the state's dicts: an
+exhaustive search values a state once for all the states equal to it up to
+that order.
 
 Both objectives value ``deltas(state)``, each token's tracked total minus
 the base (``AccountBalanceValue``'s base is empty), with ``valuation``.  The

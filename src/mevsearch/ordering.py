@@ -112,10 +112,14 @@ the raw orderings.
 
 A randomized budget folds a tree of at most ``tractability_threshold`` items
 exactly when the context table counts at most ``max_paths`` constructions, and
-otherwise samples orderings before any step (seeded uniform Fisher-Yates
-shuffles, deduplicated); the original mempool order is always evaluated first,
-so the reported best is never below the untouched ordering's value.
-Multi-block spaces under a randomized budget are searched greedily.
+otherwise samples orderings before any step, deduplicated.  A draw keeps each
+item on a coin flip where censoring or inserting lets it go, then shuffles
+the kept items: seeded Fisher-Yates on the stream that ``random.Random.shuffle``
+draws through ``getrandbits``, so the orderings of each drawn subset are
+uniform (when censoring, not all orderings at once).  The original mempool
+order is always evaluated first, so the reported best is never below the
+untouched ordering's value.  Multi-block spaces under a randomized budget are
+searched greedily.
 
 Sampling evaluates only the objective's slice of each sample (cone of
 influence: Clarke, Grumberg & Peled, 1999; Weiser, 1984).  An item is
@@ -126,9 +130,12 @@ every relevant one, so it commutes with all of them and can move to the end
 of the sample, where it writes no balance the objective reads: the value of
 the relevant items alone is the sample's value, bit for bit.  Without
 footprints (the sleep sets off, or one item dependent on everything) every
-item is relevant.  The projections are sorted and go through the same fold
-as paths, so a prefix shared by many samples is applied once.  Each sample
-keeps its own key, so the reports do not change.
+item is relevant.  For the package's own objectives a path then ends at its
+last seed item, one that touches a tracked balance or may raise: the quiet
+items after it cannot move the value or raise, as in the collapse above.
+The paths are sorted and go through the same fold, so a prefix shared by
+many samples is applied once, and a path shared by several is valued once.
+Each sample keeps its own key, so the reports do not change.
 """
 
 from __future__ import annotations
@@ -139,7 +146,7 @@ import random
 import signal
 import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
-from itertools import chain, repeat
+from itertools import chain
 from operator import attrgetter
 
 from . import contracts
@@ -480,7 +487,8 @@ class _Tree:
     reads it.  ``quiet`` is the bitmask of the items that touch no tracked
     balance and cannot raise; it is 0 without footprints or without the
     deployed contracts.  A context is quiet when every item still placeable
-    under it is quiet (``expand``).
+    under it is quiet (``expand``); a sampled path ends at its last item
+    that is not.
     """
 
     __slots__ = (
@@ -848,10 +856,11 @@ def _fold(tree: _Tree, state: State, objective, ints: _SwapInts | None, offers) 
     constructions, keyed ``key`` and valued at the state ``path`` reaches
     from ``state``, each item applied in skip-invalid mode, each
     ``BLOCK_BREAK`` advancing the block number.  A path applies only the
-    steps past its longest common prefix with the one before it, so fed the
-    offers of a walk (``_Tree.offers``), or sorted paths, the fold applies
-    one step per distinct non-empty prefix.  It does not depend on the order
-    of its offers.
+    steps past its longest common prefix with the one before it, and a path
+    equal to the one before reuses its value, so fed the offers of a walk
+    (``_Tree.offers``), or sorted paths, the fold applies one step per
+    distinct non-empty prefix.  It does not depend on the order of its
+    offers.
 
     When the tree compiles (``ints``, the caller's ``_compiled``), no
     ``State`` is built: each step trades on the int lists of ``_SwapInts``,
@@ -877,8 +886,9 @@ def _fold(tree: _Tree, state: State, objective, ints: _SwapInts | None, offers) 
         swap_amounts = contracts.swap_amounts
         log: list = []
     prev: tuple[int, ...] = ()
+    worth = _UNSEEN  # the value at the state ``prev`` reaches
     for key, path, weight in offers:
-        if path != prev:
+        if path != prev or worth is _UNSEEN:
             common = 0
             for a, b in zip(path, prev):
                 if a != b:
@@ -916,7 +926,8 @@ def _fold(tree: _Tree, state: State, objective, ints: _SwapInts | None, offers) 
                             undo = pay, get, i, o, paid, received
                     log.append(undo)
             prev = path
-        offer(value_of(stack[-1]) if ints is None else value(balances), key, weight)
+            worth = value_of(stack[-1]) if ints is None else value(balances)
+        offer(worth, key, weight)
     return reducer
 
 
@@ -1137,8 +1148,15 @@ def _fold_forked(tree: _Tree, state: State, objective, ints: _SwapInts, workers:
 # ---------------------------------------------------------------------------
 
 def _sample_sequences(tree: _Tree, budget: SearchBudget) -> list[tuple[int, ...]]:
-    """Distinct single-block orderings sampled uniformly: identity first, then
-    seeded Fisher-Yates shuffles, without replacement.
+    """Distinct single-block orderings, without replacement: identity first,
+    then seeded draws.  A draw keeps each mempool item (when censoring) and
+    each template (when inserting) on a coin flip and shuffles the kept
+    items.  The shuffle is ``random.Random.shuffle`` inlined on its stream:
+    from the last position ``i`` down to 1, draw ``getrandbits((i +
+    1).bit_length())`` until it is at most ``i`` (as
+    ``_randbelow_with_getrandbits`` does), and swap, with the ``(i, bits)``
+    plan built once per length.  So the orderings of each drawn subset are
+    uniform, and a seed draws what the stdlib shuffle draws.
 
     Stops at ``max_paths`` orderings, after ``max(50 x max_paths, 1000)``
     draws, or after ``MAX_DUPLICATE_RUN`` draws in a row that were all seen
@@ -1146,22 +1164,32 @@ def _sample_sequences(tree: _Tree, budget: SearchBudget) -> list[tuple[int, ...]
     """
     space = tree.space
     rng = random.Random(budget.seed)
+    getrandbits = rng.getrandbits
     idx_mem = list(tree.waves[0])
     idx_tpl = list(tree.templates)
     n_mem = len(idx_mem)
     identity = tuple(idx_mem)
     seen = {identity}
     out = [identity]
+    plans: dict[int, list[tuple[int, int]]] = {}
     attempts = duplicates = 0
     max_attempts = max(50 * budget.max_paths, 1000)
     while len(out) < budget.max_paths and attempts < max_attempts and duplicates < MAX_DUPLICATE_RUN:
         attempts += 1
         chosen = list(idx_mem) if not space.allow_censor else [
-            i for i in idx_mem if rng.getrandbits(1)
+            i for i in idx_mem if getrandbits(1)
         ]
         if space.allow_insert and idx_tpl:
-            chosen += [i for i in idx_tpl if rng.getrandbits(1)]
-        rng.shuffle(chosen)
+            chosen += [i for i in idx_tpl if getrandbits(1)]
+        n = len(chosen)
+        plan = plans.get(n)
+        if plan is None:
+            plan = plans[n] = [(i, (i + 1).bit_length()) for i in range(n - 1, 0, -1)]
+        for i, k in plan:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            chosen[i], chosen[j] = chosen[j], chosen[i]
         if not space.allow_reorder:
             # keep mempool items in original relative order, templates where they fell
             mem_sorted = iter(sorted(i for i in chosen if i < n_mem))
@@ -1210,18 +1238,26 @@ def _search_tree(
             except Exception:
                 pass  # the one-process fold below raises the one-worker error, if any
         return _fold(tree, state, objective, ints, tree.offers()), True
-    # Each sample is valued at its slice, its relevant items alone, and the
-    # slices are folded in sorted order.  A slice is kept as a string with
-    # one character, chr(index), per relevant item: it sorts as the tuple of
-    # indices would, and it is freed when the fold ends, where thousands of
-    # tuples of assorted lengths would stay behind in the interpreter's tuple
-    # free lists.  Each path tuple is built at its exact size as it is folded.
+    # Each sample is valued at its slice, its relevant items alone, and for
+    # an ``_own_objective`` the slice stops at its last seed item: the quiet
+    # items after it touch no tracked balance and cannot raise, so the state
+    # there has the sample's value.  The paths are folded in sorted order,
+    # each keyed by its own sample, and raise what sorted slices would: a
+    # step raises only at a seed item, so within a path, and two samples'
+    # shortest raising prefixes are equal or diverge where both their paths
+    # and their slices do, so either order first meets the least of them.
+    # A path is kept as a string with one character, chr(index), per item:
+    # it sorts as the tuple of indices would, and it is freed when the fold
+    # ends, where thousands of tuples of assorted lengths would stay behind
+    # in the interpreter's tuple free lists.  Each path tuple is built at its
+    # exact size as it is folded.
     relevant = tree.relevant
+    quiet = tree.quiet if _own_objective(objective) else 0
     code = [chr(i) if relevant >> i & 1 else "" for i in range(len(tree.items))]
+    tail = "".join([c for i, c in enumerate(code) if quiet >> i & 1])
     seqs = _sample_sequences(tree, budget)
-    slices = sorted(("".join([code[i] for i in seq]), seq) for seq in seqs)
-    paths = (tuple([ord(c) for c in sliced]) for sliced, _ in slices)
-    offers = zip((seq for _, seq in slices), paths, repeat(1))
+    paths = sorted(("".join([code[i] for i in seq]).rstrip(tail), seq) for seq in seqs)
+    offers = ((seq, tuple([ord(c) for c in path]), 1) for path, seq in paths)
     return _fold(tree, state, objective, ints, offers), False
 
 

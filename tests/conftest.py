@@ -10,7 +10,7 @@ import pytest
 
 from mevsearch.contracts import AmmPool, MakerBook, Pricebet
 from mevsearch.metrics import Valuation
-from mevsearch.ordering import OrderingSpace, _search_tree, _Tree
+from mevsearch.ordering import MAX_DUPLICATE_RUN, OrderingSpace, _search_tree, _Tree
 from mevsearch.state import Bet, CdpManipulate, GetReward, Liquidate, State, Swap, Tx
 
 WAD = 10**18
@@ -30,6 +30,45 @@ def unpruned_search(space, budget, objective, state):
     tree = _Tree(space, 0, objective.tracked, state.contracts)
     reducer, exhaustive = _search_tree(tree, state, objective, budget, 1)
     return reducer.report(tree.items, exhaustive)
+
+
+def reference_sample_sequences(tree, budget):
+    """The sampler's draws through ``random.Random.shuffle``: the stream
+    oracle that ``ordering._sample_sequences`` must match list for list.
+    Identity first, then seeded shuffles of the kept items, without
+    replacement; stops at ``max_paths`` orderings, after ``max(50 x
+    max_paths, 1000)`` draws, or after ``MAX_DUPLICATE_RUN`` draws in a row
+    that were all seen before."""
+    space = tree.space
+    rng = random.Random(budget.seed)
+    idx_mem = list(tree.waves[0])
+    idx_tpl = list(tree.templates)
+    n_mem = len(idx_mem)
+    identity = tuple(idx_mem)
+    seen = {identity}
+    out = [identity]
+    attempts = duplicates = 0
+    max_attempts = max(50 * budget.max_paths, 1000)
+    while len(out) < budget.max_paths and attempts < max_attempts and duplicates < MAX_DUPLICATE_RUN:
+        attempts += 1
+        chosen = list(idx_mem) if not space.allow_censor else [
+            i for i in idx_mem if rng.getrandbits(1)
+        ]
+        if space.allow_insert and idx_tpl:
+            chosen += [i for i in idx_tpl if rng.getrandbits(1)]
+        rng.shuffle(chosen)
+        if not space.allow_reorder:
+            # keep mempool items in original relative order, templates where they fell
+            mem_sorted = iter(sorted(i for i in chosen if i < n_mem))
+            chosen = [next(mem_sorted) if i < n_mem else i for i in chosen]
+        seq = tuple(chosen)
+        if seq in seen:
+            duplicates += 1
+        else:
+            duplicates = 0
+            seen.add(seq)
+            out.append(seq)
+    return out
 
 
 @pytest.fixture

@@ -132,6 +132,45 @@ def test_spread_deterministic_across_workers(runner, tmp_path):
     assert len(set(outputs)) == 1
 
 
+def test_spread_forks_above_the_crossover_with_the_one_worker_output(runner, tmp_path, monkeypatch):
+    import os
+
+    from mevsearch import ordering
+    from mevsearch.corpus import make_spread_instance
+    from mevsearch.scenario import save_scenario
+
+    scenario = make_spread_instance(900, 2, 10, n_pools=2, fee_bps=30, whale_txs=2)
+    state = scenario.initial_state()
+    tree = ordering._Tree(
+        scenario.space(), ordering._FULL, frozenset({scenario.beneficiary}), state.contracts
+    )
+    assert tree.count_offers() > ordering.FORK_CROSSOVER
+    path = tmp_path / "scn.json"
+    save_scenario(scenario, path)
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    # two usable CPUs on any host, so that 2 workers fork one
+    monkeypatch.setattr(ordering, "_usable_cpus", lambda: 2)
+    outputs = {}
+    for w in (1, 2):
+        del forks[:]
+        result = invoke(runner, ["spread", "--scenario", str(path), "--workers", str(w)])
+        assert result.exit_code == 0
+        outputs[w] = result.output
+        assert len(forks) == w - 1
+    assert outputs[2] == outputs[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_replay_ok_and_corrupted(runner, tmp_path):
     args = [
         "replay",

@@ -29,7 +29,14 @@ from mevsearch.ordering import (
 from mevsearch.scenario import load_scenario
 from mevsearch.state import ScenarioError, State, Swap, Tx, apply_sequence
 
-from conftest import VALUATION, mixed_instance, pool_state, simple_pool, unpruned_search
+from conftest import (
+    VALUATION,
+    mixed_instance,
+    pool_state,
+    reference_sample_sequences,
+    simple_pool,
+    unpruned_search,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -378,21 +385,57 @@ def test_sampler_stops_after_a_run_of_duplicate_draws(monkeypatch):
     import random
     from types import SimpleNamespace
 
-    draws = []
+    rngs = []
 
-    class CountingRandom(random.Random):
-        def shuffle(self, x):
-            draws.append(len(x))
-            super().shuffle(x)
+    class RecordedRandom(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            rngs.append(self)
 
-    monkeypatch.setattr(ordering, "random", SimpleNamespace(Random=CountingRandom))
+    monkeypatch.setattr(ordering, "random", SimpleNamespace(Random=RecordedRandom))
     # reorder off, censor off: the identity is the only ordering
     sp = OrderingSpace(mempool=swaps(10), allow_reorder=False)
     objective = AccountBalanceValue("u0", Valuation(primary="ETH"))
     budget = SearchBudget(mode="randomized", max_paths=10_000, tractability_threshold=0)
     rep = search(sp, budget, objective, mixed_state(10))
     assert not rep.exhaustive and rep.paths_explored == 1
-    assert len(draws) == ordering.MAX_DUPLICATE_RUN
+    # the sampler's stream is where exactly MAX_DUPLICATE_RUN shuffles of
+    # the 10 items leave a fresh generator
+    fresh = random.Random(budget.seed)
+    for _ in range(ordering.MAX_DUPLICATE_RUN):
+        fresh.shuffle(list(range(10)))
+    assert [rng.getstate() for rng in rngs] == [fresh.getstate()]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        {},
+        {"allow_reorder": False, "allow_censor": True},
+        {"allow_censor": True},
+        {"allow_insert": True},
+        {"allow_reorder": False, "allow_insert": True},
+        {"allow_censor": True, "allow_insert": True},
+    ],
+    ids=["reorder", "censor_in_order", "censor", "insert", "insert_in_order", "censor_insert"],
+)
+def test_the_sampler_draws_the_stdlib_shuffle_stream(flags):
+    # The inlined Fisher-Yates draws on getrandbits what Random.shuffle
+    # draws: the same samples, list for list, under every flag set, each
+    # stop rule included.
+    templates = swaps(2, actor="miner", token_in="ETH")
+    stops = set()
+    for n in (1, 3, 8):
+        sp = OrderingSpace(mempool=swaps(n), templates=templates, **flags)
+        tree = _Tree(sp, _FULL, frozenset({"u0"}), mixed_state().contracts)
+        for seed in range(12):
+            for max_paths in (1, 2, 7, 60, 400):
+                budget = SearchBudget(max_paths=max_paths, seed=seed, tractability_threshold=0)
+                expected = reference_sample_sequences(tree, budget)
+                assert ordering._sample_sequences(tree, budget) == expected, (n, seed, max_paths)
+                stops.add(len(expected) == max_paths)
+    # some runs fill max_paths, some stop early on draws seen before
+    assert stops == {True, False}
 
 
 # -- forked workers ------------------------------------------------------------

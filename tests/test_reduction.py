@@ -819,15 +819,46 @@ def _all_items(tree):
     return (1 << len(tree.items)) - 1
 
 
+def _record_cuts(monkeypatch):
+    """Wrap ``ordering._fold``: a list that gets, per fold, whether some
+    offer's path stops short of its key's slice (the relevant items)."""
+    cuts = []
+    real_fold = ordering._fold
+
+    def fold(tree, state, objective, ints, offers):
+        offers = list(offers)
+        cuts.append(any(
+            len(path) < sum(tree.relevant >> i & 1 for i in key) for key, path, _ in offers
+        ))
+        return real_fold(tree, state, objective, ints, offers)
+
+    monkeypatch.setattr(ordering, "_fold", fold)
+    return cuts
+
+
+def _sampled_outcome(state, space, objective, budget):
+    """A sampled search's report, or the type and the message of the
+    exception it raised."""
+    try:
+        return search(space, budget, objective, state)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def _sampled_dag_cases():
+    """Some of ``_dag_cases()`` with the package's own objectives: a raiser
+    of each kind under assorted flags, then the three-block cuts, the wave
+    spreads and the twins."""
+    cases = [case for case in _dag_cases() if ordering._own_objective(case[2])]
+    corpus = 2 * len(differential_corpus())  # each corpus case, then its raiser
+    return cases[1:corpus:6] + cases[corpus:]
+
+
 def test_sliced_sampling_equals_whole_replay_on_the_mixed_corpus(monkeypatch):
     cases = [
         (state, space, PlayerDelta.from_state(frozenset({"miner"}), VALUATION, state) if i % 2
          else AccountBalanceValue("p" if i % 4 else "u0", VALUATION))
         for i, (state, space) in enumerate(differential_corpus())
-    ]
-    sliced = [
-        search(space, _sampled(i), objective, state)
-        for i, (state, space, objective) in enumerate(cases)
     ]
     trees = [
         _Tree(replace(space, k=1), _FULL, objective.tracked, state.contracts)
@@ -836,11 +867,24 @@ def test_sliced_sampling_equals_whole_replay_on_the_mixed_corpus(monkeypatch):
     # the slice cut items from some samples, all of them from a few
     assert sum(tree.relevant != _all_items(tree) for tree in trees) >= 10
     assert any(tree.relevant == 0 for tree in trees)
-    # the corpus covers greedy blocks, fixed order, fees, censoring and insertion
-    assert {space.k for _, space, _ in cases} == {1, 2}
+    # the fee that u0 pays the tracked miner keeps u0's swap a seed: a path
+    # stops at it, not before
+    cases += [_fees_to_the_tracked_miner(), *_sampled_dag_cases()]
+    records = _record_cuts(monkeypatch)
+    sliced, cut = [], []
+    for i, (state, space, objective) in enumerate(cases):
+        del records[:]
+        sliced.append(_sampled_outcome(state, space, objective, _sampled(i)))
+        cut.append(any(records))
+    # the corpus covers greedy blocks, fixed order, fees, censoring and
+    # insertion, and the raisers raise
+    assert {space.k for _, space, _ in cases} == {1, 2, 3}
+    assert sum(type(outcome) is tuple for outcome in sliced) >= 8
+    # paths stop at their last seed item in some searches, the fee case's too
+    assert cut[len(trees)] and 10 < sum(cut) < len(cases)
     monkeypatch.setattr(ordering, "_fold", _whole_replay)
     for i, (state, space, objective) in enumerate(cases):
-        oracle = search(space, _sampled(i), objective, state)
+        oracle = _sampled_outcome(state, space, objective, _sampled(i))
         assert sliced[i] == oracle, (i, space)
 
 
@@ -853,10 +897,13 @@ def _one_pool_whale_spreads():
 
 def test_sliced_sampling_equals_whole_replay_on_one_pool_whale_spreads(monkeypatch):
     cases = list(_one_pool_whale_spreads())
+    records = _record_cuts(monkeypatch)
     sliced = [
         value_spread(sc.beneficiary, space, sc.initial_state(), sc.valuation, _sampled(i, 300))
         for i, (sc, space) in enumerate(cases)
     ]
+    # every search stops paths at the whale's trade
+    assert records == [True] * len(cases)
     cut = 0
     for sc, space in cases:
         tree = _Tree(space, _FULL, frozenset({sc.beneficiary}), sc.initial_state().contracts)
@@ -895,7 +942,11 @@ def test_sampling_applies_each_shared_prefix_of_the_slice_once(monkeypatch, cens
     tree = _Tree(space, _FULL, objective.tracked, state.contracts)
     assert tree.relevant == 0b100101  # the pool0 items
     seqs = _sample_sequences(tree, budget)
-    projections = {tuple(i for i in seq if tree.relevant >> i & 1) for seq in seqs}
+    # each projection stops at the whale's trade, the one seed item
+    projections = set()
+    for seq in seqs:
+        proj = tuple(i for i in seq if tree.relevant >> i & 1)
+        projections.add(proj[:proj.index(0) + 1] if 0 in proj else ())
     prefixes = {proj[:d] for proj in projections for d in range(1, len(proj) + 1)}
 
     calls, swaps = _count_steps(monkeypatch)
@@ -904,7 +955,8 @@ def test_sampling_applies_each_shared_prefix_of_the_slice_once(monkeypatch, cens
     assert (len(swaps), len(calls)) == (len(prefixes), 0)
     assert len(swaps) < sum(len(seq) for seq in seqs)  # the whole-replay count
     if not censor:
-        assert len(prefixes) == 3 + 6 + 6  # every ordering of the three pool0 swaps
+        # every ordering of the three pool0 swaps, cut after the whale's
+        assert len(prefixes) == 3 + 4 + 2
     else:
         # some projection extends another, so a state on the stack is reused whole
         assert any(proj[:-1] in projections for proj in projections if proj)
