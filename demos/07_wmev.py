@@ -29,8 +29,6 @@ for f, m in ((Fraction(1, 10), 5), (Fraction(1, 4), 3), (Fraction(1, 2), 2)):
           f"      {float(closed):<10.6f} (rel err {float(rel):.2e},"
           f" tail bound {float(result.tail_bound):.2e})")
 
-print("\nWith p_1 = 1 and no further blocks, WMEV is exactly the single-block MEV.")
-
 scenario = Scenario(
     tokens=(TokenDecl("ETH", primary=True, decimals=0), TokenDecl("TKN", decimals=0)),
     balances={("u", "TKN"): 500},

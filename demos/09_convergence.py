@@ -5,12 +5,10 @@ exhaustive best-ordering spread, then samples 1% of the pruned orderings and
 reports what fraction of the optimum the sample recovers.
 """
 
-from fractions import Fraction
-
 from mevsearch.corpus import convergence_corpus, measure_convergence
 
 instances = convergence_corpus(seed=5, count=12)
-result = measure_convergence(instances, path_fraction=Fraction(1, 100), seed=5)
+result = measure_convergence(instances, seed=5)
 
 print("inst  pruned-paths  sampled  exhaustive-spread      sampled-spread     ratio")
 for p in result.points:

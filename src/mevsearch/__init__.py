@@ -10,7 +10,7 @@ composability verdicts, and insertion-size optima on top of the search.
 __version__ = "0.1.0"
 
 from .contracts import AmmPool, MakerBook, Pricebet
-from .metrics import MinerModel, Valuation, ValueSpread, ev, k_mev, value_spread, wmev
+from .metrics import MinerModel, Valuation, ValueSpread, ev, value_spread, wmev
 from .ordering import EvReport, OrderingSpace, SearchBudget, count_sequences, search
 from .state import (
     AddLiquidity,
@@ -52,7 +52,6 @@ __all__ = [
     "apply_tx",
     "count_sequences",
     "ev",
-    "k_mev",
     "search",
     "total_supply",
     "value_spread",

@@ -5,15 +5,21 @@ the miner-extractable value by at most a (1+epsilon) factor.  Randomized
 budgets can only ever exhibit violations, so verdicts carry an explicit
 status: a sampled search that finds nothing reports "no violation found",
 never "composable".
+
+The attack analyses are the price-bet dichotomy (``liquidity_metrics`` and
+the fixed-shape ``build_pricebet_scenario``: one BBT/ETH pool, a 100-stake
+bet, the miner's bet and claim templates) and oracle-priced liquidations
+(``oracle_liquidation_mev``: one liquidation template per open CDP
+position).  The closed forms the tests check these against (the two-AMM
+round trip, the bet strategy's shape) live in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .contracts import AmmPool, MakerBook, Pricebet, amm_swap_exact_in
+from .contracts import AmmPool, MakerBook, Pricebet
 from .metrics import MinerModel, Valuation, ev
 from .ordering import EvReport, OrderingSpace, SearchBudget
 from .state import Bet, GetReward, Liquidate, MINER, ScenarioError, State, Swap, Tx
@@ -109,143 +115,14 @@ def liquidity_metrics(
     return LiquidityMetrics(eth_in, other_in, player_eth, player_other)
 
 
-def pricebet_templates(miner: str, bet_venue: str) -> tuple[Tx, Tx]:
-    """The two insertions of the oracle-manipulation strategy."""
-    return (
-        Tx(miner, bet_venue, Bet(), origin="miner"),
-        Tx(miner, bet_venue, GetReward(), origin="miner"),
-    )
-
-
-def matches_bet_strategy_shape(
-    ordering: tuple[str, ...],
-    bet_label: str,
-    reward_label: str,
-    eth_in_labels: set[str],
-    other_in_labels: set[str],
-) -> bool:
-    """Does an ordering realize the four-step manipulation: bet placed, every
-    primary-token inflow before the claim, every outflow after it?"""
-    pos = {lbl: i for i, lbl in enumerate(ordering)}
-    if bet_label not in pos or reward_label not in pos:
-        return False
-    claim = pos[reward_label]
-    if pos[bet_label] > claim:
-        return False
-    if any(pos[lbl] > claim for lbl in eth_in_labels if lbl in pos):
-        return False
-    if any(pos[lbl] < claim for lbl in other_in_labels if lbl in pos):
-        return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Two-AMM arbitrage
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TwoAmmInstance:
-    """Two constant-product pools over the same token pair.  By convention
-    reserve_x is the non-primary side (b) and reserve_y the primary (e)."""
-
-    pool_a: AmmPool
-    pool_b: AmmPool
-
-    def __post_init__(self):
-        same = {self.pool_a.token_x, self.pool_a.token_y} == {
-            self.pool_b.token_x,
-            self.pool_b.token_y,
-        }
-        if not same:
-            raise ScenarioError("pools must share one token pair")
-
-    @property
-    def delta(self) -> int:
-        """Size bound below which a round trip profits when prices disagree:
-        |b*e' - b'*e| / (b + b'), floor."""
-        a, b = self.pool_a, self.pool_b
-        return abs(a.reserve_x * b.reserve_y - b.reserve_x * a.reserve_y) // (
-            a.reserve_x + b.reserve_x
-        )
-
-    @property
-    def aligned(self) -> bool:
-        a, b = self.pool_a, self.pool_b
-        return a.reserve_x * b.reserve_y == b.reserve_x * a.reserve_y
-
-    def profitable_start(self) -> str:
-        """Which pool to deposit primary tokens into first: the one valuing
-        them more (cross-multiplied comparison)."""
-        a, b = self.pool_a, self.pool_b
-        return "A" if a.reserve_x * b.reserve_y > b.reserve_x * a.reserve_y else "B"
-
-    def pools(self, start: str) -> tuple[AmmPool, AmmPool]:
-        if start == "A":
-            return self.pool_a, self.pool_b
-        if start == "B":
-            return self.pool_b, self.pool_a
-        raise ScenarioError("start must be 'A' or 'B'")
-
-
-def two_amm_roundtrip(instance: TwoAmmInstance, start: str, alpha: int) -> int:
-    """Integer profit of depositing ``alpha`` primary tokens into ``start``,
-    swapping the proceeds through the other pool, and netting out.
-
-    Fee-less pools use the composed closed form (one floor); with fees the
-    two swaps are chained exactly as they would execute.
-    """
-    if alpha <= 0:
-        raise ScenarioError("alpha must be positive")
-    first, second = instance.pools(start)
-    if first.fee_bps == 0 and second.fee_bps == 0:
-        b, e = first.reserve_x, first.reserve_y
-        b2, e2 = second.reserve_x, second.reserve_y
-        out = (e2 * b * alpha) // (b2 * e + b2 * alpha + b * alpha)
-        return out - alpha
-    res1 = amm_swap_exact_in(first, first.token_y, alpha)
-    if res1 is None:
-        raise ScenarioError("first leg rejected the trade")
-    _, mid = res1
-    if mid == 0:
-        return -alpha
-    res2 = amm_swap_exact_in(second, second.token_x, mid)
-    if res2 is None:
-        raise ScenarioError("second leg rejected the trade")
-    _, out = res2
-    return out - alpha
-
-
-def two_amm_roundtrip_exact(instance: TwoAmmInstance, start: str, alpha) -> Fraction:
-    """No-rounding, no-fee rational profit of the composed two-hop trade."""
-    alpha = Fraction(alpha)
-    if alpha <= 0:
-        raise ScenarioError("alpha must be positive")
-    first, second = instance.pools(start)
-    b, e = first.reserve_x, first.reserve_y
-    b2, e2 = second.reserve_x, second.reserve_y
-    return (e2 * b * alpha) / (b2 * e + b2 * alpha + b * alpha) - alpha
-
-
-def roundtrip_alpha_star(instance: TwoAmmInstance, start: str, scale: int = 10**9) -> Fraction:
-    """Closed-form maximizer (sqrt(b'e * be') - b'e)/(b + b') of the no-fee
-    rational profit, as a Fraction accurate to 1/scale."""
-    first, second = instance.pools(start)
-    b, e = first.reserve_x, first.reserve_y
-    b2, e2 = second.reserve_x, second.reserve_y
-    root = Fraction(math.isqrt(b2 * e * b * e2 * scale * scale), scale)
-    return (root - b2 * e) / (b + b2)
-
-
 # ---------------------------------------------------------------------------
 # Oracle-priced liquidations
 # ---------------------------------------------------------------------------
 
-def liquidation_templates(state: State, miner: str, book_ids: list[str] | None = None) -> tuple[Tx, ...]:
+def liquidation_templates(state: State, miner: str) -> tuple[Tx, ...]:
     """One liquidation template per open position in each CDP book."""
     templates: list[Tx] = []
     for venue in sorted(state.contracts):
-        if book_ids is not None and venue not in book_ids:
-            continue
         book = state.contracts[venue]
         if not isinstance(book, MakerBook):
             continue
@@ -262,16 +139,14 @@ def oracle_liquidation_mev(
     space: OrderingSpace,
     valuation: Valuation,
     budget: SearchBudget,
-    book_ids: list[str] | None = None,
-    workers: int = 1,
 ) -> EvReport:
     """MEV when the miner may insert liquidations of every open position,
     ordered freely among the oracle-moving mempool transactions."""
-    templates = liquidation_templates(state, space.miner, book_ids)
+    templates = liquidation_templates(state, space.miner)
     extended = replace(
         space, templates=space.templates + templates, allow_insert=True
     )
-    return ev(player, extended, state, valuation, budget, workers=workers)
+    return ev(player, extended, state, valuation, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -297,57 +172,47 @@ def build_pricebet_scenario(
     mempool_eth_in: tuple[int, ...],
     mempool_other_in: tuple[int, ...],
     player_eth: int,
-    player_other: int = 0,
-    stake: int = 100,
-    deadline: int = 10,
-    allow_censor: bool = False,
-    primary: str = "ETH",
-    other: str = "BBT",
-    miner: str = MINER,
 ) -> PricebetScenario:
-    """Deterministic mempool around one fee-less pool (b other-tokens, e
-    primary) with the given inflow totals, plus a price-bet contract ready to
-    deploy and the bet/claim insertion templates.
+    """Deterministic mempool around one fee-less BBT/ETH pool (b BBT, e
+    ETH) with the given inflow totals, plus a price bet on ETH (stake 100,
+    deadline block 10) ready to deploy and the miner's bet/claim insertion
+    templates.  The miner holds ``player_eth`` ETH and may reorder and
+    insert, not censor.
 
     Each inflow amount becomes one swap by a distinct user funded exactly.
     """
     if pool_other <= pool_eth:
         raise ScenarioError("builder expects the pool to hold more of the paired token")
-    pool = AmmPool(other, primary, pool_other, pool_eth, fee_bps=0)
-    balances: dict[tuple[str, str], int] = {(miner, primary): player_eth}
-    if player_other:
-        balances[(miner, other)] = player_other
+    pool = AmmPool("BBT", "ETH", pool_other, pool_eth, fee_bps=0)
+    balances: dict[tuple[str, str], int] = {(MINER, "ETH"): player_eth}
     mempool: list[Tx] = []
     eth_in_labels: set[str] = set()
     other_in_labels: set[str] = set()
     for i, amount in enumerate(mempool_eth_in):
         user = f"e{i}"
-        balances[(user, primary)] = amount
+        balances[(user, "ETH")] = amount
         label = f"m{len(mempool)}"
-        mempool.append(Tx(user, "amm", Swap(primary, other, amount), label=label))
+        mempool.append(Tx(user, "amm", Swap("ETH", "BBT", amount), label=label))
         eth_in_labels.add(label)
     for i, amount in enumerate(mempool_other_in):
         user = f"b{i}"
-        balances[(user, other)] = amount
+        balances[(user, "BBT")] = amount
         label = f"m{len(mempool)}"
-        mempool.append(Tx(user, "amm", Swap(other, primary, amount), label=label))
+        mempool.append(Tx(user, "amm", Swap("BBT", "ETH", amount), label=label))
         other_in_labels.add(label)
 
-    bet = Pricebet(
-        oracle="amm", token=primary, deadline=deadline, stake=stake, reward=2 * stake, pot=stake
-    )
-    templates = pricebet_templates(miner, "bet")
+    bet = Pricebet(oracle="amm", token="ETH", deadline=10)
     space = OrderingSpace(
         mempool=tuple(mempool),
-        templates=templates,
-        allow_reorder=True,
-        allow_censor=allow_censor,
+        templates=(
+            Tx(MINER, "bet", Bet(), origin="miner"),
+            Tx(MINER, "bet", GetReward(), origin="miner"),
+        ),
         allow_insert=True,
-        miner=miner,
     ).labeled()
     state = State(balances, {"amm": pool}, 0)
-    player = MinerModel(accounts=frozenset((miner,)))
-    valuation = Valuation(primary=primary)
+    player = MinerModel(accounts=frozenset((MINER,)))
+    valuation = Valuation(primary="ETH")
     return PricebetScenario(
         state=state,
         space=space,

@@ -3,7 +3,13 @@
 Instances are reorder-only AMM scenarios with one designated beneficiary (a
 "whale" whose ordering-dependent outcome is the quantity of interest), built
 deterministically from a seed: the same (seed, count, txs) always produces
-byte-identical scenario files.
+byte-identical scenario files.  ``gen_corpus`` is the CLI's suite and
+``convergence_corpus`` the experiment's; the tests draw their own corpora
+from ``make_spread_instance`` too.
+
+The convergence experiment (``measure_convergence``) has one setting, the
+paper's: sample 1% of the paths (``PATH_FRACTION``) and count a hit at 70%
+of the exact spread (``TARGET_RATIO``).
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ from .state import ScenarioError, Swap, Tx
 
 WAD = 10**18
 WHALE = "whale"
+PATH_FRACTION = Fraction(1, 100)
+TARGET_RATIO = Fraction(7, 10)
 
 
 def _instance_rng(seed: int, index: int) -> random.Random:
@@ -89,20 +97,6 @@ def make_spread_instance(
     )
 
 
-def pruning_corpus(seed: int, count: int = 200, max_txs: int = 6) -> list[Scenario]:
-    """Small fee-less instances for the pruned-vs-unpruned equivalence check."""
-    out = []
-    for i in range(count):
-        rng = _instance_rng(seed, 10_000 + i)
-        n = rng.randint(3, max_txs)
-        out.append(
-            make_spread_instance(
-                seed, 10_000 + i, n, n_pools=rng.randint(1, 2), fee_bps=0, whale_txs=1
-            )
-        )
-    return out
-
-
 def convergence_corpus(seed: int, count: int = 100) -> list[Scenario]:
     """7-9 transaction instances for the sampling-convergence experiment."""
     out = []
@@ -143,22 +137,16 @@ class ConvergencePoint:
 @dataclass(frozen=True)
 class ConvergenceResult:
     points: tuple[ConvergencePoint, ...]
-    target_ratio: Fraction
 
     @property
     def hits(self) -> int:
-        return sum(1 for p in self.points if p.ratio >= self.target_ratio)
+        return sum(1 for p in self.points if p.ratio >= TARGET_RATIO)
 
 
-def measure_convergence(
-    instances: list[Scenario],
-    path_fraction: Fraction = Fraction(1, 100),
-    target_ratio: Fraction = Fraction(7, 10),
-    seed: int = 0,
-) -> ConvergenceResult:
+def measure_convergence(instances: list[Scenario], seed: int = 0) -> ConvergenceResult:
     """For each instance: exhaustive best-ordering spread of the beneficiary
-    versus the spread found by sampling ``path_fraction`` of the pruned
-    paths.  A point "hits" when the sampled spread reaches ``target_ratio``
+    versus the spread found by sampling ``PATH_FRACTION`` of the pruned
+    paths.  A point "hits" when the sampled spread reaches ``TARGET_RATIO``
     of the exhaustive one.
 
     The paths are counted with identical swaps as the only independent
@@ -177,7 +165,7 @@ def measure_convergence(
         valuation = scenario.get_valuation()
         total = _Tree(space, _RUN, frozenset({beneficiary})).count()
         exact = value_spread(beneficiary, space, state, valuation, SearchBudget(mode="exhaustive"))
-        budget = max(1, int(total * path_fraction))
+        budget = max(1, int(total * PATH_FRACTION))
         sampled = value_spread(
             beneficiary,
             space,
@@ -195,4 +183,4 @@ def measure_convergence(
                 sampled_spread=sampled.spread,
             )
         )
-    return ConvergenceResult(points=tuple(points), target_ratio=target_ratio)
+    return ConvergenceResult(points=tuple(points))

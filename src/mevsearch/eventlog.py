@@ -77,7 +77,6 @@ _TX_KINDS = {
     "cdp": (CdpManipulate, (("sub_kind", "kind"), ("qty", "qty"))),
     "liquidate": (Liquidate, (("victim", "victim"),)),
 }
-_KIND_OF = {action_type: kind for kind, (action_type, _) in _TX_KINDS.items()}
 KINDS = (*_TX_KINDS, "price_update", "fee_update")
 
 
@@ -324,28 +323,3 @@ def load_expected(path: str | Path) -> dict[str, dict[str, int]]:
         }
         for venue, snapshot in read_json_object(path).items()
     }
-
-
-def log_from_sequence(state: State, txs: list[Tx], block_number: int = 0) -> tuple[list[Record], State]:
-    """Engine-side log writer: execute a sequence strictly and emit one
-    record per transaction (round-trip fixture for replay validation)."""
-    records: list[Record] = []
-    current = state
-    for i, tx in enumerate(txs):
-        nxt = apply_tx(current, tx)
-        if nxt is None:
-            raise ParseError(f"$.txs[{i}]", "sequence invalid while writing log")
-        kind = _KIND_OF.get(type(tx.action))
-        if kind is None:
-            raise ParseError(f"$.txs[{i}]", "bets are not loggable events")
-        _, columns = _TX_KINDS[kind]
-        record = Record(
-            venue=tx.venue, block_number=block_number, tx_index=i, kind=kind, actor=tx.actor,
-            **{column: getattr(tx.action, name) for column, name in columns},
-        )
-        if record_to_tx(record).action != tx.action:
-            # e.g. an exact-output swap: its record would replay as exact-input
-            raise ParseError(f"$.txs[{i}]", f"a {kind} record cannot carry {tx.action!r}")
-        records.append(record)
-        current = nxt
-    return records, current

@@ -14,13 +14,15 @@ distinct evaluations, so ``search_with_insertion`` costs at most
 Nothing before a skeleton's first open template depends on the size, so an
 ``InsertionProblem`` applies that prefix once, the first time it is
 evaluated, and an evaluation applies only the tail from there on.  When no
-fee policy is set, the objective is a ``PlayerDelta`` and every tail item is
-a ``Swap`` at a venue holding an ``AmmPool`` or nothing, the tail compiles
-once to an integer kernel (``_SwapTail``, by ``ordering._SwapInts`` as for
-swap-only searches) that reads α directly: it moves plain ints, prices each
-step with ``contracts.swap_amounts``, the swap rule ``apply_tx`` runs too,
-and builds no ``Tx`` or ``State``.  Any other tail is bound by
-``bind_alpha`` and applied through ``apply_tx``, the kernel's test oracle.
+fee policy is set, the objective is one that ``ordering._own_objective``
+trusts (exactly a ``PlayerDelta`` or an ``AccountBalanceValue``) and every
+tail item is a ``Swap`` at a venue holding an ``AmmPool`` or nothing, the
+tail compiles once to an integer kernel (``_SwapTail``, by
+``ordering._SwapInts`` as for swap-only searches) that reads α directly: it
+moves plain ints, prices each step with ``contracts.swap_amounts``, the swap
+rule ``apply_tx`` runs too, and builds no ``Tx`` or ``State``.  Any other
+tail is bound by ``bind_alpha`` and applied through ``apply_tx``, the
+kernel's test oracle.
 
 Branch and bound (Land & Doig, 1960).  Once the search holds an incumbent,
 a skeleton is sized only when an integer upper bound on its value beats it;
@@ -28,8 +30,8 @@ a later skeleton that ties loses the tie-break, since the walk yields keys
 in increasing order.  A skeleton is also skipped when the bound proves every
 size infeasible.  The bound exists when:
 
-1. no fee policy is set, the objective is a ``PlayerDelta`` and every price
-   is >= 0;
+1. no fee policy is set, the objective is an ``ordering._own_objective``
+   and every price is >= 0;
 2. after dropping every user transaction of the tail that commutes with
    every later tail item under ``tree.indep`` (disjoint footprints, or an
    identical swap), that touches no tracked balance and that cannot raise
@@ -68,7 +70,6 @@ from .contracts import (
     amm_out_given_in_exact,
     swap_amounts,
 )
-from .metrics import PlayerDelta
 from .ordering import (
     _FULL,
     EvReport,
@@ -76,6 +77,7 @@ from .ordering import (
     SearchBudget,
     _labels_for,
     _may_raise,
+    _own_objective,
     _SwapInts,
     _swaps_only,
     _Tree,
@@ -163,11 +165,11 @@ class InsertionProblem:
     @cached_property
     def _kernel(self) -> _SwapTail | None:
         """The tail compiled to ints, or ``None`` when it needs ``_apply``:
-        a fee policy, an objective other than ``PlayerDelta``, or a tail
-        item other than a ``Swap`` at a venue holding an ``AmmPool`` or
-        nothing."""
+        a fee policy, an objective that ``_own_objective`` does not trust,
+        or a tail item other than a ``Swap`` at a venue holding an
+        ``AmmPool`` or nothing."""
         state, tail = self._prefix
-        if state is None or self.fee_policy is not None or type(self.objective) is not PlayerDelta:
+        if state is None or self.fee_policy is not None or not _own_objective(self.objective):
             return None
         return _SwapTail(state, tail, self.objective) if _swaps_only(state, tail) else None
 
@@ -182,13 +184,13 @@ class _SwapTail(_SwapInts):
     outcomes are those of ``apply_tx``.  A failing user swap is a no-op and a
     failing template makes the size infeasible, as in ``_apply``; a step that
     never moves anything (no contract at the venue, a foreign token, a token
-    swapped for itself) fails.  The value is ``value_at``'s: the prefix's
-    ``PlayerDelta.deltas`` plus the tail's moves, floored per token as
-    ``PlayerDelta.value`` does.  ``value`` repeats ``value_at``'s loop: one
+    swapped for itself) fails.  The value is ``value_at``'s: the objective's
+    ``deltas`` after the prefix plus the tail's moves, floored per token as
+    its ``value`` does.  ``value`` repeats ``value_at``'s loop: one
     more call per evaluation shows in sizing time.
     """
 
-    def __init__(self, state: State, tail: tuple[Tx, ...], objective: PlayerDelta):
+    def __init__(self, state: State, tail: tuple[Tx, ...], objective):
         super().__init__(state, tail, objective)
         self.templates = tuple(tx.origin != MEMPOOL for tx in tail)
 
@@ -359,7 +361,7 @@ def _value_bound(problem: InsertionProblem, tree: _Tree, key: tuple[int, ...]) -
     if state is None:
         raise EmptyFeasibleError("a template before the first open one fails")
     objective = problem.objective
-    if problem.fee_policy is not None or type(objective) is not PlayerDelta:
+    if problem.fee_policy is not None or not _own_objective(objective):
         return None
     price = objective.valuation.price
     if any(price(token) < 0 for token in objective.valuation.prices):

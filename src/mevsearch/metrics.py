@@ -142,34 +142,25 @@ class AccountBalanceValue:
 class MinerModel:
     """A player's accounts plus its block-production model.
 
-    Block probabilities either follow the geometric law p_k = f^k (1-f) for a
-    hash fraction f, or are given explicitly (p_1, p_2, ...).  The optional
-    ``per_block_increment`` switches k-MEV to the constant-increment model
-    k*m used by the weighted-MEV closed form.
+    Block probabilities follow the geometric law p_k = f^k (1-f) for a hash
+    fraction f.  The optional ``per_block_increment`` switches k-MEV to the
+    constant-increment model k*m used by the weighted-MEV closed form.
     """
 
     accounts: frozenset[str]
     hash_fraction: Fraction | None = None
-    block_probs: tuple[Fraction, ...] | None = None
     per_block_increment: int | None = None
 
     def __post_init__(self):
         if self.hash_fraction is not None:
             if not 0 <= self.hash_fraction < 1:
                 raise ScenarioError("hash fraction must satisfy 0 <= f < 1")
-        if self.block_probs is not None:
-            if any(p < 0 for p in self.block_probs):
-                raise ScenarioError("block probabilities must be non-negative")
-            if sum(self.block_probs, Fraction(0)) > 1:
-                raise ScenarioError("block probabilities must sum to at most 1")
 
     def probability(self, k: int) -> Fraction:
-        if self.block_probs is not None:
-            return self.block_probs[k - 1] if k <= len(self.block_probs) else Fraction(0)
-        if self.hash_fraction is not None:
-            f = self.hash_fraction
-            return f ** k * (1 - f)
-        raise ScenarioError("miner model has no block-probability law")
+        f = self.hash_fraction
+        if f is None:
+            raise ScenarioError("miner model has no block-probability law")
+        return f ** k * (1 - f)
 
 
 @dataclass(frozen=True)
@@ -199,26 +190,13 @@ def ev(
     workers: int = 1,
 ) -> EvReport:
     """Extractable value: the best valued balance delta of the player's
-    accounts over the feasible block constructions."""
+    accounts over the feasible block constructions.
+
+    k-MEV is ``ev`` of ``replace(space, k=k)``: an exact joint search under
+    an exhaustive budget, a greedy per-block concatenation (a lower bound)
+    otherwise."""
     objective = PlayerDelta.from_state(player.accounts, valuation, state)
     return search(space, budget, objective, state, workers=workers)
-
-
-def k_mev(
-    player: MinerModel,
-    state: State,
-    space: OrderingSpace,
-    k: int,
-    valuation: Valuation,
-    budget: SearchBudget,
-    workers: int = 1,
-) -> EvReport:
-    """Extractable value over k-block constructions.
-
-    Exact joint search under an exhaustive budget; greedy per-block
-    concatenation (a lower bound) otherwise.
-    """
-    return ev(player, replace(space, k=k), state, valuation, budget, workers=workers)
 
 
 @dataclass(frozen=True)
@@ -249,30 +227,22 @@ def wmev(
     With the constant-increment model (k-MEV = k*m) the truncated sum
     converges to f*m/(1-f); the geometric tail beyond the horizon is reported
     exactly in that case.  Otherwise per-k values come from one greedy
-    multi-block pass.
+    multi-block pass, and no tail is reported.
     """
     if horizon < 1:
         raise ScenarioError("horizon must be >= 1")
     probs = tuple(player.probability(k) for k in range(1, horizon + 1))
 
+    tail: Fraction | None = None
     if player.per_block_increment is not None:
         m = player.per_block_increment
         values = tuple(k * m for k in range(1, horizon + 1))
-        tail: Fraction | None
-        if player.hash_fraction is not None:
-            f = player.hash_fraction
-            if f == 0:
-                tail = Fraction(0)
-            else:
-                kk = horizon + 1
-                tail = m * f ** kk * (kk - (kk - 1) * f) / (1 - f)
-        else:
-            tail = Fraction(0)
+        f, kk = player.hash_fraction, horizon + 1
+        tail = Fraction(m * f ** kk * (kk - (kk - 1) * f), 1 - f)
     else:
         objective = PlayerDelta.from_state(player.accounts, valuation, state)
         _, per_block = _greedy_k_blocks(state, replace(space, k=horizon), objective, budget)
         values = tuple(per_block)
-        tail = Fraction(0) if player.block_probs is not None else None
 
     total = sum((p * v for p, v in zip(probs, values)), Fraction(0))
     return WmevResult(

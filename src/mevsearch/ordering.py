@@ -824,8 +824,9 @@ class _Reducer:
 def _own_objective(objective) -> bool:
     """Is the objective exactly a ``PlayerDelta`` or an
     ``AccountBalanceValue``, whose ``value`` reads nothing but the tracked
-    balances, through ``valuation`` and ``deltas``?  The integer kernel and
-    the collapse of quiet subtrees trust no other objective, subclasses
+    balances, through ``valuation`` and ``deltas``?  The integer kernels
+    (this module's and insertion's), the collapse of quiet subtrees and
+    insertion's no-rounding bound trust no other objective, subclasses
     included."""
     from .metrics import AccountBalanceValue, PlayerDelta  # metrics imports this module
 
@@ -1250,7 +1251,10 @@ def _search_tree(
     # it sorts as the tuple of indices would, and it is freed when the fold
     # ends, where thousands of tuples of assorted lengths would stay behind
     # in the interpreter's tuple free lists.  Each path tuple is built at its
-    # exact size as it is folded.
+    # exact size as it is folded.  Building only the tuples, sorted without
+    # the strings, was slower on ``sampled-spread`` (38.5-42.2 answers/s
+    # against 42.0-46.6 on seeds 1-3, 8-s ``bench/run.py`` runs, 2 CPUs),
+    # so each path is built twice.
     relevant = tree.relevant
     quiet = tree.quiet if _own_objective(objective) else 0
     code = [chr(i) if relevant >> i & 1 else "" for i in range(len(tree.items))]

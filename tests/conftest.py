@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import pytest
 
-from mevsearch.contracts import AmmPool, MakerBook, Pricebet
+from mevsearch.contracts import AmmPool, MakerBook, Pricebet, amm_swap_exact_in
+from mevsearch.corpus import _instance_rng, make_spread_instance
 from mevsearch.metrics import Valuation
 from mevsearch.ordering import MAX_DUPLICATE_RUN, OrderingSpace, _search_tree, _Tree
-from mevsearch.state import Bet, CdpManipulate, GetReward, Liquidate, State, Swap, Tx
+from mevsearch.scenario import Scenario
+from mevsearch.state import Bet, CdpManipulate, GetReward, Liquidate, ScenarioError, State, Swap, Tx
 
 WAD = 10**18
 
@@ -183,3 +186,140 @@ def mixed_instance(seed: int, reorder: bool, censor: bool, insert: bool, k: int,
         fee_token="ETH",
     )
     return state, space
+
+
+def pruning_corpus(seed: int, count: int = 200, max_txs: int = 6) -> list[Scenario]:
+    """Small fee-less instances for the pruned-vs-unpruned equivalence check."""
+    out = []
+    for i in range(count):
+        rng = _instance_rng(seed, 10_000 + i)
+        n = rng.randint(3, max_txs)
+        out.append(
+            make_spread_instance(
+                seed, 10_000 + i, n, n_pools=rng.randint(1, 2), fee_bps=0, whale_txs=1
+            )
+        )
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The price-bet strategy's shape
+# ---------------------------------------------------------------------------
+
+def matches_bet_strategy_shape(
+    ordering: tuple[str, ...],
+    bet_label: str,
+    reward_label: str,
+    eth_in_labels: set[str],
+    other_in_labels: set[str],
+) -> bool:
+    """Does an ordering realize the four-step manipulation: bet placed, every
+    primary-token inflow before the claim, every outflow after it?"""
+    pos = {lbl: i for i, lbl in enumerate(ordering)}
+    if bet_label not in pos or reward_label not in pos:
+        return False
+    claim = pos[reward_label]
+    if pos[bet_label] > claim:
+        return False
+    if any(pos[lbl] > claim for lbl in eth_in_labels if lbl in pos):
+        return False
+    if any(pos[lbl] < claim for lbl in other_in_labels if lbl in pos):
+        return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Two-AMM arbitrage
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class TwoAmmInstance:
+    """Two constant-product pools over the same token pair.  By convention
+    reserve_x is the non-primary side (b) and reserve_y the primary (e)."""
+
+    pool_a: AmmPool
+    pool_b: AmmPool
+
+    def __post_init__(self):
+        same = {self.pool_a.token_x, self.pool_a.token_y} == {
+            self.pool_b.token_x,
+            self.pool_b.token_y,
+        }
+        if not same:
+            raise ScenarioError("pools must share one token pair")
+
+    @property
+    def delta(self) -> int:
+        """Size bound below which a round trip profits when prices disagree:
+        |b*e' - b'*e| / (b + b'), floor."""
+        a, b = self.pool_a, self.pool_b
+        return abs(a.reserve_x * b.reserve_y - b.reserve_x * a.reserve_y) // (
+            a.reserve_x + b.reserve_x
+        )
+
+    @property
+    def aligned(self) -> bool:
+        a, b = self.pool_a, self.pool_b
+        return a.reserve_x * b.reserve_y == b.reserve_x * a.reserve_y
+
+    def profitable_start(self) -> str:
+        """Which pool to deposit primary tokens into first: the one valuing
+        them more (cross-multiplied comparison)."""
+        a, b = self.pool_a, self.pool_b
+        return "A" if a.reserve_x * b.reserve_y > b.reserve_x * a.reserve_y else "B"
+
+    def pools(self, start: str) -> tuple[AmmPool, AmmPool]:
+        if start == "A":
+            return self.pool_a, self.pool_b
+        if start == "B":
+            return self.pool_b, self.pool_a
+        raise ScenarioError("start must be 'A' or 'B'")
+
+
+def two_amm_roundtrip(instance: TwoAmmInstance, start: str, alpha: int) -> int:
+    """Integer profit of depositing ``alpha`` primary tokens into ``start``,
+    swapping the proceeds through the other pool, and netting out.
+
+    Fee-less pools use the composed closed form (one floor); with fees the
+    two swaps are chained exactly as they would execute.
+    """
+    if alpha <= 0:
+        raise ScenarioError("alpha must be positive")
+    first, second = instance.pools(start)
+    if first.fee_bps == 0 and second.fee_bps == 0:
+        b, e = first.reserve_x, first.reserve_y
+        b2, e2 = second.reserve_x, second.reserve_y
+        out = (e2 * b * alpha) // (b2 * e + b2 * alpha + b * alpha)
+        return out - alpha
+    res1 = amm_swap_exact_in(first, first.token_y, alpha)
+    if res1 is None:
+        raise ScenarioError("first leg rejected the trade")
+    _, mid = res1
+    if mid == 0:
+        return -alpha
+    res2 = amm_swap_exact_in(second, second.token_x, mid)
+    if res2 is None:
+        raise ScenarioError("second leg rejected the trade")
+    _, out = res2
+    return out - alpha
+
+
+def two_amm_roundtrip_exact(instance: TwoAmmInstance, start: str, alpha) -> Fraction:
+    """No-rounding, no-fee rational profit of the composed two-hop trade."""
+    alpha = Fraction(alpha)
+    if alpha <= 0:
+        raise ScenarioError("alpha must be positive")
+    first, second = instance.pools(start)
+    b, e = first.reserve_x, first.reserve_y
+    b2, e2 = second.reserve_x, second.reserve_y
+    return (e2 * b * alpha) / (b2 * e + b2 * alpha + b * alpha) - alpha
+
+
+def roundtrip_alpha_star(instance: TwoAmmInstance, start: str, scale: int = 10**9) -> Fraction:
+    """Closed-form maximizer (sqrt(b'e * be') - b'e)/(b + b') of the no-fee
+    rational profit, as a Fraction accurate to 1/scale."""
+    first, second = instance.pools(start)
+    b, e = first.reserve_x, first.reserve_y
+    b2, e2 = second.reserve_x, second.reserve_y
+    root = Fraction(math.isqrt(b2 * e * b * e2 * scale * scale), scale)
+    return (root - b2 * e) / (b + b2)

@@ -79,12 +79,17 @@ def test_sizing_that_inserts_nothing_reports_no_alpha_and_no_curve(runner, tmp_p
 def test_compose_check_exit_code(runner):
     from mevsearch.cli import EXIT_NOT_COMPOSABLE
 
-    result = runner.invoke(main, ["compose-check", "--scenario", str(DATA / "pricebet_compose.json")])
-    # distinct from click's usage-error code 2
-    assert result.exit_code == EXIT_NOT_COMPOSABLE == 4
-    doc = json.loads(result.output)
-    assert doc["status"] == "not composable (witness found)"
-    assert int(doc["mev_after"]) - int(doc["mev_before"]) >= 100
+    # --epsilon takes N as well as N/D; with no MEV before the deploy, no
+    # epsilon makes the bet composable
+    for extra, epsilon in (([], "0/1"), (["--epsilon", "1"], "1/1")):
+        args = ["compose-check", "--scenario", str(DATA / "pricebet_compose.json"), *extra]
+        result = runner.invoke(main, args)
+        # distinct from click's usage-error code 2
+        assert result.exit_code == EXIT_NOT_COMPOSABLE == 4
+        doc = json.loads(result.output)
+        assert doc["epsilon"] == epsilon
+        assert doc["status"] == "not composable (witness found)"
+        assert int(doc["mev_after"]) - int(doc["mev_before"]) >= 100
 
 
 def test_optimize_insert_curve_matches_search_when_user_tx_fails(runner, tmp_path):
@@ -314,6 +319,27 @@ def test_a_search_deeper_than_the_recursion_limit_is_a_one_line_error(runner):
 
     args = ["mev", "--scenario", str(DATA / "liquidation.json"), "--k", "1000"]
     result = runner.invoke(main, args)
+    assert result.exit_code == EXIT_BAD_INPUT
+    assert result.stdout == ""
+    assert result.stderr == (
+        "error: the search nests deeper than the recursion limit of "
+        f"{sys.getrecursionlimit()} frames; lower k or the number of transactions\n"
+    )
+
+
+def test_insertion_sizing_deeper_than_the_recursion_limit_is_a_one_line_error(runner, tmp_path):
+    # Insertion sizing raises a bare RecursionError, which the CLI reports
+    # itself: 1,100 size-1 user swaps in a fixed order around the two open
+    # templates nest the capped count past the limit.
+    from mevsearch.cli import EXIT_BAD_INPUT
+
+    doc = json.loads((DATA / "two_amm_counterexample.json").read_text())
+    user = doc["mempool"][0]
+    doc["mempool"] = [dict(user, amount="1", label=f"u{i}") for i in range(1_100)]
+    doc["miner"]["flags"]["reorder"] = False
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["mev", "--scenario", str(path)])
     assert result.exit_code == EXIT_BAD_INPUT
     assert result.stdout == ""
     assert result.stderr == (

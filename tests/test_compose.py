@@ -8,20 +8,23 @@ import pytest
 
 from mevsearch.compose import (
     ComposabilityVerdict,
-    TwoAmmInstance,
     build_pricebet_scenario,
     check_composability,
     liquidity_metrics,
-    matches_bet_strategy_shape,
     oracle_liquidation_mev,
-    roundtrip_alpha_star,
-    two_amm_roundtrip,
-    two_amm_roundtrip_exact,
 )
 from mevsearch.contracts import AmmPool, MakerBook, Pricebet
 from mevsearch.metrics import MinerModel, Valuation, ev, value_spread
 from mevsearch.ordering import OrderingSpace, SearchBudget
 from mevsearch.state import Liquidate, State, Swap, Tx, apply_sequence
+
+from conftest import (
+    TwoAmmInstance,
+    matches_bet_strategy_shape,
+    roundtrip_alpha_star,
+    two_amm_roundtrip,
+    two_amm_roundtrip_exact,
+)
 
 EXH = SearchBudget(mode="exhaustive")
 

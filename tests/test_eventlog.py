@@ -8,10 +8,10 @@ import pytest
 
 from mevsearch.contracts import AmmPool, MakerBook, Pricebet
 from mevsearch.eventlog import (
+    _TX_KINDS,
     KINDS,
     Record,
     contract_snapshot,
-    log_from_sequence,
     read_event_log,
     record_to_tx,
     replay,
@@ -30,6 +30,33 @@ from mevsearch.state import (
     Tx,
     apply_tx,
 )
+
+_KIND_OF = {action_type: kind for kind, (action_type, _) in _TX_KINDS.items()}
+
+
+def log_from_sequence(state: State, txs: list[Tx], block_number: int = 0) -> tuple[list[Record], State]:
+    """Engine-side log writer: execute a sequence strictly and emit one
+    record per transaction (round-trip fixture for replay validation)."""
+    records: list[Record] = []
+    current = state
+    for i, tx in enumerate(txs):
+        nxt = apply_tx(current, tx)
+        if nxt is None:
+            raise ParseError(f"$.txs[{i}]", "sequence invalid while writing log")
+        kind = _KIND_OF.get(type(tx.action))
+        if kind is None:
+            raise ParseError(f"$.txs[{i}]", "bets are not loggable events")
+        _, columns = _TX_KINDS[kind]
+        record = Record(
+            venue=tx.venue, block_number=block_number, tx_index=i, kind=kind, actor=tx.actor,
+            **{column: getattr(tx.action, name) for column, name in columns},
+        )
+        if record_to_tx(record).action != tx.action:
+            # e.g. an exact-output swap: its record would replay as exact-input
+            raise ParseError(f"$.txs[{i}]", f"a {kind} record cannot carry {tx.action!r}")
+        records.append(record)
+        current = nxt
+    return records, current
 
 
 def fresh_amm_state(rx=10_000_000, ry=8_000_000, fee=30):
@@ -235,6 +262,11 @@ def test_maker_log_with_oracle_updates_matches_exactly():
         {"book": {"collateral:v": 0, "debt:v": 0}},
     )
     assert report.ok
+    assert [d.rel_diff for d in report.diffs] == [None, None]
+    # Before the liquidation the position is still open: against an
+    # expected 0, any difference is a relative difference of 1.
+    early = replay_validate(state, records[:2], {"book": {"collateral:v": 0, "debt:v": 0}})
+    assert [(d.actual, d.rel_diff) for d in early.diffs] == [(300, 1), (350, 1)]
     final, failures, _ = replay(state, records)
     assert not failures
     assert final.balance("keeper", "ETH") == 300

@@ -38,6 +38,16 @@ WAD = 10**18
 DATA = Path(__file__).parent.parent / "demos" / "data"
 
 
+class _SubclassedDelta(PlayerDelta):
+    """A ``PlayerDelta`` subclass: ``ordering._own_objective`` trusts exact
+    types only, so neither the kernel nor the bound may take it."""
+
+
+def _miner_balance(problem):
+    """The problem valued by the miner's whole balance instead."""
+    return replace(problem, objective=AccountBalanceValue("miner", problem.objective.valuation))
+
+
 def two_pool_problem(a_bbt, a_eth, b_bbt, b_eth, fee=30, lo=1, hi=None, miner_eth=10**30):
     """Miner buys size on pool A (exact out) and sells it on pool B."""
     state = State(
@@ -72,11 +82,34 @@ def full_scan(problem):
     return min(a for a, v in values.items() if v == best), best
 
 
+def _feasible_only_at_the_top():
+    """An open ETH-for-BBT buy, then a concrete sell of 500 BBT that only a
+    buy of at least 527 ETH pays for: sizes below that are infeasible, so
+    the ternary search meets an infeasible plateau below its best guess."""
+    state = State(
+        {("miner", "ETH"): 10**6},
+        {
+            "a": AmmPool("BBT", "ETH", 10_000, 10_000, fee_bps=0),
+            "b": AmmPool("BBT", "ETH", 10_000, 20_000, fee_bps=0),
+        },
+        0,
+    )
+    skeleton = (
+        Tx("miner", "a", Swap("ETH", "BBT", None), origin="miner"),
+        Tx("miner", "b", Swap("BBT", "ETH", 500), origin="miner"),
+    )
+    objective = PlayerDelta.from_state(frozenset({"miner"}), Valuation(primary="ETH"), state)
+    return InsertionProblem(state, skeleton, 1, 700, objective)
+
+
 def test_optimize_equals_exhaustive_scan_small_range():
-    problem = two_pool_problem(10_000, 10_000, 10_000, 12_000, fee=30, hi=5_000)
-    result = optimize_alpha(problem)
-    assert (result.alpha, result.profit) == full_scan(problem)
-    assert result.profit > 0
+    for problem in (
+        two_pool_problem(10_000, 10_000, 10_000, 12_000, fee=30, hi=5_000),
+        _feasible_only_at_the_top(),
+    ):
+        result = optimize_alpha(problem)
+        assert (result.alpha, result.profit) == full_scan(problem)
+        assert result.profit > 0
 
 
 def test_optimize_large_range_matches_small_exhaustive():
@@ -587,6 +620,7 @@ def _odd_swaps_case():
 def test_the_tail_kernel_equals_whole_replay():
     infeasible = feasible = users_in_tail = shared_pools = sized_templates = 0
     problems = [_swap_tail_case(seed) for seed in range(60)] + [_odd_swaps_case()]
+    problems += [_miner_balance(_swap_tail_case(seed)) for seed in range(60, 80)]
     for seed, problem in enumerate(problems):
         lo, hi = problem.alpha_min, problem.alpha_max
         rng = random.Random(seed)
@@ -668,7 +702,7 @@ def test_the_kernel_is_not_taken_outside_its_conditions(case):
     elif case == "swap_at_a_book":
         skeleton = (BUY, Tx("u", "book", Swap("BBT", "ETH", 10)), SELL)
     else:
-        objective = AccountBalanceValue("miner", Valuation(primary="ETH"))
+        objective = _SubclassedDelta(objective.accounts, objective.valuation, objective.base)
     problem = InsertionProblem(state, skeleton, 1, 5_000, objective, fee_policy)
     sizes = range(1, 5_001, 7)
     assert [evaluate_alpha(problem, a) for a in sizes] == [whole_replay(problem, a) for a in sizes]
@@ -739,11 +773,13 @@ def _open_problems(space, state, objective, hi):
 
 
 def test_no_size_is_worth_more_than_the_bound():
-    bounded = infeasible = with_dropped_users = 0
-    for seed in range(60):
-        case = _random_case(seed)
+    bounded = infeasible = with_dropped_users = balance_bounded = 0
+    for seed in range(80):
+        space, state, objective, hi = _random_case(seed)
+        if seed >= 60:
+            objective = AccountBalanceValue("miner", objective.valuation)
         rng = random.Random(seed)
-        for tree, key, problem in _open_problems(*case):
+        for tree, key, problem in _open_problems(space, state, objective, hi):
             lo, hi = problem.alpha_min, problem.alpha_max
             sizes = insertion._geometric_grid(lo, hi, 64) + [rng.randint(lo, hi) for _ in range(64)]
             try:
@@ -755,12 +791,14 @@ def test_no_size_is_worth_more_than_the_bound():
             if bound is None:
                 continue
             bounded += 1
+            balance_bounded += seed >= 60
             _, tail = problem._prefix
             with_dropped_users += any(tx.origin == "mempool" for tx in tail)
             for a in sizes:
                 value = evaluate_alpha(problem, a)
                 assert value is None or value <= bound, (seed, key, a)
     assert bounded >= 100 and infeasible >= 20 and with_dropped_users >= 10
+    assert balance_bounded >= 20
 
 
 def _bound_outcome(problem, tree, key):
@@ -851,10 +889,10 @@ def _bound_case(**changes):
         mempool=(case["user"],), templates=case["templates"], allow_insert=True,
         charge_fees=case["charge_fees"], fee_token="ETH",
     )
-    if case["objective"] is PlayerDelta:
-        objective = PlayerDelta.from_state(case["tracked"], case["valuation"], state)
-    else:
+    if case["objective"] is AccountBalanceValue:
         objective = AccountBalanceValue("miner", case["valuation"])
+    else:
+        objective = case["objective"].from_state(case["tracked"], case["valuation"], state)
     return _bound_of(space, state, objective, case["labels"])
 
 
@@ -862,6 +900,7 @@ def test_the_base_case_has_a_bound():
     # The user's swap commutes past the sell and is dropped.
     assert isinstance(_bound_case(), int)
     assert isinstance(_bound_case(labels=("user", "buy", "sell")), int)
+    assert isinstance(_bound_case(objective=AccountBalanceValue), int)
 
 
 @pytest.mark.parametrize(
@@ -872,7 +911,7 @@ def test_the_base_case_has_a_bound():
         {"templates": (BUY, replace(SELL, venue="a"))},
         {"user": Tx("u", "b", Swap("BBT", "ETH", 500), label="user")},
         {"tracked": frozenset({"miner", "u"})},
-        {"objective": AccountBalanceValue},
+        {"objective": _SubclassedDelta},
     ],
     ids=[
         "fee_policy", "negative_price", "two_templates_on_one_pool",

@@ -1,6 +1,7 @@
 """EV, k-MEV, weighted MEV, and ordering spreads."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from mevsearch.metrics import (
     PlayerDelta,
     Valuation,
     ev,
-    k_mev,
     value_spread,
     wmev,
 )
@@ -78,11 +78,11 @@ def test_ev_identity_feasible_nonnegative():
 
 
 def test_k1_equals_single_block_ev():
-    state = State({("u0", "BBT"): 500}, {"a": AmmPool("BBT", "ETH", 5_000, 5_000, 30)}, 0)
-    mempool = (Tx("u0", "a", Swap("BBT", "ETH", 500)),)
-    space = OrderingSpace(mempool=mempool)
+    # One block: the transaction arriving in block 1 takes no part.
+    state, space = _two_block_bet_scenario()
     val = Valuation(primary="ETH")
-    assert k_mev(miner(), state, space, 1, val, EXH) == ev(miner(), space, state, val, EXH)
+    one_block = replace(space, mempool=space.mempool[:1])
+    assert ev(miner(), space, state, val, EXH) == ev(miner(), one_block, state, val, EXH)
 
 
 def _two_block_bet_scenario():
@@ -110,8 +110,8 @@ def _two_block_bet_scenario():
 def test_cross_block_profit_needs_two_blocks():
     state, space = _two_block_bet_scenario()
     val = Valuation(primary="ETH")
-    one = k_mev(miner(), state, space, 1, val, EXH)
-    two = k_mev(miner(), state, space, 2, val, EXH)
+    one = ev(miner(), replace(space, k=1), state, val, EXH)
+    two = ev(miner(), replace(space, k=2), state, val, EXH)
     assert one.best_value == 0
     assert two.best_value == 100
     assert two.best_value > one.best_value
@@ -162,7 +162,7 @@ def test_cross_block_profit_needs_two_blocks():
 def test_k_mev_monotone_in_k():
     state, space = _two_block_bet_scenario()
     val = Valuation(primary="ETH")
-    values = [k_mev(miner(), state, space, k, val, EXH).best_value for k in (1, 2, 3)]
+    values = [ev(miner(), replace(space, k=k), state, val, EXH).best_value for k in (1, 2, 3)]
     assert values[0] <= values[1] <= values[2]
 
 
@@ -192,8 +192,8 @@ def _duplicate_label_scenario():
 def test_greedy_multiblock_is_lower_bound(make):
     state, space = make()
     val = Valuation(primary="ETH")
-    exact = k_mev(miner(), state, space, 2, val, EXH)
-    greedy = k_mev(miner(), state, space, 2, val, GREEDY)
+    exact = ev(miner(), replace(space, k=2), state, val, EXH)
+    greedy = ev(miner(), replace(space, k=2), state, val, GREEDY)
     assert greedy.best_value <= exact.best_value
 
 
@@ -208,8 +208,8 @@ def test_greedy_multiblock_schedules_late_arrivals():
     templates = (Tx("miner", "p", Swap("BBT", "ETH", 300_000), origin="miner", label="sell"),)
     space = OrderingSpace(mempool=mempool, templates=templates, allow_insert=True)
     val = Valuation(primary="ETH")
-    exact = k_mev(miner(), state, space, 2, val, EXH)
-    greedy = k_mev(miner(), state, space, 2, val, GREEDY)
+    exact = ev(miner(), replace(space, k=2), state, val, EXH)
+    greedy = ev(miner(), replace(space, k=2), state, val, GREEDY)
     assert exact.best_ordering == ("|", "late", "sell")
     # greedy sells in block 0, then must place the block-1 arrival
     assert greedy.best_ordering == ("sell", "|", "late")
@@ -220,9 +220,9 @@ def test_unknown_budget_mode_is_rejected():
     from mevsearch.state import ScenarioError
 
     state, space = _two_block_bet_scenario()
-    player = miner(block_probs=(Fraction(1, 2), Fraction(1, 2)))
+    player = miner(hash_fraction=Fraction(1, 2))
     with pytest.raises(ScenarioError, match="unknown budget mode"):
-        k_mev(player, state, space, 2, Valuation(primary="ETH"), SearchBudget(mode="greedy"))
+        ev(player, replace(space, k=2), state, Valuation(primary="ETH"), SearchBudget(mode="greedy"))
     # the weighted-MEV series runs the greedy search without going through search()
     with pytest.raises(ScenarioError, match="unknown budget mode"):
         wmev(player, state, space, 2, Valuation(primary="ETH"), SearchBudget(mode="greedy"))
@@ -241,14 +241,15 @@ def test_wmev_geometric_closed_form():
 
 
 def test_wmev_single_block_probability():
-    state = State({("u0", "BBT"): 500, ("miner", "BBT"): 0}, {"a": AmmPool("BBT", "ETH", 5_000, 5_000, 30)}, 0)
-    mempool = (Tx("u0", "a", Swap("BBT", "ETH", 500)),)
-    space = OrderingSpace(mempool=mempool)
+    # Over a one-block horizon WMEV is p_1 = f(1-f) times the exact
+    # single-block MEV, with no tail reported.
+    state, space = _duplicate_label_scenario()
     val = Valuation(primary="ETH")
-    player = miner(block_probs=(Fraction(1),))
-    result = wmev(player, state, space, 4, val, EXH)
-    one = k_mev(miner(), state, space, 1, val, EXH)
-    assert result.total == one.best_value
+    result = wmev(miner(hash_fraction=Fraction(1, 2)), state, space, 1, val, EXH)
+    one = ev(miner(), space, state, val, EXH)
+    assert one.best_value > 0
+    assert result.total == Fraction(1, 4) * one.best_value
+    assert result.tail_bound is None
 
 
 def test_wmev_zero_hash_fraction():
@@ -258,13 +259,16 @@ def test_wmev_zero_hash_fraction():
 
 
 def test_wmev_linear_in_probabilities():
-    base = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
-    scaled = tuple(p / 3 for p in base)
-    p1 = miner(block_probs=base, per_block_increment=9)
-    p2 = miner(block_probs=scaled, per_block_increment=9)
-    r1 = wmev(p1, State(), OrderingSpace(mempool=()), 8, Valuation(primary="ETH"), EXH)
-    r2 = wmev(p2, State(), OrderingSpace(mempool=()), 8, Valuation(primary="ETH"), EXH)
-    assert r2.total == r1.total / 3
+    # The total is the p_k-weighted sum of the per-block values, p_k = f^k (1-f).
+    f = Fraction(1, 3)
+    r1, r3 = (
+        wmev(miner(hash_fraction=f, per_block_increment=m), State(), OrderingSpace(mempool=()), 8,
+             Valuation(primary="ETH"), EXH)
+        for m in (9, 27)
+    )
+    assert r1.probabilities == tuple(f ** k * (1 - f) for k in range(1, 9))
+    assert r1.total == sum(p * v for p, v in zip(r1.probabilities, r1.per_block_mev))
+    assert r3.total == 3 * r1.total
 
 
 # -- spreads -----------------------------------------------------------------

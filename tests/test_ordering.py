@@ -33,6 +33,7 @@ from conftest import (
     VALUATION,
     mixed_instance,
     pool_state,
+    pruning_corpus,
     reference_sample_sequences,
     simple_pool,
     unpruned_search,
@@ -174,7 +175,7 @@ def test_work_units_cover_stream_exactly_once():
 
 
 def test_exact_k_block_search_same_at_any_worker_count(monkeypatch):
-    from mevsearch.metrics import MinerModel, k_mev
+    from mevsearch.metrics import MinerModel, ev
 
     monkeypatch.setattr(ordering, "FORK_CROSSOVER", 0)  # fork this small tree too
     state = mixed_state()
@@ -185,12 +186,10 @@ def test_exact_k_block_search_same_at_any_worker_count(monkeypatch):
         Tx("u2", "amm", Swap("ETH", "BBT", 1_500), arrival_block=1),
     )
     templates = (Tx("whale", "amm", Swap("ETH", "BBT", 2_000), origin="miner"),)
-    sp = OrderingSpace(mempool=mempool, templates=templates, allow_insert=True, miner="whale")
+    sp = OrderingSpace(mempool=mempool, templates=templates, allow_insert=True, miner="whale", k=2)
     player = MinerModel(accounts=frozenset({"whale"}))
     budget = SearchBudget(mode="exhaustive")
-    reports = [
-        k_mev(player, state, sp, 2, Valuation(primary="ETH"), budget, workers=w) for w in (1, 2)
-    ]
+    reports = [ev(player, sp, state, Valuation(primary="ETH"), budget, workers=w) for w in (1, 2)]
     assert reports[0].exhaustive and reports[0].paths_explored > 100
     assert "|" in reports[0].best_ordering
     assert reports[0] == reports[1]
@@ -366,9 +365,6 @@ def test_skip_invalid_semantics_in_search():
 
 def test_pruning_equivalence_small_instances():
     # mini version of the acceptance criterion: pruned == unpruned extremes
-    from mevsearch.corpus import pruning_corpus
-    from mevsearch.metrics import value_spread
-
     for scenario in pruning_corpus(seed=123, count=12, max_txs=5):
         state = scenario.initial_state()
         space = scenario.space()

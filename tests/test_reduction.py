@@ -54,12 +54,7 @@ import pytest
 
 from mevsearch import contracts, ordering
 from mevsearch.contracts import AmmPool, MakerBook, Pricebet
-from mevsearch.corpus import (
-    convergence_corpus,
-    make_spread_instance,
-    measure_convergence,
-    pruning_corpus,
-)
+from mevsearch.corpus import convergence_corpus, make_spread_instance, measure_convergence
 from mevsearch.metrics import AccountBalanceValue, PlayerDelta, Valuation, value_spread
 from mevsearch.ordering import (
     _FULL,
@@ -89,7 +84,7 @@ from mevsearch.state import (
     apply_tx,
 )
 
-from conftest import VALUATION, mixed_instance, unpruned_search
+from conftest import VALUATION, mixed_instance, pruning_corpus, unpruned_search
 
 EXH = SearchBudget(mode="exhaustive")
 # (reorder, censor, insert, k): every combination, the hardest one first.
