@@ -22,7 +22,7 @@ EXH = SearchBudget(mode="exhaustive")
 
 def run(title, scn):
     print(title)
-    metrics = liquidity_metrics(scn.state, scn.space, scn.pool_id, scn.player, "ETH")
+    metrics = liquidity_metrics(scn)
     pool = scn.state.contracts[scn.pool_id]
     gap = pool.reserve_x - pool.reserve_y
     print(f"  pool (paired, ETH) = ({pool.reserve_x}, {pool.reserve_y}); reserve gap = {gap}")

@@ -95,23 +95,25 @@ class LiquidityMetrics:
         return self.mempool_eth_in + self.player_eth
 
 
-def liquidity_metrics(
-    state: State, space: OrderingSpace, pool_id: str, player: MinerModel, primary: str
-) -> LiquidityMetrics:
+def liquidity_metrics(scn: PricebetScenario) -> LiquidityMetrics:
+    """The liquidity around a price-bet scenario's pool, its valuation's
+    primary token being the ETH side."""
+    state, pool_id, primary = scn.state, scn.pool_id, scn.valuation.primary
     pool = state.contracts.get(pool_id)
     if not isinstance(pool, AmmPool) or not pool.has_token(primary):
         raise ScenarioError(f"{pool_id!r} is not a pool over the primary token")
     other = pool.token_y if pool.token_x == primary else pool.token_x
     eth_in = other_in = 0
-    for tx in space.mempool:
+    for tx in scn.space.mempool:
         a = tx.action
         if tx.venue == pool_id and type(a) is Swap and not a.exact_out and a.amount:
             if a.token_in == primary:
                 eth_in += a.amount
             elif a.token_in == other:
                 other_in += a.amount
-    player_eth = sum(state.balance(acct, primary) for acct in sorted(player.accounts))
-    player_other = sum(state.balance(acct, other) for acct in sorted(player.accounts))
+    accounts = sorted(scn.player.accounts)
+    player_eth = sum(state.balance(acct, primary) for acct in accounts)
+    player_other = sum(state.balance(acct, other) for acct in accounts)
     return LiquidityMetrics(eth_in, other_in, player_eth, player_other)
 
 

@@ -35,12 +35,16 @@ front of suffixes keeps their order, so the number of constructions under a
 node and its best and worst values, each with its smallest suffix, depend
 only on the (context, state) pair (sleep sets with state caching: Godefroid,
 LNCS 1032, 1996; stateful partial-order reduction: Yang, Chen, Gopalakrishnan
-& Kirby, SPIN 2008).  ``_DagFold`` memoises that summary, a ``_Reducer`` of
-suffixes, on the pair, visiting the children in walk order and stepping into
-a child only where its count is not zero, so the witnesses, path counts and
-errors are those of the tree fold.  It numbers each state once, by its block
-number and its content, and keeps the number each (state, item) pair steps
-to and the value of each leaf state, so a step runs once per distinct
+& Kirby, SPIN 2008).  ``_DagFold`` memoises the best and worst value on the
+pair, visiting the children in walk order and stepping into a child only
+where its count is not zero, so the steps and errors are those of the tree
+fold.  The path count is the context table's, and each witness is read back
+from the root afterwards, the traceback of dynamic programming (Bellman,
+1957): at each node, the smallest item whose child's memo holds the
+extreme.  So the witnesses are the tree fold's too, and reading them back
+applies no step and calls no objective.  It numbers each state once, by its
+block number and its content, and keeps the number each (state, item) pair
+steps to and the value of each leaf state, so a step runs once per distinct
 (state, item) pair and the objective once per distinct leaf state, however
 many contexts reach them.  The number holds the block number because a claim
 reads it (a price bet's deadline), and a block break changes nothing else.
@@ -793,19 +797,14 @@ class _Reducer:
         if w is None or value < w[0] or (value == w[0] and key < w[1]):
             self.worst = (value, key)
 
-    def merge(self, other: "_Reducer", prefix: tuple[int, ...] = ()) -> None:
-        """Fold in another reducer's path count and extremes, its keys put
-        behind ``prefix``.  ``offer``'s tie-break, inlined: a key is built
-        only where its value can win (calling ``offer`` cost 3-8%)."""
+    def merge(self, other: "_Reducer") -> None:
+        """Fold in another reducer's path count and extremes, each extreme
+        offered as a construction that adds no path.  Only ``_fold_forked``
+        merges, once per worker."""
         self.paths += other.paths
-        if other.best is None:
-            return
-        (high, high_key), (low, low_key) = other.best, other.worst
-        b, w = self.best, self.worst
-        if b is None or high > b[0] or high == b[0] and prefix + high_key < b[1]:
-            self.best = (high, prefix + high_key)
-        if w is None or low < w[0] or low == w[0] and prefix + low_key < w[1]:
-            self.worst = (low, prefix + low_key)
+        if other.best is not None:
+            self.offer(*other.best, 0)
+            self.offer(*other.worst, 0)
 
     def report(self, items: tuple[Tx, ...], exhaustive: bool) -> EvReport:
         """The report, with witness labels built for the final keys only."""
@@ -948,19 +947,21 @@ class _DagFold:
     - the leaf-value table ``values[sid]`` holds the objective's value of a
       state, so each distinct leaf state is valued once.
 
-    ``summary(node, sid)`` is a ``_Reducer`` of the constructions under a
-    walk node, keyed by their suffixes: each child's summary merged behind
-    the child's item, memoised on ``(node, sid)``; for an
-    ``_own_objective``, a quiet node's summary is one offer of its state's
-    value, keyed by the node's least key and weighted by its count.  The
-    number carries the block number because a claim reads it (a price bet's
-    deadline), and a ``BLOCK_BREAK`` changes nothing else.  A state's key is the frozenset
-    of its balances' items and the number of each contract's content
-    (``number``), venue by venue: equal keys are equal states up to the
-    order of their dicts, which no transition rule or objective reads.  A
-    step never adds or removes a venue (``apply_tx`` raises where the venue
-    holds no contract, and every rule settles at that venue, in place), so
-    only the contracts it replaced get a new number.
+    ``summary(node, sid)`` is the ``(best, worst)`` pair of values of the
+    constructions under a walk node from state ``sid``, memoised on
+    ``(node, sid)``: a construction's value, and the max and min over the
+    children's pairs; for an ``_own_objective``, a quiet node's pair is its
+    state's value.  It keeps no path count, which depends on the context
+    alone (``_Tree.count``), and no key: ``fold`` reads each witness back
+    (``witness``).  The number carries the block number because a claim
+    reads it (a price bet's deadline), and a ``BLOCK_BREAK`` changes nothing
+    else.  A state's key is the frozenset of its balances' items and the
+    number of each contract's content (``number``), venue by venue: equal
+    keys are equal states up to the order of their dicts, which no
+    transition rule or objective reads.  A step never adds or removes a
+    venue (``apply_tx`` raises where the venue holds no contract, and every
+    rule settles at that venue, in place), so only the contracts it
+    replaced get a new number.
     """
 
     __slots__ = (
@@ -983,8 +984,17 @@ class _DagFold:
         self.values: dict = {}
 
     def fold(self, state: State) -> _Reducer:
-        """The summary of every construction from ``state``."""
-        return self.summary(0, self.intern(state, self.key(state)))
+        """The reducer of every construction from ``state``: the root's
+        summary, its path count ``tree.count(0)``, and each extreme's
+        witness read back (``witness``)."""
+        sid = self.intern(state, self.key(state))
+        best, worst = self.summary(0, sid)
+        reducer = _Reducer()
+        reducer.paths = self.tree.count(0)
+        if best is not None:
+            reducer.best = best, self.witness(sid, best)
+            reducer.worst = worst, self.witness(sid, worst)
+        return reducer
 
     def number(self, contract) -> int:
         """The number of a contract's content: its type and its fields'
@@ -1038,28 +1048,59 @@ class _DagFold:
             self.moves[sid, item] = nxt
         return nxt
 
-    def summary(self, node: int, sid: int) -> _Reducer:
+    def summary(self, node: int, sid: int) -> tuple:
         done = self.memo.get((node, sid))
         if done is not None:
             return done
         tree = self.tree
         leaf, children, quiet = tree.expand(node)
-        done = _Reducer()
-        key, weight = (), 1
+        best = worst = None
         if quiet and self.collapse and tree.count(node):
             # Every construction below has this state's value.
-            leaf, children, key, weight = True, (), tree.least(node), tree.count(node)
+            leaf, children = True, ()
         if leaf:
-            value = self.values.get(sid)
-            if value is None:
-                value = self.values[sid] = self.value(self.states[sid][0])
-            done.offer(value, key, weight)
+            best = worst = self.values.get(sid)
+            if best is None:
+                best = worst = self.values[sid] = self.value(self.states[sid][0])
         for item, child in children:
             # A step runs only on a path that ends in a construction.
             if tree.count(child):
-                done.merge(self.summary(child, self.step(sid, item)), (item,))
-        self.memo[node, sid] = done
+                high, low = self.summary(child, self.step(sid, item))
+                if best is None:
+                    best, worst = high, low
+                else:
+                    if high > best:
+                        best = high
+                    if low < worst:
+                        worst = low
+        done = self.memo[node, sid] = best, worst
         return done
+
+    def witness(self, sid: int, target: int) -> tuple[int, ...]:
+        """The smallest key from the root, at state ``sid``, of a
+        construction valued ``target``, an extreme of the root's summary,
+        read back from the memo with no step and no objective call.  At a
+        collapsed quiet node the key ends with the node's least key; at a
+        construction valued ``target`` it ends; otherwise it follows the
+        smallest item whose child's pair holds ``target``.  ``target`` is
+        the same extreme of every node on the way, so a child reaches it
+        exactly where its pair holds it.  Items compare as keys do,
+        ``BLOCK_BREAK`` first, not in walk order: past a block break a
+        later wave's smaller index comes after a larger one."""
+        tree, memo, moves = self.tree, self.memo, self.moves
+        node, key = 0, []
+        while True:
+            leaf, children, quiet = tree.expand(node)
+            if quiet and self.collapse and tree.count(node):
+                return tuple(key) + tree.least(node)
+            if leaf and self.values[sid] == target:
+                return tuple(key)
+            item, node, sid = min(
+                (item, child, moves[sid, item])
+                for item, child in children
+                if tree.count(child) and target in memo[child, moves[sid, item]]
+            )
+            key.append(item)
 
 
 def _usable_cpus() -> int:

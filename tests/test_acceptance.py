@@ -186,7 +186,7 @@ def test_criterion_6_composability_dichotomy():
         mempool_eth_in=(100, 80), mempool_other_in=(60,),
         player_eth=120,
     )
-    metrics = liquidity_metrics(safe.state, safe.space, safe.pool_id, safe.player, "ETH")
+    metrics = liquidity_metrics(safe)
     assert metrics.liquid_eth <= 2_000 - 1_000
     verdict_a = check_composability(
         safe.state, safe.bet_id, safe.bet_contract, safe.player, Fraction(0), safe.space,
@@ -200,7 +200,7 @@ def test_criterion_6_composability_dichotomy():
         mempool_eth_in=(60, 80), mempool_other_in=(200,),
         player_eth=100,
     )
-    metrics = liquidity_metrics(hot.state, hot.space, hot.pool_id, hot.player, "ETH")
+    metrics = liquidity_metrics(hot)
     assert metrics.mempool_eth_in > 1_000 - 900 and metrics.player_eth >= 100
     verdict_b = check_composability(
         hot.state, hot.bet_id, hot.bet_contract, hot.player, Fraction(0), hot.space,

@@ -168,7 +168,7 @@ def test_pricebet_small_liquidity_branch():
         mempool_other_in=(60,),
         player_eth=120,
     )
-    metrics = liquidity_metrics(scn.state, scn.space, scn.pool_id, scn.player, "ETH")
+    metrics = liquidity_metrics(scn)
     assert metrics.liquid_eth <= 2_000 - 1_000
     verdict = check_composability(
         scn.state, scn.bet_id, scn.bet_contract, scn.player, Fraction(0), scn.space,
@@ -190,7 +190,7 @@ def test_pricebet_exploitable_branch_with_witness_shape():
         mempool_other_in=(200,),
         player_eth=100,
     )
-    metrics = liquidity_metrics(scn.state, scn.space, scn.pool_id, scn.player, "ETH")
+    metrics = liquidity_metrics(scn)
     assert metrics.mempool_eth_in > 1_000 - 900 and metrics.player_eth >= 100
     verdict = check_composability(
         scn.state, scn.bet_id, scn.bet_contract, scn.player, Fraction(0), scn.space,

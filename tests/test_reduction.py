@@ -29,7 +29,8 @@ conditions the kernel is not taken.
 Every tree counts from its context table as many constructions as its walk
 yields, under each reduction, at one to three blocks.  On the mixed corpus,
 three-block spreads, the demo scenarios, spaces whose two orderings
-leave equal balances but different contracts, and a claim whose states
+leave equal balances but different contracts, a price bet and a CDP book
+on one pool before and after the bet is deployed, and a claim whose states
 before and after a block break differ only in their block, the fold over
 (context, state) pairs gives the key-driven fold's best, worst, witnesses
 and path count, and raises the same error; an item that raises only where
@@ -53,6 +54,7 @@ from fractions import Fraction
 import pytest
 
 from mevsearch import contracts, ordering
+from mevsearch.compose import build_pricebet_scenario
 from mevsearch.contracts import AmmPool, MakerBook, Pricebet
 from mevsearch.corpus import convergence_corpus, make_spread_instance, measure_convergence
 from mevsearch.metrics import AccountBalanceValue, PlayerDelta, Valuation, value_spread
@@ -1326,8 +1328,8 @@ class _RaisesOnSomeLeaves(AccountBalanceValue):
 def _dag_cases():
     """(state, space, objective): the mixed corpus at k = 1 and 2 with both
     objectives, and again with one of ``RAISERS`` or an objective that
-    raises at some leaves; its three-block cuts; the wave spreads; and the
-    twins."""
+    raises at some leaves; its three-block cuts; the wave spreads; the
+    twins; and the composability check's price bet and CDP book."""
     for i, (state, space) in enumerate(differential_corpus()):
         if i % 2:
             objective = PlayerDelta.from_state(frozenset({"miner"}), VALUATION, state)
@@ -1347,6 +1349,45 @@ def _dag_cases():
     for state, space, beneficiary in _wave_spreads():
         yield state, space, AccountBalanceValue(beneficiary, VALUATION)
     yield from _twins()
+    yield from _compose_shapes()
+
+
+def _compose_shapes():
+    """The shape of a composability check: a fee-less BBT/ETH pool that is
+    the oracle of a price bet and the price source of a CDP book, two ETH-in
+    swaps, a BBT-in swap and a loan withdrawal in the mempool, and bet,
+    claim and liquidation templates with insertion.  Each instance comes
+    before the bet is deployed, where its templates hit an unknown venue and
+    many constructions tie, and after."""
+    for seed in range(2):
+        rng = random.Random(7_000 + seed)
+        pool_other = rng.randint(1_000, 2_000)
+        gap = rng.randint(50, 150)
+        pool_eth = pool_other - gap
+        built = build_pricebet_scenario(
+            pool_other=pool_other, pool_eth=pool_eth,
+            mempool_eth_in=tuple(rng.randint(gap // 2 + 1, gap + 1) for _ in range(2)),
+            mempool_other_in=(rng.randint(gap // 2, 2 * gap),), player_eth=rng.randint(100, 300),
+        )
+        # The victim goes under water once ETH flows in; the borrower's loan
+        # is safe only while the price has not fallen.
+        victim, borrower = rng.randint(200, 600), rng.randint(200, 600)
+        book = MakerBook(
+            "BBT", "ETH", built.pool_id, collateral={"v0": victim, "c0": borrower},
+            debt={"v0": 2 * victim * pool_other // (3 * pool_eth)},
+        )
+        loan = 2 * borrower * pool_other // (3 * pool_eth) - 1
+        withdraw = Tx("c0", "book", CdpManipulate("withdraw_loan", loan))
+        liquidate = Tx("miner", "book", Liquidate("v0"), origin="miner")
+        space = replace(
+            built.space,
+            mempool=built.space.mempool + (withdraw,),
+            templates=built.space.templates + (liquidate,),
+        )
+        before = State(built.state.balances, {**built.state.contracts, "book": book}, 0)
+        for state in (before, before.deploy(built.bet_id, built.bet_contract)):
+            objective = PlayerDelta.from_state(built.player.accounts, built.valuation, state)
+            yield state, space, objective
 
 
 def _twins():
