@@ -15,6 +15,11 @@ contract type and action type to the rule.  Adding a contract model means one
 dataclass, its rules, one ``_EXECUTORS`` row, its codec in ``scenario`` and its
 branch in ``ordering._footprint`` (until it has one, the sleep sets treat its
 transactions as dependent on every other).
+
+Contracts compare and hash by value, and ``ordering``'s DAG fold keys its
+states by them.  A model's dict fields are ``field(hash=False)``, so a
+contract hashes by its other fields and compares by all of them, each dict
+by its items in any order.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class AmmPool:
     reserve_y: int
     fee_bps: int = 30
     lp_total: int = 0
-    lp_shares: dict[str, int] = field(default_factory=dict)
+    lp_shares: dict[str, int] = field(default_factory=dict, hash=False)
 
     def reserve(self, token: str) -> int:
         if token == self.token_x:
@@ -90,8 +95,8 @@ class MakerBook:
     price_source: str
     ratio_num: int = 3
     ratio_den: int = 2
-    collateral: dict[str, int] = field(default_factory=dict)
-    debt: dict[str, int] = field(default_factory=dict)
+    collateral: dict[str, int] = field(default_factory=dict, hash=False)
+    debt: dict[str, int] = field(default_factory=dict, hash=False)
     oracle_price: tuple[int, int] | None = None
     efficient_auction: bool = False
 

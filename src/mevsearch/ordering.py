@@ -43,11 +43,13 @@ from the root afterwards, the traceback of dynamic programming (Bellman,
 1957): at each node, the smallest item whose child's memo holds the
 extreme.  So the witnesses are the tree fold's too, and reading them back
 applies no step and calls no objective.  It numbers each state once, by its
-block number and its content, and keeps the number each (state, item) pair
-steps to and the value of each leaf state, so a step runs once per distinct
-(state, item) pair and the objective once per distinct leaf state, however
-many contexts reach them.  The number holds the block number because a claim
-reads it (a price bet's deadline), and a block break changes nothing else.
+block number and its key: its balances' items and its contracts, which
+compare and hash by value (``contracts``).  It keeps the number each (state,
+item) pair steps to and the value of each leaf state, so a step runs once per
+distinct (state, item) pair and the objective once per distinct leaf state,
+however many contexts reach them.  The number holds the block number because
+a claim reads it (a price bet's deadline), and a block break changes nothing
+else.
 The memo pays only where it is shared, so this fold runs in one process at
 any worker count (split over forked workers, each process would build its
 own memo and apply more steps in all).
@@ -149,9 +151,8 @@ import pickle
 import random
 import signal
 import sys
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, replace
 from itertools import chain
-from operator import attrgetter
 
 from . import contracts
 from .state import (
@@ -229,7 +230,10 @@ class SearchBudget:
     pruned space is counted (and folded exactly when it fits in
     ``max_paths``); above it the engine samples ``max_paths`` orderings.  The
     count visits each context once, up to 2^n of them for n mutually
-    dependent transactions, but stops once it passes ``max_paths``.
+    dependent transactions, but stops once it passes ``max_paths``.  A budget
+    checks itself when built, as a scenario file does: a known ``mode``,
+    ``max_paths`` at least 1, and ``seed`` and ``tractability_threshold`` at
+    least 0.
     """
 
     mode: str = "randomized"  # "exhaustive" forces full enumeration
@@ -240,10 +244,9 @@ class SearchBudget:
     def __post_init__(self):
         if self.mode not in ("exhaustive", "randomized"):
             raise ScenarioError(f"unknown budget mode: {self.mode!r}")
-        if self.max_paths < 1:
-            raise ScenarioError(f"budget max_paths must be >= 1, got {self.max_paths}")
-        if self.seed < 0:
-            raise ScenarioError(f"budget seed must be >= 0, got {self.seed}")
+        for name, low in (("max_paths", 1), ("seed", 0), ("tractability_threshold", 0)):
+            if getattr(self, name) < low:
+                raise ScenarioError(f"budget {name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -606,8 +609,8 @@ class _Tree:
     def expand(self, node: int):
         """``(leaf, ((item, child), ...), quiet)`` for context ``node``:
         whether the node is a construction, its children in walk order, each
-        with its own context's number, and whether the node is quiet.
-        ``None`` where the node is cut.
+        with its own context's number, and whether the node is quiet.  A cut
+        node is no construction, has no child and is not quiet.
 
         An item is skipped when it is asleep, and for no other reason.
         After ``b`` the sleep mask becomes ``(sleep | the choices below b) &
@@ -630,8 +633,8 @@ class _Tree:
             if sleep and mem_rem and not censor and self._dead(
                 sleep, mem_rem, tpl_rem if insert else ()
             ):
-                self._rows[node] = None
-                return None
+                row = self._rows[node] = (False, (), False)
+                return row
             leaf = censor or not mem_rem
         else:
             leaf = False
@@ -671,7 +674,7 @@ class _Tree:
         returns the partial sum.  Only exact counts are kept."""
         n = self._counts.get(node)
         if n is None:
-            leaf, children, _ = self.expand(node) or (False, (), False)
+            leaf, children, _ = self.expand(node)
             n = int(leaf)
             for _, child in children:
                 n += self.count(child, cap - n)
@@ -684,10 +687,7 @@ class _Tree:
         """Yield the key of every construction under context ``node`` that
         survives the reduction, once each, depth-first, each behind
         ``prefix``."""
-        row = self.expand(node)
-        if row is None:
-            return
-        leaf, children, _ = row
+        leaf, children, _ = self.expand(node)
         if leaf:
             yield prefix
         for item, child in children:
@@ -715,7 +715,7 @@ class _Tree:
         holds ``weight`` constructions, all of them valued at the state that
         ``path`` (the node's prefix) reaches, keyed by the node's least
         key."""
-        leaf, children, quiet = self.expand(node) or (False, (), False)
+        leaf, children, quiet = self.expand(node)
         if quiet:
             n = self.count(node)
             if n:
@@ -731,7 +731,7 @@ class _Tree:
         capped as ``count`` is: ``count`` stopping at quiet nodes."""
         n = self._offers.get(node)
         if n is None:
-            leaf, children, quiet = self.expand(node) or (False, (), False)
+            leaf, children, quiet = self.expand(node)
             if quiet:
                 n = int(self.count(node) > 0)
             else:
@@ -956,17 +956,16 @@ class _DagFold:
     (``witness``).  The number carries the block number because a claim
     reads it (a price bet's deadline), and a ``BLOCK_BREAK`` changes nothing
     else.  A state's key is the frozenset of its balances' items and the
-    number of each contract's content (``number``), venue by venue: equal
-    keys are equal states up to the order of their dicts, which no
-    transition rule or objective reads.  A step never adds or removes a
-    venue (``apply_tx`` raises where the venue holds no contract, and every
-    rule settles at that venue, in place), so only the contracts it
-    replaced get a new number.
+    tuple of its contracts, which compare and hash by value (``contracts``):
+    equal keys are equal states up to the order of their dicts, which no
+    transition rule or objective reads.  The contracts line up venue by
+    venue because a step never adds or removes a venue (``apply_tx`` raises
+    where the venue holds no contract, and every rule settles at that venue,
+    in place).
     """
 
     __slots__ = (
-        "tree", "items", "fee_policy", "value", "collapse", "memo", "contents", "getters",
-        "ids", "states", "moves", "values",
+        "tree", "items", "fee_policy", "value", "collapse", "memo", "ids", "states", "moves", "values",
     )
 
     def __init__(self, tree: _Tree, objective):
@@ -976,8 +975,6 @@ class _DagFold:
         self.value = objective.value
         self.collapse = _own_objective(objective)
         self.memo: dict = {}
-        self.contents: dict = {}
-        self.getters: dict = {}
         self.ids: dict = {}
         self.states: list = []
         self.moves: dict = {}
@@ -996,34 +993,9 @@ class _DagFold:
             reducer.worst = worst, self.witness(sid, worst)
         return reducer
 
-    def number(self, contract) -> int:
-        """The number of a contract's content: its type and its fields'
-        values, each dict as its sorted items.  A contract that is not a
-        dataclass, or has no fields, stands for itself."""
-        kind = type(contract)
-        getter = self.getters.get(kind, _UNSEEN)
-        if getter is _UNSEEN:
-            names = [f.name for f in fields(kind)] if is_dataclass(kind) else ()
-            getter = self.getters[kind] = attrgetter("__class__", *names) if names else None
-        content = contract if getter is None else tuple(
-            [tuple(sorted(v.items())) if type(v) is dict else v for v in getter(contract)]
-        )
-        return self.contents.setdefault(content, len(self.contents))
-
-    def key(self, state: State, prev: State | None = None, prev_key: tuple = ()) -> tuple:
-        """The key of ``state``, reusing the contract numbers of
-        ``prev_key``, the key of the state ``prev`` it was stepped from."""
-        held = state.contracts
-        if prev is None:
-            ids = tuple(map(self.number, held.values()))
-        else:
-            ids = prev_key[1]
-            if held is not prev.contracts:
-                ids = tuple(
-                    i if c is old else self.number(c)
-                    for i, c, old in zip(ids, held.values(), prev.contracts.values())
-                )
-        return frozenset(state.balances.items()), ids
+    def key(self, state: State) -> tuple:
+        """The key of ``state``: its balances' items and its contracts."""
+        return frozenset(state.balances.items()), tuple(state.contracts.values())
 
     def intern(self, state: State, key: tuple) -> int:
         """The number of ``state``, whose key is ``key``."""
@@ -1044,7 +1016,7 @@ class _DagFold:
                 nxt = self.intern(state.with_block(state.block_number + 1), key)
             else:
                 after = _step(state, self.items[item], self.fee_policy)
-                nxt = sid if after is state else self.intern(after, self.key(after, state, key))
+                nxt = sid if after is state else self.intern(after, self.key(after))
             self.moves[sid, item] = nxt
         return nxt
 
@@ -1120,10 +1092,7 @@ def _work_units(tree: _Tree) -> tuple[list, list]:
     for _ in range(2):
         level, units = units, []
         for prefix, node in level:
-            row = tree.expand(node)
-            if row is None:
-                continue
-            leaf, children, quiet = row
+            leaf, children, quiet = tree.expand(node)
             if quiet:
                 units.append((prefix, node))
                 continue

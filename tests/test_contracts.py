@@ -437,3 +437,44 @@ def test_successors_are_built_field_for_field_as_replace_builds_them():
     )
     removed, _, _ = amm_remove_liquidity(pool, "lp", 7)
     assert removed == replace(pool, reserve_x=0, reserve_y=0, lp_total=0, lp_shares={})
+
+
+def _changed(value):
+    """A value of the same kind that differs from ``value``: a dict with its
+    first entry's value moved (a position), or a bumped scalar."""
+    if type(value) is dict:
+        first = next(iter(value))
+        return {**value, first: value[first] + 1}
+    if type(value) is bool:
+        return not value
+    if type(value) is int:
+        return value + 1
+    if type(value) is tuple:
+        return value[0] + 1, value[1]
+    return value + "x"
+
+
+def test_contracts_compare_and_hash_by_value():
+    """Every contract model is a value: dicts that hold the same items in
+    another insertion order make an equal contract with an equal hash, and a
+    change to any one field makes an unequal one.  The DAG fold keys its
+    states by the contracts, so it relies on both."""
+    samples = {
+        AmmPool: AmmPool("DAI", "ETH", 1_000, 2_000, fee_bps=5, lp_total=7,
+                         lp_shares={"lp": 3, "mm": 4}),
+        MakerBook: MakerBook("DAI", "ETH", "pool", 5, 3, {"v": 9, "w": 2}, {"v": 4, "w": 1},
+                             (3, 2), True),
+        Pricebet: Pricebet("pool", "ETH", 9, 7, 11, 13, has_bet=True, player="p", settled=True),
+    }
+    assert set(samples) == set(_EXECUTORS)
+    for contract in samples.values():
+        dicts = {f.name: getattr(contract, f.name) for f in fields(contract)
+                 if type(getattr(contract, f.name)) is dict}
+        assert all(len(d) > 1 for d in dicts.values()), contract
+        reordered = replace(contract, **{name: dict(reversed(d.items())) for name, d in dicts.items()})
+        assert all(list(getattr(reordered, name)) != list(d) for name, d in dicts.items())
+        assert reordered == contract and hash(reordered) == hash(contract)
+        assert len({contract, reordered}) == 1
+        for f in fields(contract):
+            other = replace(contract, **{f.name: _changed(getattr(contract, f.name))})
+            assert other != contract and other not in {contract}, f.name

@@ -241,6 +241,22 @@ def test_parallel_reports_are_identical(monkeypatch):
     assert all(r == reports[0] for r in reports[1:])
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"max_paths": 0}, "budget max_paths must be >= 1, got 0"),
+        ({"seed": -1}, "budget seed must be >= 0, got -1"),
+        ({"tractability_threshold": -1}, "budget tractability_threshold must be >= 0, got -1"),
+    ],
+)
+def test_a_budget_checks_its_fields_when_built(fields, message):
+    with pytest.raises(ScenarioError) as raised:
+        SearchBudget(**fields)
+    assert str(raised.value) == message
+    # the bounds themselves are accepted
+    SearchBudget(max_paths=1, seed=0, tractability_threshold=0)
+
+
 def test_randomized_determinism_and_soundness():
     state = mixed_state()
     mempool = tuple(

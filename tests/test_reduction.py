@@ -665,6 +665,27 @@ def _deadline_claim():
     return state, space, AccountBalanceValue("miner", VALUATION)
 
 
+def _collateral_deposits():
+    """Three actors deposit collateral into one CDP book, under censoring.
+    The deposits depend on each other through the book, so every order is
+    walked, and u0's and u1's in either order leave the book's collateral
+    dict with the same items in another insertion order.  Only p's balance
+    is tracked, so every path runs on to p's deposit."""
+    state = State(
+        {("u0", "ETH"): 10, ("u1", "ETH"): 20, ("p", "ETH"): 30},
+        {"pool": AmmPool("DAI", "ETH", 1_000, 1_000), "book": MakerBook("DAI", "ETH", "pool")},
+        0,
+    )
+    space = OrderingSpace(
+        mempool=tuple(
+            Tx(actor, "book", CdpManipulate("deposit_collateral", qty))
+            for actor, qty in (("u0", 10), ("u1", 20), ("p", 30))
+        ),
+        allow_censor=True,
+    )
+    return state, space, AccountBalanceValue("p", VALUATION)
+
+
 def _replayed(state, items, key, fee_policy):
     """The state that ``key`` reaches from ``state``: each block replayed
     whole by ``apply_sequence`` in skip-invalid mode, each ``BLOCK_BREAK``
@@ -712,8 +733,8 @@ def _quiet_after(state, space, tracked):
 
 
 def _distinct(values):
-    """How many distinct values, compared by ``==``: a state's contracts may
-    hold dicts, which do not hash."""
+    """How many distinct values, compared by ``==``: a ``State`` does not
+    hash."""
     seen = []
     for value in values:
         if value not in seen:
@@ -729,8 +750,9 @@ def _distinct(values):
         # No item of case 14 reaches p, but one pays the miner a fee.
         (lambda: _differential_case(14, "miner"), (False, 2), False),
         (_deadline_claim, (False, 2), False),
+        (_collateral_deposits, (True, 1), False),
     ],
-    ids=["dead_cut_spread", "censor", "k2", "deadline"],
+    ids=["dead_cut_spread", "censor", "k2", "deadline", "deposits"],
 )
 def test_an_exhaustive_search_applies_each_prefix_of_its_keys_once(
     monkeypatch, case, censor_and_k, compiles
@@ -786,7 +808,9 @@ def test_an_exhaustive_search_applies_each_prefix_of_its_keys_once(
         # once and values each distinct state a path reaches once; in
         # ``deadline`` the two trades create their balances in either order,
         # so a state key that read the balances' dict order would step 18
-        # pairs, not 16
+        # pairs, not 16; in ``deposits`` u0 and u1 fill the book's collateral
+        # in either order, so a key that read that dict's order would step 9
+        # pairs, not 8, and value 10 states, not 8
         assert (len(calls), len(values)) == (edges, leaves)
         assert edges < len(prefixes) and leaves < len(keys)
 
