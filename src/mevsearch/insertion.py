@@ -571,7 +571,8 @@ def search_with_insertion(
             value = _evaluate(state, txs, objective, fee_policy)
             if value is None:
                 continue
-        if best is None or value > best[0] or (value == best[0] and key < best[1]):
+        # The walk yields increasing keys: on a tie the incumbent's smaller key wins.
+        if best is None or value > best[0]:
             best = (value, key, alpha)
     if best is None:
         raise EmptyFeasibleError("no feasible sequence in the insertion space")

@@ -8,7 +8,8 @@ exactly once, depth-first: each step either closes the block (``BLOCK_BREAK``;
 the next block admits its arrival wave and re-offers the templates) or appends
 a transaction.  Searches reduce the objective's values to the best/worst with
 a deterministic tie-break: among equal values the lexicographically smallest
-item-index sequence wins, so reports are identical for any worker count.
+item-index sequence wins, items being numbered by arrival block and then
+mempool position (``_Tree``), so reports are identical for any worker count.
 With ``workers > 1``, the exact search of a tree that compiles (below), at
 any ``k``, splits the subtrees under its depth-2 nodes between forked
 workers, the parent folding one share itself, when the tree has more than
@@ -17,11 +18,11 @@ search is folded again in one process, so the report or error is the
 one-worker one.  Every other exact search folds in one process.
 
 One context table drives every walk and count.  The subtree under a walk
-node depends only on the node's context: the block, the remaining mempool
-items and templates, and the sleep mask (below).  ``_Tree.expand`` gives a
-context's leaf flag and children once, and the table keeps them: ``walk``
-yields keys from it, reading no state, and ``count`` sums it without
-enumerating a key.
+node depends only on the node's context: the block, the bitmask of the
+remaining mempool items and templates, and the sleep mask (below).
+``_Tree.expand`` gives a context's leaf flag and children once, and the table
+keeps them: ``walk`` yields keys from it in increasing order, reading no
+state, and ``count`` sums it without enumerating a key.
 
 Folds apply items in skip-invalid mode (a user transaction that fails under
 some ordering is censored-by-failure, not a dead branch), and a step runs
@@ -63,16 +64,14 @@ later waves, and the templates re-offered before the last block.  Every
 construction under a quiet node then has the value of the node's state,
 since the objective reads only tracked balances (``metrics``), so the fold
 offers that value once, weighted by the node's count of constructions and
-keyed by its least key, and applies no step past the node: the best, worst,
-witnesses and path counts are those of the uncollapsed fold.  The least key
-is a true minimum over the subtree, not its first walked key: the walk is
-not in lexicographic order at ``k > 1``, where a block break puts a later
-wave's items after the remaining ones, a larger index before a smaller.
-The collapse needs footprints and the deployed contracts, so the unreduced
-tree never collapses, and it trusts only the package's own objectives, by
-exact type.  A fork costs more than a small fold saves, so a compiled tree
-forks only when its count of collapsed offers, a capped count of the
-context table that stops at quiet nodes, passes ``FORK_CROSSOVER``.
+keyed by its least key, the first one the walk yields there, and applies no
+step past the node: the best, worst, witnesses and path counts are those of
+the uncollapsed fold.  The collapse needs footprints and the deployed
+contracts, so the unreduced tree never collapses, and it trusts only the
+package's own objectives, by exact type.  A fork costs more than a small
+fold saves, so a compiled tree forks only when its count of collapsed
+offers, a capped count of the context table that stops at quiet nodes,
+passes ``FORK_CROSSOVER``.
 
 Swap-only trees fold on plain ints.  When no fee is charged, the objective is
 a ``PlayerDelta`` or an ``AccountBalanceValue``, and every item is a ``Swap``
@@ -470,16 +469,18 @@ class _Tree:
     """The feasible constructions of a space, as a tree of item choices.
 
     Items are the mempool transactions that arrive within the ``k`` blocks,
-    in mempool order, followed by the templates; a construction's key is its
-    tuple of item indices, with ``BLOCK_BREAK`` between blocks.  ``walk``
-    yields the keys without reading a state, and ``offers`` the same with
+    numbered by arrival block and then mempool position, followed by the
+    templates; a construction's key is its tuple of item indices, with
+    ``BLOCK_BREAK`` between blocks, so the items a block can place always
+    hold the indices above those it has placed.  ``walk`` yields the keys in
+    increasing order without reading a state, and ``offers`` the same with
     quiet subtrees collapsed; ``_fold`` applies them.
 
     A walk node's subtree depends only on its *context*: the block, the
-    remaining mempool items and templates, and the sleep mask.  Contexts
-    are numbered as they are met, the root being 0, and ``expand`` computes
-    each one's branching once; ``walk``, ``count`` and the DAG fold all read
-    that table.
+    bitmask of the remaining mempool items and templates (templates only
+    when inserting), and the sleep mask.  Contexts are numbered as they are
+    met, the root being 0, and ``expand`` computes each one's branching
+    once; ``walk``, ``count`` and the DAG fold all read that table.
 
     Two items commute when ``indep[i]`` has bit ``j``: under ``_SLEEP`` when
     their footprints are disjoint, under ``_RUN`` when they have the same run
@@ -499,8 +500,8 @@ class _Tree:
     """
 
     __slots__ = (
-        "space", "items", "waves", "templates", "indep", "relevant", "quiet",
-        "_later", "_contexts", "_ids", "_rows", "_counts", "_offers", "_least",
+        "space", "items", "templates", "indep", "relevant", "quiet",
+        "_mem", "_admit", "_later", "_contexts", "_ids", "_rows", "_counts", "_offers", "_least",
     )
 
     def __init__(
@@ -509,15 +510,15 @@ class _Tree:
         if space.k < 1:
             raise ScenarioError("k must be >= 1")
         space = space.labeled()
-        mempool = tuple(tx for tx in space.mempool if 0 <= tx.arrival_block < space.k)
-        items = mempool + space.templates
+        mempool = sorted(
+            (tx for tx in space.mempool if 0 <= tx.arrival_block < space.k),
+            key=lambda tx: tx.arrival_block,
+        )
+        items = tuple(mempool) + space.templates
+        n_mem, n = len(mempool), len(items)
         self.space = space
         self.items = items
-        self.waves = tuple(
-            tuple(i for i, tx in enumerate(mempool) if tx.arrival_block == block)
-            for block in range(space.k)
-        )
-        self.templates = tuple(range(len(mempool), len(items)))
+        self.templates = range(n_mem, n)
 
         counts: dict[str, int] = {}
         for tx in items:
@@ -535,7 +536,6 @@ class _Tree:
             for tx in items
         ]
 
-        n = len(items)
         prints = [_footprint(tx, deployed, space) if reduction & _SLEEP else None for tx in items]
         if None in prints:
             self.relevant, self.quiet = (1 << n) - 1, 0
@@ -543,16 +543,20 @@ class _Tree:
             seeds = _seeds(items, prints, tracked, deployed)
             self.relevant = _relevant(prints, seeds)
             self.quiet = 0 if deployed is None else (1 << n) - 1 & ~seeds
-        # _later[block]: the items that the block breaks after ``block`` offer.
-        offered = sum(1 << i for i in self.templates) if space.allow_insert else 0
-        self._later = [
-            sum(1 << i for i in chain(*self.waves[block + 1:])) | offered
-            for block in range(space.k - 1)
-        ] + [0]
+        # _mem: the mempool items; _admit[block]: what the block adds to the
+        # remaining items, its arrival wave and, when inserting, the
+        # templates; _later[block]: what the block breaks after it add.
+        self._mem = (1 << n_mem) - 1
+        self._admit = [(1 << n) - 1 ^ self._mem if space.allow_insert else 0] * space.k
+        for i, tx in enumerate(mempool):
+            self._admit[tx.arrival_block] |= 1 << i
+        self._later = [0] * space.k
+        for block in range(space.k - 2, -1, -1):
+            self._later[block] = self._later[block + 1] | self._admit[block + 1]
         self.indep = [0] * n
         for i in range(n):
             for j in range(i):
-                if (space.allow_reorder or i >= len(mempool)) and (
+                if (space.allow_reorder or i >= n_mem) and (
                     runs[i] is not None and runs[i] == runs[j]
                     or prints[i] is not None
                     and prints[j] is not None
@@ -564,7 +568,7 @@ class _Tree:
         # Context i is _contexts[i]; _rows[i] is its expansion, _UNSEEN until
         # it is needed; _counts maps a context to its number of constructions,
         # _offers to its number of collapsed offers, _least to its least key.
-        root = (0, self.waves[0], self.templates, 0)
+        root = (0, self._admit[0], 0)
         self._contexts = [root]
         self._ids = {root: 0}
         self._rows: list = [_UNSEEN]
@@ -572,18 +576,12 @@ class _Tree:
         self._offers: dict[int, int] = {}
         self._least: dict[int, tuple[int, ...]] = {}
 
-    def _dead(self, sleep: int, mem_rem: tuple[int, ...], tpl_rem: tuple[int, ...]) -> bool:
+    def _dead(self, sleep: int, rem: int) -> bool:
         """Can some remaining mempool item never be placed?  Only the awake
         remaining items, and the sleepers that depend on something
         placeable, can be; without censoring the node then has no leaf."""
         indep = self.indep
-        mem_bits = 0
-        for i in mem_rem:
-            mem_bits |= 1 << i
-        reach = mem_bits
-        for i in tpl_rem:
-            reach |= 1 << i
-        reach &= ~sleep
+        reach = rem & ~sleep
         asleep = sleep
         while True:
             woken = 0
@@ -594,7 +592,7 @@ class _Tree:
                 if reach & ~indep[low.bit_length() - 1]:
                     woken |= low
             if not woken:
-                return bool(asleep & mem_bits)
+                return bool(asleep & self._mem)
             reach |= woken
             asleep ^= woken
 
@@ -615,56 +613,43 @@ class _Tree:
         An item is skipped when it is asleep, and for no other reason.
         After ``b`` the sleep mask becomes ``(sleep | the choices below b) &
         indep[b]``; it resets at ``BLOCK_BREAK``, the first child of a node
-        before the last block.  Without censoring, a node of the last block
-        where some transaction can never wake up is cut, and a node of the
-        last block is a construction only once every admitted transaction is
-        placed.  The items still placeable are the remaining mempool items,
-        the remaining templates when inserting, and what later block breaks
-        offer (``_later``); the node is quiet when all of them are.
+        before the last block.  With reordering off, only the lowest
+        remaining mempool item is a choice, unless censoring, and placing a
+        mempool item censors the ones below it for good.  Without censoring,
+        a node of the last block where some transaction can never wake up is
+        cut, and a node of the last block is a construction only once every
+        admitted transaction is placed.  The items still placeable are the
+        remaining mempool items and templates, and what later block breaks
+        add (``_later``); the node is quiet when all of them are.
         """
         row = self._rows[node]
         if row is not _UNSEEN:
             return row
-        block, mem_rem, tpl_rem, sleep = self._contexts[node]
+        block, rem, sleep = self._contexts[node]
         space, indep, number = self.space, self.indep, self._number
-        reorder, censor, insert = space.allow_reorder, space.allow_censor, space.allow_insert
+        reorder, censor = space.allow_reorder, space.allow_censor
+        mem = rem & self._mem
         children = []
         if block == space.k - 1:
-            if sleep and mem_rem and not censor and self._dead(
-                sleep, mem_rem, tpl_rem if insert else ()
-            ):
+            if not censor and sleep & mem and self._dead(sleep, rem):
                 row = self._rows[node] = (False, (), False)
                 return row
-            leaf = censor or not mem_rem
+            leaf = censor or not mem
         else:
             leaf = False
-            children.append(
-                (BLOCK_BREAK, number((block + 1, mem_rem + self.waves[block + 1], self.templates, 0)))
-            )
-        mem_choices = mem_rem if reorder or censor else mem_rem[:1]
-        n_mem_choices = len(mem_choices)
-        choices = mem_choices + tpl_rem if insert else mem_choices
-        offered = 0
-        for idx in choices:
-            offered |= 1 << idx
-        for pos, idx in enumerate(choices):
-            if sleep >> idx & 1:
-                continue
-            if pos < n_mem_choices:
-                # Without reordering, the skipped transactions are censored for good.
-                nxt_mem = mem_rem[:pos] + mem_rem[pos + 1:] if reorder else mem_rem[pos + 1:]
-                nxt_tpl = tpl_rem
-            else:
-                pos -= n_mem_choices
-                nxt_mem, nxt_tpl = mem_rem, tpl_rem[:pos] + tpl_rem[pos + 1:]
-            nxt_sleep = (sleep | offered & ((1 << idx) - 1)) & indep[idx]
-            children.append((idx, number((block, nxt_mem, nxt_tpl, nxt_sleep))))
-        quiet = False
-        if self.quiet:
-            placeable = self._later[block]
-            for idx in chain(mem_rem, tpl_rem) if insert else mem_rem:
-                placeable |= 1 << idx
-            quiet = not placeable & ~self.quiet
+            children.append((BLOCK_BREAK, number((block + 1, mem | self._admit[block + 1], 0))))
+        # Without reordering or censoring, the mempool's only choice is its lowest item.
+        choices = rem if reorder or censor else rem ^ mem & mem - 1
+        rest = choices & ~sleep
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            idx = bit.bit_length() - 1
+            # Without reordering, the skipped transactions are censored for good.
+            nxt_rem = rem & -(bit << 1) if not reorder and bit & mem else rem ^ bit
+            nxt_sleep = (sleep | choices & bit - 1) & indep[idx]
+            children.append((idx, number((block, nxt_rem, nxt_sleep))))
+        quiet = bool(self.quiet) and not (self._later[block] | rem) & ~self.quiet
         row = self._rows[node] = (leaf, tuple(children), quiet)
         return row
 
@@ -695,15 +680,13 @@ class _Tree:
 
     def least(self, node: int) -> tuple[int, ...]:
         """The smallest key under context ``node``, which holds a
-        construction: ``()`` at a construction, else the smallest of each
-        child's item followed by its least key, over the children that hold
-        a construction.  The walk's first key need not be the smallest:
-        past a block break, a later wave's item can come after a larger
-        index."""
+        construction, the first one the walk yields there: ``()`` at a
+        construction, else the first child's item that holds a construction
+        followed by its least key."""
         key = self._least.get(node)
         if key is None:
             leaf, children, _ = self.expand(node)
-            key = () if leaf else min(
+            key = () if leaf else next(
                 (item,) + self.least(child) for item, child in children if self.count(child)
             )
             self._least[node] = key
@@ -1054,11 +1037,9 @@ class _DagFold:
         read back from the memo with no step and no objective call.  At a
         collapsed quiet node the key ends with the node's least key; at a
         construction valued ``target`` it ends; otherwise it follows the
-        smallest item whose child's pair holds ``target``.  ``target`` is
-        the same extreme of every node on the way, so a child reaches it
-        exactly where its pair holds it.  Items compare as keys do,
-        ``BLOCK_BREAK`` first, not in walk order: past a block break a
-        later wave's smaller index comes after a larger one."""
+        first child in walk order, the smallest item, whose pair holds
+        ``target``.  ``target`` is the same extreme of every node on the
+        way, so a child reaches it exactly where its pair holds it."""
         tree, memo, moves = self.tree, self.memo, self.moves
         node, key = 0, []
         while True:
@@ -1067,7 +1048,7 @@ class _DagFold:
                 return tuple(key) + tree.least(node)
             if leaf and self.values[sid] == target:
                 return tuple(key)
-            item, node, sid = min(
+            item, node, sid = next(
                 (item, child, moves[sid, item])
                 for item, child in children
                 if tree.count(child) and target in memo[child, moves[sid, item]]
@@ -1176,9 +1157,9 @@ def _sample_sequences(tree: _Tree, budget: SearchBudget) -> list[tuple[int, ...]
     space = tree.space
     rng = random.Random(budget.seed)
     getrandbits = rng.getrandbits
-    idx_mem = list(tree.waves[0])
+    n_mem = len(tree.items) - len(tree.templates)
+    idx_mem = list(range(n_mem))
     idx_tpl = list(tree.templates)
-    n_mem = len(idx_mem)
     identity = tuple(idx_mem)
     seen = {identity}
     out = [identity]

@@ -91,8 +91,8 @@ class Tx:
     ``origin`` distinguishes pending user transactions from miner-inserted
     templates.  ``fee`` is optional gas-fee metadata (inert unless a fee
     policy is supplied).  ``arrival_block`` is the 0-based wave in which the
-    transaction enters the mempool; wave w is schedulable from block w+1 of a
-    multi-block construction.
+    transaction enters the mempool; wave w is schedulable from block w
+    (0-based) of a multi-block construction.
     """
 
     actor: str

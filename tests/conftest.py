@@ -44,9 +44,9 @@ def reference_sample_sequences(tree, budget):
     that were all seen before."""
     space = tree.space
     rng = random.Random(budget.seed)
-    idx_mem = list(tree.waves[0])
+    n_mem = len(tree.items) - len(tree.templates)
+    idx_mem = list(range(n_mem))
     idx_tpl = list(tree.templates)
-    n_mem = len(idx_mem)
     identity = tuple(idx_mem)
     seen = {identity}
     out = [identity]

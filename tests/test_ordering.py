@@ -24,6 +24,7 @@ from mevsearch.ordering import (
     _FULL,
     _Tree,
     _compiled,
+    _labels_for,
     _work_units,
 )
 from mevsearch.scenario import load_scenario
@@ -88,6 +89,56 @@ def test_censor_only_is_subsequences():
     seqs = list(_Tree(sp, 0, frozenset()).walk())
     assert len(seqs) == 16
     assert all(list(s) == sorted(s) for s in seqs)
+
+
+def _fixed_order_keys(censor, templates=()):
+    """The labelled keys of mempool (x arriving in block 1, a, b) at k = 2
+    with reordering off, each swapping at one pool."""
+    x, a, b = (
+        replace(tx, label=label, arrival_block=int(label == "x"))
+        for tx, label in zip(swaps(3), "xab")
+    )
+    sp = OrderingSpace(
+        mempool=(x, a, b), templates=templates, allow_reorder=False,
+        allow_censor=censor, allow_insert=bool(templates), k=2,
+    )
+    tree = _Tree(sp, _FULL, frozenset(), mixed_state().contracts)
+    keys = [_labels_for(tree.items, key) for key in tree.walk()]
+    assert len(keys) == len(set(keys)) == tree.count()
+    return set(keys)
+
+
+def _broken(seq):
+    """Each way to put a block break into ``seq`` before ``x``."""
+    cuts = seq.index("x") if "x" in seq else len(seq)
+    return {seq[:cut] + ("|",) + seq[cut:] for cut in range(cuts + 1)}
+
+
+def _woven(block):
+    """``block`` without the template, and with it at each position."""
+    return {block} | {block[:i] + ("t",) + block[i:] for i in range(len(block) + 1)}
+
+
+def test_fixed_order_keeps_the_arrival_order_across_blocks():
+    # Reordering off keeps a, b and then x, which arrives in block 1 though
+    # it comes first in the mempool.
+    assert _fixed_order_keys(False) == {
+        ("a", "b", "|", "x"), ("a", "|", "b", "x"), ("|", "a", "b", "x")}
+    # Censoring keeps any subset in that order, each skipped item for good.
+    kept = {
+        tuple(label for label, keep in zip("abx", mask) if keep)
+        for mask in itertools.product((False, True), repeat=3)
+    }
+    censored = set().union(*map(_broken, kept))
+    assert _fixed_order_keys(True) == censored and len(censored) == 16
+    # A template goes anywhere in each block, once per block.
+    tpl = Tx("miner", "amm", Swap("ETH", "BBT", 5), origin="miner", label="t")
+    woven = set()
+    for key in _broken(("a", "b", "x")):
+        cut = key.index("|")
+        for head in _woven(key[:cut]):
+            woven |= {head + ("|",) + tail for tail in _woven(key[cut + 1:])}
+    assert _fixed_order_keys(False, (tpl,)) == woven and len(woven) == 34
 
 
 def test_insertion_weaves_templates():

@@ -27,7 +27,8 @@ fold's best, worst and path count equal those of the same fold on the
 conditions the kernel is not taken.
 
 Every tree counts from its context table as many constructions as its walk
-yields, under each reduction, at one to three blocks.  On the mixed corpus,
+yields, under each reduction, at one to three blocks, and the walk yields
+them in increasing key order.  On the mixed corpus,
 three-block spreads, the demo scenarios, spaces whose two orderings
 leave equal balances but different contracts, a price bet and a CDP book
 on one pool before and after the bet is deployed, and a claim whose states
@@ -1285,8 +1286,8 @@ def _three_block_cuts():
 
 def _wave_spreads():
     """(state, space, beneficiary): pruning-corpus spreads dealt over one to
-    three blocks, so that later waves hold lower indices and the walk's
-    order is not the keys' order; half of them censored."""
+    three blocks, transaction j arriving in block j mod k, so that a later
+    wave holds earlier mempool positions; half of them censored."""
     for i, sc in enumerate(pruning_corpus(11, 12, max_txs=5)):
         space, k = sc.space(), 1 + i % 3
         mempool = tuple(replace(tx, arrival_block=j % k) for j, tx in enumerate(space.mempool))
@@ -1315,6 +1316,37 @@ def test_the_context_table_counts_what_the_walk_yields():
             tree = _Tree(space, reduction, tracked, state.contracts)
             assert tree.count() == sum(1 for _ in tree.walk()), (space, reduction)
     assert {(k, True, True) for k in (1, 2, 3)} <= seen
+
+
+def _walk_order_trees():
+    """The unreduced and the reduced tree of each three-block cut and each
+    wave spread."""
+    cases = [(state, space, frozenset({"miner"})) for state, space in _three_block_cuts()]
+    cases += [(state, space, frozenset({b})) for state, space, b in _wave_spreads()]
+    for state, space, tracked in cases:
+        for reduction in (0, _FULL):
+            yield _Tree(space, reduction, tracked, state.contracts)
+
+
+def test_the_walk_yields_increasing_keys_at_every_k():
+    # Items are numbered by arrival, so a block break never puts a smaller
+    # index after a larger one, and the least key under a context is the
+    # first one the walk yields there.
+    ks = set()
+    for tree in _walk_order_trees():
+        ks.add(tree.space.k)
+        keys = list(tree.walk())
+        assert keys == sorted(keys) and len(keys) > 1
+        todo, seen = [0], {0}
+        while todo:
+            node = todo.pop()
+            if tree.count(node):
+                assert tree.least(node) == next(tree.walk(node))
+            for _, child in tree.expand(node)[1]:
+                if child not in seen:
+                    seen.add(child)
+                    todo.append(child)
+    assert ks == {1, 2, 3}
 
 
 def _fold_outcome(fold):
