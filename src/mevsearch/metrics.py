@@ -226,8 +226,11 @@ def wmev(
 
     With the constant-increment model (k-MEV = k*m) the truncated sum
     converges to f*m/(1-f); the geometric tail beyond the horizon is reported
-    exactly in that case.  Otherwise per-k values come from one greedy
-    multi-block pass, and no tail is reported.
+    exactly in that case.  Otherwise (the CLI's ``--increment`` not given)
+    the per-k values come from one greedy multi-block pass under any
+    budget, an exhaustive one included, so each is a lower bound on that
+    k's k-MEV (``ev`` of ``replace(space, k=k)`` under an exhaustive
+    budget), and no tail is reported.
     """
     if horizon < 1:
         raise ScenarioError("horizon must be >= 1")

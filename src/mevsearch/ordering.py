@@ -27,30 +27,31 @@ state, and ``count`` sums it without enumerating a key.
 Folds apply items in skip-invalid mode (a user transaction that fails under
 some ordering is censored-by-failure, not a dead branch), and a step runs
 only on a path that ends in a construction, so the first error in walk order
-is the one a search raises.  The key-driven ``_fold`` applies each key from
-the state of its longest common prefix with the key before; the sampler and
-the exact fold of a tree that compiles (below) use it.  The exact fold of any
-other tree folds the DAG instead of the tree: under a node, the keys depend
-only on the context and the values only on the state, and putting a prefix in
-front of suffixes keeps their order, so the number of constructions under a
-node and its best and worst values, each with its smallest suffix, depend
-only on the (context, state) pair (sleep sets with state caching: Godefroid,
-LNCS 1032, 1996; stateful partial-order reduction: Yang, Chen, Gopalakrishnan
-& Kirby, SPIN 2008).  ``_DagFold`` memoises the best and worst value on the
-pair, visiting the children in walk order and stepping into a child only
-where its count is not zero, so the steps and errors are those of the tree
-fold.  The path count is the context table's, and each witness is read back
-from the root afterwards, the traceback of dynamic programming (Bellman,
-1957): at each node, the smallest item whose child's memo holds the
-extreme.  So the witnesses are the tree fold's too, and reading them back
-applies no step and calls no objective.  It numbers each state once, by its
-block number and its key: its balances' items and its contracts, which
-compare and hash by value (``contracts``).  It keeps the number each (state,
-item) pair steps to and the value of each leaf state, so a step runs once per
-distinct (state, item) pair and the objective once per distinct leaf state,
-however many contexts reach them.  The number holds the block number because
-a claim reads it (a price bet's deadline), and a block break changes nothing
-else.
+is the one a search raises.  The exact fold of a tree that compiles (below)
+is one recursion over the context table, ``_fold_tree``: it trades each step
+on the way down and undoes it on return.  The sampler's ``_fold`` applies
+each sampled path from the state of its longest common prefix with the path
+before.  The exact fold of any other tree folds the DAG instead of the tree:
+under a node, the keys depend only on the context and the values only on the
+state, and putting a prefix in front of suffixes keeps their order, so the
+number of constructions under a node and its best and worst values, each with
+its smallest suffix, depend only on the (context, state) pair (sleep sets
+with state caching: Godefroid, LNCS 1032, 1996; stateful partial-order
+reduction: Yang, Chen, Gopalakrishnan & Kirby, SPIN 2008).  ``_DagFold``
+memoises the best and worst value on the pair, visiting the children in walk
+order and stepping into a child only where its count is not zero, so the
+steps and errors are those of the tree fold.  The path count is the context
+table's, and each witness is read back from the root afterwards, the
+traceback of dynamic programming (Bellman, 1957): at each node, the smallest
+item whose child's memo holds the extreme.  So the witnesses are the tree
+fold's too, and reading them back applies no step and calls no objective.  It
+numbers each state once, by its block number and its key: its balances' items
+and its contracts, which compare and hash by value (``contracts``).  It keeps
+the number each (state, item) pair steps to and the value of each leaf state,
+so a step runs once per distinct (state, item) pair and the objective once
+per distinct leaf state, however many contexts reach them.  The number holds
+the block number because a claim reads it (a price bet's deadline), and a
+block break changes nothing else.
 The memo pays only where it is shared, so this fold runs in one process at
 any worker count (split over forked workers, each process would build its
 own memo and apply more steps in all).
@@ -79,10 +80,10 @@ of a bound size at a venue that holds an ``AmmPool`` or nothing, the fold
 compiles the items once (``_SwapInts``, the compiler that insertion's
 ``_SwapTail`` also uses): each touched balance and each pool reserve is a
 slot of an int list, each step is one ``contracts.swap_amounts`` call with
-``_exec_swap``'s balance guard, and an undo log takes the lists back to each
-key's common prefix with the key before.  The values are bit for bit those of
-the ``State`` path, which every other tree takes and which is the kernel's
-test oracle.
+``_exec_swap``'s balance guard, undone as the tree fold returns from it or as
+the sampler's fold backs up to the next path's common prefix.  The values are
+bit for bit those of the ``State`` path, which every other tree takes and
+which is the kernel's test oracle.
 
 Two sources of independence cut the walk; both keep the values and
 witnesses exact.
@@ -151,7 +152,6 @@ import random
 import signal
 import sys
 from dataclasses import dataclass, replace
-from itertools import chain
 
 from . import contracts
 from .state import (
@@ -473,8 +473,9 @@ class _Tree:
     templates; a construction's key is its tuple of item indices, with
     ``BLOCK_BREAK`` between blocks, so the items a block can place always
     hold the indices above those it has placed.  ``walk`` yields the keys in
-    increasing order without reading a state, and ``offers`` the same with
-    quiet subtrees collapsed; ``_fold`` applies them.
+    increasing order without reading a state; ``_fold_tree`` folds a
+    compiled tree in the same order, quiet subtrees collapsed, and
+    ``_DagFold`` any other tree.
 
     A walk node's subtree depends only on its *context*: the block, the
     bitmask of the remaining mempool items and templates (templates only
@@ -692,26 +693,11 @@ class _Tree:
             self._least[node] = key
         return key
 
-    def offers(self, node: int = 0, prefix: tuple[int, ...] = ()):
-        """``walk`` with each quiet subtree collapsed: yield ``(key, path,
-        weight)`` for every construction, and once for every quiet node that
-        holds ``weight`` constructions, all of them valued at the state that
-        ``path`` (the node's prefix) reaches, keyed by the node's least
-        key."""
-        leaf, children, quiet = self.expand(node)
-        if quiet:
-            n = self.count(node)
-            if n:
-                yield prefix + self.least(node), prefix, n
-            return
-        if leaf:
-            yield prefix, prefix, 1
-        for item, child in children:
-            yield from self.offers(child, prefix + (item,))
-
     def count_offers(self, node: int = 0, cap: float = float("inf")) -> int:
-        """The number of tuples ``offers`` yields under context ``node``,
-        capped as ``count`` is: ``count`` stopping at quiet nodes."""
+        """The number of offers an exact fold makes under context ``node``,
+        one per construction outside quiet subtrees and one per quiet node
+        that holds any, capped as ``count`` is: ``count`` stopping at quiet
+        nodes."""
         n = self._offers.get(node)
         if n is None:
             leaf, children, quiet = self.expand(node)
@@ -748,8 +734,8 @@ def count_sequences(
 
 def too_deep() -> ScenarioError:
     """The error of a search or count that nests deeper than the recursion
-    limit: the walk, the counts, the least key and the DAG fold recurse once
-    per item and block break of a construction."""
+    limit: the walk, the counts, the least key and both exact folds recurse
+    once per item and block break of a construction."""
     return ScenarioError(
         f"the search nests deeper than the recursion limit of {sys.getrecursionlimit()} "
         "frames; lower k or the number of transactions"
@@ -835,15 +821,14 @@ def _compiled(tree: _Tree, state: State, objective, fee_policy) -> _SwapInts | N
 def _fold(tree: _Tree, state: State, objective, ints: _SwapInts | None, offers) -> _Reducer:
     """Fold the objective's value of every offer into one reducer.
 
-    Each offer is a ``(key, path, weight)`` triple: ``weight``
-    constructions, keyed ``key`` and valued at the state ``path`` reaches
-    from ``state``, each item applied in skip-invalid mode, each
-    ``BLOCK_BREAK`` advancing the block number.  A path applies only the
-    steps past its longest common prefix with the one before it, and a path
-    equal to the one before reuses its value, so fed the offers of a walk
-    (``_Tree.offers``), or sorted paths, the fold applies one step per
-    distinct non-empty prefix.  It does not depend on the order of its
-    offers.
+    Each offer is a ``(key, path)`` pair: a construction keyed ``key`` and
+    valued at the state ``path`` reaches from ``state``, each item applied
+    in skip-invalid mode, each ``BLOCK_BREAK`` advancing the block number.
+    A path applies only the steps past its longest common prefix with the
+    one before it, and a path equal to the one before reuses its value, so
+    fed sorted paths the fold applies one step per distinct non-empty
+    prefix.  It does not depend on the order of its offers.  The sampler
+    folds here; the exact fold of a compiled tree is ``_fold_tree``.
 
     When the tree compiles (``ints``, the caller's ``_compiled``), no
     ``State`` is built: each step trades on the int lists of ``_SwapInts``,
@@ -870,7 +855,7 @@ def _fold(tree: _Tree, state: State, objective, ints: _SwapInts | None, offers) 
         log: list = []
     prev: tuple[int, ...] = ()
     worth = _UNSEEN  # the value at the state ``prev`` reaches
-    for key, path, weight in offers:
+    for key, path in offers:
         if path != prev or worth is _UNSEEN:
             common = 0
             for a, b in zip(path, prev):
@@ -910,7 +895,114 @@ def _fold(tree: _Tree, state: State, objective, ints: _SwapInts | None, offers) 
                     log.append(undo)
             prev = path
             worth = value_of(stack[-1]) if ints is None else value(balances)
-        offer(worth, key, weight)
+        offer(worth, key)
+    return reducer
+
+
+def _fold_tree(tree: _Tree, ints: _SwapInts, units, keys=()) -> _Reducer:
+    """The exact fold of a compiled tree: the constructions under each work
+    unit ``(prefix, context)`` of ``units`` and those keyed ``keys``, on the
+    int lists of ``ints``, into one reducer.
+
+    One recursion over the context table walks and folds.  At a quiet node
+    it offers the node's value once, weighted by its count and keyed by its
+    least key; at a construction it offers the value; then, for each child
+    that holds a construction, it trades the child's step on the int lists
+    as ``_fold`` does, recurses, and undoes the trade on return.  So a step
+    runs only on a path that ends in a construction, in walk order, and the
+    first error in walk order is the one raised.  The trade is written out
+    in the recursion, where a call per node would cost more than the rest.
+    Each unit's prefix and each key of ``keys`` (at most 2 items each) are
+    applied from their longest common prefix with the one before, through
+    ``trade`` and ``untrade``, so consecutive units apply a shared first
+    item once.  The recursion calls itself through its closure, a reference
+    cycle that would keep the tree alive until the cyclic collector ran, so
+    it is deleted on the way out.
+    """
+    tree.count(0)  # fills the count of every context, which ``rec`` reads
+    rows, counts, least = tree._rows, tree._counts, tree.least
+    steps = ints.steps + (None,)  # steps[BLOCK_BREAK] moves nothing
+    # Copies, so a fold leaves ``ints`` as it found it, even if it raises.
+    balances, reserves, value = ints.balances[:], ints.reserves[:], ints.value_at
+    # Looked up at call time, so a test can count the steps.
+    swap_amounts = contracts.swap_amounts
+    reducer = _Reducer()
+    offer = reducer.offer
+
+    def rec(node, prefix):
+        leaf, children, quiet = rows[node]
+        if quiet:
+            offer(value(balances), prefix + least(node), counts[node])
+            return
+        if leaf:
+            offer(value(balances), prefix, 1)
+        for item, child in children:
+            if counts[child]:
+                step = steps[item]
+                path = prefix + (item,)
+                if step is None:
+                    rec(child, path)
+                    continue
+                i, o, amount, fee_bps, exact_out, pay, get = step
+                amounts = swap_amounts(reserves[i], reserves[o], amount, fee_bps, exact_out)
+                if amounts is None or balances[pay] < amounts[0]:
+                    rec(child, path)
+                    continue
+                paid, received = amounts
+                balances[pay] -= paid
+                balances[get] += received
+                reserves[i] += paid
+                reserves[o] -= received
+                rec(child, path)
+                balances[pay] += paid
+                balances[get] -= received
+                reserves[i] -= paid
+                reserves[o] += received
+
+    def trade(item):
+        """Apply ``item``; its undo, ``None`` where it moved nothing."""
+        step = steps[item]
+        if step is not None:
+            i, o, amount, fee_bps, exact_out, pay, get = step
+            amounts = swap_amounts(reserves[i], reserves[o], amount, fee_bps, exact_out)
+            if amounts is not None and balances[pay] >= amounts[0]:
+                paid, received = amounts
+                balances[pay] -= paid
+                balances[get] += received
+                reserves[i] += paid
+                reserves[o] -= received
+                return pay, get, i, o, paid, received
+        return None
+
+    def untrade(undo):
+        if undo is not None:
+            pay, get, i, o, paid, received = undo
+            balances[pay] += paid
+            balances[get] -= received
+            reserves[i] -= paid
+            reserves[o] += received
+
+    at, undos = (), []  # the prefix applied now, and the undo of each of its steps
+
+    def goto(prefix):
+        """Take the lists to the state ``prefix`` reaches."""
+        nonlocal at
+        while at != prefix[:len(at)]:
+            at = at[:-1]
+            untrade(undos.pop())
+        undos.extend(trade(item) for item in prefix[len(at):])
+        at = prefix
+
+    try:
+        for key in keys:
+            goto(key)
+            offer(value(balances), key, 1)
+        for prefix, node in units:
+            if counts[node]:
+                goto(prefix)
+                rec(node, prefix)
+    finally:
+        del rec
     return reducer
 
 
@@ -1066,7 +1158,7 @@ def _usable_cpus() -> int:
 def _work_units(tree: _Tree) -> tuple[list, list]:
     """The keys shorter than 2 items, and the work units, in walk order,
     read off the context table as (prefix, context) pairs: the depth-2
-    nodes, and the quiet nodes above them, each of which ``_Tree.offers``
+    nodes, and the quiet nodes above them, each of which ``_fold_tree``
     folds whole.  Every other key lies under exactly one unit's node.
     Depth-2 prefixes load-balance far better than first items."""
     short, units = [], [((), 0)]
@@ -1083,15 +1175,14 @@ def _work_units(tree: _Tree) -> tuple[list, list]:
     return short, units
 
 
-def _fold_forked(tree: _Tree, state: State, objective, ints: _SwapInts, workers: int) -> _Reducer:
+def _fold_forked(tree: _Tree, ints: _SwapInts, workers: int) -> _Reducer:
     """Fold every construction of a compiled tree over forked workers.
 
     The work units (``_work_units``) are split over ``procs = min(workers,
     units, usable CPUs)`` processes: ``procs - 1`` forked workers, the
     parent folding one share itself, after the keys shorter than 2.
-    Process ``j`` folds the interleaved share ``units[j::procs]``, each
-    unit's offers (``_Tree.offers``) walked from its context, in one
-    ``_fold`` on ints.  Each
+    Process ``j`` folds the interleaved share ``units[j::procs]`` in one
+    ``_fold_tree``, from the context table counted before the fork.  Each
     worker pickles its reducer back over its own pipe; a worker that raises
     exits without writing anything, so its empty reply fails to unpickle
     here.  The merge does not depend on the order of its folds, so the
@@ -1100,11 +1191,10 @@ def _fold_forked(tree: _Tree, state: State, objective, ints: _SwapInts, workers:
     """
     short, units = _work_units(tree)
     procs = max(1, min(workers, len(units), _usable_cpus()))
+    tree.count(0)  # once, before the fork, for every share
 
     def share(j, keys=()):
-        walks = (tree.offers(node, prefix) for prefix, node in units[j::procs])
-        offers = ((key, key, 1) for key in keys)
-        return _fold(tree, state, objective, ints, chain(offers, chain.from_iterable(walks)))
+        return _fold_tree(tree, ints, units[j::procs], keys)
 
     pids: list[int] = []
     pipes = []
@@ -1207,9 +1297,10 @@ def _search_tree(
 
     The tree is compiled once (``_compiled``), for either fold.  An exact
     fold of a tree that does not compile is one ``_DagFold``, in this
-    process.  A compiled tree with ``workers > 1`` and more than
-    ``FORK_CROSSOVER`` collapsed offers is first folded over forked workers
-    (``_fold_forked``); a smaller one folds in this process.  If anything in that attempt raises
+    process, and of a compiled tree one ``_fold_tree``.  A compiled tree
+    with ``workers > 1`` and more than ``FORK_CROSSOVER`` collapsed offers
+    is first folded over forked workers (``_fold_forked``); a smaller one
+    folds in this process.  If anything in that attempt raises
     an ``Exception`` (a step, the objective, a fork, a pipe, or a worker
     that sends nothing), the workers are killed and reaped and the tree is
     folded in this process instead.  The outcome, report or exception, is then the
@@ -1226,10 +1317,10 @@ def _search_tree(
             return _DagFold(tree, objective).fold(state), True
         if workers > 1 and tree.count_offers(0, FORK_CROSSOVER) > FORK_CROSSOVER:
             try:
-                return _fold_forked(tree, state, objective, ints, workers), True
+                return _fold_forked(tree, ints, workers), True
             except Exception:
                 pass  # the one-process fold below raises the one-worker error, if any
-        return _fold(tree, state, objective, ints, tree.offers()), True
+        return _fold_tree(tree, ints, [((), 0)]), True
     # Each sample is valued at its slice, its relevant items alone, and for
     # an ``_own_objective`` the slice stops at its last seed item: the quiet
     # items after it touch no tracked balance and cannot raise, so the state
@@ -1252,7 +1343,7 @@ def _search_tree(
     tail = "".join([c for i, c in enumerate(code) if quiet >> i & 1])
     seqs = _sample_sequences(tree, budget)
     paths = sorted(("".join([code[i] for i in seq]).rstrip(tail), seq) for seq in seqs)
-    offers = ((seq, tuple([ord(c) for c in path]), 1) for path, seq in paths)
+    offers = ((seq, tuple([ord(c) for c in path])) for path, seq in paths)
     return _fold(tree, state, objective, ints, offers), False
 
 

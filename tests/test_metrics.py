@@ -197,8 +197,8 @@ def test_greedy_multiblock_is_lower_bound(make):
     assert greedy.best_value <= exact.best_value
 
 
-def test_greedy_multiblock_schedules_late_arrivals():
-    # The miner's sell pays most after the user's block-1 buy.
+def _late_arrival():
+    """The miner's sell pays most after the user's block-1 buy."""
     state = State(
         {("late", "ETH"): 200_000, ("miner", "BBT"): 300_000},
         {"p": AmmPool("BBT", "ETH", 1_000_000, 1_000_000, fee_bps=0)},
@@ -206,7 +206,11 @@ def test_greedy_multiblock_schedules_late_arrivals():
     )
     mempool = (Tx("late", "p", Swap("ETH", "BBT", 200_000), label="late", arrival_block=1),)
     templates = (Tx("miner", "p", Swap("BBT", "ETH", 300_000), origin="miner", label="sell"),)
-    space = OrderingSpace(mempool=mempool, templates=templates, allow_insert=True)
+    return state, OrderingSpace(mempool=mempool, templates=templates, allow_insert=True)
+
+
+def test_greedy_multiblock_schedules_late_arrivals():
+    state, space = _late_arrival()
     val = Valuation(primary="ETH")
     exact = ev(miner(), replace(space, k=2), state, val, EXH)
     greedy = ev(miner(), replace(space, k=2), state, val, GREEDY)
@@ -214,6 +218,20 @@ def test_greedy_multiblock_schedules_late_arrivals():
     # greedy sells in block 0, then must place the block-1 arrival
     assert greedy.best_ordering == ("sell", "|", "late")
     assert greedy.best_value < exact.best_value
+
+
+def test_the_greedy_wmev_series_is_a_lower_bound_on_k_mev():
+    # Without an increment the per-k values come from the greedy pass, even
+    # under an exhaustive budget: the block-1 arrival is placed after the
+    # sell, so 2-MEV's extra is missed.
+    state, space = _late_arrival()
+    val = Valuation(primary="ETH")
+    player = miner(hash_fraction=Fraction(1, 2))
+    series = wmev(player, state, space, 2, val, EXH).per_block_mev
+    exact = tuple(ev(player, replace(space, k=k), state, val, EXH).best_value for k in (1, 2))
+    assert series == (230769, 230769)
+    assert exact == (230769, 317646)
+    assert all(value <= bound for value, bound in zip(series, exact))
 
 
 def test_unknown_budget_mode_is_rejected():

@@ -1,5 +1,6 @@
 """Enumeration, pruning, work-unit splitting, forked workers, and search determinism."""
 
+import gc
 import itertools
 import os
 import re
@@ -23,7 +24,9 @@ from mevsearch.ordering import (
     search,
     _FULL,
     _Tree,
+    _SwapInts,
     _compiled,
+    _fold_tree,
     _labels_for,
     _work_units,
 )
@@ -169,8 +172,10 @@ def _split_covers_stream(sp, state=None, tracked=frozenset()):
     # The work units of a parallel search: the sequences shorter than 2 items,
     # plus the whole subtree under every depth-2 node, and under every quiet
     # node above depth 2, walked from its context.  Together they must be the
-    # full stream, each sequence once, and so must the units' offers.
+    # full stream, each sequence once, and so must the constructions the
+    # tree fold counts under the units.
     tree = _Tree(sp, _FULL, tracked, None if state is None else state.contracts)
+    ints = _SwapInts(state or mixed_state(), tree.items, _u0())
     full = list(tree.walk())
     short, units = _work_units(tree)
     assert all(len(key) < 2 for key in short)
@@ -180,7 +185,7 @@ def _split_covers_stream(sp, state=None, tracked=frozenset()):
         assert len(prefix) == 2 or len(prefix) < 2 and tree.expand(node)[2]
         assert all(k[:len(prefix)] == prefix for k in sub)
         keys.extend(sub)
-        weight += sum(w for _, _, w in tree.offers(node, prefix))
+        weight += _fold_tree(tree, ints, [(prefix, node)]).paths
     assert len(full) == len(set(full)) > 1
     assert sorted(keys) == sorted(full) and weight == len(full)
     return tree
@@ -656,8 +661,6 @@ def _raises_past_depth2(items, reserves):
 
 
 def test_a_failing_search_raises_the_lowest_indexed_units_error(monkeypatch):
-    from mevsearch.ordering import _fold
-
     state = mixed_state()
     sp = OrderingSpace(mempool=_alternating(5), allow_censor=True)
     # u4 tracked: the only quiet node above depth 2 is the one past u4's
@@ -671,7 +674,7 @@ def test_a_failing_search_raises_the_lowest_indexed_units_error(monkeypatch):
     errors = {}
     for index, (prefix, node) in enumerate(units):
         try:
-            _fold(tree, state, objective, ints, tree.offers(node, prefix))
+            _fold_tree(tree, ints, [(prefix, node)])
         except ValueError as e:
             errors[index] = str(e)
     first = min(errors)
@@ -886,3 +889,54 @@ def test_importing_the_package_loads_no_process_pool():
         env={**os.environ, "PYTHONPATH": src},
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_no_search_leaves_cyclic_garbage(monkeypatch):
+    # A fold that left a reference cycle behind, a recursive closure that
+    # names itself for one, would keep each tree alive until the cyclic
+    # collector ran.  With the collector off, each search must leave
+    # nothing for it to find.
+    from mevsearch.insertion import search_with_insertion
+
+    exhaustive = SearchBudget(mode="exhaustive")
+    sp, state, objective = _spread_case(900, 7)
+    tree = _Tree(sp, _FULL, objective.tracked, state.contracts)
+    assert _compiled(tree, state, objective, sp.fee_policy()) is not None
+    sc = load_scenario(DATA / "liquidation.json")
+    cdp_state = sc.initial_state()
+    cdp = PlayerDelta.from_state(sc.player().accounts, sc.get_valuation(), cdp_state)
+    pools = State(
+        {("u", "BBT"): 2_000, ("miner", "ETH"): 10**9},
+        {"a": simple_pool(10_000, 10_000, fee_bps=30), "b": simple_pool(100_000, 100_000, fee_bps=30)},
+        0,
+    )
+    sized = OrderingSpace(
+        mempool=(Tx("u", "a", Swap("BBT", "ETH", 2_000)),),
+        templates=(
+            Tx("miner", "a", Swap("ETH", "BBT", None, exact_out=True), origin="miner"),
+            Tx("miner", "b", Swap("BBT", "ETH", None), origin="miner"),
+        ),
+        allow_insert=True,
+    )
+    miner = PlayerDelta.from_state(frozenset({"miner"}), VALUATION, pools)
+    forks = _count_forks(monkeypatch, cpus=2)
+    searches = {
+        "compiled, 1 worker": lambda: search(sp, exhaustive, objective, state),
+        "compiled, 2 workers": lambda: search(sp, exhaustive, objective, state, workers=2),
+        "DAG fold": lambda: search(sc.space(), exhaustive, cdp, cdp_state),
+        "sampled": lambda: search(
+            sp, SearchBudget(max_paths=200, tractability_threshold=0), objective, state
+        ),
+        "insertion": lambda: search_with_insertion(sized, exhaustive, miner, pools, 1, 9_999),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, run in searches.items():
+            gc.collect()
+            run()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
+    assert len(forks) == 1
+    _assert_no_child_left()

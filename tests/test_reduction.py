@@ -67,7 +67,10 @@ from mevsearch.ordering import (
     OrderingSpace,
     SearchBudget,
     _Tree,
+    _compiled,
+    _fold_tree,
     _sample_sequences,
+    _work_units,
     count_sequences,
     search,
 )
@@ -826,10 +829,10 @@ def _whole_replay(tree, state, objective, ints, offers):
     ignored.  Sampled keys hold no ``BLOCK_BREAK``."""
     items, fee_policy = tree.items, tree.space.fee_policy()
     reducer = ordering._Reducer()
-    for key, _, weight in offers:
+    for key, _ in offers:
         txs = [items[i] for i in key]
         state_after = apply_sequence(state, txs, "skip_invalid", fee_policy).state
-        reducer.offer(objective.value(state_after), key, weight)
+        reducer.offer(objective.value(state_after), key)
     return reducer
 
 
@@ -850,7 +853,7 @@ def _record_cuts(monkeypatch):
     def fold(tree, state, objective, ints, offers):
         offers = list(offers)
         cuts.append(any(
-            len(path) < sum(tree.relevant >> i & 1 for i in key) for key, path, _ in offers
+            len(path) < sum(tree.relevant >> i & 1 for i in key) for key, path in offers
         ))
         return real_fold(tree, state, objective, ints, offers)
 
@@ -1361,12 +1364,29 @@ def _fold_outcome(fold):
 
 def _assert_dag_equals_tree_fold(tree, state, objective):
     """The fold over (context, state) pairs against the key-driven fold of
-    the same tree; returns the outcome."""
+    the same tree and, where the tree compiles, against the tree fold on
+    ints, whole and as its work units' shares merged at 2 and 3 processes;
+    returns the outcome.  The key fold takes the ``State`` path wherever
+    ``ordering._compiled`` is patched to compile nothing; the tree fold
+    always compiles through the module's own ``_compiled``."""
 
     dag = _fold_outcome(lambda: ordering._DagFold(tree, objective).fold(state))
     ints = ordering._compiled(tree, state, objective, tree.space.fee_policy())
-    offers = ((key, key, 1) for key in tree.walk())
+    offers = ((key, key) for key in tree.walk())
     assert dag == _fold_outcome(lambda: ordering._fold(tree, state, objective, ints, offers))
+    ints = _compiled(tree, state, objective, tree.space.fee_policy())
+    if ints is not None:
+        assert dag == _fold_outcome(lambda: _fold_tree(tree, ints, [((), 0)]))
+        short, units = _work_units(tree)
+        for procs in (2, 3):
+
+            def merged():
+                reducer = _fold_tree(tree, ints, units[::procs], short)
+                for j in range(1, procs):
+                    reducer.merge(_fold_tree(tree, ints, units[j::procs]))
+                return reducer
+
+            assert dag == _fold_outcome(merged), procs
     return dag
 
 
@@ -1471,7 +1491,8 @@ def _twins():
 
 
 def test_the_dag_fold_equals_the_tree_fold_on_the_mixed_corpus(monkeypatch):
-    # Every tree takes the State path, swap-only ones too.
+    # The key fold takes the State path on every tree, swap-only ones too;
+    # the tree fold on ints checks the ones that compile.
     monkeypatch.setattr(ordering, "_compiled", lambda *args: None)
     failed = []
     real_apply_tx = ordering.apply_tx
@@ -1482,18 +1503,23 @@ def test_the_dag_fold_equals_the_tree_fold_on_the_mixed_corpus(monkeypatch):
         return nxt
 
     monkeypatch.setattr(ordering, "apply_tx", recording_apply_tx)
-    errors, spaces = set(), []
+    errors, spaces, compiled = set(), [], []
     for state, space, objective in _dag_cases():
         tree = _Tree(space, _FULL, objective.tracked, state.contracts)
         outcome = _assert_dag_equals_tree_fold(tree, state, objective)
         if len(outcome) == 2:
             errors.add(outcome[0])
         spaces.append(space)
+        if _compiled(tree, state, objective, space.fee_policy()) is not None:
+            compiled.append(space)
     # failing transactions, fees, censoring, insertion and one to three blocks
     assert any(failed) and not all(failed)
     assert {(sp.charge_fees, sp.allow_censor, sp.allow_insert) for sp in spaces} >= {
         (True, True, True), (False, False, False)}
     assert {sp.k for sp in spaces} == {1, 2, 3}
+    # the tree fold ran on one to three blocks too: the wave spreads, censored or not
+    assert {(sp.k, sp.allow_censor) for sp in compiled} == {
+        (k, censor) for k in (1, 2, 3) for censor in (False, True)}
     # the raisers, and the objective that raises, raise the same error both ways
     assert errors == {ScenarioError, ValueError}
 
