@@ -31,11 +31,12 @@ is the one a search raises.  The exact fold of a tree that compiles (below)
 is one recursion over the context table, ``_fold_tree``: it trades each step
 on the way down and undoes it on return.  The sampler's ``_fold`` applies
 each sampled path from the state of its longest common prefix with the path
-before.  The exact fold of any other tree folds the DAG instead of the tree:
-under a node, the keys depend only on the context and the values only on the
-state, and putting a prefix in front of suffixes keeps their order, so the
-number of constructions under a node and its best and worst values, each with
-its smallest suffix, depend only on the (context, state) pair (sleep sets
+before, through ``_fold_tree`` too when the tree compiles.  The exact fold of
+any other tree folds the DAG instead of the tree: under a node, the keys
+depend only on the context and the values only on the state, and putting a
+prefix in front of suffixes keeps their order, so the number of
+constructions under a node and its best and worst values, each with its
+smallest suffix, depend only on the (context, state) pair (sleep sets
 with state caching: Godefroid, LNCS 1032, 1996; stateful partial-order
 reduction: Yang, Chen, Gopalakrishnan & Kirby, SPIN 2008).  ``_DagFold``
 memoises the best and worst value on the pair, visiting the children in walk
@@ -80,10 +81,10 @@ of a bound size at a venue that holds an ``AmmPool`` or nothing, the fold
 compiles the items once (``_SwapInts``, the compiler that insertion's
 ``_SwapTail`` also uses): each touched balance and each pool reserve is a
 slot of an int list, each step is one ``contracts.swap_amounts`` call with
-``_exec_swap``'s balance guard, undone as the tree fold returns from it or as
-the sampler's fold backs up to the next path's common prefix.  The values are
-bit for bit those of the ``State`` path, which every other tree takes and
-which is the kernel's test oracle.
+``_exec_swap``'s balance guard, undone as the recursion returns from it or as
+``_fold_tree`` backs up to the common prefix of the next sampled path or work
+unit.  The values are bit for bit those of the ``State`` path, which every
+other tree takes and which is the kernel's test oracle.
 
 Two sources of independence cut the walk; both keep the values and
 witnesses exact.
@@ -510,6 +511,10 @@ class _Tree:
     ):
         if space.k < 1:
             raise ScenarioError("k must be >= 1")
+        if space.k > sys.getrecursionlimit():
+            # Every construction holds k - 1 block breaks, and the counts and
+            # folds recurse once per key element: fail before the tables of k.
+            raise too_deep()
         space = space.labeled()
         mempool = sorted(
             (tx for tx in space.mempool if 0 <= tx.arrival_block < space.k),
@@ -735,7 +740,8 @@ def count_sequences(
 def too_deep() -> ScenarioError:
     """The error of a search or count that nests deeper than the recursion
     limit: the walk, the counts, the least key and both exact folds recurse
-    once per item and block break of a construction."""
+    once per item and block break of a construction.  A tree of more blocks
+    than the limit raises it when it is built."""
     return ScenarioError(
         f"the search nests deeper than the recursion limit of {sys.getrecursionlimit()} "
         "frames; lower k or the number of transactions"
@@ -828,31 +834,20 @@ def _fold(tree: _Tree, state: State, objective, ints: _SwapInts | None, offers) 
     one before it, and a path equal to the one before reuses its value, so
     fed sorted paths the fold applies one step per distinct non-empty
     prefix.  It does not depend on the order of its offers.  The sampler
-    folds here; the exact fold of a compiled tree is ``_fold_tree``.
+    and the tests' key oracle fold here.
 
     When the tree compiles (``ints``, the caller's ``_compiled``), no
-    ``State`` is built: each step trades on the int lists of ``_SwapInts``,
-    one ``swap_amounts`` call with ``_exec_swap``'s balance guard, a failing
-    swap moving nothing as in skip-invalid mode.  An undo log, ``log[d]``
-    undoing step ``d`` of the previous path (``None`` where it moved
-    nothing), is popped back to the common prefix.  A block break moves
-    nothing, since no swap reads the block number.  Otherwise the states
-    sit on a stack, ``stack[d]`` being the state after the first ``d``
-    steps of the previous path, and each step is one ``_step``.
+    ``State`` is built: the offers fold on the int lists of ``_SwapInts``
+    through ``_fold_tree``.  Otherwise the states sit on a stack,
+    ``stack[d]`` being the state after the first ``d`` steps of the
+    previous path, and each step is one ``_step``.
     """
+    if ints is not None:
+        return _fold_tree(tree, ints, (), offers)
     items, fee_policy = tree.items, tree.space.fee_policy()
     reducer = _Reducer()
-    offer = reducer.offer
-    if ints is None:
-        value_of = objective.value
-        stack = [state]
-    else:
-        steps = ints.steps + (None,)  # steps[BLOCK_BREAK] moves nothing
-        # Copies, so a fold leaves ``ints`` as it found it, even if it raises.
-        balances, reserves, value = ints.balances[:], ints.reserves[:], ints.value_at
-        # Looked up at call time, so a test can count the steps.
-        swap_amounts = contracts.swap_amounts
-        log: list = []
+    offer, value_of = reducer.offer, objective.value
+    stack = [state]
     prev: tuple[int, ...] = ()
     worth = _UNSEEN  # the value at the state ``prev`` reaches
     for key, path in offers:
@@ -862,64 +857,49 @@ def _fold(tree: _Tree, state: State, objective, ints: _SwapInts | None, offers) 
                 if a != b:
                     break
                 common += 1
-            if ints is None:
-                del stack[common + 1:]
-                st = stack[common]
-                for i in path[common:]:
-                    if i == BLOCK_BREAK:
-                        st = st.with_block(st.block_number + 1)
-                    else:
-                        st = _step(st, items[i], fee_policy)
-                    stack.append(st)
-            else:
-                while len(log) > common:
-                    undo = log.pop()
-                    if undo is not None:
-                        pay, get, i, o, paid, received = undo
-                        balances[pay] += paid
-                        balances[get] -= received
-                        reserves[i] -= paid
-                        reserves[o] += received
-                for item in path[common:]:
-                    step, undo = steps[item], None
-                    if step is not None:
-                        i, o, amount, fee_bps, exact_out, pay, get = step
-                        amounts = swap_amounts(reserves[i], reserves[o], amount, fee_bps, exact_out)
-                        if amounts is not None and balances[pay] >= amounts[0]:
-                            paid, received = amounts
-                            balances[pay] -= paid
-                            balances[get] += received
-                            reserves[i] += paid
-                            reserves[o] -= received
-                            undo = pay, get, i, o, paid, received
-                    log.append(undo)
+            del stack[common + 1:]
+            st = stack[common]
+            for i in path[common:]:
+                if i == BLOCK_BREAK:
+                    st = st.with_block(st.block_number + 1)
+                else:
+                    st = _step(st, items[i], fee_policy)
+                stack.append(st)
             prev = path
-            worth = value_of(stack[-1]) if ints is None else value(balances)
+            worth = value_of(st)
         offer(worth, key)
     return reducer
 
 
-def _fold_tree(tree: _Tree, ints: _SwapInts, units, keys=()) -> _Reducer:
-    """The exact fold of a compiled tree: the constructions under each work
-    unit ``(prefix, context)`` of ``units`` and those keyed ``keys``, on the
-    int lists of ``ints``, into one reducer.
+def _fold_tree(tree: _Tree, ints: _SwapInts, units, offers=()) -> _Reducer:
+    """The fold of a compiled tree on the int lists of ``ints``, into one
+    reducer: first the ``(key, path)`` offers, valued as ``_fold`` values
+    them, then the constructions under each work unit ``(prefix, context)``
+    of ``units``.
 
-    One recursion over the context table walks and folds.  At a quiet node
-    it offers the node's value once, weighted by its count and keyed by its
-    least key; at a construction it offers the value; then, for each child
-    that holds a construction, it trades the child's step on the int lists
-    as ``_fold`` does, recurses, and undoes the trade on return.  So a step
-    runs only on a path that ends in a construction, in walk order, and the
-    first error in walk order is the one raised.  The trade is written out
-    in the recursion, where a call per node would cost more than the rest.
-    Each unit's prefix and each key of ``keys`` (at most 2 items each) are
-    applied from their longest common prefix with the one before, through
-    ``trade`` and ``untrade``, so consecutive units apply a shared first
-    item once.  The recursion calls itself through its closure, a reference
-    cycle that would keep the tree alive until the cyclic collector ran, so
-    it is deleted on the way out.
+    Each step trades on the int lists: one ``swap_amounts`` call with
+    ``_exec_swap``'s balance guard, a failing swap moving nothing as in
+    skip-invalid mode, and a block break moving nothing, since no swap reads
+    the block number.  ``goto`` takes the lists from the path applied now to
+    the next offer's path or unit's prefix: it pops the undo of each step
+    back to their longest common prefix, then trades the rest, so sorted
+    paths and consecutive units apply a shared prefix once.  An offer whose
+    path equals the one before reuses its value.
+
+    One recursion over the context table walks and folds a unit.  At a
+    quiet node it offers the node's value once, weighted by its count and
+    keyed by its least key; at a construction it offers the value; then,
+    for each child that holds a construction, it trades the child's step,
+    recurses, and undoes the trade on return.  So a step runs only on a
+    path that ends in a construction, in walk order, and the first error in
+    walk order is the one raised.  The trade is written out in the
+    recursion and in ``goto``, where a call per step would cost more than
+    the rest.  A unit's count fills the count of every context under it,
+    which the recursion reads; offers alone count nothing.  The recursion
+    calls itself through its closure, a reference cycle that would keep the
+    tree alive until the cyclic collector ran, so it is deleted on the way
+    out.
     """
-    tree.count(0)  # fills the count of every context, which ``rec`` reads
     rows, counts, least = tree._rows, tree._counts, tree.least
     steps = ints.steps + (None,)  # steps[BLOCK_BREAK] moves nothing
     # Copies, so a fold leaves ``ints`` as it found it, even if it raises.
@@ -959,46 +939,48 @@ def _fold_tree(tree: _Tree, ints: _SwapInts, units, keys=()) -> _Reducer:
                 reserves[i] -= paid
                 reserves[o] += received
 
-    def trade(item):
-        """Apply ``item``; its undo, ``None`` where it moved nothing."""
-        step = steps[item]
-        if step is not None:
-            i, o, amount, fee_bps, exact_out, pay, get = step
-            amounts = swap_amounts(reserves[i], reserves[o], amount, fee_bps, exact_out)
-            if amounts is not None and balances[pay] >= amounts[0]:
-                paid, received = amounts
-                balances[pay] -= paid
-                balances[get] += received
-                reserves[i] += paid
-                reserves[o] -= received
-                return pay, get, i, o, paid, received
-        return None
+    at: tuple[int, ...] = ()  # the path applied now
+    undos: list = []  # undos[d] undoes step d of ``at``, None where it moved nothing
 
-    def untrade(undo):
-        if undo is not None:
-            pay, get, i, o, paid, received = undo
-            balances[pay] += paid
-            balances[get] -= received
-            reserves[i] -= paid
-            reserves[o] += received
-
-    at, undos = (), []  # the prefix applied now, and the undo of each of its steps
-
-    def goto(prefix):
-        """Take the lists to the state ``prefix`` reaches."""
+    def goto(path):
         nonlocal at
-        while at != prefix[:len(at)]:
-            at = at[:-1]
-            untrade(undos.pop())
-        undos.extend(trade(item) for item in prefix[len(at):])
-        at = prefix
+        common = 0
+        for a, b in zip(path, at):
+            if a != b:
+                break
+            common += 1
+        while len(undos) > common:
+            undo = undos.pop()
+            if undo is not None:
+                pay, get, i, o, paid, received = undo
+                balances[pay] += paid
+                balances[get] -= received
+                reserves[i] -= paid
+                reserves[o] += received
+        for item in path[common:]:
+            step, undo = steps[item], None
+            if step is not None:
+                i, o, amount, fee_bps, exact_out, pay, get = step
+                amounts = swap_amounts(reserves[i], reserves[o], amount, fee_bps, exact_out)
+                if amounts is not None and balances[pay] >= amounts[0]:
+                    paid, received = amounts
+                    balances[pay] -= paid
+                    balances[get] += received
+                    reserves[i] += paid
+                    reserves[o] -= received
+                    undo = pay, get, i, o, paid, received
+            undos.append(undo)
+        at = path
 
     try:
-        for key in keys:
-            goto(key)
-            offer(value(balances), key, 1)
+        worth = _UNSEEN  # the value at the state ``at`` reaches
+        for key, path in offers:
+            if path != at or worth is _UNSEEN:
+                goto(path)
+                worth = value(balances)
+            offer(worth, key)
         for prefix, node in units:
-            if counts[node]:
+            if tree.count(node):
                 goto(prefix)
                 rec(node, prefix)
     finally:
@@ -1159,8 +1141,10 @@ def _work_units(tree: _Tree) -> tuple[list, list]:
     """The keys shorter than 2 items, and the work units, in walk order,
     read off the context table as (prefix, context) pairs: the depth-2
     nodes, and the quiet nodes above them, each of which ``_fold_tree``
-    folds whole.  Every other key lies under exactly one unit's node.
-    Depth-2 prefixes load-balance far better than first items."""
+    folds whole.  Every other key lies under exactly one unit's node; a
+    short key is a construction of its own, which ``_fold_tree`` takes as
+    the offer ``(key, key)``.  Depth-2 prefixes load-balance far better
+    than first items."""
     short, units = [], [((), 0)]
     for _ in range(2):
         level, units = units, []
@@ -1180,21 +1164,21 @@ def _fold_forked(tree: _Tree, ints: _SwapInts, workers: int) -> _Reducer:
 
     The work units (``_work_units``) are split over ``procs = min(workers,
     units, usable CPUs)`` processes: ``procs - 1`` forked workers, the
-    parent folding one share itself, after the keys shorter than 2.
-    Process ``j`` folds the interleaved share ``units[j::procs]`` in one
-    ``_fold_tree``, from the context table counted before the fork.  Each
-    worker pickles its reducer back over its own pipe; a worker that raises
-    exits without writing anything, so its empty reply fails to unpickle
-    here.  The merge does not depend on the order of its folds, so the
-    report does not depend on the number of processes.  Every worker is
-    killed and reaped before this returns or raises.
+    parent folding one share itself.  Process ``j`` folds the interleaved
+    share ``units[j::procs]`` in one ``_fold_tree``, from the context table
+    counted before the fork; share 0 first offers the keys shorter than 2,
+    each as its own path.  Each worker pickles its reducer back over its own
+    pipe; a worker that raises exits without writing anything, so its empty
+    reply fails to unpickle here.  The merge does not depend on the order of
+    its folds, so the report does not depend on the number of processes.
+    Every worker is killed and reaped before this returns or raises.
     """
     short, units = _work_units(tree)
     procs = max(1, min(workers, len(units), _usable_cpus()))
     tree.count(0)  # once, before the fork, for every share
 
-    def share(j, keys=()):
-        return _fold_tree(tree, ints, units[j::procs], keys)
+    def share(j, offers=()):
+        return _fold_tree(tree, ints, units[j::procs], offers)
 
     pids: list[int] = []
     pipes = []
@@ -1213,7 +1197,7 @@ def _fold_forked(tree: _Tree, ints: _SwapInts, workers: int) -> _Reducer:
                     finally:
                         os._exit(status)
                 pids.append(pid)
-        reducer = share(0, short)
+        reducer = share(0, [(key, key) for key in short])
         for pipe in pipes:
             reducer.merge(pickle.loads(pipe.read()))
         return reducer

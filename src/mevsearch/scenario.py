@@ -551,6 +551,8 @@ def read_json_object(path: str | Path) -> dict:
         raise ParseError("$", f"not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise ParseError("$", f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError("$", "JSON nests deeper than the recursion limit") from None
     return _shaped(doc, dict, "$")
 
 

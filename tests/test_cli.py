@@ -314,17 +314,27 @@ def test_mev_k0_is_a_one_line_error(runner):
     assert result.stderr == "error: k must be >= 1\n"
 
 
-def test_a_search_deeper_than_the_recursion_limit_is_a_one_line_error(runner):
+def test_a_search_deeper_than_the_recursion_limit_is_a_one_line_error(runner, tmp_path):
+    # k past the recursion limit fails before the per-block tables of length
+    # k are built, whether k comes from the option or from the scenario.
     from mevsearch.cli import EXIT_BAD_INPUT
 
-    args = ["mev", "--scenario", str(DATA / "liquidation.json"), "--k", "1000"]
-    result = runner.invoke(main, args)
-    assert result.exit_code == EXIT_BAD_INPUT
-    assert result.stdout == ""
-    assert result.stderr == (
-        "error: the search nests deeper than the recursion limit of "
-        f"{sys.getrecursionlimit()} frames; lower k or the number of transactions\n"
-    )
+    doc = json.loads((DATA / "liquidation.json").read_text())
+    doc["miner"]["k"] = "1000000000000"
+    path = tmp_path / "huge_k.json"
+    path.write_text(json.dumps(doc))
+    for args in (
+        ["mev", "--scenario", str(DATA / "liquidation.json"), "--k", "1000"],
+        ["mev", "--scenario", str(DATA / "liquidation.json"), "--k", "1000000000000"],
+        ["mev", "--scenario", str(path)],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == EXIT_BAD_INPUT
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: the search nests deeper than the recursion limit of "
+            f"{sys.getrecursionlimit()} frames; lower k or the number of transactions\n"
+        )
 
 
 def test_insertion_sizing_deeper_than_the_recursion_limit_is_a_one_line_error(runner, tmp_path):
@@ -410,8 +420,9 @@ def test_wrong_shaped_scenario_section_is_a_one_line_error(runner, tmp_path):
         ('{"pair": {"reserve_x": null}}', "$.pair.reserve_x: expected a decimal string, got None"),
         ('{"pair": []}', "$.pair: expected a JSON object"),
         ('["pair"]', "$: expected a JSON object"),
+        ("[" * 100_000 + "]" * 100_000, "$: JSON nests deeper than the recursion limit"),
     ],
-    ids=["invalid_json", "not_an_integer", "null", "venue_not_an_object", "not_an_object"],
+    ids=["invalid_json", "not_an_integer", "null", "venue_not_an_object", "not_an_object", "too_deep"],
 )
 def test_bad_expected_snapshot_is_a_one_line_error(runner, tmp_path, text, message):
     from mevsearch.cli import EXIT_BAD_INPUT

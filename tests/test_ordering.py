@@ -874,6 +874,10 @@ def test_a_search_deeper_than_the_recursion_limit_is_a_scenario_error():
     with pytest.raises(ScenarioError) as info:
         count_sequences(OrderingSpace(mempool=swaps(1_100), allow_reorder=False))
     assert str(info.value) == message
+    # past the limit, k fails before its per-block tables are built
+    with pytest.raises(ScenarioError) as info:
+        search(replace(sc.space(), k=10**12), sc.budget, objective, state)
+    assert str(info.value) == message
 
 
 def test_importing_the_package_loads_no_process_pool():

@@ -1368,20 +1368,31 @@ def _assert_dag_equals_tree_fold(tree, state, objective):
     ints, whole and as its work units' shares merged at 2 and 3 processes;
     returns the outcome.  The key fold takes the ``State`` path wherever
     ``ordering._compiled`` is patched to compile nothing; the tree fold
-    always compiles through the module's own ``_compiled``."""
+    always compiles through the module's own ``_compiled``.  Where the key
+    fold raises nothing, it also gets every key twice in a seeded shuffled
+    order, on the ``State`` path and, where the tree compiles, on ints: the
+    same extremes and witnesses, twice the paths."""
 
     dag = _fold_outcome(lambda: ordering._DagFold(tree, objective).fold(state))
     ints = ordering._compiled(tree, state, objective, tree.space.fee_policy())
-    offers = ((key, key) for key in tree.walk())
+    offers = [(key, key) for key in tree.walk()]
     assert dag == _fold_outcome(lambda: ordering._fold(tree, state, objective, ints, offers))
     ints = _compiled(tree, state, objective, tree.space.fee_policy())
+    if len(dag) == 3:
+        doubled = offers * 2
+        random.Random(len(offers)).shuffle(doubled)
+        for shuffled_ints in (None,) if ints is None else (None, ints):
+            outcome = _fold_outcome(
+                lambda: ordering._fold(tree, state, objective, shuffled_ints, doubled)
+            )
+            assert outcome == (dag[0], dag[1], 2 * dag[2]), shuffled_ints
     if ints is not None:
         assert dag == _fold_outcome(lambda: _fold_tree(tree, ints, [((), 0)]))
         short, units = _work_units(tree)
         for procs in (2, 3):
 
             def merged():
-                reducer = _fold_tree(tree, ints, units[::procs], short)
+                reducer = _fold_tree(tree, ints, units[::procs], [(key, key) for key in short])
                 for j in range(1, procs):
                     reducer.merge(_fold_tree(tree, ints, units[j::procs]))
                 return reducer

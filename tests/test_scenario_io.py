@@ -220,6 +220,18 @@ def test_floats_rejected(tmp_path):
         load_scenario(path)
 
 
+def test_json_nested_past_the_recursion_limit_is_a_parse_error(tmp_path):
+    from mevsearch.eventlog import load_expected
+
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    for load in (load_scenario, load_expected):
+        with pytest.raises(ParseError) as err:
+            load(path)
+        assert str(err.value) == "$: JSON nests deeper than the recursion limit"
+        assert err.value.__suppress_context__
+
+
 def test_unknown_venue_rejected():
     doc = {
         "schema_version": 1,
